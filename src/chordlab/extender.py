@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .generate import LemmaInstance
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
-from .search import Cycle, Path, chords, internal_bound_vertices, longest_cycles, longest_xy_paths
+from .search import Cycle, Path, chords, internal_bound_vertices, kernel_masks, longest_cycles
 from .second_cycle import second_hamilton_cycle
 
 BLACK, RED, BLUE = "black", "red", "blue"
@@ -1211,10 +1212,30 @@ class ZhanReport:
         return not self.violations
 
 
+def _check_sweep_entry(g: Graph, x: int, y: int, entry):
+    """Re-validate one sweep table entry independently of the sweep."""
+    if entry is None:
+        # the connectivity gate guarantees an (x,y)-path
+        raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
+    best, mb, wit = entry
+    try:
+        bound = internal_bound_vertices(g, Path(wit))  # validates the path
+    except ValueError as exc:
+        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {exc}") from exc
+    if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or len(bound) != mb:
+        raise InvariantViolation(
+            "sweep",
+            f"pair ({x},{y}): witness {wit} has length {len(wit) - 1} and "
+            f"{len(bound)} internal bound vertices, table says {best} and {mb}",
+        )
+
+
 def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     """Minimum internal bound-vertex count over longest (x,y)-paths for
     every requested pair; threshold 1 for all pairs in 2-connected mode,
-    2 for adjacent pairs in 3-connected mode."""
+    2 for adjacent pairs in 3-connected mode.  One exhaustive DFS per
+    source vertex (``kernels.xy_sweep``) fills the table, and every
+    witness it returns is re-checked before it is reported."""
     if mode not in ("all-pairs", "adjacent-pairs"):
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
     if not is_cubic(g):
@@ -1227,15 +1248,18 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
         pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
     else:
         pairs = sorted(set(g.edges))
+    masks = kernel_masks(g)
     results = {}
     violations = []
     minimum = None
+    source = table = None
+    # pairs are sorted by x, so each source is swept once
     for x, y in pairs:
-        rep = longest_xy_paths(g, x, y, mode="all")
-        counts = [len(b) for b in rep.bound_sets]
-        mb = min(counts)
-        wit = rep.witnesses[counts.index(mb)].vertices
-        results[(x, y)] = PairResult(rep.max_length, mb, wit)
+        if x != source:
+            source, table = x, kernels.xy_sweep(masks, g.n, x)
+        _check_sweep_entry(g, x, y, table[y])
+        best, mb, wit = table[y]
+        results[(x, y)] = PairResult(best, mb, wit)
         if minimum is None or mb < minimum:
             minimum = mb
         if mb < threshold:

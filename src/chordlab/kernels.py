@@ -11,6 +11,9 @@ module compiles them with @njit unless the env flag says otherwise:
 
 Masks fit in int64 (n < 63 everywhere at desk scale).  Child order is
 always ascending vertex id, so both backends enumerate identically.
+
+``xy_sweep`` (all end vertices from one source, with bound counts) is
+plain Python on every backend; it is what ``verify_zhan`` reads.
 """
 
 from __future__ import annotations
@@ -281,6 +284,49 @@ def hamilton_cycle_rows(adj, n) -> np.ndarray:
     if count:
         _ham_run(adj, n, 2, out)
     return out[:count]
+
+
+def xy_sweep(masks, n, x):
+    """Every simple path from ``x``, walked once by exhaustive DFS with
+    children in ascending id order (the order ``_xy_run`` writes rows in).
+
+    Returns a list indexed by end vertex y: None for y == x or no path,
+    else (longest length, least number of internal bound vertices among
+    the longest (x,y)-paths, the first such path in DFS order).  A vertex
+    v is bound on a path with vertex mask P iff masks[v] & ~P == 0.
+    Plain Python on purpose: cubic graphs have few simple paths, so no
+    pruning is needed and one walk serves every y.
+    """
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
+    best = [0] * n
+    low = [0] * n
+    first = [None] * n
+    path = [x]
+
+    def visit(v, pm, length, bound):
+        length += 1
+        for w in nbrs[v]:
+            if (pm >> w) & 1:
+                continue
+            pm2 = pm | (1 << w)
+            # appending w can only bind path vertices adjacent to w
+            c = bound
+            for u in nbrs[w]:
+                if u != x and (pm >> u) & 1 and masks[u] & ~pm2 == 0:
+                    c += 1
+            path.append(w)
+            if length > best[w] or (length == best[w] and c < low[w]):
+                best[w] = length
+                low[w] = c
+                first[w] = tuple(path)
+            visit(w, pm2, length, c)
+            path.pop()
+
+    visit(x, 1 << x, 0, 0)
+    return [
+        (best[y], low[y], first[y]) if first[y] is not None else None
+        for y in range(n)
+    ]
 
 
 def warmup():

@@ -129,12 +129,17 @@ class PathReport:
         return min(len(b) for b in self.bound_sets)
 
 
-def _kernel_adj(g: Graph):
+def kernel_masks(g: Graph) -> tuple:
+    """``g.masks`` after the limits every search kernel shares."""
     if not g.simple:
         raise ValueError("search kernels require a simple graph")
     if g.n >= 63:
         raise ValueError("search kernels support n < 63")
-    return kernels.adjacency_array(g.masks)
+    return g.masks
+
+
+def _kernel_adj(g: Graph):
+    return kernels.adjacency_array(kernel_masks(g))
 
 
 def internal_bound_vertices(g: Graph, p: Path) -> frozenset:

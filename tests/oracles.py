@@ -203,9 +203,11 @@ def labeled_cubic_graphs(n: int):
     return out
 
 
-def connected_cubic_classes_by_pairing(n: int):
+@lru_cache(maxsize=None)
+def connected_cubic_classes_by_pairing(n: int) -> tuple:
     """Connected cubic graphs on n vertices up to isomorphism, from the
-    pairing enumeration plus backtracking isomorphism rejection."""
+    pairing enumeration plus backtracking isomorphism rejection.  Cached:
+    the n=8 run takes about 20 s and two tests assert on it."""
     from chordlab.graphs import _is_connected
 
     reps = []
@@ -215,7 +217,7 @@ def connected_cubic_classes_by_pairing(n: int):
             continue
         if not any(are_isomorphic(g, r) for r in reps):
             reps.append(g)
-    return reps
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------

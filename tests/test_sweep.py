@@ -1,0 +1,137 @@
+"""The one-DFS-per-source sweep behind verify_zhan, checked against the
+per-pair search it replaced (longest_xy_paths) and the naive oracles, plus
+mutation checks showing that verify_zhan's re-validation catches a wrong
+sweep table."""
+
+import pytest
+
+import oracles
+from chordlab import kernels
+from chordlab.errors import InvariantViolation
+from chordlab.extender import verify_zhan
+from chordlab.generate import random_cubic
+from chordlab.graphs import connectivity_at_least
+from chordlab.search import longest_xy_paths
+
+MODES = (("all-pairs", 2), ("adjacent-pairs", 3))
+
+
+def _pairs(g, mode):
+    if mode == "all-pairs":
+        return [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    return sorted(set(g.edges))
+
+
+def _reference(g, x, y):
+    """Max length, min bound count and the first witness attaining it,
+    from the full per-pair witness enumeration."""
+    rep = longest_xy_paths(g, x, y, mode="all")
+    counts = [len(b) for b in rep.bound_sets]
+    mb = min(counts)
+    return rep.max_length, mb, rep.witnesses[counts.index(mb)].vertices
+
+
+def _check_against_reference(g):
+    checked = 0
+    for mode, k in MODES:
+        if not connectivity_at_least(g, k):
+            continue
+        pairs = verify_zhan(g, mode).pairs
+        assert list(pairs) == _pairs(g, mode)
+        for (x, y), res in pairs.items():
+            assert (res.max_length, res.min_bound, res.witness) == _reference(g, x, y), (mode, x, y)
+        checked += 1
+    return checked
+
+
+def test_sweep_matches_per_pair_search_on_corpus(corpus):
+    checked = sum(_check_against_reference(g) for n in corpus for g in corpus[n])
+    assert checked > 0
+
+
+@pytest.mark.parametrize("n", (14, 16))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_sweep_matches_per_pair_search_on_random(n, seed):
+    assert _check_against_reference(random_cubic(n, seed)) > 0
+
+
+def _naive_min_bound(g, paths):
+    def bound(seq):
+        on_path = set(seq)
+        return sum(1 for v in seq[1:-1] if set(g.neighbors(v)) <= on_path)
+
+    return min(bound(p) for p in paths)
+
+
+def test_sweep_matches_naive_oracle_small(corpus):
+    for n in (4, 6, 8):
+        for g in corpus[n]:
+            for mode, k in MODES:
+                if not connectivity_at_least(g, k):
+                    continue
+                for (x, y), res in verify_zhan(g, mode).pairs.items():
+                    best, paths = oracles.longest_xy_naive(g, x, y)
+                    assert res.max_length == best
+                    assert res.min_bound == _naive_min_bound(g, paths)
+                    assert res.witness in paths
+
+
+def test_sweep_table_every_end_vertex():
+    """Both directions and non-cubic hosts: the table from x answers every
+    y, including y < x, and leaves x itself empty."""
+    graphs = [oracles.petersen(), oracles.cycle_graph(7), oracles.path_graph(5),
+              oracles.two_k4_minus_edge_bridge(), random_cubic(10, 3)]
+    for g in graphs:
+        for x in range(g.n):
+            table = kernels.xy_sweep(g.masks, g.n, x)
+            assert table[x] is None
+            for y in range(g.n):
+                if y != x:
+                    assert table[y] == _reference(g, x, y), (x, y)
+
+
+def test_verify_zhan_keeps_kernel_limits():
+    with pytest.raises(ValueError, match="n < 63"):
+        verify_zhan(random_cubic(64, 0))
+
+
+# ---------------------------------------------------------------------------
+# mutation checks: a wrong table entry must not reach the report
+
+
+def _patch_first_table(monkeypatch, mutate):
+    """Replace the sweep by one whose first table (source 0) has its entry
+    for vertex 1 rewritten by ``mutate``.  When 01 is an edge, (0,1) is
+    the first pair verify_zhan reads in either mode."""
+    real = kernels.xy_sweep
+    calls = []
+
+    def mutated(masks, n, x):
+        table = real(masks, n, x)
+        if not calls:
+            table[1] = mutate(*table[1])
+        calls.append(x)
+        return table
+
+    monkeypatch.setattr(kernels, "xy_sweep", mutated)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    (
+        lambda best, mb, wit: (best, mb - 1, wit),
+        lambda best, mb, wit: (best, mb, (wit[0], wit[0]) + wit[2:]),
+        lambda best, mb, wit: (best, mb, wit[::-1]),
+        lambda best, mb, wit: None,
+    ),
+    ids=("min-bound-off-by-one", "witness-vertex", "witness-reversed", "entry-missing"),
+)
+@pytest.mark.parametrize("mode", ("all-pairs", "adjacent-pairs"))
+def test_mutated_sweep_is_caught(monkeypatch, mutate, mode):
+    g = oracles.petersen()
+    assert g.has_edge(0, 1)
+    _patch_first_table(monkeypatch, mutate)
+    with pytest.raises(InvariantViolation) as info:
+        verify_zhan(g, mode)
+    assert info.value.step == "sweep"
+    assert "pair (0,1)" in str(info.value)
