@@ -196,24 +196,44 @@ def precheck(g: Graph, p: Path) -> Classification:
 
 
 def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
-    """Shortest (a,b)-path of length >= min_len with nonempty interior
-    inside comp; ties broken by vertex sequence."""
-    comp = frozenset(comp)
-    stack = [(a, (a,))]
-    results = []
-    while stack:
-        cur, seq = stack.pop()
-        for w in sorted(g.neighbors(cur), reverse=True):
-            if w == b:
-                if len(seq) >= min_len:
-                    results.append(seq + (b,))
-                continue
-            if w in comp and w not in seq:
-                stack.append((w, seq + (w,)))
-    if not results:
+    """Shortest (a,b)-path of length >= min_len whose interior lies in
+    comp; ties broken by vertex sequence, None when there is none.
+
+    Length-ordered search: BFS distances to b through comp bound the
+    edges still needed, and for each length L from the lower bound up a
+    DFS in ascending neighbor order enters w only if it can still reach b
+    in the edges left; the first path of exactly L edges is the least."""
+    inner = frozenset(comp) - {a, b}
+    dist = {b: 0}
+    frontier = [b]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w in inner and w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    reach = [dist[w] for w in g.neighbors(a) if w in dist]
+    if not reach:
         return None
-    results.sort(key=lambda s: (len(s), s))
-    return Path(results[0])
+    for L in range(max(min_len, 1 + min(reach)), len(inner) + 2):
+        seq = [a]
+        stack = [iter(g.neighbors(a))]
+        while stack:
+            left = L - len(stack)  # edges after the one taken now
+            for w in stack[-1]:
+                if w == b:
+                    if left == 0:
+                        return Path(tuple(seq) + (b,))
+                elif dist.get(w, left + 1) <= left and w not in seq:
+                    seq.append(w)
+                    stack.append(iter(g.neighbors(w)))
+                    break
+            else:
+                stack.pop()
+                seq.pop()
+    return None
 
 
 def find_direct_extension(g: Graph, p: Path):

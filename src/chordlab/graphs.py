@@ -8,7 +8,6 @@ immutable after construction and are safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -98,39 +97,72 @@ def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
 
 
-def _is_connected(g: Graph, removed=frozenset()) -> bool:
-    alive = [v for v in range(g.n) if v not in removed]
-    if not alive:
-        return True
-    seen = {alive[0]}
-    queue = deque([alive[0]])
+def _is_connected(g: Graph) -> bool:
+    seen = {0} if g.n else set()
+    queue = deque(seen)
     while queue:
         u = queue.popleft()
         for w in g.adj[u]:
-            if w not in removed and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == len(alive)
+    return len(seen) == g.n
+
+
+def _biconnected_without(g: Graph, removed: int) -> bool:
+    """True iff g minus vertex ``removed`` (-1: none) is connected and has
+    no cut vertex.  One iterative lowpoint DFS (Hopcroft & Tarjan 1973):
+    a non-root u is a cut vertex iff some DFS child c has low[c] >=
+    disc[u], the root iff it has two DFS children."""
+    root = 1 if removed == 0 else 0
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[root] = low[root] = 0
+    visited = 1
+    root_children = 0
+    stack = [(root, -1, iter(g.adj[root]))]
+    while stack:
+        u, parent, it = stack[-1]
+        for w in it:
+            if w == removed or w == parent:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = visited
+                visited += 1
+                stack.append((w, u, iter(g.adj[w])))
+                break
+            if disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                if low[u] >= disc[parent]:
+                    return False
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+    alive = g.n - (removed >= 0)
+    return visited == alive and root_children <= 1
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices, is connected, and stays
     connected after deleting any fewer than k vertices.  Only k <= 3 is
-    supported; cuts are enumerated outright, which is trivially correct
-    at this scale."""
+    supported: k=1 is one BFS, k=2 one lowpoint DFS that fails on a
+    disconnection or a cut vertex, and k=3 adds that DFS once per deleted
+    vertex, O(n*m) in all."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     if not g.simple:
         raise ValueError("connectivity gate requires a simple graph")
     if g.n <= k:
         return False
-    if not _is_connected(g):
+    if k == 1:
+        return _is_connected(g)
+    if not _biconnected_without(g, -1):
         return False
-    for size in range(1, k):
-        for cut in itertools.combinations(range(g.n), size):
-            if not _is_connected(g, frozenset(cut)):
-                return False
-    return True
+    return k == 2 or all(_biconnected_without(g, v) for v in range(g.n))
 
 
 def components_after_deletion(g: Graph, removed) -> tuple:

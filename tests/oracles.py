@@ -59,6 +59,24 @@ def two_k4_minus_edge_bridge() -> Graph:
 # naive path / cycle enumeration (permutation-based)
 
 
+def through_component_naive(g: Graph, a: int, b: int, comp, min_len: int):
+    """Every (a,b)-path with interior in comp and at least min_len edges,
+    listed outright; the least by (length, vertex sequence), or None."""
+    comp = frozenset(comp)
+    stack = [(a, (a,))]
+    results = []
+    while stack:
+        cur, seq = stack.pop()
+        for w in g.neighbors(cur):
+            if w == b:
+                if len(seq) >= min_len:
+                    results.append(seq + (b,))
+                continue
+            if w in comp and w not in seq:
+                stack.append((w, seq + (w,)))
+    return min(results, key=lambda s: (len(s), s), default=None)
+
+
 def all_xy_paths_naive(g: Graph, x: int, y: int):
     """Every simple (x,y)-path, via permutations of interior subsets."""
     rest = [v for v in range(g.n) if v not in (x, y)]
@@ -282,7 +300,34 @@ def labeled_connected_cubic_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Menger-style vertex connectivity (independent of cut enumeration)
+# connectivity by cut enumeration, and Menger-style vertex connectivity
+
+
+def _connected_without(g: Graph, removed) -> bool:
+    alive = [v for v in range(g.n) if v not in removed]
+    if not alive:
+        return True
+    seen = {alive[0]}
+    todo = [alive[0]]
+    while todo:
+        u = todo.pop()
+        for w in g.adj[u]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(alive)
+
+
+def connectivity_at_least_naive(g: Graph, k: int) -> bool:
+    """The k-connectivity gate by deleting every vertex set of size < k
+    and testing what is left for connectivity (the gate's definition)."""
+    if g.n <= k or not _connected_without(g, frozenset()):
+        return False
+    for size in range(1, k):
+        for cut in itertools.combinations(range(g.n), size):
+            if not _connected_without(g, frozenset(cut)):
+                return False
+    return True
 
 
 def vertex_connectivity_menger(g: Graph) -> int:
@@ -290,9 +335,7 @@ def vertex_connectivity_menger(g: Graph) -> int:
     computed with unit-capacity augmenting paths on the split digraph."""
     if g.n < 2:
         return 0
-    from chordlab.graphs import _is_connected
-
-    if not _is_connected(g):
+    if not _connected_without(g, frozenset()):
         return 0
     if all(g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n)):
         return g.n - 1

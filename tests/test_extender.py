@@ -21,8 +21,9 @@ from chordlab.extender import (
     verify_chords,
     verify_zhan,
     _path_from_cycle,
+    _through_component,
 )
-from chordlab.generate import random_simple_path
+from chordlab.generate import random_cubic, random_simple_path
 from chordlab.graphs import Graph, components_after_deletion, connectivity_at_least
 from chordlab.search import Cycle, Path, longest_xy_paths
 
@@ -99,6 +100,57 @@ def test_direct_extension_branch_matches_predicate():
         if checked >= 200:
             break
     assert checked >= 200
+
+
+# ---------------------------------------------------------------------------
+# component routing against the all-paths enumerator
+
+
+def _routing_cases():
+    """(g, a, b, comp) over the off-path components of random start paths
+    in random cubic hosts: every ordered pair of attachments, and the
+    matching-step shape with a inside comp and b taken out of it."""
+    for n in range(8, 25, 2):
+        for seed in range(3):
+            g = random_cubic(n, seed)
+            for start in range(3):
+                p = random_simple_path(g, 100 * seed + start)
+                on_path = set(p.vertices)
+                for comp in components_after_deletion(g, on_path):
+                    if len(comp) > 14:
+                        continue
+                    attach = sorted({w for v in comp for w in g.neighbors(v) if w in on_path})
+                    for a in attach:
+                        for b in attach:
+                            if a != b:
+                                yield g, a, b, comp
+                    for a in sorted(comp):
+                        for b in sorted(comp | set(attach)):
+                            if a != b:
+                                yield g, a, b, comp - {b}
+
+
+def test_through_component_matches_enumerator():
+    found = missing = 0
+    for g, a, b, comp in _routing_cases():
+        for min_len in (1, 2, 3):
+            want = oracles.through_component_naive(g, a, b, comp, min_len)
+            got = _through_component(g, a, b, comp, min_len)
+            assert (got and got.vertices) == want, (g.edges, a, b, sorted(comp), min_len)
+            found += want is not None
+            missing += want is None
+    assert found > 5000 and missing > 100
+
+
+def test_through_component_small_cases():
+    g = oracles.k33()  # 0,1,2 | 3,4,5
+    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 1).vertices == (0, 3)
+    # bipartite: no route of length 2, so min_len 2 and 3 both give 3
+    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 2).vertices == (0, 4, 1, 3)
+    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 3).vertices == (0, 4, 1, 3)
+    assert _through_component(g, 0, 3, {4}, 2) is None
+    assert _through_component(g, 0, 1, {3, 4, 5}, 1).vertices == (0, 3, 1)
+    assert _through_component(g, 0, 1, set(), 1) is None
 
 
 # ---------------------------------------------------------------------------

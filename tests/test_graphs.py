@@ -13,6 +13,7 @@ from chordlab.graphs import (
     contract_set,
     is_cubic,
 )
+from chordlab.generate import random_cubic
 from chordlab.search import longest_cycles
 
 
@@ -172,3 +173,48 @@ def test_components_partition_random(n, seed):
     union = set().union(*comps) if comps else set()
     assert union == set(range(n)) - removed
     assert sum(len(c) for c in comps) == len(union)
+
+
+def _random_simple_graphs():
+    """Random simple graphs with n <= 8 at several densities, so sparse,
+    disconnected, non-cubic and near-complete ones all occur."""
+    import random
+
+    rng = random.Random(2024)
+    for n in range(1, 9):
+        for density in (0.15, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(12):
+                pairs = itertools.combinations(range(n), 2)
+                yield Graph(n, [e for e in pairs if rng.random() < density])
+
+
+def test_connectivity_against_cut_enumeration_small():
+    checked = {True: 0, False: 0}
+    for g in _random_simple_graphs():
+        for k in (1, 2, 3):
+            want = oracles.connectivity_at_least_naive(g, k)
+            assert connectivity_at_least(g, k) == want, (g.edges, k)
+            checked[want] += 1
+    assert min(checked.values()) > 200
+
+
+def test_connectivity_against_cut_enumeration_cubic():
+    kappas = set()
+    for n in range(4, 25, 2):
+        for seed in range(6):
+            g = random_cubic(n, seed)
+            got = [connectivity_at_least(g, k) for k in (1, 2, 3)]
+            assert got == [oracles.connectivity_at_least_naive(g, k) for k in (1, 2, 3)]
+            kappas.add(sum(got))
+    for g in (oracles.two_k4_minus_edge_bridge(), oracles.petersen(), oracles.k33()):
+        for k in (1, 2, 3):
+            assert connectivity_at_least(g, k) == oracles.connectivity_at_least_naive(g, k)
+    assert kappas >= {1, 2, 3}
+
+
+def test_connectivity_gate_errors():
+    with pytest.raises(ValueError, match="k must be 1, 2 or 3, got 4"):
+        connectivity_at_least(oracles.k4(), 4)
+    with pytest.raises(ValueError, match="connectivity gate requires a simple graph"):
+        connectivity_at_least(Graph(3, [(0, 1), (0, 1), (1, 2)]), 2)
+    assert not connectivity_at_least(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
