@@ -4,10 +4,8 @@ graphs."""
 
 from .graphs import (
     Graph,
-    build_graph,
     components_after_deletion,
     connectivity_at_least,
-    contract_set,
     is_cubic,
 )
 from .graph6 import parse_graph6, stream_corpus, write_graph6
@@ -41,11 +39,9 @@ from .search import (
 
 __all__ = [
     "Graph",
-    "build_graph",
     "is_cubic",
     "connectivity_at_least",
     "components_after_deletion",
-    "contract_set",
     "parse_graph6",
     "write_graph6",
     "stream_corpus",

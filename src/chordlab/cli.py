@@ -18,7 +18,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import kernels
 from .coloring import three_color_cycle_plus
 from .errors import InvariantViolation
 from .extender import EXTENDABLE, extend_path, precheck, verify_chords, verify_zhan
@@ -121,7 +120,6 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     tasks = [(i, ln, args.mode, args.timings) for i, ln in enumerate(lines)]
     if args.jobs > 1:
-        kernels.warmup()
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_one, tasks))
     else:

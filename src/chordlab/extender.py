@@ -620,29 +620,6 @@ def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs):
 # matching step (tight case)
 
 
-def _all_cycles_small(adj):
-    """All cycles of a small simple graph given as {v: set(w)}; canonical
-    (min vertex first, smaller neighbor second)."""
-    verts = sorted(adj)
-    out = []
-
-    def dfs(s, cur, seq, visited):
-        for w in sorted(adj[cur]):
-            if w == s and len(seq) >= 3 and seq[1] < seq[-1]:
-                out.append(tuple(seq))
-            if w <= s or w in visited:
-                continue
-            seq.append(w)
-            visited.add(w)
-            dfs(s, w, seq, visited)
-            visited.discard(w)
-            seq.pop()
-
-    for s in verts:
-        dfs(s, s, [s], {s})
-    return out
-
-
 def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
     """Tight-case finish: overlay the two equal-length cycles plus one
     attachment edge per dropped representative, compress the shared
@@ -707,34 +684,38 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
             f"bipartition sizes off: {len(partners)} partners, {len(matching)} matching edges",
         )
 
-    g4_adj = {v: set() for v in high}
+    # dense ids in vertex order: the relabeling keeps the canonical cycle
+    # form and the order of vertex sequences, so the tie-break below holds
+    order = sorted(high)
+    dense = {v: i for i, v in enumerate(order)}
     g4_keys = set(matching) | set(aux)
     for u, v in g3_edges:
         if u in high and v in high:
             g4_keys.add((min(u, v), max(u, v)))
+    g4_masks = [0] * len(order)
     for u, v in g4_keys:
-        g4_adj[u].add(v)
-        g4_adj[v].add(u)
-    if any(len(s) != 3 for s in g4_adj.values()):
+        g4_masks[dense[u]] |= 1 << dense[v]
+        g4_masks[dense[v]] |= 1 << dense[u]
+    if any(m.bit_count() != 3 for m in g4_masks):
         raise InvariantViolation("matching-step", "compressed graph is not cubic")
 
-    target = 3 * p_count
-    qualifying = []
-    for seq in _all_cycles_small(g4_adj):
-        if len(seq) <= target:
-            continue
-        keys = {
-            (min(a, b), max(a, b))
-            for a, b in zip(seq, seq[1:] + seq[:1])
-        }
-        if set(matching) <= keys:
-            qualifying.append((len(seq), seq, keys))
-    if not qualifying:
+    # the shortest cycle longer than 3p through every matching edge, least
+    # vertex sequence first
+    required = set(matching)
+    for length in range(3 * p_count + 1, len(order) + 1):
+        qualifying = []
+        for row in kernels.cycles_of_length(g4_masks, len(order), length):
+            seq = tuple(order[i] for i in row)
+            keys = {(min(a, b), max(a, b)) for a, b in zip(seq, seq[1:] + seq[:1])}
+            if required <= keys:
+                qualifying.append(seq)
+        if qualifying:
+            seq = min(qualifying)
+            break
+    else:
         raise InvariantViolation(
             "matching-step", "no longer cycle through the matching exists"
         )
-    qualifying.sort(key=lambda t: (t[0], t[1]))
-    _, seq, keys = qualifying[0]
 
     host_verts = []
     for a, b in zip(seq, seq[1:] + seq[:1]):

@@ -8,8 +8,7 @@ immutable after construction and are safe to share between threads.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
 
 
 class Graph:
@@ -71,9 +70,6 @@ class Graph:
             self._masks = tuple(masks)
         return self._masks
 
-    def edge_multiset(self) -> Counter:
-        return Counter(self.edges)
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -86,11 +82,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}{'' if self.simple else ', multi'})"
-
-
-def build_graph(n: int, edge_list) -> Graph:
-    """Build a graph, validating ids and rejecting self-loops."""
-    return Graph(n, edge_list)
 
 
 def is_cubic(g: Graph) -> bool:
@@ -188,60 +179,3 @@ def components_after_deletion(g: Graph, removed) -> tuple:
         comps.append(frozenset(comp))
     comps.sort(key=min)
     return tuple(comps)
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """Bookkeeping from a contracted graph back to its host.
-
-    ``new_to_old`` maps each surviving dense id to the host vertex set it
-    absorbs; ``old_to_new`` is the reverse lookup for surviving hosts;
-    ``edge_origin`` gives, per surviving edge index, the host edge it
-    came from.
-    """
-
-    new_to_old: tuple
-    old_to_new: dict
-    edge_origin: tuple
-
-
-def contract_set(g: Graph, block, representative: int):
-    """Merge ``block`` onto ``representative``.
-
-    Both forms are used by the reduction machinery: the representative may
-    sit inside the block, or be a vertex adjacent to it (in which case the
-    block is pulled onto it).  Parallel edges produced by the merge are
-    kept; self-loops are dropped.
-    """
-    block = frozenset(block)
-    if not block <= set(range(g.n)):
-        raise ValueError("block contains out-of-range ids")
-    if representative not in block:
-        touches = any(w in block for w in g.adj[representative])
-        if block and not touches:
-            raise ValueError(
-                f"representative {representative} has no edge into the block"
-            )
-    merged = block | {representative}
-    survivors = sorted(set(range(g.n)) - merged) + [representative]
-    survivors.sort()
-    old_to_new = {v: i for i, v in enumerate(survivors)}
-
-    def image(v):
-        return old_to_new[representative] if v in merged else old_to_new[v]
-
-    new_edges = []
-    origin = []
-    for u, v in g.edges:
-        nu, nv = image(u), image(v)
-        if nu == nv:
-            continue
-        new_edges.append((nu, nv))
-        origin.append((u, v))
-    new_to_old = tuple(
-        frozenset(merged) if v == representative else frozenset((v,))
-        for v in survivors
-    )
-    contracted = Graph(len(survivors), new_edges)
-    cmap = ContractionMap(new_to_old, old_to_new, tuple(origin))
-    return contracted, cmap

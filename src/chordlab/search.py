@@ -138,10 +138,6 @@ def kernel_masks(g: Graph) -> tuple:
     return g.masks
 
 
-def _kernel_adj(g: Graph):
-    return kernels.adjacency_array(kernel_masks(g))
-
-
 def internal_bound_vertices(g: Graph, p: Path) -> frozenset:
     """Internal vertices of p whose whole host neighborhood lies on p."""
     p.validate(g)
@@ -158,14 +154,14 @@ def longest_xy_paths(g: Graph, x: int, y: int, mode: str = "all") -> PathReport:
         raise ValueError(f"endpoint out of range: {x},{y}")
     if x == y:
         raise ValueError("endpoints must differ")
-    adj = _kernel_adj(g)
+    adj = kernel_masks(g)
     best = kernels.longest_xy_length(adj, g.n, x, y)
     if best == 0:
         raise ValueError(f"no ({x},{y})-path exists")
     rows = kernels.xy_paths_of_length(adj, g.n, x, y, best)
     if mode == "first":
         rows = rows[:1]
-    witnesses = tuple(Path(tuple(row)) for row in rows)
+    witnesses = tuple(Path(row) for row in rows)
     for w in witnesses:
         w.validate(g)
     bounds = tuple(internal_bound_vertices(g, w) for w in witnesses)
@@ -175,12 +171,12 @@ def longest_xy_paths(g: Graph, x: int, y: int, mode: str = "all") -> PathReport:
 def longest_cycles(g: Graph, mode: str = "all"):
     if mode not in ("all", "first"):
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
-    adj = _kernel_adj(g)
+    adj = kernel_masks(g)
     best = kernels.longest_cycle_length(adj, g.n)
     if best == 0:
         raise ValueError("graph is acyclic")
     rows = kernels.cycles_of_length(adj, g.n, best)
-    cycles = sorted((Cycle(tuple(row)) for row in rows), key=lambda c: c.vertices)
+    cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
     if mode == "first":
         cycles = cycles[:1]
     for c in cycles:
@@ -191,9 +187,9 @@ def longest_cycles(g: Graph, mode: str = "all"):
 def hamilton_cycles(g: Graph):
     if g.n < 3:
         return []
-    adj = _kernel_adj(g)
+    adj = kernel_masks(g)
     rows = kernels.hamilton_cycle_rows(adj, g.n)
-    cycles = sorted((Cycle(tuple(row)) for row in rows), key=lambda c: c.vertices)
+    cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
     for c in cycles:
         c.validate(g)
     return cycles

@@ -1,12 +1,6 @@
 import pytest
 
-from chordlab import kernels
 from chordlab.generate import enumerate_cubic
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -115,6 +115,31 @@ def all_cycles_naive(g: Graph):
     return sorted(out)
 
 
+def all_cycles_small(adj):
+    """All cycles of a small simple graph given as {v: set(w)} on arbitrary
+    labels; canonical (min vertex first, smaller neighbor second).  The
+    extender's matching step searched its compressed graph with this
+    before it read the cycle kernel."""
+    verts = sorted(adj)
+    out = []
+
+    def dfs(s, cur, seq, visited):
+        for w in sorted(adj[cur]):
+            if w == s and len(seq) >= 3 and seq[1] < seq[-1]:
+                out.append(tuple(seq))
+            if w <= s or w in visited:
+                continue
+            seq.append(w)
+            visited.add(w)
+            dfs(s, w, seq, visited)
+            visited.discard(w)
+            seq.pop()
+
+    for s in verts:
+        dfs(s, s, [s], {s})
+    return out
+
+
 def longest_cycles_naive(g: Graph):
     cycles = all_cycles_naive(g)
     if not cycles:

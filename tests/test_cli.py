@@ -169,3 +169,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "C~"
+
+
+def test_runs_on_the_standard_library_alone(tmp_path):
+    """`import chordlab` and `verify` (pool workers included) import no
+    third-party module: numpy and numba were dependencies once."""
+    g6, report = str(tmp_path / "c8.g6"), str(tmp_path / "report.json")
+    code = (
+        "import sys\n"
+        "import chordlab\n"
+        "from chordlab.cli import main\n"
+        f"assert main(['generate', '--n', '8', '--out', {g6!r}]) == 0\n"
+        "for mode in ('zhan2', 'zhan3adj', 'chords'):\n"
+        f"    argv = ['verify', '--mode', mode, '--in', {g6!r}, '--jobs', '2', '--out', {report!r}]\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'numba')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import helpers
 import oracles
+from chordlab import kernels
 from chordlab.errors import InvariantViolation
 from chordlab.extender import (
     EXTENDABLE,
@@ -382,6 +385,28 @@ def test_matching_step_requires_attachments():
     g, p = _tight_host()
     with pytest.raises(InvariantViolation):
         matching_step(g, Cycle(p.vertices), Cycle(p.vertices), [])
+
+
+def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
+    """matching_step relabels its compressed graph to dense ids in label
+    order and reads the cycle kernel per length; mapped back, that must
+    list the cycles of the enumerator it replaced, in (length, sequence)
+    order."""
+    rng = random.Random(0)
+    for n, graphs in corpus.items():
+        for g in graphs:
+            labels = rng.sample(range(100), n)
+            adj = {labels[v]: {labels[w] for w in g.neighbors(v)} for v in range(n)}
+            order = sorted(adj)
+            dense = {v: i for i, v in enumerate(order)}
+            masks = [sum(1 << dense[w] for w in adj[v]) for v in order]
+            got = [
+                tuple(order[i] for i in row)
+                for length in range(3, n + 1)
+                for row in kernels.cycles_of_length(masks, n, length)
+            ]
+            want = sorted(oracles.all_cycles_small(adj), key=lambda s: (len(s), s))
+            assert got == want, labels
 
 
 # ---------------------------------------------------------------------------

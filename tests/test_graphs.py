@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 import oracles
 from chordlab.graphs import (
     Graph,
-    build_graph,
     components_after_deletion,
     connectivity_at_least,
-    contract_set,
     is_cubic,
 )
 from chordlab.generate import random_cubic
@@ -18,13 +16,13 @@ from chordlab.search import longest_cycles
 
 
 def test_build_k4():
-    g = build_graph(4, list(itertools.combinations(range(4), 2)))
+    g = Graph(4, list(itertools.combinations(range(4), 2)))
     assert g.degrees() == (3, 3, 3, 3)
     assert g.simple
 
 
 def test_build_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.degrees() == (1, 2, 1)
 
 
@@ -36,9 +34,9 @@ def test_build_petersen():
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_multigraph_flag():
@@ -113,47 +111,6 @@ def test_components_cover_and_separate():
     assert union == set(range(g.n)) - removed
     for a, b in itertools.combinations(comps, 2):
         assert not any(g.has_edge(u, v) for u in a for v in b)
-
-
-def test_contract_identity():
-    g = oracles.k4()
-    h, cmap = contract_set(g, {2}, 2)
-    assert h == g
-    assert cmap.new_to_old[2] == frozenset({2})
-
-
-def test_contract_triangle_in_k4():
-    g = oracles.k4()
-    h, cmap = contract_set(g, {1, 2, 3}, 1)
-    # the triangle's internal edges become self-loops and vanish
-    assert h.n == 2
-    assert sorted(h.edges) == [(0, 1), (0, 1), (0, 1)]
-    assert not h.simple
-
-
-def test_contract_pulls_attachments_onto_representative():
-    # one off-path vertex attached to four path vertices; contracting it
-    # onto one of them hands that vertex the other three edges
-    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
-                  (6, 1), (6, 2), (6, 4), (6, 5)])
-    h, cmap = contract_set(g, {6}, 4)
-    assert h.degree(4) == 2 + 3
-    assert cmap.new_to_old[4] == frozenset({4, 6})
-
-
-def test_contract_requires_adjacency():
-    g = oracles.cycle_graph(6)
-    with pytest.raises(ValueError):
-        contract_set(g, {2, 3}, 0)
-
-
-def test_contract_degree_budget():
-    # total degree drops by exactly twice the removed self-loops
-    g = oracles.prism()
-    block = {0, 1, 2}
-    inside = sum(1 for u, v in g.edges if u in block and v in block)
-    h, _ = contract_set(g, block, 0)
-    assert sum(h.degrees()) == sum(g.degrees()) - 2 * inside
 
 
 @settings(max_examples=60, deadline=None)

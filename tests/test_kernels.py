@@ -1,86 +1,100 @@
-"""Backend equivalence: the numba-compiled kernels and the plain-Python
-fallback run the same source and must enumerate identically."""
+"""Frozen kernel output.
 
-import importlib.util
-import os
+`golden/kernel_rows.json` holds, per graph, one sha256 per kernel of the
+rows it enumerates, in the order it enumerates them:
 
-import numpy as np
+- ``xy``: for every pair x < y, the `xy_paths_of_length` rows at the
+  pair's longest length;
+- ``cycles``: the `cycles_of_length` rows at the circumference;
+- ``ham``: the `hamilton_cycle_rows`.
+
+The graphs are the connected cubic corpus on n <= 10 vertices and
+`random_cubic` on n = 12..20, two seeds each.  A rewrite of a kernel must
+reproduce every row and its position.  Regenerate the file only for an
+intended change of output:
+
+    PYTHONPATH=src python tests/test_kernels.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path as FsPath
+
 import pytest
 
-import oracles
-from chordlab import kernels as active
-from chordlab.generate import random_cubic
+from chordlab import kernels
+from chordlab.generate import enumerate_cubic, random_cubic
 
-_SRC = os.path.join(os.path.dirname(active.__file__), "kernels.py")
+GOLDEN = FsPath(__file__).parent / "golden" / "kernel_rows.json"
+
+CORPUS_ORDERS = (4, 6, 8, 10)
+RANDOM_HOSTS = [(n, seed) for n in (12, 14, 16, 18, 20) for seed in (0, 1)]
 
 
-def _load_backend(name):
-    old = os.environ.get("CHORDLAB_KERNEL")
-    os.environ["CHORDLAB_KERNEL"] = name
-    try:
-        spec = importlib.util.spec_from_file_location(f"_kernels_{name}", _SRC)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        if old is None:
-            os.environ.pop("CHORDLAB_KERNEL", None)
-        else:
-            os.environ["CHORDLAB_KERNEL"] = old
-    return mod
+def _graphs():
+    for n in CORPUS_ORDERS:
+        for i, g in enumerate(enumerate_cubic(n)):
+            yield f"corpus-n{n}-{i}", g
+    for n, seed in RANDOM_HOSTS:
+        yield f"random-n{n}-s{seed}", random_cubic(n, seed)
+
+
+def _digest(rows) -> str:
+    plain = [[int(v) for v in row] for row in rows]
+    return hashlib.sha256(json.dumps(plain).encode()).hexdigest()
+
+
+def _kernel_digests(g) -> dict:
+    adj, n = g.masks, g.n
+    xy = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            best = kernels.longest_xy_length(adj, n, x, y)
+            xy.append([x, y, best])
+            if best:
+                xy.extend(kernels.xy_paths_of_length(adj, n, x, y, best))
+    circumference = kernels.longest_cycle_length(adj, n)
+    cycles = kernels.cycles_of_length(adj, n, circumference) if circumference else []
+    return {
+        "xy": _digest(xy),
+        "cycles": _digest([[circumference]] + list(cycles)),
+        "ham": _digest(kernels.hamilton_cycle_rows(adj, n)),
+    }
+
+
+def _record() -> dict:
+    return {gid: _kernel_digests(g) for gid, g in _graphs()}
 
 
 @pytest.fixture(scope="module")
-def backends():
-    py = _load_backend("python")
-    assert py.BACKEND == "python"
-    try:
-        nb = _load_backend("numba")
-    except ImportError:
-        pytest.skip("numba unavailable")
-    assert nb.BACKEND == "numba"
-    return py, nb
+def golden():
+    with GOLDEN.open() as fh:
+        return json.load(fh)
 
 
-def _zoo():
-    graphs = [oracles.k4(), oracles.k33(), oracles.prism(), oracles.petersen(),
-              oracles.cycle_graph(8), oracles.two_k4_minus_edge_bridge()]
-    graphs += [random_cubic(10, seed) for seed in range(4)]
-    return graphs
+def test_kernel_rows_match_golden(golden):
+    seen = []
+    for gid, g in _graphs():
+        seen.append(gid)
+        assert _kernel_digests(g) == golden[gid], gid
+    assert seen == list(golden)
 
 
-def test_backends_agree_everywhere(backends):
-    py, nb = backends
-    for g in _zoo():
-        adj = py.adjacency_array(g.masks)
-        n = g.n
-        for x in range(min(n, 4)):
-            for y in range(x + 1, min(n, 5)):
-                L1 = py.longest_xy_length(adj, n, x, y)
-                L2 = nb.longest_xy_length(adj, n, x, y)
-                assert L1 == L2
-                if L1:
-                    r1 = py.xy_paths_of_length(adj, n, x, y, L1)
-                    r2 = nb.xy_paths_of_length(adj, n, x, y, L1)
-                    assert np.array_equal(r1, r2)
-        c1, c2 = py.longest_cycle_length(adj, n), nb.longest_cycle_length(adj, n)
-        assert c1 == c2
-        if c1:
-            assert np.array_equal(
-                py.cycles_of_length(adj, n, c1), nb.cycles_of_length(adj, n, c1)
-            )
-        assert np.array_equal(
-            py.hamilton_cycle_rows(adj, n), nb.hamilton_cycle_rows(adj, n)
-        )
-
-
-def test_env_flag_rejects_unknown():
-    os.environ["CHORDLAB_KERNEL"] = "turbo"
-    try:
-        with pytest.raises(ValueError):
-            _load_backend("turbo")
-    finally:
-        os.environ.pop("CHORDLAB_KERNEL", None)
+def test_kernel_rows_are_tuples():
+    g = random_cubic(12, 0)
+    rows = kernels.cycles_of_length(g.masks, g.n, kernels.longest_cycle_length(g.masks, g.n))
+    assert rows and all(type(r) is tuple and len(r) == len(rows[0]) for r in rows)
 
 
 def test_active_backend_is_exposed():
-    assert active.BACKEND in ("numba", "python")
+    assert kernels.BACKEND == "python"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_record(), indent=1) + "\n")

@@ -1,6 +1,8 @@
 import pytest
 
 import oracles
+from chordlab import kernels
+from chordlab.extender import verify_chords
 from chordlab.graphs import Graph
 from chordlab.search import (
     Cycle,
@@ -167,3 +169,52 @@ def test_kernels_require_simple_graphs():
 def test_cycle_canonical_form():
     assert Cycle((2, 1, 0, 3)).vertices == Cycle((0, 1, 2, 3)).vertices == (0, 1, 2, 3)
     assert Cycle((0, 3, 2, 1)).vertices == (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# mutation checks: a malformed kernel row must not reach a report
+
+
+def _swap_second_third(row):
+    # on a triangle-free graph the first and third vertices of a path are
+    # not adjacent, so the swap always puts a non-edge on the cycle
+    return (row[0], row[2], row[1]) + row[3:]
+
+
+def _repeat_second(row):
+    return row[:-1] + (row[1],)
+
+
+MUTATIONS = pytest.mark.parametrize(
+    "mutate, message",
+    ((_swap_second_third, "is not an edge"), (_repeat_second, "repeated vertex")),
+    ids=("non-edge", "repeated-vertex"),
+)
+
+
+def _patch_first_row(monkeypatch, name, mutate):
+    real = getattr(kernels, name)
+
+    def mutated(*args):
+        rows = real(*args)
+        return [mutate(rows[0])] + rows[1:]
+
+    monkeypatch.setattr(kernels, name, mutated)
+
+
+@MUTATIONS
+def test_mutated_cycle_rows_are_caught(monkeypatch, mutate, message):
+    g = oracles.k33()  # triangle-free and 3-connected
+    _patch_first_row(monkeypatch, "cycles_of_length", mutate)
+    with pytest.raises(ValueError, match=message):
+        longest_cycles(g)
+    with pytest.raises(ValueError, match=message):
+        verify_chords(g)
+
+
+@MUTATIONS
+def test_mutated_hamilton_rows_are_caught(monkeypatch, mutate, message):
+    g = oracles.k33()
+    _patch_first_row(monkeypatch, "hamilton_cycle_rows", mutate)
+    with pytest.raises(ValueError, match=message):
+        hamilton_cycles(g)
