@@ -361,8 +361,11 @@ def test_tight_pipeline_end_to_end():
     assert stats.blue_runs == stats.long_blue_runs == 2
     c_star, attachments, detail = lift_to_host(g, rg, cp, runs)
     assert c_star.length == len(rg.cycle_eids)  # exactly tight
-    assert [(w, ws) for w, ws, _ in attachments] == [(2, 10), (7, 11)]
+    assert c_star.vertices == (0, 1, 11, 3, 4, 5, 6, 10, 8, 9)
+    assert attachments == [(2, 10, h1), (7, 11, h2)]
+    assert detail == {"length": 10, "floor": 10}
     out = matching_step(g, c_star, Cycle(p.vertices), attachments)
+    assert out.vertices == (0, 1, 2, 10, 6, 5, 4, 3, 11, 7, 8, 9)
     out.validate(g)
     assert out.length > Cycle(p.vertices).length
     assert (0, 9) in out.edge_set()
