@@ -3,7 +3,8 @@ single-graph extension runs, and the lemma property suites.
 
 Exit codes: 0 success, 1 a verified statement fell below its threshold
 (which would mean a bug, not a counterexample), 2 usage, 3 I/O or parse
-failure.  Reports are deterministic for identical inputs and seeds; wall
+failure, 4 internal error (a checked invariant failed; the message names
+the step).  Reports are deterministic for identical inputs and seeds; wall
 times are only attached under --timings since they would break that.
 """
 
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _default_seed() -> int:
@@ -317,7 +319,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvariantViolation, ValueError) as exc:
+    except InvariantViolation as exc:
+        print(f"internal error in step {exc.step}: {exc.detail}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ checkers in search before being returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
@@ -70,17 +70,6 @@ class BlueSubpathStats:
     red_on_cycle: int
     blue_runs: int
     long_blue_runs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "dropped_vertices": self.dropped_vertices,
-            "missing_edges": self.missing_edges,
-            "surplus": self.surplus,
-            "blue_on_cycle": self.blue_on_cycle,
-            "red_on_cycle": self.red_on_cycle,
-            "blue_runs": self.blue_runs,
-            "long_blue_runs": self.long_blue_runs,
-        }
 
     def check(self):
         s = self
@@ -153,13 +142,6 @@ class ReducedGraph:
     def sorted_neighbors(self, v):
         return sorted(self.adjmap[v], key=lambda t: (t[1], t[0]))
 
-    def to_graph(self):
-        """Dense relabeling for assertions and serialization: returns
-        (Graph, sorted host vertex list)."""
-        order = sorted(self.verts)
-        pos = {v: i for i, v in enumerate(order)}
-        return Graph(len(order), [(pos[u], pos[v]) for u, v in self.edges]), order
-
     def edge_rows(self):
         return [[u, v, tag] for (u, v), tag in zip(self.edges, self.tags)]
 
@@ -193,6 +175,16 @@ def precheck(g: Graph, p: Path) -> Classification:
                         f"chord ({u},{w}) on a path without internal bound vertices",
                     )
     return Classification(EXTENDABLE, frozenset())
+
+
+def _attached_components(g: Graph, on):
+    """The components of g minus ``on``, each with its sorted attachment
+    vertices on ``on``, in ``components_after_deletion`` order."""
+    on = frozenset(on)
+    return [
+        (comp, sorted({w for v in comp for w in g.neighbors(v) if w in on}))
+        for comp in components_after_deletion(g, on)
+    ]
 
 
 def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
@@ -241,14 +233,10 @@ def find_direct_extension(g: Graph, p: Path):
     splice a longer path through one or two of them; otherwise certify a
     component attached only to the interior.  Returns (path, component)
     with exactly one of the two set."""
-    comps = components_after_deletion(g, set(p.vertices))
     on_path = set(p.vertices)
     x, y = p.x, p.y
-    nbrs = {
-        comp: frozenset(w for v in comp for w in g.neighbors(v) if w in on_path)
-        for comp in comps
-    }
-    interior_only = [c for c in comps if not (nbrs[c] & {x, y})]
+    nbrs = dict(_attached_components(g, on_path))
+    interior_only = [c for c, at in nbrs.items() if x not in at and y not in at]
     if interior_only:
         return None, min(interior_only, key=min)
     if p.length < 2:
@@ -261,7 +249,7 @@ def find_direct_extension(g: Graph, p: Path):
             raise InvariantViolation(
                 "component-claim", f"interior vertex {vertex} has no off-path edge"
             )
-        return next(c for c in comps if off[0] in c)
+        return next(c for c in nbrs if off[0] in c)
 
     h_i = comp_of(u)
     if x in nbrs[h_i]:
@@ -309,13 +297,10 @@ def _adjacent_attachment_splice(g: Graph, p: Path, cycle_pairs=None):
     """A component with two consecutive attachments admits an immediate
     splice; the argument never meets this on longest paths, but sampled
     paths do.  ``cycle_pairs`` widens consecutiveness to a cycle."""
-    on_path = set(p.vertices)
     pairs = cycle_pairs
     if pairs is None:
         pairs = list(zip(p.vertices, p.vertices[1:]))
-    comps = components_after_deletion(g, on_path)
-    for comp in comps:
-        attach = frozenset(w for v in comp for w in g.neighbors(v) if w in on_path)
+    for comp, attach in _attached_components(g, p.vertices):
         for a, b in pairs:
             if a in attach and b in attach and {a, b} != {p.x, p.y}:
                 seg = _through_component(g, a, b, comp, 2)
@@ -338,59 +323,38 @@ def _component_split(g: Graph, p: Path):
     """Partition off-path components by role: two-neighbor ones (red),
     interior-attached larger ones (triple/contract), endpoint-touching
     larger ones (absorb into x or y)."""
-    on_path = set(p.vertices)
-    comps = components_after_deletion(g, on_path)
-    info = []
-    for comp in comps:
-        attach = sorted(
-            {w for v in comp for w in g.neighbors(v) if w in on_path}
-        )
-        info.append((comp, attach))
     red, triple, endpoint = [], [], []
-    for comp, attach in info:
+    for comp, attach in _attached_components(g, p.vertices):
         if len(attach) == 2:
             red.append((comp, attach))
-        elif set(attach) & {p.x, p.y}:
+        elif p.x in attach or p.y in attach:
             endpoint.append((comp, attach))
         else:
             triple.append((comp, attach))
     return red, triple, endpoint
 
 
-def _coloring_stage(g: Graph, p: Path, triple_comps):
-    """Build the interior auxiliary graph (subpath closed into a cycle
-    plus one triangle per big component), 3-color it, and return the
-    selected class with the relabeled triples."""
-    u, v = p.vertices[1], p.vertices[-2]
-    interior = list(p.vertices[1:-1])
-    pos = {h: i for i, h in enumerate(interior)}
-    triples = []
-    for comp, attach in triple_comps:
-        chosen = sorted(attach, key=lambda h: pos[h])[:3]
-        triples.append((comp, tuple(chosen)))
-    edges = set()
-    for a, b in zip(interior, interior[1:]):
-        edges.add((min(pos[a], pos[b]), max(pos[a], pos[b])))
-    skip_uv = any({u, v} <= set(t) for _, t in triples)
-    if not skip_uv:
-        edges.add((min(pos[u], pos[v]), max(pos[u], pos[v])))
-    for _, t in triples:
+def _color_ring(ring, comps):
+    """Close ``ring`` into a cycle, add one triangle on the first three
+    attachments (in ring order) of each component in ``comps``, 3-color
+    the result and pick the class avoiding both ends of the ring.
+
+    Returns (class, chosen triangles, [(component, relabeled triangle)])
+    where a relabeled triangle names its class member last."""
+    pos = {h: i for i, h in enumerate(ring)}
+    chosen = [tuple(sorted(attach, key=pos.__getitem__)[:3]) for _, attach in comps]
+    m = len(ring)
+    edges = {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)}
+    for t in chosen:
         for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
             edges.add((min(pos[a], pos[b]), max(pos[a], pos[b])))
-    aux = Graph(len(interior), sorted(edges))
-    cyc = Cycle(tuple(range(len(interior))))
-    coloring = three_color_cycle_plus(aux, cyc)
-    host_coloring = {interior[i]: c for i, c in coloring.items()}
+    coloring = three_color_cycle_plus(Graph(m, sorted(edges)), Cycle(tuple(range(m))))
     a_set, relabeled = pick_color_class(
-        host_coloring,
-        forbidden={u, v},
-        triangles=[t for _, t in triples],
+        {ring[i]: c for i, c in coloring.items()},
+        forbidden={ring[0], ring[-1]},
+        triangles=chosen,
     )
-    by_triple = {tuple(sorted(t)): (u2, v2, w2) for (u2, v2, w2), (_, t) in zip(relabeled, triples)}
-    out = []
-    for comp, t in triples:
-        out.append((comp, by_triple[tuple(sorted(t))]))
-    return a_set, out
+    return a_set, chosen, [(comp, t) for (comp, _), t in zip(comps, relabeled)]
 
 
 def build_reduced_G2(g: Graph, p: Path, a_set, triples) -> ReducedGraph:
@@ -417,36 +381,30 @@ def build_reduced_G2(g: Graph, p: Path, a_set, triples) -> ReducedGraph:
     for comp, attach in red:
         eid = rg.add_edge(attach[0], attach[1], RED)
         rg.red_comp[eid] = comp
-    for comp, t in triples:
-        rep = t[2]
+    contracted = [(comp, t[2]) for comp, t in triples]
+    contracted += [(comp, y if y in attach else x) for comp, attach in endpoint]
+    for comp, rep in contracted:
         rg.reps[rep] = comp
-        for v in comp:
-            for w in g.neighbors(v):
-                if w in on_path and w != rep:
-                    eid = rg.add_edge(rep, w, BLUE)
-                    rg.blue_info[eid] = (rep, w, comp, (v, w))
-    for comp, attach in endpoint:
-        rep = y if y in attach else x
-        rg.reps[rep] = comp
-        for v in comp:
-            for w in g.neighbors(v):
-                if w in on_path and w != rep:
-                    eid = rg.add_edge(rep, w, BLUE)
-                    rg.blue_info[eid] = (rep, w, comp, (v, w))
+        for v, w in _contraction_edges(g, comp, rep, on_path):
+            eid = rg.add_edge(rep, w, BLUE)
+            rg.blue_info[eid] = (rep, w, comp, (v, w))
     for v in p.vertices[1:-1]:
         if rg.degree(v) < 3:
             raise InvariantViolation(
                 "reduced-graph", f"interior vertex {v} has degree {rg.degree(v)}"
             )
-    cyc_keys = {frozenset(e) for e in zip(p.vertices, p.vertices[1:])}
-    cyc_keys.add(frozenset((x, y)))
-    for a in rg.a_set:
-        for b in rg.a_set:
-            if a < b and frozenset((a, b)) in cyc_keys:
-                raise InvariantViolation(
-                    "reduced-graph", "selected class not independent on the cycle"
-                )
+    cyc_keys = Cycle(p.vertices).edge_set()
+    if any((a, b) in cyc_keys for a in rg.a_set for b in rg.a_set):
+        raise InvariantViolation(
+            "reduced-graph", "selected class not independent on the cycle"
+        )
     return rg
+
+
+def _contraction_edges(g: Graph, comp, rep, on):
+    """Host edges (v, w) from ``comp`` to ``on`` other than those into
+    ``rep``: contracting comp onto rep turns each into the edge rep-w."""
+    return [(v, w) for v in comp for w in g.neighbors(v) if w in on and w != rep]
 
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
@@ -555,52 +513,55 @@ def compute_stats(rg: ReducedGraph, cp: MultiCycle):
     return stats, runs
 
 
-def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs):
-    """Replace red edges and blue runs of the cover cycle with host paths
-    through their components; returns (host cycle, attachments, detail)
-    where attachments lists (representative, interior vertex, component)
-    for each tight length-2 run."""
-    run_at = {start: length for start, length in runs}
-    verts = []
-    attachments = []
+def _lift_runs(g: Graph, vertices, runs, stage: str):
+    """Walk a cycle through ``vertices`` and replace each run by the
+    shortest host path through its component.  ``runs`` maps a start
+    index to (steps, component, least length); a run ends ``steps``
+    vertices later (cyclically).  Returns the host vertex sequence and
+    the host path used for each run, keyed by its start."""
+    L = len(vertices)
+    verts, segs = [], {}
     i = 0
-    L = cp.length
     while i < L:
-        eid = cp.eids[i]
-        a = cp.vertices[i]
-        tag = rg.tags[eid]
-        if tag == BLACK:
-            verts.append(a)
+        if i not in runs:
+            verts.append(vertices[i])
             i += 1
-        elif tag == RED:
-            b = cp.vertices[(i + 1) % L]
-            comp = rg.red_comp[eid]
-            seg = _through_component(g, a, b, comp, 3)
-            if seg is None:
-                raise InvariantViolation(
-                    "lift", f"no host path of length >= 3 behind red edge ({a},{b})"
-                )
-            verts.extend(seg.vertices[:-1])
-            i += 1
-        else:
-            length = run_at[i]
-            b = cp.vertices[(i + length) % L]
-            comp = rg.blue_info[eid][2]
-            seg = _through_component(g, a, b, comp, 2)
-            if seg is None:
-                raise InvariantViolation(
-                    "lift", f"no host path behind blue run at ({a},{b})"
-                )
-            if length == 2 and seg.length == 2:
-                attachments.append(
-                    (cp.vertices[i + 1], seg.vertices[1], comp)
-                )
-            verts.extend(seg.vertices[:-1])
-            i += length
+            continue
+        steps, comp, least = runs[i]
+        a, b = vertices[i], vertices[(i + steps) % L]
+        seg = _through_component(g, a, b, comp, least)
+        if seg is None:
+            raise InvariantViolation(
+                stage, f"no host path of length >= {least} from {a} to {b} through its component"
+            )
+        verts.extend(seg.vertices[:-1])
+        segs[i] = seg
+        i += steps
+    return verts, segs
+
+
+def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs, stats):
+    """Replace red edges (host paths of length >= 3) and blue runs (>= 2)
+    of the cover cycle with host paths through their components; returns
+    (host cycle, attachments, detail) where attachments lists
+    (representative, interior vertex, component) for each tight
+    length-2 run.  ``runs`` and ``stats`` come from compute_stats."""
+    blue_at = dict(runs)
+    routes = {}
+    for i, eid in enumerate(cp.eids):
+        if rg.tags[eid] == RED:
+            routes[i] = (1, rg.red_comp[eid], 3)
+        elif i in blue_at:
+            routes[i] = (blue_at[i], rg.blue_info[eid][2], 2)
+    verts, segs = _lift_runs(g, cp.vertices, routes, "lift")
+    attachments = [
+        (cp.vertices[i + 1], seg.vertices[1], routes[i][1])
+        for i, seg in segs.items()
+        if routes[i][0] == 2 and seg.length == 2
+    ]
     extra = [rg.xy] if rg.xy_virtual else []
     c_star = Cycle(tuple(verts))
     c_star.validate(g, extra_edges=extra)
-    stats, _ = compute_stats(rg, cp)
     floor = (
         len(rg.cycle_eids)
         - stats.missing_edges
@@ -813,7 +774,7 @@ def extend_path(g: Graph, p: Path):
         return spliced, trace
     red, triple_comps, endpoint = _component_split(g, p)
     if triple_comps:
-        a_set, triples = _coloring_stage(g, p, triple_comps)
+        a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
         trace.add(
             "coloring",
             class_a=sorted(a_set),
@@ -827,8 +788,8 @@ def extend_path(g: Graph, p: Path):
     cp = find_odd_cover_cycle(rg)
     trace.add("odd-cover-cycle", cycle=list(cp.vertices))
     stats, runs = compute_stats(rg, cp)
-    trace.add("stats", **stats.as_dict())
-    c_star, attachments, detail = lift_to_host(g, rg, cp, runs)
+    trace.add("stats", **asdict(stats))
+    c_star, attachments, detail = lift_to_host(g, rg, cp, runs, stats)
     trace.add("lift", cycle=list(c_star.vertices), **detail)
     base_len = len(rg.cycle_eids)
     if c_star.length > base_len:
@@ -894,7 +855,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     b, c = vs[wi - 1], vs[wi + 1]
     trace.add("precheck", x=x, y=y, w=w, a=a, b=b, c=c, path=list(vs))
 
-    comps = components_after_deletion(g, set(vs))
+    comps = _attached_components(g, vs)
     spliced = _adjacent_attachment_splice(
         g, p, cycle_pairs=list(zip(vs, vs[1:])) + [(y, x)]
     )
@@ -916,7 +877,7 @@ def extend_path_adjacent(g: Graph, p: Path):
             # the classical shape: relabel so the shared vertex is c (= y)
             if b == y:
                 b, c = c, b
-            splice = _ay_component_splice(g, p, comps, a, y, b, w)
+            splice = _ay_component_splice(g, p, comps, a, y, w)
             if splice is not None:
                 trace.add(case, branch="ay-component-splice", path=list(splice.vertices))
                 return _finish_adjacent(g, p, splice, trace, flipped)
@@ -927,26 +888,22 @@ def extend_path_adjacent(g: Graph, p: Path):
 
     cprime_vertices = vs[1:wi] + vs[wi + 1:]  # a .. b, c .. y
     new_edges = [(min(a, y), max(a, y)), (min(b, c), max(b, c))]
-    on_cycle = set(vs)
-
-    triples = []
-    for comp in comps:
-        attach = sorted(
-            {z for v2 in comp for z in g.neighbors(v2) if z in on_cycle}
-        )
+    for comp, attach in comps:
         if len(attach) < 3:
             raise ValueError(
                 f"component {sorted(comp)} has fewer than three attachments"
             )
-        order = {h: i for i, h in enumerate(vs)}
-        chosen = tuple(sorted(attach, key=lambda h: order[h])[:3])
-        triples.append((comp, chosen))
-
-    a_set, relabeled = _adjacent_coloring(
-        g, cprime_vertices, new_edges, triples, forbidden={a, y}, trace=trace, case=case
+    # x and w have every neighbor on the cycle, so the attachments lie on
+    # the ring and the ring ends a, y are the reinstatement pair
+    a_set, chosen, relabeled = _color_ring(cprime_vertices, comps)
+    trace.add(
+        case,
+        branch="coloring",
+        class_a=sorted(a_set),
+        triples=[list(t) for t in chosen],
     )
     inst, designated_edge, host_of = _adjacent_lemma_instance(
-        g, cprime_vertices, new_edges, relabeled, a_set, b, c
+        g, cprime_vertices, relabeled, a_set, b, c
     )
     cert = second_hamilton_cycle(inst, designated_edge[0], designated_edge[1])
     c1_host_vertices = tuple(host_of[v] for v in cert.c_prime.vertices)
@@ -960,8 +917,7 @@ def extend_path_adjacent(g: Graph, p: Path):
         g, cprime_vertices, new_edges, relabeled, c1_host_vertices, trace, case
     )
     reinstated = _reinstate(g, lifted, x, y, w, a, b, c, shared, case)
-    base_cycle = Cycle(p.vertices)
-    if reinstated.length <= base_cycle.length:
+    if reinstated.length <= c_host.length:
         raise InvariantViolation(case, "reinstated cycle is not longer")
     trace.add(case, cycle=list(reinstated.vertices), length=reinstated.length)
     longer = _path_from_cycle(reinstated, x, y)
@@ -976,12 +932,11 @@ def _finish_adjacent(g, p, longer, trace, flipped):
     return longer, trace
 
 
-def _ay_component_splice(g, p, comps, a, y, b, w):
+def _ay_component_splice(g, p, comps, a, y, w):
     """Component seeing both a and y: route x,w,b back along the cycle to
     a and through the component to y."""
     vs = p.vertices
-    for comp in comps:
-        attach = {z for v2 in comp for z in g.neighbors(v2) if z in set(vs)}
+    for comp, attach in comps:
         if a in attach and y in attach:
             seg = _through_component(g, a, y, comp, 2)
             wi = vs.index(w)
@@ -991,65 +946,24 @@ def _ay_component_splice(g, p, comps, a, y, b, w):
     return None
 
 
-def _adjacent_coloring(g, cprime_vertices, new_edges, triples, forbidden, trace, case):
-    """Color the reduced cycle plus attachment triangles (parallel copies
-    dropped) and pick the class avoiding the reinstatement pair."""
-    pos = {h: i for i, h in enumerate(cprime_vertices)}
-    m = len(cprime_vertices)
-    edges = set()
-    for i in range(m):
-        a2, b2 = cprime_vertices[i], cprime_vertices[(i + 1) % m]
-        edges.add((min(pos[a2], pos[b2]), max(pos[a2], pos[b2])))
-    for _, t in triples:
-        for a2, b2 in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            edges.add((min(pos[a2], pos[b2]), max(pos[a2], pos[b2])))
-    aux = Graph(m, sorted(edges))
-    cyc = Cycle(tuple(range(m)))
-    coloring = three_color_cycle_plus(aux, cyc)
-    host_coloring = {cprime_vertices[i]: c2 for i, c2 in coloring.items()}
-    a_set, relabeled = pick_color_class(
-        host_coloring, forbidden=forbidden, triangles=[t for _, t in triples]
-    )
-    trace.add(
-        case,
-        branch="coloring",
-        class_a=sorted(a_set),
-        triples=[list(t) for _, t in triples],
-    )
-    by_triple = {
-        tuple(sorted(t)): lab for lab, (_, t) in zip(relabeled, triples)
-    }
-    out = [(comp, by_triple[tuple(sorted(t))]) for comp, t in triples]
-    return a_set, out
-
-
-def _adjacent_lemma_instance(g, cprime_vertices, new_edges, relabeled, a_set, b, c):
+def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     """Contract every off-cycle component onto its designated vertex and
     package the result as a lemma instance (dense ids); returns the
     instance, the designated lemma edge, and the dense->host map."""
-    pos = {h: i for i, h in enumerate(sorted(cprime_vertices))}
-    host_of = {i: h for h, i in pos.items()}
+    host_of = dict(enumerate(sorted(cprime_vertices)))
+    pos = {h: i for i, h in host_of.items()}  # keeps the order of ids
     on_cycle = set(cprime_vertices)
     m = len(cprime_vertices)
-    edges = set()
-    ring = list(cprime_vertices)
-    for i in range(m):
-        a2, b2 = ring[i], ring[(i + 1) % m]
-        edges.add((min(pos[a2], pos[b2]), max(pos[a2], pos[b2])))
-    for comp, (u2, v2, w2) in relabeled:
-        for v3 in comp:
-            for z in g.neighbors(v3):
-                if z in on_cycle and z != w2:
-                    edges.add((min(pos[w2], pos[z]), max(pos[w2], pos[z])))
+    edges = {(pos[a2], pos[b2]) for a2, b2 in Cycle(cprime_vertices).edge_pairs()}
+    for comp, (_, _, w2) in relabeled:
+        for _, z in _contraction_edges(g, comp, w2, on_cycle):
+            edges.add((pos[min(w2, z)], pos[max(w2, z)]))
     gd = Graph(m, sorted(edges))
-    ring_dense = tuple(pos[h] for h in ring)
-    cyc = Cycle(ring_dense)
+    ring2 = [pos[h] for h in cprime_vertices]
+    cyc = Cycle(tuple(ring2))
     a_dense = frozenset(pos[h] for h in a_set)
-    cyc_keys = cyc.edge_set()
 
     arcs = []
-    ring2 = list(ring_dense)
-    k = len(a_dense)
     start = next(i for i, v in enumerate(ring2) if v in a_dense)
     order = ring2[start:] + ring2[:start]
     cur = []
@@ -1060,7 +974,7 @@ def _adjacent_lemma_instance(g, cprime_vertices, new_edges, relabeled, a_set, b,
         else:
             cur.append(v)
     arcs.append(tuple(cur))
-    if len(arcs) != k or any(not arc for arc in arcs):
+    if len(arcs) != len(a_dense) or any(not arc for arc in arcs):
         raise InvariantViolation(
             "case-instance", "class removal does not leave one arc per member"
         )
@@ -1095,63 +1009,45 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
     """Replace contraction chords of the found cycle by host paths through
     their components; the result lives in the host minus the reinstated
     pair, plus the two surgery edges."""
-    on_cycle = set(cprime_vertices)
     comp_of_rep = {w2: comp for comp, (_, _, w2) in relabeled}
-    ring_keys = set()
-    m = len(cprime_vertices)
-    for i in range(m):
-        a2, b2 = cprime_vertices[i], cprime_vertices[(i + 1) % m]
-        ring_keys.add((min(a2, b2), max(a2, b2)))
+    ring_keys = Cycle(cprime_vertices).edge_set()
     L = len(c1_vertices)
-    verts = []
-    runs = 0
-    long_runs = 0
-    i = 0
-    steps = [
-        (c1_vertices[i], c1_vertices[(i + 1) % L]) for i in range(L)
-    ]
     is_chord = [
-        (min(a2, b2), max(a2, b2)) not in ring_keys for a2, b2 in steps
+        (min(a2, b2), max(a2, b2)) not in ring_keys
+        for a2, b2 in zip(c1_vertices, c1_vertices[1:] + c1_vertices[:1])
     ]
     start = next((i for i, ch in enumerate(is_chord) if not ch), None)
     if start is None:
         raise InvariantViolation(case, "found cycle uses no ring edge")
-    order = list(range(start, L)) + list(range(start))
-    idx = 0
-    while idx < L:
-        i = order[idx]
-        a2, b2 = steps[i]
+    # start on a ring edge, so that no run of chords wraps around
+    vs = c1_vertices[start:] + c1_vertices[:start]
+    is_chord = is_chord[start:] + is_chord[:start]
+    runs = {}
+    i = 0
+    while i < L:
         if not is_chord[i]:
-            verts.append(a2)
-            idx += 1
+            i += 1
             continue
-        j = idx
-        while j < L and is_chord[order[j]]:
+        j = i
+        while j < L and is_chord[j]:
             j += 1
-        run = [order[t] for t in range(idx, j)]
-        if len(run) > 2:
-            raise InvariantViolation(case, f"blue run of length {len(run)}")
-        entry = steps[run[0]][0]
-        exit_ = steps[run[-1]][1]
-        if len(run) == 2:
-            rep = steps[run[0]][1]
-            comp = comp_of_rep[rep]
-            long_runs += 1
+        if j - i > 2:
+            raise InvariantViolation(case, f"blue run of length {j - i}")
+        # a two-chord run passes through its representative; a single
+        # chord has it at one end
+        if j - i == 2:
+            rep = vs[i + 1]
         else:
-            e1, e2 = steps[run[0]]
-            rep = e1 if e1 in comp_of_rep else e2
-            comp = comp_of_rep[rep]
-        runs += 1
-        seg = _through_component(g, entry, exit_, comp, 2)
-        if seg is None:
-            raise InvariantViolation(case, "no host path behind a contraction chord")
-        verts.extend(seg.vertices[:-1])
-        idx = j
-    if runs <= long_runs:
+            rep = vs[i] if vs[i] in comp_of_rep else vs[(i + 1) % L]
+        runs[i] = (j - i, comp_of_rep[rep], 2)
+        i = j
+    long_runs = sum(1 for steps, _, _ in runs.values() if steps == 2)
+    if len(runs) <= long_runs:
         raise InvariantViolation(
-            case, f"accounting needs more runs than length-2 runs ({runs} vs {long_runs})"
+            case, f"accounting needs more runs than length-2 runs ({len(runs)} vs {long_runs})"
         )
-    trace.add(case, branch="lift", blue_runs=runs, long_blue_runs=long_runs)
+    trace.add(case, branch="lift", blue_runs=len(runs), long_blue_runs=long_runs)
+    verts, _ = _lift_runs(g, vs, runs, case)
     cyc = Cycle(tuple(verts))
     cyc.validate(g, extra_edges=new_edges)
     return cyc
@@ -1160,18 +1056,16 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
 def _reinstate(g, lifted, x, y, w, a, b, c, shared, case):
     """Swap the two surgery edges for the four host edges through x and w."""
     vs = list(lifted.vertices)
-    L = len(vs)
 
     def insert_between(seq, p2, q2, mid):
         n2 = len(seq)
         for i in range(n2):
             a2, b2 = seq[i], seq[(i + 1) % n2]
             if {a2, b2} == {p2, q2}:
-                out = seq[: i + 1] + [mid] + seq[i + 1:]
-                return out
+                return seq[: i + 1] + [mid] + seq[i + 1:]
         raise InvariantViolation(case, f"surgery edge ({p2},{q2}) missing from lift")
 
-    if case == "case-1" or not shared:
+    if not shared:
         vs = insert_between(vs, a, y, x)
         vs = insert_between(vs, b, c, w)
     else:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import oracles
+from chordlab import kernels
 from chordlab.cli import main
 from chordlab.graph6 import write_edge_list, write_graph6
 
@@ -109,6 +110,25 @@ def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
         ["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"], capsys
     )
     assert serial == parallel
+
+
+def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    """A failed invariant is an internal error, not a usage error: exit 4
+    with the failing step named."""
+    real = kernels.xy_sweep
+
+    def lowered(masks, n, x):
+        table = real(masks, n, x)
+        best, mb, wit = table[1]  # (0,1) is the first pair verify reads
+        table[1] = (best, mb - 1, wit)
+        return table
+
+    monkeypatch.setattr(kernels, "xy_sweep", lowered)
+    f = _write_corpus(tmp_path, [oracles.petersen()])
+    code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "internal error in step sweep" in err and "pair (0,1)" in err
 
 
 def test_extend_k33(tmp_path, capsys):

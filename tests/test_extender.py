@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -178,9 +179,9 @@ def test_reduction_matches_figure():
     ]
     assert rg.xy == (0, 10) and rg.xy_virtual
     # the closing cycle is a Hamilton cycle of the reduced graph
-    dense, order = rg.to_graph()
-    assert sorted(order) == list(p.vertices)
-    assert dense.n == 11 and len(rg.cycle_eids) == 11
+    assert sorted(rg.verts) == list(p.vertices)
+    assert all(u != v and {u, v} <= rg.verts for u, v in rg.edges)
+    assert len(rg.verts) == 11 and len(rg.cycle_eids) == 11
 
 
 def test_reduction_hamilton_cycle_property():
@@ -191,8 +192,8 @@ def test_reduction_hamilton_cycle_property():
         g, p = r
         from chordlab.extender import (
             _adjacent_attachment_splice,
+            _color_ring,
             _component_split,
-            _coloring_stage,
         )
 
         # mirror the pipeline: the reduction only runs once the splice
@@ -202,7 +203,7 @@ def test_reduction_hamilton_cycle_property():
             continue
         red, triple_comps, endpoint = _component_split(g, p)
         if triple_comps:
-            a_set, triples = _coloring_stage(g, p, triple_comps)
+            a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
         else:
             a_set, triples = frozenset(), []
         rg = build_reduced_G2(g, p, a_set, triples)
@@ -265,7 +266,7 @@ def test_stats_identity_case():
     order = list(range(5)) + [rg.xy_eid]
     cp = MultiCycle(tuple(range(6)), tuple(order[-1:] + order[:-1]))
     stats, runs = compute_stats(rg, cp)
-    assert stats.as_dict() == {
+    assert asdict(stats) == {
         "dropped_vertices": 0,
         "missing_edges": 0,
         "surplus": 0,
@@ -359,7 +360,7 @@ def test_tight_pipeline_end_to_end():
     stats, runs = compute_stats(rg, cp)
     assert stats.dropped_vertices == 0 and stats.red_on_cycle == 0
     assert stats.blue_runs == stats.long_blue_runs == 2
-    c_star, attachments, detail = lift_to_host(g, rg, cp, runs)
+    c_star, attachments, detail = lift_to_host(g, rg, cp, runs, stats)
     assert c_star.length == len(rg.cycle_eids)  # exactly tight
     assert c_star.vertices == (0, 1, 11, 3, 4, 5, 6, 10, 8, 9)
     assert attachments == [(2, 10, h1), (7, 11, h2)]
