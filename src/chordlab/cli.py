@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except InvariantViolation as exc:
-        print(f"internal error in step {exc.step}: {exc.detail}", file=sys.stderr)
+        print(f"internal error: {exc}", file=sys.stderr)  # "<step>: <detail>"
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

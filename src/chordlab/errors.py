@@ -7,5 +7,4 @@ class InvariantViolation(RuntimeError):
 
     def __init__(self, step: str, detail: str = ""):
         self.step = step
-        self.detail = detail
         super().__init__(f"{step}: {detail}" if detail else step)

@@ -5,11 +5,12 @@ import pytest
 
 import helpers
 import oracles
-from chordlab import kernels
+from chordlab import extender, kernels
 from chordlab.errors import InvariantViolation
 from chordlab.extender import (
     EXTENDABLE,
     HAS_BOUND_VERTEX,
+    ExtensionTrace,
     SPANNING_PATH,
     MultiCycle,
     build_reduced_G2,
@@ -572,6 +573,26 @@ def test_adjacent_case1_length_accounting():
         if ran >= 30:
             break
     assert ran >= 20
+
+
+def test_adjacent_lift_ignores_the_cycle_start():
+    """Ring 0..11; component {20} is contracted onto 3 (attachments 1, 3,
+    5) and {21} onto 9 (attachments 7, 9, 11).  The found cycle passes
+    3 by the two chords 1-3-5 and reaches 9 by the chord 7-9.  Every
+    starting vertex, those inside the two-chord run included, must lift
+    to the same host cycle."""
+    ring = tuple(range(12))
+    g = Graph(22, [(i, (i + 1) % 12) for i in range(12)]
+              + [(20, 1), (20, 3), (20, 5), (21, 7), (21, 9), (21, 11)])
+    relabeled = [(frozenset({20}), (1, 5, 3)), (frozenset({21}), (7, 11, 9))]
+    c1 = (0, 1, 3, 5, 6, 7, 9, 10, 11)
+    for k in range(len(c1)):
+        trace = ExtensionTrace()
+        got = extender._lift_adjacent(g, ring, [], relabeled, c1[k:] + c1[:k], trace, "case-1")
+        assert got == Cycle((0, 1, 20, 5, 6, 7, 21, 9, 10, 11)), k
+        assert trace.steps == [
+            {"name": "case-1", "branch": "lift", "blue_runs": 2, "long_blue_runs": 1}
+        ]
 
 
 def test_adjacent_handles_reversed_orientation():
