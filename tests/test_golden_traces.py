@@ -6,12 +6,17 @@ holds, per case, each step's `trace.to_json()` (parsed, key order kept) and
 the returned path.  Regenerate it only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_traces.py --write
+
+The census below covers every path of the small corpus instead of a
+sample, and pins its counts and trace digest in place.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -20,6 +25,7 @@ import helpers
 from chordlab.extender import EXTENDABLE, extend_path, extend_path_adjacent, precheck
 from chordlab.generate import random_cubic, random_simple_path
 from chordlab.graphs import connectivity_at_least
+from chordlab.search import Path
 
 GOLDEN = FsPath(__file__).parent / "golden" / "extend_traces.json"
 
@@ -99,6 +105,58 @@ def test_extend_traces_match_golden(golden):
             ), f"{case_id} step {step}"
             assert g_rec["path"] == w_rec["path"], f"{case_id} step {step}"
     assert seen == list(golden)
+
+
+def _directed_paths(g):
+    """Every directed simple path of g with at least two vertices, by DFS
+    from each start vertex in neighbor order."""
+    for s in range(g.n):
+        seq = [s]
+
+        def grow(v):
+            for w in g.neighbors(v):
+                if w not in seq:
+                    seq.append(w)
+                    yield tuple(seq)
+                    yield from grow(w)
+                    seq.pop()
+
+        yield from grow(s)
+
+
+def test_extension_census_n10(corpus):
+    """Every directed simple path of every 2-connected cubic graph with
+    n <= 10 goes through `precheck` and, when extendable, `extend_path`:
+    the classification counts, the branch taken and the digest of every
+    trace are pinned, so each branch is guarded over all of its inputs."""
+    kinds, branches = Counter(), Counter()
+    digest = hashlib.sha256()
+    for n in (4, 6, 8, 10):
+        for g in corpus[n]:
+            if not connectivity_at_least(g, 2):
+                continue
+            for vs in _directed_paths(g):
+                p = Path(vs)
+                kind = precheck(g, p).kind
+                kinds[kind] += 1
+                if kind != EXTENDABLE:
+                    continue
+                _, trace = extend_path(g, p)
+                digest.update(trace.to_json().encode())
+                for s in trace.steps:
+                    if s["name"] == "component-claim":
+                        branches[s["branch"]] += 1
+                    elif s["name"] in ("lift", "matching-step"):
+                        branches[s["name"]] += 1
+    assert sum(kinds.values()) == 48196
+    assert kinds == {"has-bound-vertex": 33252, "spanning-path": 5208, "extendable": 9736}
+    assert branches == {
+        "direct": 8518, "short-path": 708, "certificate": 510,
+        "adjacent-attachment": 458, "lift": 52,
+    }
+    assert digest.hexdigest() == (
+        "3fc2966b8a4e31cc43021f8249a98a0208333a88728887b90d87ad130ec67a3c"
+    )
 
 
 if __name__ == "__main__":
