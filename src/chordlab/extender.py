@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
@@ -260,10 +261,8 @@ def find_direct_extension(g: Graph, p: Path):
         raise InvariantViolation(
             "component-claim", "component misses both endpoints after the filter"
         )
-    if v in nbrs[h_i]:
-        seg = _through_component(g, v, y, h_i, 2)
-        longer = Path(p.vertices[:-1] + seg.vertices[1:])
-        return _check_longer(g, p, longer), None
+    # without chords v has one off-path neighbor, so v attaches to h_i
+    # exactly when h_j is h_i, and the splice below covers that case
     h_j = comp_of(v)
     if y in nbrs[h_j]:
         seg = _through_component(g, v, y, h_j, 2)
@@ -293,24 +292,17 @@ def _check_longer(g: Graph, p: Path, q: Path) -> Path:
     return q
 
 
-def _adjacent_attachment_splice(g: Graph, p: Path, cycle_pairs=None):
+def _adjacent_attachment_splice(g: Graph, p: Path):
     """A component with two consecutive attachments admits an immediate
     splice; the argument never meets this on longest paths, but sampled
-    paths do.  ``cycle_pairs`` widens consecutiveness to a cycle."""
-    pairs = cycle_pairs
-    if pairs is None:
-        pairs = list(zip(p.vertices, p.vertices[1:]))
-    for comp, attach in _attached_components(g, p.vertices):
-        for a, b in pairs:
-            if a in attach and b in attach and {a, b} != {p.x, p.y}:
+    paths do.  Callers pass paths of length >= 2, so no consecutive pair
+    is the endpoint pair."""
+    vs = p.vertices
+    for comp, attach in _attached_components(g, vs):
+        for i, (a, b) in enumerate(zip(vs, vs[1:])):
+            if a in attach and b in attach:
                 seg = _through_component(g, a, b, comp, 2)
-                vs = p.vertices
-                i = vs.index(a)
-                if i + 1 < len(vs) and vs[i + 1] == b:
-                    longer = Path(vs[: i + 1] + seg.vertices[1:-1] + vs[i + 1:])
-                else:
-                    j = vs.index(b)
-                    longer = Path(vs[: j + 1] + tuple(reversed(seg.vertices[1:-1])) + vs[j + 1:])
+                longer = Path(vs[: i + 1] + seg.vertices[1:-1] + vs[i + 1:])
                 return _check_longer(g, p, longer)
     return None
 
@@ -463,6 +455,21 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
     return found
 
 
+def _maximal_runs(flags, stage: str):
+    """(start, length) of each maximal run of true ``flags``, which start
+    with a false one so that no run wraps around; a run longer than 2
+    fails ``stage``."""
+    runs, i = [], 0
+    for flag, group in groupby(flags):
+        length = len(list(group))
+        if flag:
+            if length > 2:
+                raise InvariantViolation(stage, f"maximal blue run of length {length} > 2")
+            runs.append((i, length))
+        i += length
+    return runs
+
+
 def compute_stats(rg: ReducedGraph, cp: MultiCycle):
     """All counting quantities of the comparison argument, with their
     internal identities asserted; also returns the maximal blue runs as
@@ -474,23 +481,8 @@ def compute_stats(rg: ReducedGraph, cp: MultiCycle):
     red_on = sum(1 for e in cp.eids if rg.tags[e] == RED)
     if rg.tags[cp.eids[0]] != BLACK:
         raise InvariantViolation("stats", "cycle does not start on the xy edge")
-    runs = []
-    i = 0
-    L = cp.length
-    while i < L:
-        if rg.tags[cp.eids[i]] == BLUE:
-            j = i
-            while j < L and rg.tags[cp.eids[j]] == BLUE:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
+    runs = _maximal_runs([rg.tags[e] == BLUE for e in cp.eids], "stats")
     for start, length in runs:
-        if length > 2:
-            raise InvariantViolation(
-                "stats", f"maximal blue run of length {length} > 2"
-            )
         if length == 2:
             mid = cp.vertices[start + 1]
             info1 = rg.blue_info[cp.eids[start]]
@@ -717,28 +709,6 @@ def _path_from_cycle(c: Cycle, x: int, y: int) -> Path:
     raise InvariantViolation("checker", "cycle does not contain the xy edge")
 
 
-def _bootstrap_short_path(g: Graph, p: Path) -> Path:
-    """Length-1 inputs predate the machinery: any chordless route around
-    the other side of a cycle through xy is longer."""
-    x, y = p.x, p.y
-    best = None
-    stack = [(x, (x,))]
-    while stack:
-        cur, seq = stack.pop()
-        for w in sorted(g.neighbors(cur), reverse=True):
-            if w == y and len(seq) >= 2:
-                cand = seq + (y,)
-                if best is None or len(cand) < len(best):
-                    best = cand
-                continue
-            if w not in seq and w != y:
-                if best is None or len(seq) + 2 < len(best):
-                    stack.append((w, seq + (w,)))
-    if best is None:
-        raise InvariantViolation("component-claim", "no detour around a single edge")
-    return Path(best)
-
-
 def extend_path(g: Graph, p: Path):
     """Strictly longer (x,y)-path for an extendable input, with the trace
     of every construction step."""
@@ -751,7 +721,9 @@ def extend_path(g: Graph, p: Path):
         )
     trace.add("precheck", classification=cls.kind, path=list(p.vertices))
     if p.length < 2:
-        longer = _check_longer(g, p, _bootstrap_short_path(g, p))
+        # length-1 inputs predate the machinery: the least detour around
+        # xy is longer
+        longer = _check_longer(g, p, _through_component(g, p.x, p.y, range(g.n), 2))
         trace.add("component-claim", branch="short-path", path=list(longer.vertices))
         trace.final_path = longer.vertices
         return longer, trace
@@ -856,9 +828,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     trace.add("precheck", x=x, y=y, w=w, a=a, b=b, c=c, path=list(vs))
 
     comps = _attached_components(g, vs)
-    spliced = _adjacent_attachment_splice(
-        g, p, cycle_pairs=list(zip(vs, vs[1:])) + [(y, x)]
-    )
+    spliced = _adjacent_attachment_splice(g, p)
     if len(comps) <= 1:
         if spliced is None:
             raise InvariantViolation(
@@ -916,7 +886,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     lifted = _lift_adjacent(
         g, cprime_vertices, new_edges, relabeled, c1_host_vertices, trace, case
     )
-    reinstated = _reinstate(g, lifted, x, y, w, a, b, c, shared, case)
+    reinstated = _reinstate(g, lifted, x, y, w, a, b, c, case)
     if reinstated.length <= c_host.length:
         raise InvariantViolation(case, "reinstated cycle is not longer")
     trace.add(case, cycle=list(reinstated.vertices), length=reinstated.length)
@@ -1023,24 +993,14 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
     vs = c1_vertices[start:] + c1_vertices[:start]
     is_chord = is_chord[start:] + is_chord[:start]
     runs = {}
-    i = 0
-    while i < L:
-        if not is_chord[i]:
-            i += 1
-            continue
-        j = i
-        while j < L and is_chord[j]:
-            j += 1
-        if j - i > 2:
-            raise InvariantViolation(case, f"blue run of length {j - i}")
+    for i, steps in _maximal_runs(is_chord, case):
         # a two-chord run passes through its representative; a single
         # chord has it at one end
-        if j - i == 2:
+        if steps == 2:
             rep = vs[i + 1]
         else:
             rep = vs[i] if vs[i] in comp_of_rep else vs[(i + 1) % L]
-        runs[i] = (j - i, comp_of_rep[rep], 2)
-        i = j
+        runs[i] = (steps, comp_of_rep[rep], 2)
     long_runs = sum(1 for steps, _, _ in runs.values() if steps == 2)
     if len(runs) <= long_runs:
         raise InvariantViolation(
@@ -1053,8 +1013,10 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
     return cyc
 
 
-def _reinstate(g, lifted, x, y, w, a, b, c, shared, case):
-    """Swap the two surgery edges for the four host edges through x and w."""
+def _reinstate(g, lifted, x, y, w, a, b, c, case):
+    """Swap the two surgery edges for the four host edges through x and w.
+    The relabeling in extend_path_adjacent makes c = y or b = a when the
+    edges share a vertex, so x goes between a and y, w between b and c."""
     vs = list(lifted.vertices)
 
     def insert_between(seq, p2, q2, mid):
@@ -1065,17 +1027,8 @@ def _reinstate(g, lifted, x, y, w, a, b, c, shared, case):
                 return seq[: i + 1] + [mid] + seq[i + 1:]
         raise InvariantViolation(case, f"surgery edge ({p2},{q2}) missing from lift")
 
-    if not shared:
-        vs = insert_between(vs, a, y, x)
-        vs = insert_between(vs, b, c, w)
-    else:
-        s = next(iter(shared))
-        if s == y:
-            vs = insert_between(vs, a, y, x)
-            vs = insert_between(vs, y, b, w)
-        else:  # s == a: the mirrored shape
-            vs = insert_between(vs, y, a, x)
-            vs = insert_between(vs, a, c, w)
+    vs = insert_between(vs, a, y, x)
+    vs = insert_between(vs, b, c, w)
     cyc = Cycle(tuple(vs))
     cyc.validate(g)
     if cyc.length != lifted.length + 2:

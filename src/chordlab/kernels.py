@@ -1,8 +1,8 @@
 """Exact search kernels over adjacency bitmasks, in plain Python.
 
 All exact search funnels through the kernels below: longest (x,y)-path
-length/enumeration, longest-cycle length/enumeration, Hamilton-cycle
-enumeration, and the per-source sweep that ``verify_zhan`` reads.  Each
+length/enumeration, longest-cycle length/enumeration (Hamilton cycles
+are the cycles of length n), and the per-source sweep that ``verify_zhan`` reads.  Each
 takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set iff vw is an
 edge) and returns Python ints or a list of vertex tuples.  Children are
 always tried in ascending vertex id, so every enumeration is
@@ -113,40 +113,6 @@ def _cycle_run(adj, n, target):
     return best if target is None else rows
 
 
-def _ham_run(adj, n):
-    """Hamilton cycles as vertex tuples, canonical (start 0, second < last)."""
-    if n < 3:
-        return []
-    full = (1 << n) - 1
-    adj0 = adj[0]
-    rows = []
-    path = [0]
-    cands = [adj0]
-    visited = 1
-    while cands:
-        c = cands[-1]
-        if not c:
-            cands.pop()
-            visited ^= 1 << path.pop()
-            continue
-        b = c & -c
-        cands[-1] = c ^ b
-        v = b.bit_length() - 1
-        visited2 = visited | b
-        if visited2 == full:
-            if (adj0 >> v) & 1 and len(path) >= 2 and path[1] < v:
-                rows.append((*path, v))
-            continue
-        allowed = full & ~visited2
-        reach = _reach(adj, v, allowed)
-        if reach & allowed != allowed or not reach & adj0:
-            continue
-        path.append(v)
-        cands.append(adj[v] & ~visited2)
-        visited = visited2
-    return rows
-
-
 def longest_xy_length(adj, n, x, y) -> int:
     return _xy_run(adj, n, x, y, None)
 
@@ -164,7 +130,7 @@ def cycles_of_length(adj, n, length) -> list:
 
 
 def hamilton_cycle_rows(adj, n) -> list:
-    return _ham_run(adj, n)
+    return _cycle_run(adj, n, n)
 
 
 def xy_sweep(masks, n, x):

@@ -3,6 +3,7 @@ import pytest
 import oracles
 from chordlab import kernels
 from chordlab.extender import verify_chords
+from chordlab.generate import gen_lemma_instance
 from chordlab.graphs import Graph
 from chordlab.search import (
     Cycle,
@@ -14,6 +15,7 @@ from chordlab.search import (
     longest_cycles,
     longest_xy_paths,
 )
+from chordlab.second_cycle import build_support_graph
 
 
 def test_k4_adjacent_pair():
@@ -146,6 +148,14 @@ def test_hamilton_counts():
 def test_hamilton_matches_naive():
     for g in (oracles.k4(), oracles.k33(), oracles.prism()):
         assert [c.vertices for c in hamilton_cycles(g)] == oracles.hamilton_cycles_naive(g)
+    # the Hamilton search runs on lemma support graphs, which are not cubic;
+    # they reach n = 14, past the permutation oracle, so the DFS one checks them
+    for k in (2, 3, 4):
+        for seed in range(6):
+            g = build_support_graph(gen_lemma_instance(k, seed))[0]
+            adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+            want = sorted(c for c in oracles.all_cycles_small(adj) if len(c) == g.n)
+            assert [c.vertices for c in hamilton_cycles(g)] == want, (k, seed)
 
 
 def test_hamilton_through_edge():
