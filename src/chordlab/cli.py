@@ -40,17 +40,15 @@ def _default_seed() -> int:
 
 
 def _connectivity_class(g) -> int:
-    k = 0
-    for level in (1, 2, 3):
-        if connectivity_at_least(g, level):
-            k = level
-    return k
+    # the gate is monotone in k, so the first level that passes is the class
+    return next((k for k in (3, 2, 1) if connectivity_at_least(g, k)), 0)
 
 
+# mode -> (connectivity needed, threshold, verify_zhan mode or None for chords)
 _MODES = {
-    "zhan2": (2, 1),
-    "zhan3adj": (3, 2),
-    "chords": (3, 2),
+    "zhan2": (2, 1, "all-pairs"),
+    "zhan3adj": (3, 2, "adjacent-pairs"),
+    "chords": (3, 2, None),
 }
 
 
@@ -61,7 +59,7 @@ def _verify_one(args):
     g = parse_graph6(line)
     started = time.perf_counter()
     kappa = _connectivity_class(g)
-    need, threshold = _MODES[mode]
+    need, threshold, zhan_mode = _MODES[mode]
     row = {
         "graph6": line,
         "n": g.n,
@@ -71,14 +69,8 @@ def _verify_one(args):
         "witness": None,
     }
     if is_cubic(g) and kappa >= need:
-        if mode == "zhan2":
-            rep = verify_zhan(g, "all-pairs")
-            row["value"] = rep.minimum
-            if rep.violations:
-                (xy, wit) = rep.violations[0]
-                row["witness"] = {"pair": list(xy), "path": list(wit)}
-        elif mode == "zhan3adj":
-            rep = verify_zhan(g, "adjacent-pairs")
+        if zhan_mode:
+            rep = verify_zhan(g, zhan_mode)
             row["value"] = rep.minimum
             if rep.violations:
                 (xy, wit) = rep.violations[0]

@@ -8,12 +8,9 @@ exhaustion is reported as an internal error, never as "not 3-colorable".
 
 from __future__ import annotations
 
+from .errors import InvariantViolation
 from .graphs import Graph
 from .search import Cycle
-
-
-class ColoringError(RuntimeError):
-    """Internal failure of a step whose success is guaranteed."""
 
 
 def _cycle_plus_components(g: Graph, c: Cycle):
@@ -97,13 +94,13 @@ def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
     g2, c2 = _transform_with_cycle(g, c)
     coloring = _backtrack_three_color(g2)
     if coloring is None:
-        raise ColoringError(
-            "3-coloring search exhausted on a cycle-plus-triangles graph"
+        raise InvariantViolation(
+            "coloring", "3-coloring search exhausted on a cycle-plus-triangles graph"
         )
     out = {v: coloring[v] for v in range(g.n)}
     for u, v in g.edges:
         if out[u] == out[v]:
-            raise ColoringError("restricted coloring is not proper")
+            raise InvariantViolation("coloring", "restricted coloring is not proper")
     return out
 
 
@@ -169,16 +166,16 @@ def pick_color_class(coloring: dict, forbidden=(), triangles=()):
             chosen = col
             break
     if chosen is None:
-        raise ColoringError(
-            "two forbidden vertices cover three color classes"
+        raise InvariantViolation(
+            "coloring", "two forbidden vertices cover three color classes"
         )
     a_set = frozenset(classes[chosen])
     relabeled = []
     for tri in triangles:
         inside = [v for v in tri if v in a_set]
         if len(inside) != 1:
-            raise ColoringError(
-                f"triangle {tri} is not rainbow under the chosen coloring"
+            raise InvariantViolation(
+                "coloring", f"triangle {tri} is not rainbow under the chosen coloring"
             )
         w = inside[0]
         u, v = sorted(x for x in tri if x != w)

@@ -131,6 +131,19 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: sweep: pair (0,1)")
 
 
+def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
+    """A failed 3-coloring is an internal error like any other invariant."""
+    from chordlab import coloring
+
+    monkeypatch.setattr(coloring, "_backtrack_three_color", lambda g: None)
+    f = tmp_path / "g10.g6"
+    f.write_text("I{O_ogK?w\n")  # this path reaches the coloring step
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,3,6,9,8,5,2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: coloring:")
+
+
 def test_extend_k33(tmp_path, capsys):
     f = tmp_path / "k33.txt"
     f.write_text(write_edge_list(oracles.k33()))

@@ -1,11 +1,11 @@
 import pytest
 
 from chordlab.coloring import (
-    ColoringError,
     pick_color_class,
     subdivision_transform,
     three_color_cycle_plus,
 )
+from chordlab.errors import InvariantViolation
 from chordlab.generate import gen_cycle_plus_instance
 from chordlab.graphs import Graph
 from chordlab.search import Cycle
@@ -116,7 +116,7 @@ def test_pick_class_relabels_triangles():
 
 def test_pick_class_rejects_nonrainbow_triangle():
     coloring = {0: 1, 1: 1, 2: 2}
-    with pytest.raises(ColoringError):
+    with pytest.raises(InvariantViolation, match="^coloring: triangle"):
         pick_color_class(coloring, triangles=[(0, 1, 2)])
 
 
