@@ -840,21 +840,15 @@ def extend_path_adjacent(g: Graph, p: Path):
         trace.add("component-claim", branch="adjacent-attachment", path=list(spliced.vertices))
         return _finish_adjacent(g, p, spliced, trace, flipped)
 
-    shared = {a, y} & {b, c}
-    case = "case-1" if not shared else "case-2"
-    if case == "case-2":
-        if y in {b, c}:
-            # the classical shape: relabel so the shared vertex is c (= y)
-            if b == y:
-                b, c = c, b
-            splice = _ay_component_splice(g, p, comps, a, y, w)
-            if splice is not None:
-                trace.add(case, branch="ay-component-splice", path=list(splice.vertices))
-                return _finish_adjacent(g, p, splice, trace, flipped)
-        else:
-            # mirrored shape: the shared vertex is a; relabel so b = a
-            if c == a:
-                b, c = c, b
+    # w is neither a nor y, so vs runs x, a .. b, w, c .. y: the surgery
+    # edges ay and bc share c = y (the classical shape), b = a (the
+    # mirrored one) or nothing
+    case = "case-2" if c == y or b == a else "case-1"
+    if c == y:
+        splice = _ay_component_splice(g, p, comps, a, y, w)
+        if splice is not None:
+            trace.add(case, branch="ay-component-splice", path=list(splice.vertices))
+            return _finish_adjacent(g, p, splice, trace, flipped)
 
     cprime_vertices = vs[1:wi] + vs[wi + 1:]  # a .. b, c .. y
     new_edges = [(min(a, y), max(a, y)), (min(b, c), max(b, c))]
@@ -1014,9 +1008,9 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
 
 
 def _reinstate(g, lifted, x, y, w, a, b, c, case):
-    """Swap the two surgery edges for the four host edges through x and w.
-    The relabeling in extend_path_adjacent makes c = y or b = a when the
-    edges share a vertex, so x goes between a and y, w between b and c."""
+    """Swap the two surgery edges for the four host edges through x and w:
+    x goes between a and y, w between b and c.  A vertex the two edges
+    share is c = y or b = a, so one rule covers every shape."""
     vs = list(lifted.vertices)
 
     def insert_between(seq, p2, q2, mid):

@@ -148,7 +148,6 @@ def test_extension_census_n10(corpus):
                         branches[s["branch"]] += 1
                     elif s["name"] in ("lift", "matching-step"):
                         branches[s["name"]] += 1
-    assert sum(kinds.values()) == 48196
     assert kinds == {"has-bound-vertex": 33252, "spanning-path": 5208, "extendable": 9736}
     assert branches == {
         "direct": 8518, "short-path": 708, "certificate": 510,
