@@ -32,6 +32,13 @@ GOLDEN = FsPath(__file__).parent / "golden" / "extend_traces.json"
 HOST_SEEDS = range(200)
 ADJACENT_CASES = ("case-1", "case-2", "case-2-mirror")
 ADJACENT_SEEDS = range(12)
+# the configurations up to seed 79 whose lift has a two-chord (long blue) run
+ADJACENT_TWO_CHORD = (
+    ("case-1", 19), ("case-1", 60), ("case-1", 74),
+    ("case-2", 37), ("case-2", 54),
+    ("case-2-mirror", 37), ("case-2-mirror", 47), ("case-2-mirror", 54),
+    ("case-2-mirror", 60),
+)
 FIXPOINT_HOSTS = [(n, seed) for n in (16, 20, 24, 28) for seed in range(4)]
 FIXPOINT_STARTS = range(4)
 
@@ -44,11 +51,11 @@ def _cases():
         if r is not None:
             yield (f"host-{seed}", *r, extend_path)
     yield ("figure", *helpers.figure_host(), extend_path)
-    for case in ADJACENT_CASES:
-        for seed in ADJACENT_SEEDS:
-            r = helpers.gen_adjacent_config(seed, case=case)
-            if r is not None:
-                yield (f"adjacent-{case}-{seed}", *r, extend_path_adjacent)
+    adjacent = [(case, seed) for case in ADJACENT_CASES for seed in ADJACENT_SEEDS]
+    for case, seed in adjacent + list(ADJACENT_TWO_CHORD):
+        r = helpers.gen_adjacent_config(seed, case=case)
+        if r is not None:
+            yield (f"adjacent-{case}-{seed}", *r, extend_path_adjacent)
     for n, seed in FIXPOINT_HOSTS:
         g = random_cubic(n, seed)
         if connectivity_at_least(g, 2):
@@ -88,6 +95,12 @@ def test_golden_cover_every_shape(golden):
     assert "figure" in ids
     for case in ADJACENT_CASES:
         assert sum(i.startswith(f"adjacent-{case}-") for i in ids) >= 8
+    # a lift with a two-chord run guards `_lift_adjacent`'s long-run accounting
+    assert any(
+        s.get("long_blue_runs", 0) > 0
+        for i in ids if i.startswith("adjacent-")
+        for s in golden[i][0]["trace"]["steps"]
+    )
     assert sum(len(golden[i]) for i in ids if i.startswith("fixpoint-")) >= 10
 
 
