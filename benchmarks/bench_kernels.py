@@ -36,7 +36,7 @@ def main() -> int:
         for g in graphs:
             for x in range(g.n):
                 for y in range(x + 1, g.n):
-                    rep = longest_xy_paths(g, x, y, mode="all")
+                    rep = longest_xy_paths(g, x, y)
                     witnesses += len(rep.witnesses)
                     length += rep.max_length
                     bound += rep.min_bound_count()

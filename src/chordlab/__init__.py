@@ -30,7 +30,6 @@ from .search import (
     Path,
     PathReport,
     chords,
-    hamilton_count_through_edge,
     hamilton_cycles,
     internal_bound_vertices,
     longest_cycles,
@@ -52,7 +51,6 @@ __all__ = [
     "internal_bound_vertices",
     "longest_cycles",
     "hamilton_cycles",
-    "hamilton_count_through_edge",
     "chords",
     "enumerate_cubic",
     "random_cubic",

@@ -56,16 +56,12 @@ def _cycle_plus_components(g: Graph, c: Cycle):
     return cyc, triangles, paths
 
 
-def subdivision_transform(g: Graph, c: Cycle) -> Graph:
+def subdivision_transform(g: Graph, c: Cycle):
     """Close each order-3 path component u-v-w into a triangle by adding
     uw; when uw already lies on the cycle, first subdivide that cycle edge
     with a fresh vertex.  The result is an edge-disjoint union of one
-    Hamilton cycle and vertex-disjoint triangles."""
-    g2, _ = _transform_with_cycle(g, c)
-    return g2
-
-
-def _transform_with_cycle(g: Graph, c: Cycle):
+    Hamilton cycle and vertex-disjoint triangles: returns (graph, that
+    Hamilton cycle)."""
     cyc, triangles, paths = _cycle_plus_components(g, c)
     edges = list(g.edges)
     order = list(c.vertices)
@@ -91,7 +87,7 @@ def _transform_with_cycle(g: Graph, c: Cycle):
 def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
     """Proper 3-coloring of g (colors 1..3), found on the transformed
     graph and restricted back to V(g)."""
-    g2, c2 = _transform_with_cycle(g, c)
+    g2, _ = subdivision_transform(g, c)
     coloring = _backtrack_three_color(g2)
     if coloring is None:
         raise InvariantViolation(

@@ -158,23 +158,20 @@ def precheck(g: Graph, p: Path) -> Classification:
         raise ValueError("host graph is not cubic")
     if not connectivity_at_least(g, 2):
         raise ValueError("host graph is not 2-connected")
-    p.validate(g)
-    bound = internal_bound_vertices(g, p)
+    bound = internal_bound_vertices(g, p)  # validates p
     if len(p) == g.n:
         return Classification(SPANNING_PATH, bound)
     if bound:
         return Classification(HAS_BOUND_VERTEX, bound)
     x, y = p.x, p.y
-    on_path = set(p.vertices)
+    pos = {v: i for i, v in enumerate(p.vertices)}
     for i, u in enumerate(p.vertices):
         for w in g.neighbors(u):
-            if w in on_path:
-                j = p.vertices.index(w)
-                if abs(i - j) > 1 and {u, w} != {x, y}:
-                    raise InvariantViolation(
-                        "precheck",
-                        f"chord ({u},{w}) on a path without internal bound vertices",
-                    )
+            if w in pos and abs(i - pos[w]) > 1 and {u, w} != {x, y}:
+                raise InvariantViolation(
+                    "precheck",
+                    f"chord ({u},{w}) on a path without internal bound vertices",
+                )
     return Classification(EXTENDABLE, frozenset())
 
 
@@ -292,13 +289,14 @@ def _check_longer(g: Graph, p: Path, q: Path) -> Path:
     return q
 
 
-def _adjacent_attachment_splice(g: Graph, p: Path):
+def _adjacent_attachment_splice(g: Graph, p: Path, comps):
     """A component with two consecutive attachments admits an immediate
     splice; the argument never meets this on longest paths, but sampled
-    paths do.  Callers pass paths of length >= 2, so no consecutive pair
-    is the endpoint pair."""
+    paths do.  ``comps`` is ``_attached_components(g, p.vertices)``.
+    Callers pass paths of length >= 2, so no consecutive pair is the
+    endpoint pair."""
     vs = p.vertices
-    for comp, attach in _attached_components(g, vs):
+    for comp, attach in comps:
         for i, (a, b) in enumerate(zip(vs, vs[1:])):
             if a in attach and b in attach:
                 seg = _through_component(g, a, b, comp, 2)
@@ -311,15 +309,16 @@ def _adjacent_attachment_splice(g: Graph, p: Path):
 # the reduction
 
 
-def _component_split(g: Graph, p: Path):
-    """Partition off-path components by role: two-neighbor ones (red),
-    interior-attached larger ones (triple/contract), endpoint-touching
-    larger ones (absorb into x or y)."""
+def _component_split(comps, x, y):
+    """Partition the off-path components ``comps`` (with attachments) of an
+    (x,y)-path by role: two-neighbor ones (red), interior-attached larger
+    ones (triple/contract), endpoint-touching larger ones (absorb into x
+    or y)."""
     red, triple, endpoint = [], [], []
-    for comp, attach in _attached_components(g, p.vertices):
+    for comp, attach in comps:
         if len(attach) == 2:
             red.append((comp, attach))
-        elif p.x in attach or p.y in attach:
+        elif x in attach or y in attach:
             endpoint.append((comp, attach))
         else:
             triple.append((comp, attach))
@@ -356,7 +355,9 @@ def build_reduced_G2(g: Graph, p: Path, a_set, triples) -> ReducedGraph:
     (preferred) or x, with all contraction edges blue."""
     x, y = p.x, p.y
     on_path = set(p.vertices)
-    red, triple_comps, endpoint = _component_split(g, p)
+    red, triple_comps, endpoint = _component_split(
+        _attached_components(g, on_path), x, y
+    )
     if {comp for comp, _ in triples} != {comp for comp, _ in triple_comps}:
         raise ValueError("triples do not match the interior components")
     xy_virtual = not g.has_edge(x, y)
@@ -737,14 +738,15 @@ def extend_path(g: Graph, p: Path):
         branch="certificate",
         component=sorted(certificate),
     )
-    spliced = _adjacent_attachment_splice(g, p)
+    comps = _attached_components(g, p.vertices)
+    spliced = _adjacent_attachment_splice(g, p, comps)
     if spliced is not None:
         trace.add(
             "component-claim", branch="adjacent-attachment", path=list(spliced.vertices)
         )
         trace.final_path = spliced.vertices
         return spliced, trace
-    red, triple_comps, endpoint = _component_split(g, p)
+    _, triple_comps, _ = _component_split(comps, p.x, p.y)
     if triple_comps:
         a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
         trace.add(
@@ -828,7 +830,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     trace.add("precheck", x=x, y=y, w=w, a=a, b=b, c=c, path=list(vs))
 
     comps = _attached_components(g, vs)
-    spliced = _adjacent_attachment_splice(g, p)
+    spliced = _adjacent_attachment_splice(g, p, comps)
     if len(comps) <= 1:
         if spliced is None:
             raise InvariantViolation(
@@ -1155,7 +1157,7 @@ def verify_chords(g: Graph) -> ChordReport:
         raise ValueError("graph is not cubic")
     if not connectivity_at_least(g, 3):
         raise ValueError("graph is not 3-connected")
-    cycles = longest_cycles(g, mode="all")
+    cycles = longest_cycles(g)
     counts = [(len(chords(g, c)), c) for c in cycles]
     counts.sort(key=lambda t: (t[0], t[1].vertices))
     min_chords, witness = counts[0]

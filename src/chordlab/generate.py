@@ -34,10 +34,6 @@ def _column(mask: int, placed) -> int:
     return col
 
 
-def _identity_cols(masks, n) -> tuple:
-    return tuple(_column(masks[j], range(j)) for j in range(1, n))
-
-
 def _is_max_code(masks, n, cols) -> bool:
     """True iff no relabeling yields a strictly larger column code."""
     used = [False] * n

@@ -43,17 +43,16 @@ class Path:
     def reversed(self) -> "Path":
         return Path(tuple(reversed(self.vertices)))
 
-    def validate(self, g: Graph, extra_edges=()) -> "Path":
+    def validate(self, g: Graph) -> "Path":
         vs = self.vertices
         if len(vs) < 2:
             raise ValueError("path needs at least two vertices")
         if len(set(vs)) != len(vs):
             raise ValueError("repeated vertex in path")
-        extra = {frozenset(e) for e in extra_edges}
         for a, b in zip(vs, vs[1:]):
             if not (0 <= a < g.n and 0 <= b < g.n):
                 raise ValueError(f"vertex out of range in path: {a},{b}")
-            if not g.has_edge(a, b) and frozenset((a, b)) not in extra:
+            if not g.has_edge(a, b):
                 raise ValueError(f"({a},{b}) is not an edge")
         return self
 
@@ -147,9 +146,7 @@ def internal_bound_vertices(g: Graph, p: Path) -> frozenset:
     )
 
 
-def longest_xy_paths(g: Graph, x: int, y: int, mode: str = "all") -> PathReport:
-    if mode not in ("all", "first"):
-        raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
+def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"endpoint out of range: {x},{y}")
     if x == y:
@@ -159,26 +156,18 @@ def longest_xy_paths(g: Graph, x: int, y: int, mode: str = "all") -> PathReport:
     if best == 0:
         raise ValueError(f"no ({x},{y})-path exists")
     rows = kernels.xy_paths_of_length(adj, g.n, x, y, best)
-    if mode == "first":
-        rows = rows[:1]
     witnesses = tuple(Path(row) for row in rows)
-    for w in witnesses:
-        w.validate(g)
-    bounds = tuple(internal_bound_vertices(g, w) for w in witnesses)
+    bounds = tuple(internal_bound_vertices(g, w) for w in witnesses)  # validates
     return PathReport(best, witnesses, bounds)
 
 
-def longest_cycles(g: Graph, mode: str = "all"):
-    if mode not in ("all", "first"):
-        raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
+def longest_cycles(g: Graph):
     adj = kernel_masks(g)
     best = kernels.longest_cycle_length(adj, g.n)
     if best == 0:
         raise ValueError("graph is acyclic")
     rows = kernels.cycles_of_length(adj, g.n, best)
     cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
-    if mode == "first":
-        cycles = cycles[:1]
     for c in cycles:
         c.validate(g)
     return cycles
@@ -193,14 +182,6 @@ def hamilton_cycles(g: Graph):
     for c in cycles:
         c.validate(g)
     return cycles
-
-
-def hamilton_count_through_edge(g: Graph, e) -> int:
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge of the graph")
-    key = (min(u, v), max(u, v))
-    return sum(1 for c in hamilton_cycles(g) if key in c.edge_set())
 
 
 def chords(g: Graph, c: Cycle) -> frozenset:

@@ -2,11 +2,14 @@
 (designated edges lie on an even number of Hamilton cycles) and the
 constructive second Hamilton cycle with its side conditions.
 
-The second cycle is found by enumerating Hamilton cycles of the support
-graph (cycle plus designated chords) and keeping a maximum-overlap
-candidate; the exchange procedure from the parity argument is implemented
-as well and kicks in only if the direct candidate misses the turning-point
-condition.
+The second cycle is the Hamilton cycle of the support graph (cycle plus
+designated chords) through xy, other than C, with the largest overlap with
+C; its turning vertex is a vertex of A with exactly one incident edge of
+C.  The exchange step of the parity argument is not coded: started from
+the maximum candidate it can only reach C itself or a cycle missing xy,
+because any other Hamilton cycle of the support graph through xy with a
+larger overlap would contradict maximality.  A maximum candidate without a
+turning vertex is therefore an internal error.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ class ParityReport:
     hamilton_count: int
 
 
-def verify_parity_lemma(g: Graph, a_set, distinguished=None) -> ParityReport:
+def verify_parity_lemma(g: Graph, a_set) -> ParityReport:
     """Check the parity lemma on a graph with |A| path components off A:
-    every edge outside the distinguished component incident to one of its
-    endpoints lies on an even number of Hamilton cycles, and all Hamilton
-    cycles agree off A."""
+    every edge outside the distinguished component (the one with an
+    even-degree endpoint, else the last) incident to one of its endpoints
+    lies on an even number of Hamilton cycles, and all Hamilton cycles
+    agree off A."""
     a_set = frozenset(a_set)
     if len(a_set) < 2:
         raise ValueError("the parity hypotheses need |A| >= 2")
@@ -61,18 +65,13 @@ def verify_parity_lemma(g: Graph, a_set, distinguished=None) -> ParityReport:
             f"G - A has {len(comps)} components, expected |A| = {len(a_set)}"
         )
     ends = {comp: _path_component_endpoints(g, comp) for comp in comps}
-    if distinguished is None:
-        evens = [
-            comp for comp in comps
-            if any(g.degree(v) % 2 == 0 for v in ends[comp])
-        ]
-        if len(evens) > 1:
-            raise ValueError("more than one component has even-degree endpoints")
-        distinguished = evens[0] if evens else comps[-1]
-    else:
-        distinguished = frozenset(distinguished)
-        if distinguished not in comps:
-            raise ValueError("distinguished set is not a component of G - A")
+    evens = [
+        comp for comp in comps
+        if any(g.degree(v) % 2 == 0 for v in ends[comp])
+    ]
+    if len(evens) > 1:
+        raise ValueError("more than one component has even-degree endpoints")
+    distinguished = evens[0] if evens else comps[-1]
     for comp in comps:
         if comp == distinguished:
             continue
@@ -114,7 +113,6 @@ def verify_parity_lemma(g: Graph, a_set, distinguished=None) -> ParityReport:
 class SecondCycleCertificate:
     c_prime: Cycle
     exchange_vertex: int    # one incident cycle edge kept, one swapped
-    preserved: bool         # C' - A == C - A
 
 
 def build_support_graph(inst: LemmaInstance):
@@ -155,39 +153,6 @@ def _satisfies_turning_condition(cycle: Cycle, base_keys, a_set):
     return None
 
 
-def _exchange_step(g1: Graph, base: Cycle, current: Cycle, a_set) -> Cycle:
-    """One step of the parity-argument exchange: on the union graph of the
-    two cycles, swap along a degree-4 vertex of A to strictly grow the
-    overlap with the base cycle."""
-    union_edges = sorted(set(base.edge_pairs()) | set(current.edge_pairs()))
-    g2 = Graph(g1.n, union_edges)
-    a_deg4 = sorted(v for v in a_set if g2.degree(v) == 4)
-    if not a_deg4:
-        raise InvariantViolation(
-            "second-cycle-exchange", "no degree-4 vertex of A in the union graph"
-        )
-    w = a_deg4[0]
-    w2 = min(v for e in current.edge_pairs() for v in e if w in e and v != w)
-    key = (min(w, w2), max(w, w2))
-    cands = [
-        h for h in hamilton_cycles(g2)
-        if key in h.edge_set() and h != current
-    ]
-    if not cands:
-        raise InvariantViolation(
-            "second-cycle-exchange", "no alternative Hamilton cycle in the union graph"
-        )
-    base_keys = base.edge_set()
-    best = max(
-        cands, key=lambda h: (len(h.edge_set() & base_keys), h.vertices)
-    )
-    if len(best.edge_set() & base_keys) <= len(current.edge_set() & base_keys):
-        raise InvariantViolation(
-            "second-cycle-exchange", "exchange did not grow the overlap"
-        )
-    return best
-
-
 def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCertificate:
     """A Hamilton cycle distinct from the instance cycle through the edge
     xy, agreeing with it off A, with a turning vertex in A."""
@@ -222,13 +187,10 @@ def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCer
                 "second-cycle", "a support-graph Hamilton cycle moved off A"
             )
     base_keys = base.edge_set()
-    cands.sort(key=lambda h: (-len(h.edge_set() & base_keys), h.vertices))
-    current = cands[0]
-    for _ in range(g1.m + 1):
-        v = _satisfies_turning_condition(current, base_keys, a_set)
-        if v is not None:
-            return SecondCycleCertificate(
-                c_prime=current, exchange_vertex=v, preserved=True
-            )
-        current = _exchange_step(g1, base, current, a_set)
-    raise InvariantViolation("second-cycle", "exchange procedure did not terminate")
+    best = min(cands, key=lambda h: (-len(h.edge_set() & base_keys), h.vertices))
+    v = _satisfies_turning_condition(best, base_keys, a_set)
+    if v is None:
+        raise InvariantViolation(
+            "second-cycle", "the maximum-overlap candidate has no turning vertex"
+        )
+    return SecondCycleCertificate(c_prime=best, exchange_vertex=v)

@@ -222,7 +222,7 @@ def test_criterion_7_extension_engine(corpus):
                     assert p2.length > p.length
                     assert (p2.x, p2.y) == (p.x, p.y)
                     p2.validate(g)
-                    exact = longest_xy_paths(g, p.x, p.y, mode="first").max_length
+                    exact = longest_xy_paths(g, p.x, p.y).max_length
                     assert p2.length <= exact
                     p = p2
                     extensions += 1
@@ -244,7 +244,7 @@ def test_criterion_8_oracles(corpus):
             for x in range(g.n):
                 for y in range(x + 1, g.n):
                     best, wits = oracles.longest_xy_naive(g, x, y)
-                    rep = longest_xy_paths(g, x, y, mode="all")
+                    rep = longest_xy_paths(g, x, y)
                     assert rep.max_length == best
                     assert sorted(w.vertices for w in rep.witnesses) == wits
             best, cyc = oracles.longest_cycles_naive(g)

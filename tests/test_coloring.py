@@ -28,14 +28,14 @@ def _proper_exhaustive(g):
 def test_transform_triangles_only_is_identity():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4), (0, 4)])
     c = Cycle(tuple(range(6)))
-    assert subdivision_transform(g, c) == g
+    assert subdivision_transform(g, c) == (g, c)
 
 
 def test_transform_adds_closing_edge():
     # 6-cycle + chords 02, 24: path component 0-2-4, closing edge 04 off-cycle
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4)])
     c = Cycle(tuple(range(6)))
-    g2 = subdivision_transform(g, c)
+    g2, _ = subdivision_transform(g, c)
     assert g2.n == 6
     assert g2.has_edge(0, 4)
     assert g2.m == g.m + 1
@@ -45,7 +45,7 @@ def test_transform_subdivides_cycle_edge():
     # 5-cycle + chords 02, 24: closing edge 04 lies on the cycle
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (2, 4)])
     c = Cycle((0, 1, 2, 3, 4))
-    g2 = subdivision_transform(g, c)
+    g2, new_cycle = subdivision_transform(g, c)
     assert g2.n == 6
     z = 5
     assert g2.has_edge(0, z) and g2.has_edge(4, z)
@@ -53,7 +53,6 @@ def test_transform_subdivides_cycle_edge():
     # result decomposes as one Hamilton cycle plus disjoint triangles
     from chordlab.coloring import _cycle_plus_components
 
-    _, new_cycle = __import__("chordlab.coloring", fromlist=["x"])._transform_with_cycle(g, c)
     cyc, triangles, paths = _cycle_plus_components(g2, new_cycle)
     assert not paths
     assert triangles == [(0, 2, 4)]

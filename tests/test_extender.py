@@ -193,6 +193,7 @@ def test_reduction_hamilton_cycle_property():
         g, p = r
         from chordlab.extender import (
             _adjacent_attachment_splice,
+            _attached_components,
             _color_ring,
             _component_split,
         )
@@ -200,9 +201,10 @@ def test_reduction_hamilton_cycle_property():
         # mirror the pipeline: the reduction only runs once the splice
         # branches have passed
         direct, cert = find_direct_extension(g, p)
-        if direct is not None or _adjacent_attachment_splice(g, p) is not None:
+        comps = _attached_components(g, p.vertices)
+        if direct is not None or _adjacent_attachment_splice(g, p, comps) is not None:
             continue
-        red, triple_comps, endpoint = _component_split(g, p)
+        red, triple_comps, endpoint = _component_split(comps, p.x, p.y)
         if triple_comps:
             a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
         else:
@@ -467,7 +469,7 @@ def test_extend_never_exceeds_exact_longest():
             continue
         g, p = r
         longer, _ = extend_path(g, p)
-        exact = longest_xy_paths(g, p.x, p.y, mode="first").max_length
+        exact = longest_xy_paths(g, p.x, p.y).max_length
         assert longer.length <= exact
 
 

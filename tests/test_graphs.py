@@ -91,7 +91,7 @@ def test_components_spanning_deletion():
 
 def test_components_petersen_minus_9cycle():
     g = oracles.petersen()
-    nine = longest_cycles(g, mode="first")[0]
+    nine = longest_cycles(g)[0]
     assert nine.length == 9
     comps = components_after_deletion(g, set(nine.vertices))
     assert len(comps) == 1 and len(comps[0]) == 1

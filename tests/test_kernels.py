@@ -19,6 +19,8 @@ intended change of output:
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -107,6 +109,18 @@ def test_bench_script_runs():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checks agree" in proc.stdout
+
+
+def test_tracer_targets_resolve():
+    """perfbench/tracing.py wraps chordlab functions by name; each one of
+    its TARGETS must still name a callable, or `--trace 1` breaks."""
+    path = FsPath(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for span, module, name, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (span, name)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 import pytest
 
+from chordlab import second_cycle
+from chordlab.cli import main
+from chordlab.errors import InvariantViolation
 from chordlab.generate import LemmaInstance, gen_lemma_instance
 from chordlab.graphs import Graph
 from chordlab.search import Cycle, hamilton_cycles
 from chordlab.second_cycle import (
-    _exchange_step,
     build_support_graph,
     second_hamilton_cycle,
     verify_parity_lemma,
@@ -50,9 +52,10 @@ def test_parity_zero_count_is_even():
     # a checked edge lying on no Hamilton cycle counts zero, which is
     # even: C8 with A = {1, 5}, arcs (2,3,4) and (6,7,0), designated
     # chords (2,5) and (4,1), plus a dead chord (6,1) at a distinguished
-    # endpoint
+    # endpoint; (6,7,0) is distinguished because its endpoint 0 has degree 2
     g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(2, 5), (4, 1), (6, 1)])
-    rep = verify_parity_lemma(g, {1, 5}, distinguished={6, 7, 0})
+    rep = verify_parity_lemma(g, {1, 5})
+    assert rep.distinguished == (0, 6, 7)
     assert rep.all_even
     counts = dict(rep.checked_edges)
     assert counts[(1, 6)] == 0
@@ -80,7 +83,6 @@ def test_second_cycle_spec_instance():
     cert = second_hamilton_cycle(inst, x=5, y=4)
     assert cert.c_prime.vertices == (0, 1, 3, 2, 4, 5)
     assert cert.exchange_vertex == 1
-    assert cert.preserved
 
 
 def test_second_cycle_differs_from_base():
@@ -105,19 +107,27 @@ def _designated_edge(inst):
 
 
 def test_second_cycle_certificates_property_run():
-    for seed in range(100):
-        k = 2 + seed % 3
-        inst = gen_lemma_instance(k, seed)
-        x, y = _designated_edge(inst)
-        cert = second_hamilton_cycle(inst, x, y)
-        c1 = cert.c_prime
-        c1.validate(inst.g)
-        assert c1.length == inst.g.n
-        assert (min(x, y), max(x, y)) in c1.edge_set()
-        assert _edges_off(c1, inst.a_set) == _edges_off(inst.cycle, inst.a_set)
-        incident = [e for e in c1.edge_pairs() if cert.exchange_vertex in e]
-        base = inst.cycle.edge_set()
-        assert sum(1 for e in incident if e in base) == 1
+    for k in range(2, 7):
+        for seed in range(300):
+            inst = gen_lemma_instance(k, seed)
+            x, y = _designated_edge(inst)
+            key = (min(x, y), max(x, y))
+            cert = second_hamilton_cycle(inst, x, y)
+            c1 = cert.c_prime
+            c1.validate(inst.g)
+            assert c1.length == inst.g.n
+            assert key in c1.edge_set()
+            assert _edges_off(c1, inst.a_set) == _edges_off(inst.cycle, inst.a_set)
+            incident = [e for e in c1.edge_pairs() if cert.exchange_vertex in e]
+            base = inst.cycle.edge_set()
+            assert sum(1 for e in incident if e in base) == 1
+            # the certificate has the largest overlap among the candidates
+            g1, _ = build_support_graph(inst)
+            assert len(c1.edge_set() & base) == max(
+                len(h.edge_set() & base)
+                for h in hamilton_cycles(g1)
+                if h != inst.cycle and key in h.edge_set()
+            ), (k, seed)
 
 
 def test_second_cycle_maximizes_overlap():
@@ -135,28 +145,26 @@ def test_second_cycle_maximizes_overlap():
     assert got == best
 
 
-def test_exchange_step_grows_overlap():
-    """Drive the exchange procedure directly from a deliberately bad
-    starting cycle (minimal overlap instead of maximal)."""
-    for seed in range(40):
-        inst = gen_lemma_instance(2, seed)
-        x, y = _designated_edge(inst)
-        g1, _ = build_support_graph(inst)
-        base = inst.cycle
-        key = (min(x, y), max(x, y))
-        cands = [
-            h for h in hamilton_cycles(g1)
-            if h != base and key in h.edge_set()
-        ]
-        worst = min(cands, key=lambda h: (len(h.edge_set() & base.edge_set()), h.vertices))
-        from chordlab.second_cycle import _satisfies_turning_condition
+def test_missing_turning_vertex_is_an_internal_error(monkeypatch):
+    """A maximum-overlap candidate without a turning vertex cannot be
+    repaired by an exchange, so it is a failed invariant of the
+    second-cycle step."""
+    monkeypatch.setattr(
+        second_cycle, "_satisfies_turning_condition", lambda *args: None
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        second_hamilton_cycle(spec_instance(), x=5, y=4)
+    assert exc.value.step == "second-cycle"
 
-        if _satisfies_turning_condition(worst, base.edge_set(), inst.a_set) is not None:
-            continue
-        better = _exchange_step(g1, base, worst, inst.a_set)
-        assert len(better.edge_set() & base.edge_set()) > len(
-            worst.edge_set() & base.edge_set()
-        )
+
+def test_lemma_suite_fails_without_turning_vertex(monkeypatch, capsys):
+    monkeypatch.setattr(
+        second_cycle, "_satisfies_turning_condition", lambda *args: None
+    )
+    assert main(["lemmas", "--which", "second-cycle", "--seeds", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "second-cycle: 0/3 pass\n"
+    assert err.count("FAIL (second-cycle:") == 3
 
 
 def test_second_cycle_validates_inputs():

@@ -25,7 +25,7 @@ def _pairs(g, mode):
 def _reference(g, x, y):
     """Max length, min bound count and the first witness attaining it,
     from the full per-pair witness enumeration."""
-    rep = longest_xy_paths(g, x, y, mode="all")
+    rep = longest_xy_paths(g, x, y)
     counts = [len(b) for b in rep.bound_sets]
     mb = min(counts)
     return rep.max_length, mb, rep.witnesses[counts.index(mb)].vertices
