@@ -154,8 +154,10 @@ def _satisfies_turning_condition(cycle: Cycle, base_keys, a_set):
 
 
 def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCertificate:
-    """A Hamilton cycle distinct from the instance cycle through the edge
-    xy, agreeing with it off A, with a turning vertex in A."""
+    """The Hamilton cycle of the support graph through the edge xy, other
+    than the instance cycle, with the largest overlap with it (ties by
+    vertex sequence): it agrees with the instance cycle off A and has a
+    turning vertex in A."""
     inst.check()
     h_last = inst.components[-1]
     if x not in (h_last[0], h_last[-1]):
