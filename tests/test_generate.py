@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 from math import factorial
 
 import pytest
 
 import oracles
+from chordlab.cli import main
 from chordlab.generate import (
     automorphism_count,
     canonical_code,
@@ -13,10 +15,35 @@ from chordlab.generate import (
     random_cubic,
     random_simple_path,
 )
+from chordlab.graph6 import parse_graph6
 from chordlab.graphs import _is_connected, is_cubic
 
 
 EXPECTED_CLASS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+
+# sha256 of the bytes `chordlab generate --n N` writes, recorded with the
+# plain relabeling-backtrack canonicity test: a faster test must keep the
+# same graphs, labelings and order
+GENERATE_SHA256 = {
+    4: "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    6: "49a7391d96ad84fd13c8b5267ef23c215085ed317e6146e479df2bcdfd672949",
+    8: "6946d13a0aec85386d47d087ad2a9f2561b05d8580f0ec937414f8d31359d34f",
+    10: "b46e70b9578943cb94fa0ec1469bba1fa2825813da4fed3698b38f9061f5b40a",
+    12: "ff0fcdb1521f99d5a04d95bebe9f40faae50dfff7240e11b4f0a3602bf380eba",
+    14: "b4d1bff9567f76e998c7418de7fc2c7c035524ee691a54d6ca1b6071ba1861d8",
+}
+
+
+def _generate(n, tmp_path):
+    out = tmp_path / f"cubic{n}.g6"
+    assert main(["generate", "--n", str(n), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_generate_output_pinned(tmp_path):
+    for n in (4, 6, 8, 10, 12):
+        digest = hashlib.sha256(_generate(n, tmp_path)).hexdigest()
+        assert digest == GENERATE_SHA256[n], n
 
 
 def test_counts_small(corpus):
@@ -171,8 +198,10 @@ def test_counts_against_pairing_oracle_n8():
 
 
 @pytest.mark.slow
-def test_counts_n14_optional_tier():
-    graphs = enumerate_cubic(14)
+def test_counts_n14_optional_tier(tmp_path):
+    text = _generate(14, tmp_path)
+    assert hashlib.sha256(text).hexdigest() == GENERATE_SHA256[14]
+    graphs = [parse_graph6(line) for line in text.decode().split()]
     assert len(graphs) == 509
     total = sum(factorial(14) // automorphism_count(g) for g in graphs)
     assert total == oracles.labeled_connected_cubic_count(14)
