@@ -2,15 +2,50 @@
 at small n, random cubic graphs, and synthetic instances for the
 Hamilton-cycle lemmas.
 
-The exhaustive enumeration is an orderly (canonical-extension) search over
-column codes: a labeled graph is encoded by the columns of its adjacency
-upper triangle, code compared bitwise with earlier bits more significant,
-and exactly the lexicographically maximal labelings are kept.  Deleting
-the last vertex of a maximal code leaves a maximal code, so extending
-canonical prefixes one vertex at a time and keeping the canonical results
-enumerates every isomorphism class exactly once.  Speed is secondary to
-trust here: the canonicity test is a plain backtracking search over
-relabelings.
+The exhaustive enumeration is an orderly search (McKay, *Isomorph-free
+exhaustive generation*, J. Algorithms 1998) over column codes.  A labeled
+graph on 0..k-1 is encoded by its columns: column j >= 1 holds the
+adjacency of vertex j to 0..j-1, vertex 0 in the most significant bit, and
+codes compare column by column.  Exactly the labelings with the maximal
+code are kept.  Deleting the last vertex of a maximal code leaves a
+maximal code, so extending canonical prefixes one vertex at a time and
+keeping the canonical results enumerates every isomorphism class once.
+
+The canonicity test `_is_max_code` is exact: it looks for a relabeling
+with a strictly larger code.  The search prunes by five facts about
+connected graphs of maximum degree at most 3.
+
+1. Nonzero columns.  In a maximal code every column j >= 1 is nonzero.
+   Otherwise take the first zero column j: by connectivity some later
+   vertex touches 0..j-1, and moving the first such vertex to position j
+   keeps the columns before j and makes column j nonzero, a larger code.
+   So canonical prefixes are connected, each new vertex gets at least one
+   edge back, and every complete graph the search reaches is connected.
+2. Move the last vertex.  Moving the new vertex k to position j >= 1 keeps
+   the columns before j and makes column j its own column cut to 0..j-1,
+   `col >> (k - j)`.  If that exceeds column j, the child is not maximal
+   (`_last_move_beats`), and the full test never runs.
+3. Frontier only.  By 1 the maximal code has nonzero columns, so only
+   relabelings with nonzero columns need searching: position j takes an
+   unplaced neighbour of a placed vertex, and its column is read from the
+   positions of its at most three neighbours.
+4. Start filter.  Vertex 0 of a maximal code maximises (degree d, edges e
+   among its neighbours).  From a start of degree d, columns 1..d are at
+   best its neighbours, top bit set, and column d+1 has the top bit clear.
+   Those first d columns are at best 1, 2, 4 when no two neighbours are
+   adjacent, and they grow strictly with e: (1, 3) for d = 2, e = 1 and
+   (1, 3, 4), (1, 3, 6), (1, 3, 7) for d = 3, e = 1, 2, 3.  So at equal
+   degree a larger e wins.  A start v below the maximum degree D loses:
+   if no two of its neighbours are adjacent, any start of degree D gives
+   columns 1..d(v)+1 at least 1, 2, .., 2**d(v), equal to v's best up to
+   d(v) and larger at d(v)+1; if v lies in a triangle vab, then d(v) = 2,
+   D = 3, and by connectivity a or b has degree 3 and starts with (1, 3,
+   >= 4) against v's (1, 3, < 4).
+5. Unfilled positions (`_completable`).  If the first position i below
+   degree 3 is followed by placed positions, a vertex t added later joins
+   i, and moving t to any placed position j > i gives column j a bit at
+   position i, at least 2**(j-1-i).  So a prefix of a maximal code has a
+   bit at a position <= i in each column j > i.
 """
 
 from __future__ import annotations
@@ -19,7 +54,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, _is_connected
+from .graphs import Graph
 from .search import Cycle
 
 
@@ -27,103 +62,69 @@ from .search import Cycle
 # canonical codes
 
 
-def _column(mask: int, placed) -> int:
-    col = 0
-    for p in placed:
-        col = (col << 1) | ((mask >> p) & 1)
-    return col
+def _last_move_beats(cols) -> bool:
+    """True iff moving the last vertex to an earlier position j >= 1 gives
+    a larger column j, so the code is not maximal (fact 2)."""
+    k = len(cols)
+    col = cols[-1]
+    for j in range(max(1, k + 1 - col.bit_length()), k):
+        if col >> (k - j) > cols[j - 1]:
+            return True
+    return False
 
 
 def _is_max_code(masks, n, cols) -> bool:
-    """True iff no relabeling yields a strictly larger column code."""
-    used = [False] * n
-    placed = []
+    """True iff no relabeling of the connected subcubic graph ``masks`` on
+    n vertices yields a strictly larger column code than ``cols``."""
+    nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
+    # acc[u]: the column u would get at position j, shifted up by n - j
+    acc = [0] * n
+    scaled = [0] + [c << (n - j) for j, c in enumerate(cols, 1)]
 
-    def rec(j):
+    def beaten(j, placed, frontier):
         if j == n:
             return False
-        for u in range(n):
-            if used[u]:
-                continue
-            if j > 0:
-                col = _column(masks[u], placed)
-                target = cols[j - 1]
-                if col > target:
-                    return True
-                if col < target:
-                    continue
-            used[u] = True
-            placed.append(u)
-            beaten = rec(j + 1)
-            placed.pop()
-            used[u] = False
-            if beaten:
+        target = scaled[j]
+        ties = []
+        w = frontier
+        while w:
+            b = w & -w
+            w ^= b
+            u = b.bit_length() - 1
+            if acc[u] > target:
+                return True
+            if acc[u] == target:
+                ties.append(u)
+        bit = 1 << (n - 1 - j)
+        for u in ties:
+            for v in nbrs[u]:
+                acc[v] += bit
+            here = placed | 1 << u
+            found = beaten(j + 1, here, (frontier | masks[u]) & ~here)
+            for v in nbrs[u]:
+                acc[v] -= bit
+            if found:
                 return True
         return False
 
-    return not rec(0)
-
-
-def canonical_code(g: Graph) -> tuple:
-    """Maximal column code over all relabelings: a complete isomorphism
-    invariant usable as a canonical form."""
-    code, _ = _canonical_search(g.masks, g.n)
-    return code
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group (relabelings achieving the maximal
-    code)."""
-    _, aut = _canonical_search(g.masks, g.n)
-    return aut
-
-
-def _canonical_search(masks, n):
-    if n == 0:
-        return (), 1
-    best = None
-    aut = 0
-    used = [False] * n
-    placed = []
-    cur = []
-
-    def rec(j, better):
-        nonlocal best, aut
-        if j == n:
-            code = tuple(cur)
-            if best is None or code > best:
-                best = code
-                aut = 1
-            elif code == best:
-                aut += 1
-            return
-        for u in range(n):
-            if used[u]:
-                continue
-            if j == 0:
-                used[u] = True
-                placed.append(u)
-                rec(1, better)
-                placed.pop()
-                used[u] = False
-                continue
-            col = _column(masks[u], placed)
-            nb = better
-            if not better and best is not None and j - 1 < len(best):
-                if col < best[j - 1]:
-                    continue
-                if col > best[j - 1]:
-                    nb = True
-            used[u] = True
-            placed.append(u)
-            cur.append(col)
-            rec(j + 1, nb)
-            cur.pop()
-            placed.pop()
-            used[u] = False
-
-    rec(0, False)
-    return best, aut
+    # (degree, twice the edges among the neighbours) per vertex, fact 4
+    keys = [
+        (len(a), sum((masks[v] & masks[u]).bit_count() for v in a))
+        for u, a in enumerate(nbrs)
+    ]
+    best = max(keys)
+    top = 1 << (n - 1)
+    for s in range(n):
+        if keys[s] != best:
+            continue
+        for v in nbrs[s]:
+            acc[v] += top
+        found = beaten(1, 1 << s, masks[s])
+        for v in nbrs[s]:
+            acc[v] -= top
+        if found:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -140,73 +141,56 @@ def _graph_from_cols(n, cols) -> Graph:
     return Graph(n, edges)
 
 
-def _completable(masks, degs, k, n) -> bool:
-    m = n - k
+def _children(level, k):
+    """Every child of each prefix on k vertices: a new vertex k joined to
+    one to three earlier vertices of degree below 3, as (cols, degs,
+    masks)."""
+    for cols, degs, masks in level:
+        eligible = [i for i in range(k) if degs[i] < 3]
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(eligible, size):
+                col = 0
+                ndegs = list(degs) + [size]
+                nmasks = list(masks) + [0]
+                for i in subset:
+                    col |= 1 << (k - 1 - i)
+                    ndegs[i] += 1
+                    nmasks[i] |= 1 << k
+                    nmasks[k] |= 1 << i
+                yield cols + (col,), ndegs, nmasks
+
+
+def _completable(cols, degs, n) -> bool:
+    """Can the remaining n - len(degs) vertices, each joined back, fill
+    every degree to 3 with ``cols`` staying a prefix of a maximal code?"""
+    m = n - len(degs)
+    if m == 0:
+        return min(degs) == 3
     deficits = [3 - d for d in degs]
     total = sum(deficits)
-    if total > 3 * m or any(d > m for d in deficits):
+    if total == 0 or total > 3 * m or max(deficits) > m or (3 * m - total) % 2:
         return False
-    if (3 * m - total) % 2:
-        return False
-    if m > 0 and k > 0:
-        # a saturated component now can never be joined later
-        seen = set()
-        for start in range(k):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                w = masks[u]
-                while w:
-                    b = w & (-w)
-                    w ^= b
-                    v = b.bit_length() - 1
-                    if v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            if all(degs[v] == 3 for v in comp):
-                return False
-    return True
+    # fact 5: a later vertex joins i, the first position below degree 3
+    i = next(v for v, d in enumerate(degs) if d < 3)
+    return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
 
 
 def enumerate_cubic(n: int):
     """All connected cubic graphs on n vertices, one per isomorphism
     class, in decreasing canonical-code order."""
-    if n % 2 or not 4 <= n <= 14:
-        raise ValueError(f"n must be even with 4 <= n <= 14, got {n}")
+    if n % 2 or not 4 <= n <= 16:
+        raise ValueError(f"n must be even with 4 <= n <= 16, got {n}")
     level = [((), (0,), (0,))]  # (cols, degs, masks) on 1 vertex
     for k in range(1, n):
-        nxt = []
-        for cols, degs, masks in level:
-            eligible = [i for i in range(k) if degs[i] < 3]
-            for size in range(0, 4):
-                for subset in itertools.combinations(eligible, size):
-                    col = 0
-                    for i in subset:
-                        col |= 1 << (k - 1 - i)
-                    ndegs = list(degs) + [size]
-                    nmasks = list(masks) + [0]
-                    for i in subset:
-                        ndegs[i] += 1
-                        nmasks[i] |= 1 << k
-                        nmasks[k] |= 1 << i
-                    if not _completable(nmasks, ndegs, k + 1, n):
-                        continue
-                    ncols = cols + (col,)
-                    if _is_max_code(nmasks, k + 1, ncols):
-                        nxt.append((ncols, tuple(ndegs), tuple(nmasks)))
-        level = nxt
-    out = []
-    for cols, degs, masks in level:
-        if all(d == 3 for d in degs):
-            g = _graph_from_cols(n, cols)
-            if _is_connected(g):
-                out.append((cols, g))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return [g for _, g in out]
+        level = [
+            (cols, degs, masks)
+            for cols, degs, masks in _children(level, k)
+            if not _last_move_beats(cols)
+            and _completable(cols, degs, n)
+            and _is_max_code(masks, k + 1, cols)
+        ]
+    codes = sorted((cols for cols, _, _ in level), reverse=True)
+    return [_graph_from_cols(n, cols) for cols in codes]
 
 
 def random_cubic(n: int, seed: int) -> Graph:

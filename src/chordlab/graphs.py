@@ -3,7 +3,9 @@
 Vertices are dense integer ids 0..n-1.  Host graphs are simple; derived
 graphs produced by contraction may carry parallel edges, so the edge list
 is a multiset.  Self-loops are never allowed.  Instances are treated as
-immutable after construction and are safe to share between threads.
+immutable after construction and are safe to share between threads: the
+lazily filled caches (adjacency masks, connectivity answers) only ever
+store values computed from that fixed structure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ class Graph:
     occurs twice.
     """
 
-    __slots__ = ("n", "edges", "adj", "simple", "_masks")
+    __slots__ = ("n", "edges", "adj", "simple", "_masks", "_gate")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -40,6 +42,7 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.simple = len(set(norm)) == len(norm)
         self._masks = None
+        self._gate = {}  # k -> connectivity_at_least(self, k)
 
     @property
     def m(self) -> int:
@@ -142,18 +145,26 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
     connected after deleting any fewer than k vertices.  Only k <= 3 is
     supported: k=1 is one BFS, k=2 one lowpoint DFS that fails on a
     disconnection or a cut vertex, and k=3 adds that DFS once per deleted
-    vertex, O(n*m) in all."""
+    vertex, O(n*m) in all.  Answers are kept on g, and the k=3 test also
+    records the k=2 answer, so asking again costs a dict lookup."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     if not g.simple:
         raise ValueError("connectivity gate requires a simple graph")
-    if g.n <= k:
-        return False
-    if k == 1:
-        return _is_connected(g)
-    if not _biconnected_without(g, -1):
-        return False
-    return k == 2 or all(_biconnected_without(g, v) for v in range(g.n))
+    gate = g._gate
+    if k not in gate:
+        if g.n <= k:
+            gate[k] = False
+        elif k == 1:
+            gate[1] = _is_connected(g)
+        else:
+            if 2 not in gate:
+                gate[2] = _biconnected_without(g, -1)
+            if k == 3:
+                gate[3] = gate[2] and all(
+                    _biconnected_without(g, v) for v in range(g.n)
+                )
+    return gate[k]
 
 
 def components_after_deletion(g: Graph, removed) -> tuple:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: permutation-based path/cycle
 enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
-of cubic graphs with backtracking isomorphism tests, Menger-style
-connectivity, and a labeled-count recurrence.  None of it shares logic
-with the library kernels it is used to check.
+of cubic graphs with backtracking isomorphism tests, plain relabeling
+backtracks for the maximal column code, Menger-style connectivity, and a
+labeled-count recurrence.  None of it shares logic with the library
+kernels it is used to check.
 """
 
 from __future__ import annotations
@@ -198,6 +199,108 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend([], set())
+
+
+# ---------------------------------------------------------------------------
+# maximal column codes by plain relabeling backtracks (no pruning beyond
+# comparing each column with the best code so far)
+
+
+def _column(mask: int, placed) -> int:
+    col = 0
+    for p in placed:
+        col = (col << 1) | ((mask >> p) & 1)
+    return col
+
+
+def is_max_code_backtrack(masks, n, cols) -> bool:
+    """True iff no relabeling yields a strictly larger column code."""
+    used = [False] * n
+    placed = []
+
+    def rec(j):
+        if j == n:
+            return False
+        for u in range(n):
+            if used[u]:
+                continue
+            if j > 0:
+                col = _column(masks[u], placed)
+                target = cols[j - 1]
+                if col > target:
+                    return True
+                if col < target:
+                    continue
+            used[u] = True
+            placed.append(u)
+            beaten = rec(j + 1)
+            placed.pop()
+            used[u] = False
+            if beaten:
+                return True
+        return False
+
+    return not rec(0)
+
+
+def canonical_code(g: Graph) -> tuple:
+    """Maximal column code over all relabelings: a complete isomorphism
+    invariant usable as a canonical form."""
+    return _canonical_search(g.masks, g.n)[0]
+
+
+def automorphism_count(g: Graph) -> int:
+    """Order of the automorphism group (relabelings achieving the maximal
+    code)."""
+    return _canonical_search(g.masks, g.n)[1]
+
+
+def _canonical_search(masks, n):
+    if n == 0:
+        return (), 1
+    best = None
+    aut = 0
+    used = [False] * n
+    placed = []
+    cur = []
+
+    def rec(j, better):
+        nonlocal best, aut
+        if j == n:
+            code = tuple(cur)
+            if best is None or code > best:
+                best = code
+                aut = 1
+            elif code == best:
+                aut += 1
+            return
+        for u in range(n):
+            if used[u]:
+                continue
+            if j == 0:
+                used[u] = True
+                placed.append(u)
+                rec(1, better)
+                placed.pop()
+                used[u] = False
+                continue
+            col = _column(masks[u], placed)
+            nb = better
+            if not better and best is not None and j - 1 < len(best):
+                if col < best[j - 1]:
+                    continue
+                if col > best[j - 1]:
+                    nb = True
+            used[u] = True
+            placed.append(u)
+            cur.append(col)
+            rec(j + 1, nb)
+            cur.pop()
+            placed.pop()
+            used[u] = False
+
+    rec(0, False)
+    return best, aut
 
 
 # ---------------------------------------------------------------------------

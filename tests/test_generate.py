@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 import oracles
 from chordlab.cli import main
 from chordlab.generate import (
-    automorphism_count,
-    canonical_code,
+    _children,
+    _completable,
+    _is_max_code,
+    _last_move_beats,
     enumerate_cubic,
     gen_cycle_plus_instance,
     gen_lemma_instance,
@@ -17,9 +20,10 @@ from chordlab.generate import (
 )
 from chordlab.graph6 import parse_graph6
 from chordlab.graphs import _is_connected, is_cubic
+from oracles import automorphism_count, canonical_code
 
 
-EXPECTED_CLASS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+EXPECTED_CLASS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 # sha256 of the bytes `chordlab generate --n N` writes, recorded with the
 # plain relabeling-backtrack canonicity test: a faster test must keep the
@@ -106,8 +110,33 @@ def test_deterministic_order():
     assert [g.edges for g in enumerate_cubic(8)] == [g.edges for g in enumerate_cubic(8)]
 
 
+def test_max_code_matches_backtrack_n12():
+    """Run the search level by level for every n <= 12 and judge each
+    child it generates by the plain relabeling backtrack too: the fast test
+    agrees, and the move-last-vertex prefilter rejects only non-maximal
+    codes."""
+    judged = rejected = 0
+    for n in range(4, 13, 2):
+        level = [((), (0,), (0,))]
+        for k in range(1, n):
+            nxt = []
+            for cols, degs, masks in _children(level, k):
+                old = oracles.is_max_code_backtrack(masks, k + 1, cols)
+                if _last_move_beats(cols):
+                    assert not old, cols
+                    rejected += 1
+                    continue
+                assert _is_max_code(masks, k + 1, cols) == old, cols
+                judged += 1
+                if old and _completable(cols, degs, n):
+                    nxt.append((cols, degs, masks))
+            level = nxt
+        assert len(level) == EXPECTED_CLASS_COUNTS[n]
+    assert judged > 5000 and rejected > 200
+
+
 def test_enumerate_rejects_bad_n():
-    for bad in (5, 2, 16):
+    for bad in (5, 2, 18):
         with pytest.raises(ValueError):
             enumerate_cubic(bad)
 
@@ -202,6 +231,20 @@ def test_counts_n14_optional_tier(tmp_path):
     text = _generate(14, tmp_path)
     assert hashlib.sha256(text).hexdigest() == GENERATE_SHA256[14]
     graphs = [parse_graph6(line) for line in text.decode().split()]
-    assert len(graphs) == 509
+    assert len(graphs) == EXPECTED_CLASS_COUNTS[14]
     total = sum(factorial(14) // automorphism_count(g) for g in graphs)
     assert total == oracles.labeled_connected_cubic_count(14)
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_counts_n16_optional_tier(tmp_path):
+    graphs = [parse_graph6(line) for line in _generate(16, tmp_path).decode().split()]
+    assert len(graphs) == EXPECTED_CLASS_COUNTS[16]
+    assert all(is_cubic(g) and _is_connected(g) for g in graphs)
+    found = [oracles._canonical_search(g.masks, g.n) for g in graphs]
+    assert len({code for code, _ in found}) == len(graphs)
+    total = sum(factorial(16) // aut for _, aut in found)
+    assert total == oracles.labeled_connected_cubic_count(16)

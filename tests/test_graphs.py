@@ -84,6 +84,47 @@ def test_connectivity_against_menger():
             assert connectivity_at_least(g, k) == (kappa >= k and g.n > k)
 
 
+def test_connectivity_gate_is_memoized(monkeypatch):
+    import chordlab.graphs as graphs
+
+    calls = []
+    real = graphs._biconnected_without
+
+    def counted(g, removed):
+        calls.append(removed)
+        return real(g, removed)
+
+    monkeypatch.setattr(graphs, "_biconnected_without", counted)
+    g = oracles.petersen()
+    assert connectivity_at_least(g, 3)
+    first = len(calls)
+    assert first == g.n + 1
+    # the k=3 test records k=2 on the way; neither question runs a DFS again
+    assert connectivity_at_least(g, 3)
+    assert connectivity_at_least(g, 2)
+    assert len(calls) == first
+
+
+def test_connectivity_memo_matches_fresh_answers():
+    import random
+
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.choice((4, 6, 8, 10, 12, 16))
+        edges = list(random_cubic(n, trial).edges)
+        # drop a few edges so every connectivity class shows up
+        for _ in range(rng.randrange(4)):
+            edges.pop(rng.randrange(len(edges)))
+        g = Graph(n, edges)
+        order = [1, 2, 3] * 2
+        rng.shuffle(order)
+        for k in order:
+            fresh = connectivity_at_least(Graph(n, edges), k)
+            assert connectivity_at_least(g, k) == fresh, (n, edges, k)
+            if n <= 8:
+                assert fresh == oracles.connectivity_at_least_naive(g, k)
+
+
 def test_components_spanning_deletion():
     g = oracles.k4()
     assert components_after_deletion(g, {0, 1, 2, 3}) == ()
