@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion runs at its stated tolerance (all are
 exact combinatorial equalities or thresholds) and prints one PASS line.
 
-The extended n=12 tier for criterion 1 runs when CHORDLAB_ACCEPT_N12=1.
+The extended n=12 tier for criterion 1 runs when CHORDLAB_ACCEPT_N12=1,
+and the n=16 tier for criteria 1-3 when CHORDLAB_ACCEPT_N16=1.
 """
 
+import json
 import os
 import time
 from math import factorial
@@ -11,6 +13,7 @@ from math import factorial
 import pytest
 
 import oracles
+from chordlab.cli import main
 from chordlab.extender import (
     EXTENDABLE,
     HAS_BOUND_VERTEX,
@@ -85,6 +88,30 @@ def test_criterion_1_extended_n12():
     assert minimum >= 1
     assert elapsed < 1800
     _ok("1x (n=12 tier)", f"min count {minimum}, {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_criteria_1_to_3_extended_n16(tmp_path):
+    """All 4060 connected cubic graphs on 16 vertices through `verify` in
+    every mode with two workers: no violation, and the checked counts and
+    minima recorded when the tier first ran."""
+    started = time.time()
+    corpus = tmp_path / "cubic16.g6"
+    assert main(["generate", "--n", "16", "--out", str(corpus)]) == 0
+    # mode -> (graphs past the connectivity gate, minimum value)
+    expected = {"zhan2": (3874, 4), "zhan3adj": (2828, 10), "chords": (2828, 6)}
+    for mode, (checked, minimum) in expected.items():
+        out = tmp_path / f"{mode}.json"
+        argv = ["verify", "--mode", mode, "--in", str(corpus), "--jobs", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        got = (rep["graphs"], rep["checked"], rep["minimum"], rep["violations"])
+        assert got == (4060, checked, minimum, 0), mode
+    elapsed = time.time() - started
+    _ok("1-3x (n=16 tier)", f"(checked, minimum) per mode {expected}, {elapsed:.1f}s")
 
 
 def test_criterion_2_three_connected_adjacent(corpus):
