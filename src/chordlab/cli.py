@@ -111,9 +111,8 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     tasks = [(i, ln, args.mode, args.timings) for i, ln in enumerate(lines)]
     if args.jobs > 1:
-        chunk = max(1, len(tasks) // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, tasks, chunksize=chunk))
+            results = list(pool.map(_verify_one, tasks))
     else:
         results = [_verify_one(t) for t in tasks]
     results.sort(key=lambda t: t[0])

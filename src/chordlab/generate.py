@@ -12,7 +12,7 @@ maximal code, so extending canonical prefixes one vertex at a time and
 keeping the canonical results enumerates every isomorphism class once.
 
 The canonicity test `_is_max_code` is exact: it looks for a relabeling
-with a strictly larger code.  The search prunes by five facts about
+with a strictly larger code.  The search prunes by four facts about
 connected graphs of maximum degree at most 3.
 
 1. Nonzero columns.  In a maximal code every column j >= 1 is nonzero.
@@ -21,15 +21,11 @@ connected graphs of maximum degree at most 3.
    keeps the columns before j and makes column j nonzero, a larger code.
    So canonical prefixes are connected, each new vertex gets at least one
    edge back, and every complete graph the search reaches is connected.
-2. Move the last vertex.  Moving the new vertex k to position j >= 1 keeps
-   the columns before j and makes column j its own column cut to 0..j-1,
-   `col >> (k - j)`.  If that exceeds column j, the child is not maximal
-   (`_last_move_beats`), and the full test never runs.
-3. Frontier only.  By 1 the maximal code has nonzero columns, so only
+2. Frontier only.  By 1 the maximal code has nonzero columns, so only
    relabelings with nonzero columns need searching: position j takes an
    unplaced neighbour of a placed vertex, and its column is read from the
    positions of its at most three neighbours.
-4. Start filter.  Vertex 0 of a maximal code maximises (degree d, edges e
+3. Start filter.  Vertex 0 of a maximal code maximises (degree d, edges e
    among its neighbours).  From a start of degree d, columns 1..d are at
    best its neighbours, top bit set, and column d+1 has the top bit clear.
    Those first d columns are at best 1, 2, 4 when no two neighbours are
@@ -41,7 +37,7 @@ connected graphs of maximum degree at most 3.
    d(v) and larger at d(v)+1; if v lies in a triangle vab, then d(v) = 2,
    D = 3, and by connectivity a or b has degree 3 and starts with (1, 3,
    >= 4) against v's (1, 3, < 4).
-5. Unfilled positions (`_completable`).  If the first position i below
+4. Unfilled positions (`_completable`).  If the first position i below
    degree 3 is followed by placed positions, a vertex t added later joins
    i, and moving t to any placed position j > i gives column j a bit at
    position i, at least 2**(j-1-i).  So a prefix of a maximal code has a
@@ -60,17 +56,6 @@ from .search import Cycle
 
 # ---------------------------------------------------------------------------
 # canonical codes
-
-
-def _last_move_beats(cols) -> bool:
-    """True iff moving the last vertex to an earlier position j >= 1 gives
-    a larger column j, so the code is not maximal (fact 2)."""
-    k = len(cols)
-    col = cols[-1]
-    for j in range(max(1, k + 1 - col.bit_length()), k):
-        if col >> (k - j) > cols[j - 1]:
-            return True
-    return False
 
 
 def _is_max_code(masks, n, cols) -> bool:
@@ -107,7 +92,7 @@ def _is_max_code(masks, n, cols) -> bool:
                 return True
         return False
 
-    # (degree, twice the edges among the neighbours) per vertex, fact 4
+    # (degree, twice the edges among the neighbours) per vertex, fact 3
     keys = [
         (len(a), sum((masks[v] & masks[u]).bit_count() for v in a))
         for u, a in enumerate(nbrs)
@@ -170,7 +155,7 @@ def _completable(cols, degs, n) -> bool:
     total = sum(deficits)
     if total == 0 or total > 3 * m or max(deficits) > m or (3 * m - total) % 2:
         return False
-    # fact 5: a later vertex joins i, the first position below degree 3
+    # fact 4: a later vertex joins i, the first position below degree 3
     i = next(v for v, d in enumerate(degs) if d < 3)
     return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
 
@@ -185,8 +170,7 @@ def enumerate_cubic(n: int):
         level = [
             (cols, degs, masks)
             for cols, degs, masks in _children(level, k)
-            if not _last_move_beats(cols)
-            and _completable(cols, degs, n)
+            if _completable(cols, degs, n)
             and _is_max_code(masks, k + 1, cols)
         ]
     codes = sorted((cols for cols, _, _ in level), reverse=True)

@@ -104,7 +104,7 @@ def test_verify_missing_file(tmp_path, capsys):
 
 
 def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
-    # 27 graphs over 2 workers: pool.map hands them out 3 at a time
+    # all 27 graphs with n <= 10, spread over 2 workers
     f = _write_corpus(tmp_path, [g for n in sorted(corpus) for g in corpus[n]])
     _, serial, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
     _, parallel, _ = run_cli(
