@@ -53,10 +53,7 @@ _MODES = {
 
 
 def _verify_one(args):
-    idx, line, mode, timings = args
-    from .graph6 import parse_graph6
-
-    g = parse_graph6(line)
+    line, g, mode, timings = args
     started = time.perf_counter()
     kappa = _connectivity_class(g)
     need, threshold, zhan_mode = _MODES[mode]
@@ -82,7 +79,7 @@ def _verify_one(args):
                 row["witness"] = {"cycle": list(rep.witness)}
     if timings:
         row["wall_ms"] = round(1000 * (time.perf_counter() - started), 3)
-    return idx, row, threshold
+    return row
 
 
 def cmd_generate(args) -> int:
@@ -98,25 +95,20 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.infile) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+        # latin-1 keeps every byte, so the parser names a non-ASCII one
+        # and its line; line numbers count blank lines
+        with open(args.infile, encoding="latin-1") as fh:
+            lines = list(fh)
+        corpus = list(stream_corpus(lines))
+    except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        for lineno, _ in stream_corpus(lines):
-            pass
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    tasks = [(i, ln, args.mode, args.timings) for i, ln in enumerate(lines)]
+    tasks = [(lines[lineno - 1].strip(), g, args.mode, args.timings) for lineno, g in corpus]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, tasks))
+            rows = list(pool.map(_verify_one, tasks))  # map keeps input order
     else:
-        results = [_verify_one(t) for t in tasks]
-    results.sort(key=lambda t: t[0])
-    rows = [row for _, row, _ in results]
+        rows = [_verify_one(t) for t in tasks]
     threshold = _MODES[args.mode][1]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)

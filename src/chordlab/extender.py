@@ -226,14 +226,15 @@ def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
     return None
 
 
-def find_direct_extension(g: Graph, p: Path):
+def find_direct_extension(g: Graph, p: Path, comps):
     """When every off-path component touches the endpoint neighborhoods,
     splice a longer path through one or two of them; otherwise certify a
-    component attached only to the interior.  Returns (path, component)
+    component attached only to the interior.  ``comps`` is
+    ``_attached_components(g, p.vertices)``.  Returns (path, component)
     with exactly one of the two set."""
     on_path = set(p.vertices)
     x, y = p.x, p.y
-    nbrs = dict(_attached_components(g, on_path))
+    nbrs = dict(comps)
     interior_only = [c for c, at in nbrs.items() if x not in at and y not in at]
     if interior_only:
         return None, min(interior_only, key=min)
@@ -348,16 +349,15 @@ def _color_ring(ring, comps):
     return a_set, chosen, [(comp, t) for (comp, _), t in zip(comps, relabeled)]
 
 
-def build_reduced_G2(g: Graph, p: Path, a_set, triples) -> ReducedGraph:
+def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
     """Reduce the host along the path: path and closing edges black, each
     two-neighbor component a red edge, each triple component contracted
     onto its designated vertex, endpoint components absorbed into y
-    (preferred) or x, with all contraction edges blue."""
+    (preferred) or x, with all contraction edges blue.  ``comps`` is
+    ``_attached_components(g, p.vertices)``."""
     x, y = p.x, p.y
     on_path = set(p.vertices)
-    red, triple_comps, endpoint = _component_split(
-        _attached_components(g, on_path), x, y
-    )
+    red, triple_comps, endpoint = _component_split(comps, x, y)
     if {comp for comp, _ in triples} != {comp for comp, _ in triple_comps}:
         raise ValueError("triples do not match the interior components")
     xy_virtual = not g.has_edge(x, y)
@@ -728,7 +728,8 @@ def extend_path(g: Graph, p: Path):
         trace.add("component-claim", branch="short-path", path=list(longer.vertices))
         trace.final_path = longer.vertices
         return longer, trace
-    direct, certificate = find_direct_extension(g, p)
+    comps = _attached_components(g, p.vertices)
+    direct, certificate = find_direct_extension(g, p, comps)
     if direct is not None:
         trace.add("component-claim", branch="direct", path=list(direct.vertices))
         trace.final_path = direct.vertices
@@ -738,7 +739,6 @@ def extend_path(g: Graph, p: Path):
         branch="certificate",
         component=sorted(certificate),
     )
-    comps = _attached_components(g, p.vertices)
     spliced = _adjacent_attachment_splice(g, p, comps)
     if spliced is not None:
         trace.add(
@@ -757,7 +757,7 @@ def extend_path(g: Graph, p: Path):
     else:
         a_set, triples = frozenset(), []
         trace.add("coloring", class_a=[], triples=[])
-    rg = build_reduced_G2(g, p, a_set, triples)
+    rg = build_reduced_G2(g, p, comps, a_set, triples)
     trace.add("reduced-graph", edges=rg.edge_rows())
     cp = find_odd_cover_cycle(rg)
     trace.add("odd-cover-cycle", cycle=list(cp.vertices))
@@ -1123,36 +1123,13 @@ class ChordReport:
     cycle_count: int
     min_chords: int
     witness: tuple
-    cross_check: dict
-
-
-def one_chord_cross_check(g: Graph, cycle: Cycle) -> dict:
-    """For a longest cycle with exactly one chord: opening the cycle at an
-    edge incident to the chord must leave that chord's far endpoint as the
-    unique internal bound vertex of the resulting path."""
-    ch = sorted(chords(g, cycle))
-    if len(ch) != 1:
-        raise ValueError("cross-check applies to cycles with exactly one chord")
-    v1, vt = ch[0]
-    vs = cycle.vertices
-    i = vs.index(v1)
-    nbr_on_cycle = [vs[i - 1], vs[(i + 1) % len(vs)]]
-    vs_edge = (v1, min(nbr_on_cycle))
-    path = _path_from_cycle(cycle, vs_edge[0], vs_edge[1])
-    bound = internal_bound_vertices(g, path)
-    return {
-        "chord": ch[0],
-        "opened_edge": vs_edge,
-        "path": path.vertices,
-        "bound_vertices": tuple(sorted(bound)),
-        "unique_bound_is_far_endpoint": set(bound) == {vt},
-    }
 
 
 def verify_chords(g: Graph) -> ChordReport:
     """Minimum chord count over all longest cycles of a 3-connected cubic
-    graph; if a one-chord cycle ever showed up, the report would attach
-    the contradiction probe for it."""
+    graph, with the least longest cycle (by vertex sequence) among those
+    that attain it as the witness.  The paper proves the minimum is at
+    least 2, so a lower value is a violation the caller reports."""
     if not is_cubic(g):
         raise ValueError("graph is not cubic")
     if not connectivity_at_least(g, 3):
@@ -1161,13 +1138,9 @@ def verify_chords(g: Graph) -> ChordReport:
     counts = [(len(chords(g, c)), c) for c in cycles]
     counts.sort(key=lambda t: (t[0], t[1].vertices))
     min_chords, witness = counts[0]
-    cross = {}
-    if min_chords == 1:
-        cross = one_chord_cross_check(g, witness)
     return ChordReport(
         cycle_length=cycles[0].length,
         cycle_count=len(cycles),
         min_chords=min_chords,
         witness=witness.vertices,
-        cross_check=cross,
     )

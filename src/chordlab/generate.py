@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .search import Cycle
+from .search import Cycle, Path
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,4 @@ def random_simple_path(g: Graph, seed: int):
         seen.add(nxt)
     if len(path) < 2:
         return random_simple_path(g, seed + 10007)
-    from .search import Path
-
     return Path(tuple(path))

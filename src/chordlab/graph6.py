@@ -89,12 +89,6 @@ def stream_corpus(source):
             raise Graph6Error(str(exc), line=lineno) from None
 
 
-def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_edge_list(text: str) -> Graph:
     rows = [r for r in (line.strip() for line in text.splitlines()) if r]
     if not rows:

@@ -51,9 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degrees(self):
-        return tuple(len(a) for a in self.adj)
-
     def neighbors(self, v: int):
         return self.adj[v]
 

@@ -124,9 +124,6 @@ class PathReport:
     witnesses: tuple
     bound_sets: tuple
 
-    def min_bound_count(self) -> int:
-        return min(len(b) for b in self.bound_sets)
-
 
 def kernel_masks(g: Graph) -> tuple:
     """``g.masks`` after the limits every search kernel shares."""

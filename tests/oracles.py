@@ -154,7 +154,7 @@ def hamilton_cycles_naive(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# reference graph6 encoder (written against the format spec, not the parser)
+# reference encoders (written against the formats, not the parsers)
 
 
 def encode_graph6_reference(g: Graph) -> str:
@@ -173,12 +173,19 @@ def encode_graph6_reference(g: Graph) -> str:
     return "".join(chars)
 
 
+def edge_list_text(g: Graph) -> str:
+    """The edge-list format `read_edge_list` accepts: an "n m" header,
+    then one "u v" line per edge."""
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # backtracking isomorphism (independent of the library canonical form)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or sorted(g.degrees()) != sorted(h.degrees()):
+    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
         return False
     gm, hm = g.masks, h.masks
 
@@ -349,19 +356,33 @@ def labeled_cubic_graphs(n: int):
     return out
 
 
+def _vertex_invariant_key(g: Graph) -> tuple:
+    """Sorted per-vertex (edges among the neighbors, sorted common-neighbor
+    counts with every other vertex): equal for isomorphic graphs."""
+    nbrs = [set(a) for a in g.adj]
+    per_vertex = []
+    for v in range(g.n):
+        triangles = sum(1 for u in nbrs[v] for w in nbrs[v] if u < w and w in nbrs[u])
+        common = sorted(len(nbrs[v] & nbrs[u]) for u in range(g.n) if u != v)
+        per_vertex.append((triangles, tuple(common)))
+    return tuple(sorted(per_vertex))
+
+
 @lru_cache(maxsize=None)
 def connected_cubic_classes_by_pairing(n: int) -> tuple:
     """Connected cubic graphs on n vertices up to isomorphism, from the
-    pairing enumeration plus backtracking isomorphism rejection.  Cached:
-    the n=8 run takes about 20 s and two tests assert on it."""
-    from chordlab.graphs import _is_connected
-
+    pairing enumeration plus backtracking isomorphism rejection, run only
+    against earlier classes with the same vertex invariants.  Cached: two
+    tests assert on the n=8 run."""
     reps = []
+    by_key = {}
     for edges in labeled_cubic_graphs(n):
         g = Graph(n, edges)
-        if not _is_connected(g):
+        if not _connected_without(g, frozenset()):
             continue
-        if not any(are_isomorphic(g, r) for r in reps):
+        same_key = by_key.setdefault(_vertex_invariant_key(g), [])
+        if not any(are_isomorphic(g, r) for r in same_key):
+            same_key.append(g)
             reps.append(g)
     return tuple(reps)
 

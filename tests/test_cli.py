@@ -1,17 +1,27 @@
 import json
+import os
 import subprocess
 import sys
 
 import oracles
 from chordlab import kernels
 from chordlab.cli import main
-from chordlab.graph6 import write_edge_list, write_graph6
+from chordlab.graph6 import write_graph6
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """A fresh interpreter that imports the chordlab under test, whether
+    or not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_generate_counts(tmp_path, capsys):
@@ -90,10 +100,20 @@ def test_verify_deterministic_and_csv(tmp_path, capsys, corpus):
 
 def test_verify_parse_error_names_line(tmp_path, capsys):
     f = tmp_path / "bad.g6"
-    f.write_text(write_graph6(oracles.k4()) + "\nC\n")
+    k4 = write_graph6(oracles.k4())
+    # the blank line counts: the bad record is the file's fourth line
+    f.write_text(f"{k4}\n\n{k4}\nC\n")
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(
+        ["verify", "--mode", "zhan2", "--in", str(f), "--out", str(out)], capsys
+    )
+    assert code == 3
+    assert "line 4" in err
+    assert not out.exists()
+    f.write_bytes(k4.encode() + b"\n\xff\n")
     code, _, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
     assert code == 3
-    assert "line 2" in err
+    assert "line 2: byte 255" in err
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -147,7 +167,7 @@ def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 def test_extend_k33(tmp_path, capsys):
     f = tmp_path / "k33.txt"
-    f.write_text(write_edge_list(oracles.k33()))
+    f.write_text(oracles.edge_list_text(oracles.k33()))
     trace = tmp_path / "trace.json"
     code, out, err = run_cli(
         ["extend", "--graph", str(f), "--path", "0,4,1,3", "--trace", str(trace)],
@@ -196,11 +216,7 @@ def test_seed_env_override(capsys, monkeypatch):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chordlab.cli", "generate", "--n", "4"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "chordlab.cli", "generate", "--n", "4"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "C~"
 
@@ -219,6 +235,6 @@ def test_runs_on_the_standard_library_alone(tmp_path):
         "    assert main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'numba')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -15,7 +15,6 @@ from chordlab.extender import (
     MultiCycle,
     build_reduced_G2,
     compute_stats,
-    one_chord_cross_check,
     extend_path,
     extend_path_adjacent,
     find_direct_extension,
@@ -25,6 +24,7 @@ from chordlab.extender import (
     precheck,
     verify_chords,
     verify_zhan,
+    _attached_components,
     _path_from_cycle,
     _through_component,
 )
@@ -68,7 +68,8 @@ def test_precheck_gates():
 
 def test_direct_extension_k33():
     g = oracles.k33()
-    longer, cert = find_direct_extension(g, Path((0, 4, 1, 3)))
+    p = Path((0, 4, 1, 3))
+    longer, cert = find_direct_extension(g, p, _attached_components(g, p.vertices))
     assert cert is None
     longer.validate(g)
     assert longer.length >= 4
@@ -76,7 +77,7 @@ def test_direct_extension_k33():
 
 def test_direct_extension_certificate_branch():
     g, p = helpers.figure_host()
-    longer, cert = find_direct_extension(g, p)
+    longer, cert = find_direct_extension(g, p, _attached_components(g, p.vertices))
     assert longer is None
     # the lowest interior-only component: the block attached to {1, 8}
     assert cert == frozenset({14, 15, 16, 17})
@@ -98,7 +99,7 @@ def test_direct_extension_branch_matches_predicate():
             any(w in (p.x, p.y) for v in comp for w in g.neighbors(v) if w in on_path)
             for comp in comps
         )
-        longer, cert = find_direct_extension(g, p)
+        longer, cert = find_direct_extension(g, p, _attached_components(g, on_path))
         assert (longer is not None) == all_touch
         assert (cert is not None) == (not all_touch)
         checked += 1
@@ -165,7 +166,8 @@ def test_through_component_small_cases():
 def test_reduction_matches_figure():
     g, p = helpers.figure_host()
     comp3 = frozenset({18, 19, 20, 21})
-    rg = build_reduced_G2(g, p, frozenset({6}), [(comp3, (2, 3, 6))])
+    comps = _attached_components(g, p.vertices)
+    rg = build_reduced_G2(g, p, comps, frozenset({6}), [(comp3, (2, 3, 6))])
     tagged = sorted(
         (tuple(e), t) for e, t in zip(rg.edges, rg.tags) if t != "black"
     )
@@ -193,15 +195,14 @@ def test_reduction_hamilton_cycle_property():
         g, p = r
         from chordlab.extender import (
             _adjacent_attachment_splice,
-            _attached_components,
             _color_ring,
             _component_split,
         )
 
         # mirror the pipeline: the reduction only runs once the splice
         # branches have passed
-        direct, cert = find_direct_extension(g, p)
         comps = _attached_components(g, p.vertices)
+        direct, cert = find_direct_extension(g, p, comps)
         if direct is not None or _adjacent_attachment_splice(g, p, comps) is not None:
             continue
         red, triple_comps, endpoint = _component_split(comps, p.x, p.y)
@@ -209,7 +210,7 @@ def test_reduction_hamilton_cycle_property():
             a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
         else:
             a_set, triples = frozenset(), []
-        rg = build_reduced_G2(g, p, a_set, triples)
+        rg = build_reduced_G2(g, p, comps, a_set, triples)
         assert set(rg.cycle_vertices) == rg.verts
         for v in p.vertices[1:-1]:
             if v in rg.reps:
@@ -358,7 +359,8 @@ def test_tight_pipeline_end_to_end():
     g, p = _tight_host()
     assert precheck(g, p).kind == EXTENDABLE
     h1, h2 = frozenset({10}), frozenset({11})
-    rg = build_reduced_G2(g, p, frozenset({2, 7}), [(h1, (6, 8, 2)), (h2, (1, 3, 7))])
+    comps = _attached_components(g, p.vertices)
+    rg = build_reduced_G2(g, p, comps, frozenset({2, 7}), [(h1, (6, 8, 2)), (h2, (1, 3, 7))])
     cp = _tight_cover(rg)
     stats, runs = compute_stats(rg, cp)
     assert stats.dropped_vertices == 0 and stats.red_on_cycle == 0
@@ -648,15 +650,3 @@ def test_verify_chords_values():
     assert verify_chords(oracles.k4()).min_chords == 2
     rep = verify_chords(oracles.petersen())
     assert rep.min_chords == 3 and rep.cycle_length == 9
-
-
-def test_one_chord_cross_check_shape():
-    # a contrived one-chord longest cycle (not cubic; the helper is pure);
-    # pendants keep the other cycle vertices unbound off the opened path
-    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
-    edges += [(6, 1), (7, 2), (8, 4), (9, 5)]
-    g = Graph(10, edges)
-    c = Cycle(tuple(range(6)))
-    info = one_chord_cross_check(g, c)
-    assert info["chord"] == (0, 3)
-    assert info["unique_bound_is_far_endpoint"]

@@ -216,8 +216,11 @@ def test_random_simple_path_is_valid():
 
 @pytest.mark.slow
 def test_counts_against_pairing_oracle_n8():
+    mine = enumerate_cubic(8)
     reps = oracles.connected_cubic_classes_by_pairing(8)
-    assert len(reps) == 5
+    assert len(mine) == len(reps) == EXPECTED_CLASS_COUNTS[8]
+    for rep in reps:
+        assert sum(1 for g in mine if oracles.are_isomorphic(g, rep)) == 1
 
 
 @pytest.mark.slow
