@@ -177,6 +177,65 @@ def xy_sweep(masks, n, x):
     ]
 
 
+def adjacent_table(masks, n):
+    """Every cycle walked once, in ``_cycle_run``'s canonical form but
+    with no length cut and no reach pruning, filling the table of
+    adjacent pairs.
+
+    Returns a dict keyed by (x, y) with x < y for each edge xy on some
+    cycle: (longest length, least number of internal bound vertices, the
+    lexicographically least path attaining both), the same entry as
+    ``xy_sweep(masks, n, x)[y]``.  A longest (x,y)-path plus xy is a
+    longest cycle through xy, and the path is the cycle minus xy read
+    from x.  Its internal bound count depends only on the cycle's vertex
+    set S: |B(S)| - [x in B(S)] - [y in B(S)], with B(S) the vertices of
+    S whose neighbours all lie in S.  The sweep's first path in DFS order
+    is the least path in lexicographic order, since its children are
+    tried in ascending id.
+    """
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
+    table = {}
+    path = []
+
+    def close(pm):
+        cyc = tuple(path)
+        length = len(cyc) - 1
+        bm = 0
+        for u in cyc:
+            if masks[u] & ~pm == 0:
+                bm |= 1 << u
+        nb = bm.bit_count()
+        a = cyc[-1]
+        for i, b in enumerate(cyc):
+            x, y = (a, b) if a < b else (b, a)
+            mb = nb - ((bm >> x) & 1) - ((bm >> y) & 1)
+            cur = table.get((x, y))
+            if cur is None or length > cur[0] or (length == cur[0] and mb <= cur[1]):
+                wit = cyc[i:] + cyc[:i]  # b ... a: the cycle minus ab
+                if a < b:
+                    wit = wit[::-1]
+                if cur is None or length > cur[0] or mb < cur[1] or wit < cur[2]:
+                    table[(x, y)] = (length, mb, wit)
+            a = b
+
+    def visit(v, pm, s):
+        for w in nbrs[v]:
+            if w <= s or (pm >> w) & 1:
+                continue
+            path.append(w)
+            pm2 = pm | (1 << w)
+            if (masks[s] >> w) & 1 and len(path) > 2 and path[1] < w:
+                close(pm2)
+            visit(w, pm2, s)
+            path.pop()
+
+    for s in range(n):
+        path.append(s)
+        visit(s, 1 << s, s)
+        path.pop()
+    return table
+
+
 def warmup():
     """Nothing to prepare: the kernels are plain Python and compile nothing.
     Kept so that callers that warm up before timing need no special case."""

@@ -9,7 +9,7 @@ import oracles
 from chordlab import kernels
 from chordlab.errors import InvariantViolation
 from chordlab.extender import verify_zhan
-from chordlab.generate import random_cubic
+from chordlab.generate import enumerate_cubic, random_cubic
 from chordlab.graphs import connectivity_at_least
 from chordlab.search import longest_xy_paths
 
@@ -88,6 +88,34 @@ def test_sweep_table_every_end_vertex():
             for y in range(g.n):
                 if y != x:
                     assert table[y] == _reference(g, x, y), (x, y)
+
+
+def _check_adjacent_table(g):
+    """The cycle-walk table against the sweep, edge by edge."""
+    table = kernels.adjacent_table(g.masks, g.n)
+    edges = sorted(set(g.edges))
+    assert sorted(table) == edges
+    source = sweep = None
+    for x, y in edges:
+        if x != source:
+            source, sweep = x, kernels.xy_sweep(g.masks, g.n, x)
+        assert table[(x, y)] == sweep[y], (x, y)
+
+
+def test_adjacent_table_matches_sweep_on_corpus(corpus):
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    checked = [g for g in graphs if connectivity_at_least(g, 2)]
+    for g in checked:
+        _check_adjacent_table(g)
+    assert len(checked) > 80
+
+
+@pytest.mark.parametrize("n", range(14, 23, 2))
+def test_adjacent_table_matches_sweep_on_random(n):
+    checked = [g for g in (random_cubic(n, s) for s in range(4)) if connectivity_at_least(g, 2)]
+    for g in checked:
+        _check_adjacent_table(g)
+    assert checked
 
 
 def test_verify_zhan_keeps_kernel_limits():
