@@ -1077,9 +1077,11 @@ def _check_sweep_entry(g: Graph, x: int, y: int, entry):
 def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     """Minimum internal bound-vertex count over longest (x,y)-paths for
     every requested pair; threshold 1 for all pairs in 2-connected mode,
-    2 for adjacent pairs in 3-connected mode.  One exhaustive DFS per
-    source vertex (``kernels.xy_sweep``) fills the table, and every
-    witness it returns is re-checked before it is reported."""
+    2 for adjacent pairs in 3-connected mode.  For all pairs one
+    exhaustive DFS per source vertex (``kernels.xy_sweep``) fills the
+    table; for adjacent pairs one walk over every cycle
+    (``kernels.adjacent_table``) does.  Every entry is re-checked
+    before it is reported."""
     if mode not in ("all-pairs", "adjacent-pairs"):
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
     if not is_cubic(g):
@@ -1088,21 +1090,26 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
     threshold = 1 if mode == "all-pairs" else 2
+    masks = kernel_masks(g)
     if mode == "all-pairs":
         pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
     else:
         pairs = sorted(set(g.edges))
-    masks = kernel_masks(g)
+        cycle_table = kernels.adjacent_table(masks, g.n)
     results = {}
     violations = []
     minimum = None
     source = table = None
-    # pairs are sorted by x, so each source is swept once
     for x, y in pairs:
-        if x != source:
-            source, table = x, kernels.xy_sweep(masks, g.n, x)
-        _check_sweep_entry(g, x, y, table[y])
-        best, mb, wit = table[y]
+        if mode == "adjacent-pairs":
+            entry = cycle_table.get((x, y))
+        else:
+            # pairs are sorted by x, so each source is swept once
+            if x != source:
+                source, table = x, kernels.xy_sweep(masks, g.n, x)
+            entry = table[y]
+        _check_sweep_entry(g, x, y, entry)
+        best, mb, wit = entry
         results[(x, y)] = PairResult(best, mb, wit)
         if minimum is None or mb < minimum:
             minimum = mb

@@ -2,12 +2,12 @@
 
 All exact search funnels through the kernels below: longest (x,y)-path
 length/enumeration, longest-cycle length/enumeration (Hamilton cycles
-are the cycles of length n), and the per-source sweep that
-``verify_zhan`` reads.  Each takes the ``Graph.masks`` tuple (bit w of
-``adj[v]`` set iff vw is an edge) and returns Python ints or a list of
-vertex tuples.  Children are always tried in ascending vertex id, so
-every enumeration is deterministic and the row order is part of the
-output.
+are the cycles of length n), and the two tables ``verify_zhan`` reads:
+the per-source sweep for all pairs and the cycle walk for adjacent
+pairs.  Each takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set
+iff vw is an edge) and returns Python ints, a list of vertex tuples or a
+table.  Children are always tried in ascending vertex id, so every
+enumeration is deterministic and the row order is part of the output.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""The one-DFS-per-source sweep behind verify_zhan, checked against the
-per-pair search it replaced (longest_xy_paths) and the naive oracles, plus
-mutation checks showing that verify_zhan's re-validation catches a wrong
-sweep table."""
+"""The tables behind verify_zhan -- the one-DFS-per-source sweep for all
+pairs and the cycle walk for adjacent pairs -- checked against the
+per-pair search (longest_xy_paths), the naive oracles and each other,
+plus mutation checks showing that verify_zhan's re-validation catches a
+wrong entry from either kernel."""
 
 import pytest
 
@@ -118,6 +119,14 @@ def test_adjacent_table_matches_sweep_on_random(n):
     assert checked
 
 
+def test_adjacent_mode_never_sweeps(monkeypatch):
+    def refuse(masks, n, x):
+        raise AssertionError("xy_sweep called in adjacent-pairs mode")
+
+    monkeypatch.setattr(kernels, "xy_sweep", refuse)
+    assert verify_zhan(oracles.petersen(), "adjacent-pairs").minimum > 0
+
+
 def test_verify_zhan_keeps_kernel_limits():
     with pytest.raises(ValueError, match="n < 63"):
         verify_zhan(random_cubic(64, 0))
@@ -129,8 +138,8 @@ def test_verify_zhan_keeps_kernel_limits():
 
 def _patch_first_table(monkeypatch, mutate):
     """Replace the sweep by one whose first table (source 0) has its entry
-    for vertex 1 rewritten by ``mutate``.  When 01 is an edge, (0,1) is
-    the first pair verify_zhan reads in either mode."""
+    for vertex 1 rewritten by ``mutate``; (0,1) is the first pair
+    verify_zhan reads in all-pairs mode."""
     real = kernels.xy_sweep
     calls = []
 
@@ -142,6 +151,20 @@ def _patch_first_table(monkeypatch, mutate):
         return table
 
     monkeypatch.setattr(kernels, "xy_sweep", mutated)
+
+
+def _patch_cycle_table(monkeypatch, mutate):
+    """Replace the cycle-walk kernel by one whose entry for the edge (0,1),
+    the first pair verify_zhan reads in adjacent-pairs mode, is rewritten
+    by ``mutate``."""
+    real = kernels.adjacent_table
+
+    def mutated(masks, n):
+        table = real(masks, n)
+        table[(0, 1)] = mutate(*table[(0, 1)])
+        return table
+
+    monkeypatch.setattr(kernels, "adjacent_table", mutated)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +181,10 @@ def _patch_first_table(monkeypatch, mutate):
 def test_mutated_sweep_is_caught(monkeypatch, mutate, mode):
     g = oracles.petersen()
     assert g.has_edge(0, 1)
-    _patch_first_table(monkeypatch, mutate)
+    if mode == "all-pairs":
+        _patch_first_table(monkeypatch, mutate)
+    else:
+        _patch_cycle_table(monkeypatch, mutate)
     with pytest.raises(InvariantViolation) as info:
         verify_zhan(g, mode)
     assert info.value.step == "sweep"
