@@ -69,9 +69,10 @@ def _verify_one(args):
         if zhan_mode:
             rep = verify_zhan(g, zhan_mode)
             row["value"] = rep.minimum
-            if rep.violations:
-                (xy, wit) = rep.violations[0]
-                row["witness"] = {"pair": list(xy), "path": list(wit)}
+            # the first pair below this mode's threshold, in pairs order
+            xy = next((xy for xy, r in rep.pairs.items() if r.min_bound < threshold), None)
+            if xy:
+                row["witness"] = {"pair": list(xy), "path": list(rep.pairs[xy].witness)}
         else:
             rep = verify_chords(g)
             row["value"] = rep.min_chords

@@ -1,12 +1,18 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import oracles
-from chordlab import kernels
+from chordlab import cli, kernels
 from chordlab.cli import main
+from chordlab.extender import verify_zhan
 from chordlab.graph6 import write_graph6
+from chordlab.search import Cycle, Path, chords, internal_bound_vertices
 
 
 def run_cli(argv, capsys):
@@ -131,6 +137,64 @@ def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
         ["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"], capsys
     )
     assert serial == parallel
+
+
+def _recheck_witness(g, mode, witness):
+    """Re-validate a reported witness from scratch; return its internal
+    bound count (zhan modes) or chord count (chords)."""
+    if mode == "chords":
+        cyc = Cycle(tuple(witness["cycle"])).validate(g)
+        assert cyc.length == kernels.longest_cycle_length(g.masks, g.n)
+        return len(chords(g, cyc))
+    x, y = witness["pair"]
+    p = Path(tuple(witness["path"]))
+    assert (p.x, p.y) == (x, y) and x < y
+    if mode == "zhan3adj":
+        assert g.has_edge(x, y)
+    assert p.length == kernels.longest_xy_length(g.masks, g.n, x, y)
+    return len(internal_bound_vertices(g, p))  # validates the path
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))
+def test_verify_reports_violations(tmp_path, capsys, monkeypatch, corpus, mode, fmt):
+    """With a mode's threshold raised to the corpus maximum, every row
+    below it, and no other row, carries one witness that re-validates and
+    the run exits 1."""
+    graphs = [g for n in sorted(corpus) for g in corpus[n]]
+    f = _write_corpus(tmp_path, graphs)
+    code, out, _ = run_cli(["verify", "--mode", mode, "--in", str(f)], capsys)
+    assert code == 0
+    values = [r["value"] for r in json.loads(out)["rows"] if r["value"] is not None]
+    threshold = max(values)
+    assert min(values) < threshold
+    need, _, zhan_mode = cli._MODES[mode]
+    monkeypatch.setitem(cli._MODES, mode, (need, threshold, zhan_mode))
+    code, out, _ = run_cli(["verify", "--mode", mode, "--in", str(f), "--format", fmt], capsys)
+    assert code == 1
+    if fmt == "json":
+        rep = json.loads(out)
+        assert rep["threshold"] == threshold
+        assert rep["violations"] == sum(1 for v in values if v < threshold)
+        rows = rep["rows"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            row["value"] = int(row["value"]) if row["value"] else None
+            row["witness"] = json.loads(row["witness"]) if row["witness"] else None
+    assert len(rows) == len(graphs)
+    for g, row in zip(graphs, rows):
+        assert row["graph6"] == write_graph6(g)
+        if row["value"] is None or row["value"] >= threshold:
+            assert row["witness"] is None, row
+            continue
+        assert row["witness"] is not None, row
+        assert _recheck_witness(g, mode, row["witness"]) < threshold
+        if zhan_mode:
+            # the first violating pair in the report's pair order
+            pairs = verify_zhan(g, zhan_mode).pairs
+            first = next(xy for xy, r in pairs.items() if r.min_bound < threshold)
+            assert tuple(row["witness"]["pair"]) == first
 
 
 def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
