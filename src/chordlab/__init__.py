@@ -18,13 +18,8 @@ from .extender import (
     verify_chords,
     verify_zhan,
 )
-from .generate import (
-    enumerate_cubic,
-    gen_cycle_plus_instance,
-    gen_lemma_instance,
-    random_cubic,
-)
-from .second_cycle import second_hamilton_cycle, verify_parity_lemma
+from .generate import enumerate_cubic, random_cubic
+from .second_cycle import second_hamilton_cycle
 from .search import (
     Cycle,
     Path,
@@ -54,12 +49,9 @@ __all__ = [
     "chords",
     "enumerate_cubic",
     "random_cubic",
-    "gen_lemma_instance",
-    "gen_cycle_plus_instance",
     "subdivision_transform",
     "three_color_cycle_plus",
     "pick_color_class",
-    "verify_parity_lemma",
     "second_hamilton_cycle",
     "precheck",
     "extend_path",

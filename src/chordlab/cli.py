@@ -1,11 +1,13 @@
-"""Command-line surface: corpus generation, exhaustive verification,
-single-graph extension runs, and the lemma property suites.
+"""Command-line surface: corpus generation, exhaustive verification and
+single-graph extension runs.
 
 Exit codes: 0 success, 1 a verified statement fell below its threshold
 (which would mean a bug, not a counterexample), 2 usage, 3 I/O or parse
 failure, 4 internal error (a checked invariant failed; the message names
-the step).  Reports are deterministic for identical inputs and seeds; wall
-times are only attached under --timings since they would break that.
+the step, and under `verify` the graph and its input line).  Reports are
+deterministic for identical inputs; wall times are only attached under
+--timings since they would break that.  The library states the paper's
+thresholds once, in `_MODES`.
 """
 
 from __future__ import annotations
@@ -14,29 +16,22 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .coloring import three_color_cycle_plus
 from .errors import InvariantViolation
 from .extender import EXTENDABLE, extend_path, precheck, verify_chords, verify_zhan
-from .generate import gen_cycle_plus_instance, gen_lemma_instance, enumerate_cubic
+from .generate import enumerate_cubic
 from .graph6 import Graph6Error, load_graph_text, stream_corpus, write_graph6
 from .graphs import connectivity_at_least, is_cubic
 from .search import Path
-from .second_cycle import build_support_graph, second_hamilton_cycle, verify_parity_lemma
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CHORDLAB_SEED", "0"))
 
 
 def _connectivity_class(g) -> int:
@@ -95,6 +90,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         # latin-1 keeps every byte, so the parser names a non-ASCII one
         # and its line; line numbers count blank lines
@@ -105,11 +102,21 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     tasks = [(lines[lineno - 1].strip(), g, args.mode, args.timings) for lineno, g in corpus]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_verify_one, tasks))  # map keeps input order
-    else:
-        rows = [_verify_one(t) for t in tasks]
+    workers = min(args.jobs, len(tasks))
+    rows = []
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for row in pool.map(_verify_one, tasks):  # map keeps input order
+                    rows.append(row)
+        else:
+            for task in tasks:
+                rows.append(_verify_one(task))
+    except InvariantViolation as exc:
+        # the rows so far are those of the tasks before the failing one
+        line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]
+        print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
     threshold = _MODES[args.mode][1]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)
@@ -179,92 +186,6 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _parse_krange(spec: str):
-    lo, _, hi = spec.partition("..")
-    lo, hi = int(lo), int(hi or lo)
-    if lo < 2 or hi < lo:
-        raise ValueError(f"bad k range {spec!r}")
-    return range(lo, hi + 1)
-
-
-def cmd_lemmas(args) -> int:
-    base = _default_seed()
-    krange = list(_parse_krange(args.krange))
-    failures = 0
-    if args.which == "coloring":
-        sizes = list(range(6, 25))
-        for i in range(args.seeds):
-            seed = base + i
-            n = sizes[i % len(sizes)]
-            g, cyc = gen_cycle_plus_instance(n, seed)
-            try:
-                coloring = three_color_cycle_plus(g, cyc)
-                assert all(coloring[u] != coloring[v] for u, v in g.edges)
-            except Exception as exc:
-                failures += 1
-                print(f"seed {seed} n={n}: FAIL ({exc})", file=sys.stderr)
-        print(f"coloring: {args.seeds - failures}/{args.seeds} pass")
-    elif args.which == "parity":
-        for i in range(args.seeds):
-            seed = base + i
-            k = krange[i % len(krange)]
-            inst = gen_lemma_instance(k, seed)
-            g1, _ = build_support_graph(inst)
-            rep = verify_parity_lemma(g1, inst.a_set)
-            if not (rep.all_even and rep.preserved):
-                failures += 1
-                print(f"seed {seed} k={k}: FAIL {rep.checked_edges}", file=sys.stderr)
-        print(f"parity: {args.seeds - failures}/{args.seeds} pass")
-    else:
-        for i in range(args.seeds):
-            seed = base + i
-            k = krange[i % len(krange)]
-            inst = gen_lemma_instance(k, seed)
-            x, xy = _pick_lemma_edge(inst)
-            try:
-                cert = second_hamilton_cycle(inst, x, xy)
-                _recheck_certificate(inst, x, xy, cert)
-            except Exception as exc:
-                failures += 1
-                print(f"seed {seed} k={k}: FAIL ({exc})", file=sys.stderr)
-        print(f"second-cycle: {args.seeds - failures}/{args.seeds} pass")
-    return EXIT_VIOLATION if failures else EXIT_OK
-
-
-def _pick_lemma_edge(inst):
-    last = inst.components[-1]
-    x = last[0]
-    vs = inst.cycle.vertices
-    i = vs.index(x)
-    inside = set(zip(last, last[1:])) | set(zip(last[1:], last))
-    for cand in (vs[i - 1], vs[(i + 1) % len(vs)]):
-        if (x, cand) not in inside and (cand, x) not in inside:
-            return x, cand
-    raise ValueError("no cycle edge at the arc endpoint outside the arc")
-
-
-def _recheck_certificate(inst, x, y, cert):
-    c1 = cert.c_prime
-    c1.validate(inst.g)
-    if c1.length != inst.g.n:
-        raise AssertionError("certificate cycle is not Hamilton")
-    if c1 == inst.cycle:
-        raise AssertionError("certificate cycle equals the base cycle")
-    key = (min(x, y), max(x, y))
-    if key not in c1.edge_set():
-        raise AssertionError("certificate cycle misses the designated edge")
-    drop = inst.a_set
-    off1 = {e for e in c1.edge_pairs() if e[0] not in drop and e[1] not in drop}
-    off0 = {e for e in inst.cycle.edge_pairs() if e[0] not in drop and e[1] not in drop}
-    if off1 != off0:
-        raise AssertionError("certificate cycle moved off A")
-    v = cert.exchange_vertex
-    base = inst.cycle.edge_set()
-    incident = [e for e in c1.edge_pairs() if v in e]
-    if sum(1 for e in incident if e in base) != 1:
-        raise AssertionError("exchange vertex does not have the one-in-one-out shape")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chordlab",
@@ -291,12 +212,6 @@ def main(argv=None) -> int:
     e.add_argument("--path", required=True, help='comma-separated ids, e.g. "0,4,1,3"')
     e.add_argument("--trace")
     e.set_defaults(fn=cmd_extend)
-
-    l = sub.add_parser("lemmas", help="run the seeded lemma property suites")
-    l.add_argument("--which", choices=("coloring", "parity", "second-cycle"), required=True)
-    l.add_argument("--seeds", type=int, default=100)
-    l.add_argument("--k", dest="krange", default="2..4")
-    l.set_defaults(fn=cmd_lemmas)
 
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 """Test-universe generation: all connected cubic graphs up to isomorphism
-at small n, random cubic graphs, and synthetic instances for the
-Hamilton-cycle lemmas.
+at small n, random cubic graphs and random simple paths, and the
+`LemmaInstance` shape that the Hamilton-cycle lemmas run on (the extender
+builds these; the seeded generators live with the tests).
 
 The exhaustive enumeration is an orderly search (McKay, *Isomorph-free
 exhaustive generation*, J. Algorithms 1998) over column codes.  A labeled
@@ -196,7 +197,7 @@ def random_cubic(n: int, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# lemma instances
+# lemma instances and random paths
 
 
 @dataclass(frozen=True)
@@ -245,74 +246,6 @@ class LemmaInstance:
                         f"endpoint {end} of a non-final arc has no chord to A"
                     )
         return self
-
-
-def gen_lemma_instance(k: int, seed: int) -> LemmaInstance:
-    """Seeded instance: A spread around a cycle separating k arcs, chords
-    wired from non-final arc endpoints to A."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    rng = random.Random(k * 1_000_003 + seed)
-    # a singleton arc's endpoint sits between two class vertices, so at
-    # k = 2 it would have no chord target; keep non-final arcs longer then
-    low = 2 if k == 2 else 1
-    sizes = [rng.choice(tuple(range(low, 4))) for _ in range(k - 1)]
-    sizes.append(rng.choice((1, 2, 3)))
-    order = []
-    components = []
-    a_set = []
-    for size in sizes:
-        arc = []
-        for _ in range(size):
-            arc.append(len(order))
-            order.append(len(order))
-        a_set.append(len(order))
-        order.append(len(order))
-        components.append(tuple(arc))
-    n = len(order)
-    cycle_edges = [(i, (i + 1) % n) for i in range(n)]
-    cyc_keys = {(min(u, v), max(u, v)) for u, v in cycle_edges}
-    chords = set()
-    for comp in components[:-1]:
-        for end in {comp[0], comp[-1]}:
-            targets = [
-                a for a in a_set
-                if (min(end, a), max(end, a)) not in cyc_keys
-            ]
-            t = rng.choice(targets)
-            chords.add((min(end, t), max(end, t)))
-    g = Graph(n, cycle_edges + sorted(chords))
-    inst = LemmaInstance(
-        g=g,
-        cycle=Cycle(tuple(range(n))),
-        a_set=frozenset(a_set),
-        components=tuple(components),
-    )
-    return inst.check()
-
-
-def gen_cycle_plus_instance(n: int, seed: int):
-    """Seeded Hamilton cycle plus vertex-disjoint triangles / order-3
-    paths packed on it; returns (graph, hamilton cycle)."""
-    if n < 6:
-        raise ValueError(f"n must be >= 6, got {n}")
-    rng = random.Random(n * 1_000_003 + seed)
-    cycle_edges = [(i, (i + 1) % n) for i in range(n)]
-    cyc_keys = {(min(u, v), max(u, v)) for u, v in cycle_edges}
-    verts = list(range(n))
-    rng.shuffle(verts)
-    extra = []
-    while len(verts) >= 3:
-        tri = sorted((verts.pop(), verts.pop(), verts.pop()))
-        pairs = list(itertools.combinations(tri, 2))
-        on_cycle = sum(1 for p in pairs if p in cyc_keys)
-        if on_cycle >= 2:
-            continue
-        if rng.random() < 0.2:
-            continue
-        extra.extend(p for p in pairs if p not in cyc_keys)
-    g = Graph(n, cycle_edges + extra)
-    return g, Cycle(tuple(range(n)))
 
 
 def random_simple_path(g: Graph, seed: int):

@@ -1,12 +1,15 @@
-"""Seeded instance builders shared by the extender tests and acceptance."""
+"""Seeded instance builders shared by the extender tests, the lemma
+tests and acceptance."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from chordlab.extender import EXTENDABLE, precheck
+from chordlab.generate import LemmaInstance
 from chordlab.graphs import Graph, connectivity_at_least, is_cubic
-from chordlab.search import Path
+from chordlab.search import Cycle, Path
 
 
 def gen_extendable_host(seed: int):
@@ -129,3 +132,71 @@ def figure_host():
     edges += [(18, 19), (19, 20), (20, 21), (18, 21), (2, 18), (3, 19), (6, 20), (9, 21)]
     edges += [(22, 23), (23, 24), (24, 25), (22, 25), (10, 22), (10, 23), (4, 24), (7, 25)]
     return Graph(26, edges), Path(tuple(range(11)))
+
+
+def gen_lemma_instance(k: int, seed: int) -> LemmaInstance:
+    """Seeded instance: A spread around a cycle separating k arcs, chords
+    wired from non-final arc endpoints to A."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    rng = random.Random(k * 1_000_003 + seed)
+    # a singleton arc's endpoint sits between two class vertices, so at
+    # k = 2 it would have no chord target; keep non-final arcs longer then
+    low = 2 if k == 2 else 1
+    sizes = [rng.choice(tuple(range(low, 4))) for _ in range(k - 1)]
+    sizes.append(rng.choice((1, 2, 3)))
+    order = []
+    components = []
+    a_set = []
+    for size in sizes:
+        arc = []
+        for _ in range(size):
+            arc.append(len(order))
+            order.append(len(order))
+        a_set.append(len(order))
+        order.append(len(order))
+        components.append(tuple(arc))
+    n = len(order)
+    cycle_edges = [(i, (i + 1) % n) for i in range(n)]
+    cyc_keys = {(min(u, v), max(u, v)) for u, v in cycle_edges}
+    chords = set()
+    for comp in components[:-1]:
+        for end in {comp[0], comp[-1]}:
+            targets = [
+                a for a in a_set
+                if (min(end, a), max(end, a)) not in cyc_keys
+            ]
+            t = rng.choice(targets)
+            chords.add((min(end, t), max(end, t)))
+    g = Graph(n, cycle_edges + sorted(chords))
+    inst = LemmaInstance(
+        g=g,
+        cycle=Cycle(tuple(range(n))),
+        a_set=frozenset(a_set),
+        components=tuple(components),
+    )
+    return inst.check()
+
+
+def gen_cycle_plus_instance(n: int, seed: int):
+    """Seeded Hamilton cycle plus vertex-disjoint triangles / order-3
+    paths packed on it; returns (graph, hamilton cycle)."""
+    if n < 6:
+        raise ValueError(f"n must be >= 6, got {n}")
+    rng = random.Random(n * 1_000_003 + seed)
+    cycle_edges = [(i, (i + 1) % n) for i in range(n)]
+    cyc_keys = {(min(u, v), max(u, v)) for u, v in cycle_edges}
+    verts = list(range(n))
+    rng.shuffle(verts)
+    extra = []
+    while len(verts) >= 3:
+        tri = sorted((verts.pop(), verts.pop(), verts.pop()))
+        pairs = list(itertools.combinations(tri, 2))
+        on_cycle = sum(1 for p in pairs if p in cyc_keys)
+        if on_cycle >= 2:
+            continue
+        if rng.random() < 0.2:
+            continue
+        extra.extend(p for p in pairs if p not in cyc_keys)
+    g = Graph(n, cycle_edges + extra)
+    return g, Cycle(tuple(range(n)))

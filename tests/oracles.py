@@ -5,16 +5,22 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check.
+kernels it is used to check.  The one exception is the parity-lemma
+check at the end: it counts Hamilton cycles with the library's
+`hamilton_cycles`, which `test_search.py` checks against a DFS oracle on
+the same support graphs.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from chordlab.graphs import Graph
+from chordlab.graphs import Graph, components_after_deletion
+from chordlab.search import hamilton_cycles
+from chordlab.second_cycle import _edges_minus_vertices
 
 # ---------------------------------------------------------------------------
 # graph zoo
@@ -528,3 +534,90 @@ def vertex_connectivity_menger(g: Graph) -> int:
             if not g.has_edge(s, t):
                 best = min(best, max_disjoint(s, t))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the parity lemma: designated edges lie on evenly many Hamilton cycles
+
+
+def _path_component_endpoints(g: Graph, comp) -> tuple:
+    """Endpoints of a component known to induce a path (a singleton is its
+    own endpoint pair)."""
+    comp = set(comp)
+    inside_deg = {v: sum(1 for w in g.neighbors(v) if w in comp) for v in comp}
+    if any(d > 2 for d in inside_deg.values()):
+        raise ValueError("component is not a path")
+    ends = sorted(v for v, d in inside_deg.items() if d <= 1)
+    if len(comp) == 1:
+        return (ends[0], ends[0])
+    if len(ends) != 2 or sum(inside_deg.values()) != 2 * (len(comp) - 1):
+        raise ValueError("component is not a path")
+    return (ends[0], ends[1])
+
+
+@dataclass(frozen=True)
+class ParityReport:
+    checked_edges: tuple        # ((u, v), hamilton count) pairs
+    all_even: bool
+    preserved: bool             # every Hamilton cycle leaves C - A intact
+    distinguished: tuple
+    hamilton_count: int
+
+
+def verify_parity_lemma(g: Graph, a_set) -> ParityReport:
+    """Check the parity lemma on a graph with |A| path components off A:
+    every edge outside the distinguished component (the one with an
+    even-degree endpoint, else the last) incident to one of its endpoints
+    lies on an even number of Hamilton cycles, and all Hamilton cycles
+    agree off A."""
+    a_set = frozenset(a_set)
+    if len(a_set) < 2:
+        raise ValueError("the parity hypotheses need |A| >= 2")
+    comps = components_after_deletion(g, a_set)
+    if len(comps) != len(a_set):
+        raise ValueError(
+            f"G - A has {len(comps)} components, expected |A| = {len(a_set)}"
+        )
+    ends = {comp: _path_component_endpoints(g, comp) for comp in comps}
+    evens = [
+        comp for comp in comps
+        if any(g.degree(v) % 2 == 0 for v in ends[comp])
+    ]
+    if len(evens) > 1:
+        raise ValueError("more than one component has even-degree endpoints")
+    distinguished = evens[0] if evens else comps[-1]
+    for comp in comps:
+        if comp == distinguished:
+            continue
+        for v in set(ends[comp]):
+            if g.degree(v) % 2 == 0:
+                raise ValueError(
+                    f"endpoint {v} of a non-distinguished component has even degree"
+                )
+    h_all = hamilton_cycles(g)
+    comp_vertices = set(distinguished)
+    inside = {
+        (min(u, v), max(u, v))
+        for u in comp_vertices for v in g.neighbors(u) if v in comp_vertices
+    }
+    checked = []
+    for v in sorted(set(ends[distinguished])):
+        for w in sorted(set(g.neighbors(v))):
+            key = (min(v, w), max(v, w))
+            if key in inside:
+                continue
+            count = sum(1 for h in h_all if key in h.edge_set())
+            checked.append((key, count))
+    preserved = True
+    if h_all:
+        base = _edges_minus_vertices(h_all[0].edge_pairs(), a_set)
+        preserved = all(
+            _edges_minus_vertices(h.edge_pairs(), a_set) == base for h in h_all
+        )
+    return ParityReport(
+        checked_edges=tuple(checked),
+        all_even=all(c % 2 == 0 for _, c in checked),
+        preserved=preserved,
+        distinguished=tuple(sorted(distinguished)),
+        hamilton_count=len(h_all),
+    )

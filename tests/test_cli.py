@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from chordlab import cli, kernels
 from chordlab.cli import main
 from chordlab.extender import verify_zhan
 from chordlab.graph6 import write_graph6
+from chordlab.graphs import connectivity_at_least
 from chordlab.search import Cycle, Path, chords, internal_bound_vertices
 
 
@@ -216,6 +218,76 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: sweep: pair (0,1)")
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, corpus, jobs):
+    """An internal error during verify names the graph6 record and its
+    input line, serially and from a pool worker alike."""
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched kernel only when forked")
+    real = kernels.adjacent_table
+
+    def bumped(masks, n):
+        table = real(masks, n)
+        xy = min(table)
+        best, mb, wit = table[xy]
+        table[xy] = (best, mb + 1, wit)
+        return table
+
+    monkeypatch.setattr(kernels, "adjacent_table", bumped)
+    f = tmp_path / "c8.g6"
+    # a leading blank line: input lines count it, graphs do not
+    f.write_text("\n" + "".join(write_graph6(g) + "\n" for g in corpus[8]))
+    first = next(i for i, g in enumerate(corpus[8]) if connectivity_at_least(g, 3))
+    argv = ["verify", "--mode", "zhan3adj", "--in", str(f), "--jobs", jobs]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: sweep: pair (")
+    assert err.endswith(f"(graph {write_graph6(corpus[8][first])}, input line {first + 2})\n")
+
+
+@pytest.mark.parametrize("jobs", ("0", "-3"))
+def test_verify_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    f = _write_corpus(tmp_path, [oracles.k4()])
+    code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", jobs], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--jobs must be at least 1, got {jobs}" in err
+
+
+def test_verify_pool_has_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch, corpus):
+    """--jobs larger than the corpus starts one worker per graph, one
+    graph runs without a pool, and an empty corpus gives a zero-row
+    report."""
+    started = []
+
+    class Recorder:
+        # stands in for the pool: records its size and maps in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    for graphs, pools in ((corpus[8][:3], [3]), (corpus[8][:1], []), ([], [])):
+        started.clear()
+        f = _write_corpus(tmp_path, graphs)
+        code, serial, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "8"], capsys)
+        assert code == 0
+        assert started == pools
+        assert out == serial
+        assert json.loads(out)["graphs"] == len(json.loads(out)["rows"]) == len(graphs)
+
+
 def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
     """A failed 3-coloring is an internal error like any other invariant."""
     from chordlab import coloring
@@ -259,24 +331,13 @@ def test_extend_malformed_path(tmp_path, capsys):
     assert code == 2
 
 
-def test_lemmas_suites(capsys):
-    for which in ("parity", "second-cycle", "coloring"):
-        code, out, _ = run_cli(["lemmas", "--which", which, "--seeds", "8"], capsys)
-        assert code == 0
-        assert "8/8 pass" in out
-
-
-def test_lemmas_krange(capsys):
-    code, out, _ = run_cli(
-        ["lemmas", "--which", "parity", "--seeds", "6", "--k", "3..4"], capsys
-    )
-    assert code == 0
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CHORDLAB_SEED", "17")
-    code, out, _ = run_cli(["lemmas", "--which", "parity", "--seeds", "4"], capsys)
-    assert code == 0
+def test_lemmas_subcommand_is_gone(capsys):
+    """The lemma suites run in the tests alone: the command line has
+    generate, verify and extend, and rejects anything else as usage."""
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--which", "parity"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lemmas'" in capsys.readouterr().err
 
 
 def test_console_entry_point():

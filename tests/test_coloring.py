@@ -6,9 +6,9 @@ from chordlab.coloring import (
     three_color_cycle_plus,
 )
 from chordlab.errors import InvariantViolation
-from chordlab.generate import gen_cycle_plus_instance
 from chordlab.graphs import Graph
 from chordlab.search import Cycle
+from helpers import gen_cycle_plus_instance
 
 
 def _proper(g, coloring):

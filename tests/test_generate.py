@@ -12,13 +12,12 @@ from chordlab.generate import (
     _completable,
     _is_max_code,
     enumerate_cubic,
-    gen_cycle_plus_instance,
-    gen_lemma_instance,
     random_cubic,
     random_simple_path,
 )
 from chordlab.graph6 import parse_graph6
 from chordlab.graphs import _is_connected, is_cubic
+from helpers import gen_cycle_plus_instance, gen_lemma_instance
 from oracles import automorphism_count, canonical_code
 
 
@@ -214,7 +213,6 @@ def test_random_simple_path_is_valid():
         assert p.length >= 1
 
 
-@pytest.mark.slow
 def test_counts_against_pairing_oracle_n8():
     mine = enumerate_cubic(8)
     reps = oracles.connected_cubic_classes_by_pairing(8)
@@ -223,7 +221,6 @@ def test_counts_against_pairing_oracle_n8():
         assert sum(1 for g in mine if oracles.are_isomorphic(g, rep)) == 1
 
 
-@pytest.mark.slow
 def test_counts_n14_optional_tier(tmp_path):
     text = _generate(14, tmp_path)
     assert hashlib.sha256(text).hexdigest() == GENERATE_SHA256[14]

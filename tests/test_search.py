@@ -3,7 +3,6 @@ import pytest
 import oracles
 from chordlab import kernels
 from chordlab.extender import verify_chords
-from chordlab.generate import gen_lemma_instance
 from chordlab.graphs import Graph
 from chordlab.search import (
     Cycle,
@@ -15,6 +14,7 @@ from chordlab.search import (
     longest_xy_paths,
 )
 from chordlab.second_cycle import build_support_graph
+from helpers import gen_lemma_instance
 
 
 def test_k4_adjacent_pair():

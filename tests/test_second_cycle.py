@@ -1,16 +1,13 @@
 import pytest
 
 from chordlab import second_cycle
-from chordlab.cli import main
 from chordlab.errors import InvariantViolation
-from chordlab.generate import LemmaInstance, gen_lemma_instance
+from chordlab.generate import LemmaInstance
 from chordlab.graphs import Graph
 from chordlab.search import Cycle, hamilton_cycles
-from chordlab.second_cycle import (
-    build_support_graph,
-    second_hamilton_cycle,
-    verify_parity_lemma,
-)
+from chordlab.second_cycle import build_support_graph, second_hamilton_cycle
+from helpers import gen_lemma_instance
+from oracles import verify_parity_lemma
 
 
 def spec_instance():
@@ -155,16 +152,6 @@ def test_missing_turning_vertex_is_an_internal_error(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         second_hamilton_cycle(spec_instance(), x=5, y=4)
     assert exc.value.step == "second-cycle"
-
-
-def test_lemma_suite_fails_without_turning_vertex(monkeypatch, capsys):
-    monkeypatch.setattr(
-        second_cycle, "_satisfies_turning_condition", lambda *args: None
-    )
-    assert main(["lemmas", "--which", "second-cycle", "--seeds", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "second-cycle: 0/3 pass\n"
-    assert err.count("FAIL (second-cycle:") == 3
 
 
 def test_second_cycle_validates_inputs():
