@@ -8,6 +8,10 @@ pairs.  Each takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set
 iff vw is an edge) and returns Python ints, a list of vertex tuples or a
 table.  Children are always tried in ascending vertex id, so every
 enumeration is deterministic and the row order is part of the output.
+
+Every cycle query is one unpruned recursive walk over all cycles
+(``_cycle_walk``); only the per-pair (x,y) search keeps list stacks and
+the reach bound (``_reach``).
 """
 
 from __future__ import annotations
@@ -73,45 +77,50 @@ def _xy_run(adj, n, x, y, target):
     return best if target is None else rows
 
 
-def _cycle_run(adj, n, target):
-    """Cycles in canonical form: minimum vertex first, second < last.
+def _cycle_walk(masks, n, close):
+    """Every cycle walked once in canonical form: minimum vertex first,
+    second vertex below the last, children in ascending id order.
 
-    target None: return the longest cycle length (0 when acyclic); else:
-    return the cycles of exactly ``target`` vertices as vertex tuples.
+    Calls ``close(path, pm)`` on each cycle, with ``path`` the vertex list
+    (reused by the walk: copy what you keep) and ``pm`` its vertex mask.
+    Cubic graphs have few cycles, so no pruning is needed.
     """
-    best = 0
-    need = 1 if target is None else target
-    rows = []
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
+    path = []
+
+    def visit(v, pm, s):
+        for w in nbrs[v]:
+            if w <= s or (pm >> w) & 1:
+                continue
+            path.append(w)
+            pm2 = pm | (1 << w)
+            if (masks[s] >> w) & 1 and len(path) > 2 and path[1] < w:
+                close(path, pm2)
+            visit(w, pm2, s)
+            path.pop()
+
     for s in range(n):
-        gt = ~((1 << (s + 1)) - 1)
-        sadj = adj[s]
-        path = [s]
-        cands = [sadj & gt]
-        visited = 1 << s
-        while cands:
-            c = cands[-1]
-            if not c:
-                cands.pop()
-                visited ^= 1 << path.pop()
-                continue
-            b = c & -c
-            cands[-1] = c ^ b
-            v = b.bit_length() - 1
-            if (sadj >> v) & 1 and len(path) >= 2 and path[1] < v:
-                length = len(path) + 1
-                if target is None:
-                    if length > best:
-                        best, need = length, length + 1
-                elif length == target:
-                    rows.append((*path, v))
-            visited2 = visited | b
-            reach = _reach(adj, v, gt & ~visited2)
-            if not reach & sadj or len(path) + reach.bit_count() < need:
-                continue
-            path.append(v)
-            cands.append(adj[v] & gt & ~visited2)
-            visited = visited2
-    return best if target is None else rows
+        path.append(s)
+        visit(s, 1 << s, s)
+        path.pop()
+
+
+def _cycle_rows(adj, n, length):
+    """The cycles of ``length`` vertices as tuples in walk order; with
+    length None, those of the greatest length (none when acyclic)."""
+    rows = []
+    want = 3 if length is None else length
+
+    def close(path, pm):
+        nonlocal want
+        if len(path) == want:
+            rows.append(tuple(path))
+        elif length is None and len(path) > want:
+            want = len(path)
+            rows[:] = [tuple(path)]
+
+    _cycle_walk(adj, n, close)
+    return rows
 
 
 def longest_xy_length(adj, n, x, y) -> int:
@@ -123,15 +132,16 @@ def xy_paths_of_length(adj, n, x, y, length) -> list:
 
 
 def longest_cycle_length(adj, n) -> int:
-    return _cycle_run(adj, n, None)
+    rows = _cycle_rows(adj, n, None)
+    return len(rows[0]) if rows else 0
 
 
 def cycles_of_length(adj, n, length) -> list:
-    return _cycle_run(adj, n, length)
+    return _cycle_rows(adj, n, length)
 
 
 def hamilton_cycle_rows(adj, n) -> list:
-    return _cycle_run(adj, n, n)
+    return _cycle_rows(adj, n, n)
 
 
 def xy_sweep(masks, n, x):
@@ -178,8 +188,7 @@ def xy_sweep(masks, n, x):
 
 
 def adjacent_table(masks, n):
-    """Every cycle walked once, in ``_cycle_run``'s canonical form but
-    with no length cut and no reach pruning, filling the table of
+    """Every cycle walked once (``_cycle_walk``), filling the table of
     adjacent pairs.
 
     Returns a dict keyed by (x, y) with x < y for each edge xy on some
@@ -193,11 +202,9 @@ def adjacent_table(masks, n):
     is the least path in lexicographic order, since its children are
     tried in ascending id.
     """
-    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
     table = {}
-    path = []
 
-    def close(pm):
+    def close(path, pm):
         cyc = tuple(path)
         length = len(cyc) - 1
         bm = 0
@@ -218,21 +225,7 @@ def adjacent_table(masks, n):
                     table[(x, y)] = (length, mb, wit)
             a = b
 
-    def visit(v, pm, s):
-        for w in nbrs[v]:
-            if w <= s or (pm >> w) & 1:
-                continue
-            path.append(w)
-            pm2 = pm | (1 << w)
-            if (masks[s] >> w) & 1 and len(path) > 2 and path[1] < w:
-                close(pm2)
-            visit(w, pm2, s)
-            path.pop()
-
-    for s in range(n):
-        path.append(s)
-        visit(s, 1 << s, s)
-        path.pop()
+    _cycle_walk(masks, n, close)
     return table
 
 

@@ -2,10 +2,10 @@
 cycles, bound-vertex detection and chord counting.
 
 Exactness matters here: the verified statements quantify over *longest*
-paths and cycles, so everything is exhaustive branch-and-bound, never
-heuristic.  Witness enumeration dedupes by direction (a path and its
-reverse count once; cycles are stored min-vertex-first with the smaller
-neighbor second).
+paths and cycles, so every search is exhaustive, never heuristic.
+Witness enumeration dedupes by direction (a path and its reverse count
+once; cycles are stored min-vertex-first with the smaller neighbor
+second).
 """
 
 from __future__ import annotations
@@ -160,10 +160,9 @@ def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
 
 def longest_cycles(g: Graph):
     adj = kernel_masks(g)
-    best = kernels.longest_cycle_length(adj, g.n)
-    if best == 0:
+    rows = kernels.cycles_of_length(adj, g.n, None)
+    if not rows:
         raise ValueError("graph is acyclic")
-    rows = kernels.cycles_of_length(adj, g.n, best)
     cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
     for c in cycles:
         c.validate(g)

@@ -5,7 +5,8 @@ rows it enumerates, in the order it enumerates them:
 
 - ``xy``: for every pair x < y, the `xy_paths_of_length` rows at the
   pair's longest length;
-- ``cycles``: the `cycles_of_length` rows at the circumference;
+- ``cycles``: the `cycles_of_length` rows at the circumference, which
+  `cycles_of_length(..., None)` must return too;
 - ``ham``: the `hamilton_cycle_rows`.
 
 The graphs are the connected cubic corpus on n <= 10 vertices and
@@ -27,6 +28,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
+import oracles
 from chordlab import kernels
 from chordlab.generate import enumerate_cubic, random_cubic
 
@@ -60,6 +62,7 @@ def _kernel_digests(g) -> dict:
                 xy.extend(kernels.xy_paths_of_length(adj, n, x, y, best))
     circumference = kernels.longest_cycle_length(adj, n)
     cycles = kernels.cycles_of_length(adj, n, circumference) if circumference else []
+    assert kernels.cycles_of_length(adj, n, None) == cycles
     return {
         "xy": _digest(xy),
         "cycles": _digest([[circumference]] + list(cycles)),
@@ -89,6 +92,18 @@ def test_kernel_rows_are_tuples():
     g = random_cubic(12, 0)
     rows = kernels.cycles_of_length(g.masks, g.n, kernels.longest_cycle_length(g.masks, g.n))
     assert rows and all(type(r) is tuple and len(r) == len(rows[0]) for r in rows)
+
+
+def test_cycle_rows_match_oracle_n12():
+    """The n=12 corpus, which the golden set leaves out: the longest and
+    the Hamilton cycles are those of the naive walk, in its order."""
+    graphs = enumerate_cubic(12)
+    assert len(graphs) == 85
+    for i, g in enumerate(graphs):
+        every = oracles.all_cycles_small({v: set(g.neighbors(v)) for v in range(g.n)})
+        best = max(map(len, every))
+        assert kernels.cycles_of_length(g.masks, g.n, None) == [c for c in every if len(c) == best], i
+        assert kernels.hamilton_cycle_rows(g.masks, g.n) == [c for c in every if len(c) == g.n], i
 
 
 def test_active_backend_is_exposed():
