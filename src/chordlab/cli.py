@@ -7,7 +7,8 @@ failure, 4 internal error (a checked invariant failed; the message names
 the step, and under `verify` the graph and its input line).  Reports are
 deterministic for identical inputs; wall times are only attached under
 --timings since they would break that.  The library states the paper's
-thresholds once, in `_MODES`.
+thresholds once, in `_MODES`, and the connectivity each statement
+assumes once, in `extender.CONNECTIVITY`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import InvariantViolation
-from .extender import EXTENDABLE, extend_path, precheck, verify_chords, verify_zhan
+from .extender import CONNECTIVITY, EXTENDABLE, extend_path, precheck, verify_chords, verify_zhan
 from .generate import enumerate_cubic
 from .graph6 import Graph6Error, load_graph_text, stream_corpus, write_graph6
 from .graphs import connectivity_at_least, is_cubic
@@ -39,11 +40,12 @@ def _connectivity_class(g) -> int:
     return next((k for k in (3, 2, 1) if connectivity_at_least(g, k)), 0)
 
 
-# mode -> (connectivity needed, threshold, verify_zhan mode or None for chords)
+# mode -> (threshold, statement: a verify_zhan mode or "chords"); the
+# connectivity each statement needs is extender.CONNECTIVITY
 _MODES = {
-    "zhan2": (2, 1, "all-pairs"),
-    "zhan3adj": (3, 2, "adjacent-pairs"),
-    "chords": (3, 2, None),
+    "zhan2": (1, "all-pairs"),
+    "zhan3adj": (2, "adjacent-pairs"),
+    "chords": (2, "chords"),
 }
 
 
@@ -51,7 +53,7 @@ def _verify_one(args):
     line, g, mode, timings = args
     started = time.perf_counter()
     kappa = _connectivity_class(g)
-    need, threshold, zhan_mode = _MODES[mode]
+    threshold, statement = _MODES[mode]
     row = {
         "graph6": line,
         "n": g.n,
@@ -60,19 +62,19 @@ def _verify_one(args):
         "value": None,
         "witness": None,
     }
-    if is_cubic(g) and kappa >= need:
-        if zhan_mode:
-            rep = verify_zhan(g, zhan_mode)
+    if is_cubic(g) and kappa >= CONNECTIVITY[statement]:
+        if statement == "chords":
+            rep = verify_chords(g)
+            row["value"] = rep.min_chords
+            if rep.min_chords < threshold:
+                row["witness"] = {"cycle": list(rep.witness)}
+        else:
+            rep = verify_zhan(g, statement)
             row["value"] = rep.minimum
             # the first pair below this mode's threshold, in pairs order
             xy = next((xy for xy, r in rep.pairs.items() if r.min_bound < threshold), None)
             if xy:
                 row["witness"] = {"pair": list(xy), "path": list(rep.pairs[xy].witness)}
-        else:
-            rep = verify_chords(g)
-            row["value"] = rep.min_chords
-            if rep.min_chords < threshold:
-                row["witness"] = {"cycle": list(rep.witness)}
     if timings:
         row["wall_ms"] = round(1000 * (time.perf_counter() - started), 3)
     return row
@@ -117,7 +119,7 @@ def cmd_verify(args) -> int:
         line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]
         print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
         return EXIT_INTERNAL
-    threshold = _MODES[args.mode][1]
+    threshold = _MODES[args.mode][0]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)
     report = {
@@ -155,10 +157,7 @@ def cmd_extend(args) -> int:
     try:
         with open(args.graph) as fh:
             g = load_graph_text(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (Graph6Error, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

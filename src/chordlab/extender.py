@@ -1035,6 +1035,10 @@ def _reinstate(g, lifted, x, y, w, a, b, c, case):
 # ---------------------------------------------------------------------------
 # verifiers
 
+# the connectivity each verified statement assumes: verify_zhan's modes
+# and verify_chords ("chords")
+CONNECTIVITY = {"all-pairs": 2, "adjacent-pairs": 3, "chords": 3}
+
 
 @dataclass(frozen=True)
 class PairResult:
@@ -1080,7 +1084,7 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
     if not is_cubic(g):
         raise ValueError("graph is not cubic")
-    need_k = 2 if mode == "all-pairs" else 3
+    need_k = CONNECTIVITY[mode]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
     masks = kernel_masks(g)
@@ -1109,7 +1113,6 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
 @dataclass(frozen=True)
 class ChordReport:
     cycle_length: int
-    cycle_count: int
     min_chords: int
     witness: tuple
 
@@ -1121,15 +1124,15 @@ def verify_chords(g: Graph) -> ChordReport:
     least 2, so a lower value is a violation the caller reports."""
     if not is_cubic(g):
         raise ValueError("graph is not cubic")
-    if not connectivity_at_least(g, 3):
-        raise ValueError("graph is not 3-connected")
+    need_k = CONNECTIVITY["chords"]
+    if not connectivity_at_least(g, need_k):
+        raise ValueError(f"graph is not {need_k}-connected")
     cycles = longest_cycles(g)
     counts = [(len(chords(g, c)), c) for c in cycles]
     counts.sort(key=lambda t: (t[0], t[1].vertices))
     min_chords, witness = counts[0]
     return ChordReport(
         cycle_length=cycles[0].length,
-        cycle_count=len(cycles),
         min_chords=min_chords,
         witness=witness.vertices,
     )

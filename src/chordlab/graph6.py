@@ -109,7 +109,10 @@ def read_edge_list(text: str) -> Graph:
 def load_graph_text(text: str) -> Graph:
     """Accept either format: an edge list when the first line is two
     integers, a single graph6 record otherwise."""
-    first = text.strip().splitlines()[0].split() if text.strip() else []
+    lines = text.strip().splitlines()
+    if not lines:
+        raise Graph6Error("empty graph input")
+    first = lines[0].split()
     if len(first) == 2 and all(tok.isdigit() for tok in first):
         return read_edge_list(text)
-    return parse_graph6(text.strip().splitlines()[0])
+    return parse_graph6(lines[0])

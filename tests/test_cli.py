@@ -170,8 +170,8 @@ def test_verify_reports_violations(tmp_path, capsys, monkeypatch, corpus, mode, 
     values = [r["value"] for r in json.loads(out)["rows"] if r["value"] is not None]
     threshold = max(values)
     assert min(values) < threshold
-    need, _, zhan_mode = cli._MODES[mode]
-    monkeypatch.setitem(cli._MODES, mode, (need, threshold, zhan_mode))
+    statement = cli._MODES[mode][1]
+    monkeypatch.setitem(cli._MODES, mode, (threshold, statement))
     code, out, _ = run_cli(["verify", "--mode", mode, "--in", str(f), "--format", fmt], capsys)
     assert code == 1
     if fmt == "json":
@@ -192,11 +192,40 @@ def test_verify_reports_violations(tmp_path, capsys, monkeypatch, corpus, mode, 
             continue
         assert row["witness"] is not None, row
         assert _recheck_witness(g, mode, row["witness"]) < threshold
-        if zhan_mode:
+        if statement != "chords":
             # the first violating pair in the report's pair order
-            pairs = verify_zhan(g, zhan_mode).pairs
+            pairs = verify_zhan(g, statement).pairs
             first = next(xy for xy, r in pairs.items() if r.min_bound < threshold)
             assert tuple(row["witness"]["pair"]) == first
+
+
+@pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))
+def test_verify_timings(tmp_path, capsys, corpus, mode):
+    """--timings adds a float wall_ms >= 0 to every JSON row and a trailing
+    wall_ms column to the CSV; without it neither appears."""
+    f = _write_corpus(tmp_path, corpus[8] + [oracles.petersen()])
+    argv = ["verify", "--mode", mode, "--in", str(f)]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, timed, _ = run_cli(argv + ["--timings"], capsys)
+    assert code == 0
+    plain_rows, timed_rows = json.loads(plain)["rows"], json.loads(timed)["rows"]
+    assert len(timed_rows) == 6
+    for row, timed_row in zip(plain_rows, timed_rows):
+        assert "wall_ms" not in row
+        wall_ms = timed_row.pop("wall_ms")
+        assert type(wall_ms) is float and wall_ms >= 0
+        assert timed_row == row
+    _, plain_csv, _ = run_cli(argv + ["--format", "csv"], capsys)
+    _, timed_csv, _ = run_cli(argv + ["--format", "csv", "--timings"], capsys)
+    plain_lines, timed_lines = plain_csv.splitlines(), timed_csv.splitlines()
+    assert "wall_ms" not in plain_lines[0]
+    assert timed_lines[0] == plain_lines[0] + ",wall_ms"
+    assert len(timed_lines) == len(plain_lines) == 7
+    for line, timed_line in zip(plain_lines[1:], timed_lines[1:]):
+        head, _, wall_ms = timed_line.rpartition(",")
+        assert head == line
+        assert float(wall_ms) >= 0
 
 
 def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -322,6 +351,18 @@ def test_extend_refusal_names_bound_vertices(tmp_path, capsys):
     code, _, err = run_cli(["extend", "--graph", str(f), "--path", "0,2,3,1"], capsys)
     assert code == 2
     assert "P-bound vertex" in err and "v=2" in err
+
+
+@pytest.mark.parametrize("text", ("", "\n  \n\t\n"), ids=("empty", "blank-lines"))
+def test_extend_empty_graph_file(tmp_path, capsys, text):
+    """A graph file with nothing in it is an input error (exit 3), not a
+    traceback."""
+    f = tmp_path / "empty.g6"
+    f.write_text(text)
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: empty graph input\n"
 
 
 def test_extend_malformed_path(tmp_path, capsys):
