@@ -5,10 +5,11 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check.  The one exception is the parity-lemma
-check at the end: it counts Hamilton cycles with the library's
-`hamilton_cycles`, which `test_search.py` checks against a DFS oracle on
-the same support graphs.
+kernels it is used to check, with two exceptions.  ``xy_sweep_reference``
+is the sweep kernel's earlier, plainer body, kept as the reference its
+faster replacement is compared with.  The parity-lemma check at the end
+counts Hamilton cycles with the library's `hamilton_cycles`, which
+`test_search.py` checks against a DFS oracle on the same support graphs.
 """
 
 from __future__ import annotations
@@ -157,6 +158,44 @@ def longest_cycles_naive(g: Graph):
 
 def hamilton_cycles_naive(g: Graph):
     return [c for c in all_cycles_naive(g) if len(c) == g.n]
+
+
+def xy_sweep_reference(masks, n, x):
+    """The per-source sweep as ``kernels.xy_sweep`` first computed it:
+    every simple path from x by exhaustive DFS, children in ascending id,
+    the bound count updated by rescanning every neighbour of the new end.
+    Same table: indexed by end vertex y, None for y == x or no path, else
+    (longest length, least internal bound count, first such path)."""
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
+    best = [0] * n
+    low = [0] * n
+    first = [None] * n
+    path = [x]
+
+    def visit(v, pm, length, bound):
+        length += 1
+        for w in nbrs[v]:
+            if (pm >> w) & 1:
+                continue
+            pm2 = pm | (1 << w)
+            # appending w can only bind path vertices adjacent to w
+            c = bound
+            for u in nbrs[w]:
+                if u != x and (pm >> u) & 1 and masks[u] & ~pm2 == 0:
+                    c += 1
+            path.append(w)
+            if length > best[w] or (length == best[w] and c < low[w]):
+                best[w] = length
+                low[w] = c
+                first[w] = tuple(path)
+            visit(w, pm2, length, c)
+            path.pop()
+
+    visit(x, 1 << x, 0, 0)
+    return [
+        (best[y], low[y], first[y]) if first[y] is not None else None
+        for y in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -139,6 +140,30 @@ def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
         ["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"], capsys
     )
     assert serial == parallel
+
+
+# sha256 of the JSON `chordlab verify --mode M` writes for the output of
+# `chordlab generate --n N`, recorded with the sweep that rescanned every
+# neighbour of the new end: a faster kernel must keep the same bytes
+VERIFY_SHA256 = {
+    (10, "zhan2"): "04a497dde121cb5ac246de348b1a4e7939a327d114915a1409a727df14956e42",
+    (10, "zhan3adj"): "e80b3da1a42869fc6d1f5433cfa67964efa1115019bc12f28fdd6b521742d07b",
+    (10, "chords"): "6fac4b4b3d0b7ae1a028ccae19de1d70c17da251921c05f95e89967e5ca3d6c9",
+    (12, "zhan2"): "7c40f6b761f3fccb97ffdf8c8f7f5d8d43aa9e98b18f451d148b2e2e6f10f5fd",
+    (12, "zhan3adj"): "ebb97f2061dabf89455eecd41c3dcbc79ebd099b0d367f138b490cfcf2aea82b",
+    (12, "chords"): "492785a60caf3a54a4614ed104cef2ff1754007c47f50868b9e024db8ef0699a",
+}
+
+
+@pytest.mark.parametrize("n", (10, 12))
+def test_verify_report_pinned(tmp_path, capsys, n):
+    corpus = tmp_path / f"cubic{n}.g6"
+    assert main(["generate", "--n", str(n), "--out", str(corpus)]) == 0
+    for mode in ("zhan2", "zhan3adj", "chords"):
+        report = tmp_path / f"{mode}.json"
+        code, _, _ = run_cli(["verify", "--mode", mode, "--in", str(corpus), "--out", str(report)], capsys)
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_SHA256[(n, mode)], mode
 
 
 def _recheck_witness(g, mode, witness):

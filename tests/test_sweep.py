@@ -91,6 +91,26 @@ def test_sweep_table_every_end_vertex():
                     assert table[y] == _reference(g, x, y), (x, y)
 
 
+def _check_sweep_against_reference(g):
+    """Every source's full table, every y included, against the sweep's
+    earlier body."""
+    for x in range(g.n):
+        assert kernels.xy_sweep(g.masks, g.n, x) == oracles.xy_sweep_reference(g.masks, g.n, x), x
+
+
+def test_sweep_matches_reference_on_corpus(corpus):
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    for g in graphs:
+        _check_sweep_against_reference(g)
+    assert len(graphs) == 112
+
+
+@pytest.mark.parametrize("n", range(14, 21, 2))
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_matches_reference_on_random(n, seed):
+    _check_sweep_against_reference(random_cubic(n, seed))
+
+
 def _check_adjacent_table(g):
     """The cycle-walk table against the sweep, edge by edge."""
     table = kernels.adjacent_table(g.masks, g.n)
