@@ -11,7 +11,9 @@ enumeration is deterministic and the row order is part of the output.
 
 Every cycle query is one unpruned recursive walk over all cycles
 (``_cycle_walk``); only the per-pair (x,y) search keeps list stacks and
-the reach bound (``_reach``).
+the reach bound (``_reach``).  The sweep updates its bound count in one
+step per appended vertex, which is exact only for maximum degree 3, so
+it refuses a mask with more than three bits.
 """
 
 from __future__ import annotations
@@ -154,36 +156,49 @@ def xy_sweep(masks, n, x):
     v is bound on a path with vertex mask P iff masks[v] & ~P == 0.
     Cubic graphs have few simple paths, so no pruning is needed and one
     walk serves every y.
+
+    The bound count takes one step per appended vertex.  Appending w to a
+    path from x to v binds exactly the path vertices other than x and v
+    that are adjacent to w (their two path neighbours and w fill their
+    degree), plus v when w is v's only off-path neighbour.  That needs
+    maximum degree 3, so a mask with more bits is refused.
     """
-    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
-    best = [0] * n
-    low = [0] * n
+    if any(m.bit_count() > 3 for m in masks):
+        raise ValueError("xy_sweep needs maximum degree at most 3")
+    # an entry is ranked by one int, (length << shift) - count: longer
+    # first, then fewer bound vertices, as a count is at most n - 2
+    shift = n.bit_length()
+    step = 1 << shift
+    key = [0] * n
     first = [None] * n
     path = [x]
+    bx = 1 << x
 
-    def visit(v, pm, length, bound):
-        length += 1
-        for w in nbrs[v]:
-            if (pm >> w) & 1:
-                continue
-            pm2 = pm | (1 << w)
-            # appending w can only bind path vertices adjacent to w
-            c = bound
-            for u in nbrs[w]:
-                if u != x and (pm >> u) & 1 and masks[u] & ~pm2 == 0:
-                    c += 1
-            path.append(w)
-            if length > best[w] or (length == best[w] and c < low[w]):
-                best[w] = length
-                low[w] = c
-                first[w] = tuple(path)
-            visit(w, pm2, length, c)
-            path.pop()
+    def visit(v, pm, inner, k):
+        # inner: the path vertices other than x and v; k: the path's rank
+        free = masks[v] & ~pm
+        # v binds when its last off-path neighbour joins; x never counts
+        base = k + step - (v != x and free & (free - 1) == 0)
+        inner2 = pm & ~bx  # the children's inner
+        while free:
+            b = free & -free
+            free ^= b
+            w = b.bit_length() - 1
+            mw = masks[w]
+            rank = base - (mw & inner).bit_count()
+            if rank > key[w]:
+                key[w] = rank
+                first[w] = (*path, w)
+            pm2 = pm | b
+            if mw & ~pm2:  # w has a free neighbour: not a leaf
+                path.append(w)
+                visit(w, pm2, inner2, rank)
+                path.pop()
 
-    visit(x, 1 << x, 0, 0)
+    visit(x, bx, 0, 0)
     return [
-        (best[y], low[y], first[y]) if first[y] is not None else None
-        for y in range(n)
+        None if p is None else (len(p) - 1, ((len(p) - 1) << shift) - key[y], p)
+        for y, p in enumerate(first)
     ]
 
 

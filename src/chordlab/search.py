@@ -138,9 +138,7 @@ def internal_bound_vertices(g: Graph, p: Path) -> frozenset:
     """Internal vertices of p whose whole host neighborhood lies on p."""
     p.validate(g)
     on_path = set(p.vertices)
-    return frozenset(
-        v for v in p.interior() if set(g.neighbors(v)) <= on_path
-    )
+    return frozenset(v for v in p.interior() if on_path.issuperset(g.neighbors(v)))
 
 
 def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:

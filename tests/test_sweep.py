@@ -11,7 +11,7 @@ from chordlab import kernels
 from chordlab.errors import InvariantViolation
 from chordlab.extender import verify_zhan
 from chordlab.generate import enumerate_cubic, random_cubic
-from chordlab.graphs import connectivity_at_least
+from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import longest_xy_paths
 
 MODES = (("all-pairs", 2), ("adjacent-pairs", 3))
@@ -109,6 +109,14 @@ def test_sweep_matches_reference_on_corpus(corpus):
 @pytest.mark.parametrize("seed", range(4))
 def test_sweep_matches_reference_on_random(n, seed):
     _check_sweep_against_reference(random_cubic(n, seed))
+
+
+def test_sweep_rejects_degree_above_three():
+    """The sweep's bound-count step assumes maximum degree 3: a degree-4
+    host is refused, not miscounted."""
+    g = Graph(5, [(v, (v + 1) % 4) for v in range(4)] + [(4, v) for v in range(4)])  # wheel W4
+    with pytest.raises(ValueError, match="degree"):
+        kernels.xy_sweep(g.masks, g.n, 0)
 
 
 def _check_adjacent_table(g):
