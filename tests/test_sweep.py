@@ -1,8 +1,9 @@
 """The tables behind verify_zhan -- the one-DFS-per-source sweep for all
 pairs and the cycle walk for adjacent pairs -- checked against the
-per-pair search (longest_xy_paths), the naive oracles and each other,
-plus mutation checks showing that verify_zhan's re-validation catches a
-wrong entry from either kernel."""
+per-pair search (longest_xy_paths), the naive oracles, the sweep's
+earlier body (oracles.xy_sweep_reference) and each other, plus
+mutation checks showing that verify_zhan's re-validation catches a wrong
+entry from either kernel."""
 
 import pytest
 
