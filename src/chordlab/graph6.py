@@ -20,10 +20,10 @@ class Graph6Error(ValueError):
 
 
 def parse_graph6(line: str) -> Graph:
-    if not line:
-        raise Graph6Error("empty record")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+    if not line:
+        raise Graph6Error("empty record")
     data = [ord(c) for c in line]
     for b in data:
         if not 63 <= b <= 126:
@@ -90,19 +90,24 @@ def stream_corpus(source):
 
 
 def read_edge_list(text: str) -> Graph:
-    rows = [r for r in (line.strip() for line in text.splitlines()) if r]
+    """A header line "n m", then m edge lines "u v"; blank lines are
+    skipped but counted in the 1-based line numbers of errors."""
+    rows = [(i, r.strip()) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
     if not rows:
         raise ValueError("empty edge-list input")
-    head = rows[0].split()
+    head = rows[0][1].split()
     if len(head) != 2:
         raise ValueError('edge-list header must be "n m"')
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
-    for r in rows[1:]:
-        u, v = r.split()
-        edges.append((int(u), int(v)))
+    for lineno, r in rows[1:]:
+        try:
+            u, v = map(int, r.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: edge line {r!r} is not two integers") from None
+        edges.append((u, v))
     return Graph(n, edges)
 
 

@@ -9,11 +9,11 @@ iff vw is an edge) and returns Python ints, a list of vertex tuples or a
 table.  Children are always tried in ascending vertex id, so every
 enumeration is deterministic and the row order is part of the output.
 
-Every cycle query is one unpruned recursive walk over all cycles
-(``_cycle_walk``); only the per-pair (x,y) search keeps list stacks and
-the reach bound (``_reach``).  The sweep updates its bound count in one
-step per appended vertex, which is exact only for maximum degree 3, so
-it refuses a mask with more than three bits.
+Every kernel is an unpruned recursive walk: every cycle query reads
+one walk over all cycles (``_cycle_walk``), and the per-pair (x,y)
+search walks every path from x (``_xy_rows``).  The sweep updates its
+bound count in one step per appended vertex, which is exact only for
+maximum degree 3, so it refuses a mask with more than three bits.
 """
 
 from __future__ import annotations
@@ -22,61 +22,39 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def _reach(adj, start, allowed):
-    """Vertices reachable from ``start`` through ``allowed`` (start included)."""
-    reach = 1 << start
-    frontier = reach
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            nxt |= adj[b.bit_length() - 1]
-            frontier ^= b
-        frontier = nxt & allowed & ~reach
-        reach |= frontier
-    return reach
+def _xy_rows(masks, n, x, y, length):
+    """The (x,y)-paths of ``length`` edges as tuples in walk order; with
+    length None, those of the greatest length (none when y is unreachable).
 
-
-def _xy_run(adj, n, x, y, target):
-    """Simple (x,y)-paths by pruned DFS, children in ascending id order.
-
-    target None: return the longest edge length (0 when y is unreachable);
-    else: return the paths of exactly ``target`` edges as vertex tuples.
-    A branch is cut when the vertices it can still reach cannot make a
-    path of ``need`` edges: one more than the best so far, or ``target``.
+    One unpruned recursive walk from x, children in ascending id order; a
+    path ends when it reaches y.  Cubic graphs have few simple paths, so
+    no pruning is needed.
     """
-    full = (1 << n) - 1
-    best = 0
-    need = 1 if target is None else target
     rows = []
+    want = 1 if length is None else length
     path = [x]
-    cands = [adj[x]]
-    visited = 1 << x
-    while cands:
-        c = cands[-1]
-        if not c:
-            cands.pop()
-            visited ^= 1 << path.pop()
-            continue
-        b = c & -c
-        cands[-1] = c ^ b
-        v = b.bit_length() - 1
-        if v == y:
-            length = len(path)
-            if target is None:
-                if length > best:
-                    best, need = length, length + 1
-            elif length == target:
-                rows.append((*path, y))
-            continue
-        visited2 = visited | b
-        reach = _reach(adj, v, full & ~visited2)
-        if not (reach >> y) & 1 or len(path) - 1 + reach.bit_count() < need:
-            continue
-        path.append(v)
-        cands.append(adj[v] & ~visited2)
-        visited = visited2
-    return best if target is None else rows
+    by = 1 << y
+
+    def visit(v, pm):
+        nonlocal want
+        free = masks[v] & ~pm
+        while free:
+            b = free & -free
+            free ^= b
+            if b == by:
+                if len(path) == want:
+                    rows.append((*path, y))
+                elif length is None and len(path) > want:
+                    want = len(path)
+                    rows[:] = [(*path, y)]
+                continue
+            w = b.bit_length() - 1
+            path.append(w)
+            visit(w, pm | b)
+            path.pop()
+
+    visit(x, 1 << x)
+    return rows
 
 
 def _cycle_walk(masks, n, close):
@@ -126,11 +104,12 @@ def _cycle_rows(adj, n, length):
 
 
 def longest_xy_length(adj, n, x, y) -> int:
-    return _xy_run(adj, n, x, y, None)
+    rows = _xy_rows(adj, n, x, y, None)
+    return len(rows[0]) - 1 if rows else 0
 
 
 def xy_paths_of_length(adj, n, x, y, length) -> list:
-    return _xy_run(adj, n, x, y, length)
+    return _xy_rows(adj, n, x, y, length)
 
 
 def longest_cycle_length(adj, n) -> int:
@@ -148,7 +127,7 @@ def hamilton_cycle_rows(adj, n) -> list:
 
 def xy_sweep(masks, n, x):
     """Every simple path from ``x``, walked once by exhaustive DFS with
-    children in ascending id order (the order ``_xy_run`` returns rows in).
+    children in ascending id order (the order ``_xy_rows`` returns rows in).
 
     Returns a list indexed by end vertex y: None for y == x or no path,
     else (longest length, least number of internal bound vertices among

@@ -147,13 +147,12 @@ def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
     if x == y:
         raise ValueError("endpoints must differ")
     adj = kernel_masks(g)
-    best = kernels.longest_xy_length(adj, g.n, x, y)
-    if best == 0:
+    rows = kernels.xy_paths_of_length(adj, g.n, x, y, None)
+    if not rows:
         raise ValueError(f"no ({x},{y})-path exists")
-    rows = kernels.xy_paths_of_length(adj, g.n, x, y, best)
     witnesses = tuple(Path(row) for row in rows)
     bounds = tuple(internal_bound_vertices(g, w) for w in witnesses)  # validates
-    return PathReport(best, witnesses, bounds)
+    return PathReport(len(rows[0]) - 1, witnesses, bounds)
 
 
 def longest_cycles(g: Graph):

@@ -125,6 +125,17 @@ def test_verify_parse_error_names_line(tmp_path, capsys):
     assert "line 2: byte 255" in err
 
 
+def test_verify_header_without_record(tmp_path, capsys):
+    """A graph6 header line with no record after it is an input error
+    (exit 3), not a traceback that exits 1, the violation code."""
+    f = tmp_path / "header.g6"
+    f.write_text(">>graph6<<\n")
+    code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 1: empty record\n"
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run_cli(
         ["verify", "--mode", "zhan2", "--in", str(tmp_path / "nope.g6")], capsys

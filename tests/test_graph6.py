@@ -40,6 +40,11 @@ def test_parse_rejects_bad_bytes():
         parse_graph6("")
 
 
+def test_parse_rejects_header_without_record():
+    with pytest.raises(Graph6Error, match="empty record"):
+        parse_graph6(">>graph6<<")
+
+
 def test_parse_rejects_long_form():
     with pytest.raises(Graph6Error, match="long-form"):
         parse_graph6("~??")
@@ -122,3 +127,13 @@ def test_edge_list_roundtrip():
 def test_edge_list_validates_count():
     with pytest.raises(ValueError):
         read_edge_list("2 2\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", (
+    ("3 2\n0 1\n0 2 5\n", "line 3: edge line '0 2 5' is not two integers"),
+    ("3 2\n0 1\n\n0 x\n", "line 4: edge line '0 x' is not two integers"),
+), ids=("three-values", "non-integer"))
+def test_edge_list_names_bad_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(text)
+    assert str(exc.value) == message

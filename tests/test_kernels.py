@@ -4,7 +4,8 @@
 rows it enumerates, in the order it enumerates them:
 
 - ``xy``: for every pair x < y, the `xy_paths_of_length` rows at the
-  pair's longest length;
+  pair's longest length, which `xy_paths_of_length(..., None)` must
+  return too;
 - ``cycles``: the `cycles_of_length` rows at the circumference, which
   `cycles_of_length(..., None)` must return too;
 - ``ham``: the `hamilton_cycle_rows`.
@@ -58,8 +59,9 @@ def _kernel_digests(g) -> dict:
         for y in range(x + 1, n):
             best = kernels.longest_xy_length(adj, n, x, y)
             xy.append([x, y, best])
-            if best:
-                xy.extend(kernels.xy_paths_of_length(adj, n, x, y, best))
+            rows = kernels.xy_paths_of_length(adj, n, x, y, best) if best else []
+            assert kernels.xy_paths_of_length(adj, n, x, y, None) == rows
+            xy.extend(rows)
     circumference = kernels.longest_cycle_length(adj, n)
     cycles = kernels.cycles_of_length(adj, n, circumference) if circumference else []
     assert kernels.cycles_of_length(adj, n, None) == cycles

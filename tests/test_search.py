@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import oracles
@@ -37,17 +39,28 @@ def test_petersen_adjacent_pair():
 
 
 def test_longest_xy_matches_naive_oracle_on_zoo():
+    k4_edges = oracles.k4().edges
+    k5 = Graph(5, list(itertools.combinations(range(5), 2)))  # degree 4
+    two_k4 = Graph(8, [*k4_edges, *((u + 4, v + 4) for u, v in k4_edges)])  # disconnected
     zoo = [oracles.k4(), oracles.k33(), oracles.prism(),
-           oracles.cycle_graph(6), oracles.two_k4_minus_edge_bridge()]
+           oracles.cycle_graph(6), oracles.two_k4_minus_edge_bridge(), k5, two_k4]
+    unreachable = 0
     for g in zoo:
+        adj = g.masks
         for x in range(g.n):
             for y in range(x + 1, g.n):
                 best, wits = oracles.longest_xy_naive(g, x, y)
                 if best == 0:
+                    unreachable += 1
+                    assert kernels.longest_xy_length(adj, g.n, x, y) == 0
+                    assert kernels.xy_paths_of_length(adj, g.n, x, y, None) == []
+                    with pytest.raises(ValueError, match="path exists"):
+                        longest_xy_paths(g, x, y)
                     continue
                 rep = longest_xy_paths(g, x, y)
                 assert rep.max_length == best
                 assert sorted(w.vertices for w in rep.witnesses) == wits
+    assert unreachable == 16  # the pairs across the two K4s
 
 
 def test_witnesses_are_valid_paths():
