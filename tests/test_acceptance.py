@@ -146,6 +146,24 @@ def test_criterion_3_chords(corpus):
         f"{total} graphs, min chords {minimum}; exception graph: 9-cycles, 3 chords")
 
 
+def test_statements_agree_on_three_connected_corpus(corpus):
+    """The three statements on one graph.  The adjacent-pairs table is the
+    all-pairs table on the edges, so zhan2 <= zhan3adj.  A longest cycle C
+    with the fewest chords, opened at an edge xy with x bound, is a
+    longest (x,y)-path with at most |B(C)| - 1 internal bound vertices,
+    and |B(C)| is twice the chord count, so zhan3adj <= 2*chords - 1."""
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    checked = [g for g in graphs if connectivity_at_least(g, 3)]
+    for g in checked:
+        all_pairs = verify_zhan(g, "all-pairs")
+        adjacent = verify_zhan(g, "adjacent-pairs")
+        for xy, res in adjacent.pairs.items():
+            assert res == all_pairs.pairs[xy], (write_graph6(g), xy)
+        min_chords = verify_chords(g).min_chords
+        assert all_pairs.minimum <= adjacent.minimum <= 2 * min_chords - 1, write_graph6(g)
+    assert len(checked) == 78
+
+
 def test_criterion_4_coloring_lemma():
     failures = 0
     for seed in range(200):
