@@ -15,8 +15,6 @@ from .extender import (
     extend_path,
     extend_path_adjacent,
     precheck,
-    verify_chords,
-    verify_zhan,
 )
 from .generate import enumerate_cubic, random_cubic
 from .second_cycle import second_hamilton_cycle
@@ -30,6 +28,7 @@ from .search import (
     longest_cycles,
     longest_xy_paths,
 )
+from .verify import verify_chords, verify_zhan
 
 __all__ = [
     "Graph",

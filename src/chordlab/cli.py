@@ -8,7 +8,7 @@ the step, and under `verify` the graph and its input line).  Reports are
 deterministic for identical inputs; wall times are only attached under
 --timings since they would break that.  The library states the paper's
 thresholds once, in `_MODES`, and the connectivity each statement
-assumes once, in `extender.CONNECTIVITY`.
+assumes once, in `verify.CONNECTIVITY`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import InvariantViolation
-from .extender import CONNECTIVITY, EXTENDABLE, extend_path, precheck, verify_chords, verify_zhan
+from .extender import EXTENDABLE, extend_path, precheck
 from .generate import enumerate_cubic
 from .graph6 import Graph6Error, load_graph_text, stream_corpus, write_graph6
 from .graphs import connectivity_at_least, is_cubic
 from .search import Path
+from .verify import CONNECTIVITY, verify_chords, verify_zhan
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -41,7 +42,7 @@ def _connectivity_class(g) -> int:
 
 
 # mode -> (threshold, statement: a verify_zhan mode or "chords"); the
-# connectivity each statement needs is extender.CONNECTIVITY
+# connectivity each statement needs is verify.CONNECTIVITY
 _MODES = {
     "zhan2": (1, "all-pairs"),
     "zhan3adj": (2, "adjacent-pairs"),
@@ -80,14 +81,19 @@ def _verify_one(args):
     return row
 
 
-def cmd_generate(args) -> int:
-    lines = [write_graph6(g) for g in enumerate_cubic(args.n)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(text, path):
+    """Write ``text`` to the file ``path``, or to stdout without one; an
+    unwritable path raises OSError, which `main` turns into exit 3."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_generate(args) -> int:
+    lines = [write_graph6(g) for g in enumerate_cubic(args.n)]
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -145,11 +151,7 @@ def cmd_verify(args) -> int:
             row["witness"] = json.dumps(row["witness"]) if row["witness"] else ""
             writer.writerow(row)
         out = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(out, args.out)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -180,8 +182,7 @@ def cmd_extend(args) -> int:
     print(",".join(str(v) for v in longer.vertices))
     print(f"length {p.length} -> {longer.length}", file=sys.stderr)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_json() + "\n")
+        _write(trace.to_json() + "\n", args.trace)
     return EXIT_OK
 
 
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

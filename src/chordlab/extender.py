@@ -1,4 +1,4 @@
-"""The constructive path-extension machinery and the exhaustive verifiers.
+"""The constructive path-extension machinery.
 
 Given an (x,y)-path with no internal bound vertex in a 2-connected cubic
 graph, produce a strictly longer (x,y)-path by running the contradiction
@@ -12,7 +12,8 @@ its chord partner, reruns the second-cycle lemma on the reduced graph,
 and reinstates both vertices with a four-edge substitution.
 
 Every path or cycle emitted anywhere is re-validated by the independent
-checkers in search before being returned.
+checkers in search before being returned.  The verifiers live in
+`chordlab.verify`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .generate import LemmaInstance
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
-from .search import Cycle, Path, chords, internal_bound_vertices, kernel_masks, longest_cycles
+from .search import Cycle, Path, chords, internal_bound_vertices
 from .second_cycle import second_hamilton_cycle
+from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
 
 BLACK, RED, BLUE = "black", "red", "blue"
 
@@ -95,10 +97,6 @@ class MultiCycle:
     vertices: tuple
     eids: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.eids)
-
     def eid_set(self) -> frozenset:
         return frozenset(self.eids)
 
@@ -108,7 +106,6 @@ class ReducedGraph:
     bookkeeping needed to lift cycles back to the host graph."""
 
     def __init__(self, xy, xy_virtual):
-        self.verts = set()
         self.edges = []        # (u, v) per edge id
         self.tags = []         # BLACK / RED / BLUE per edge id
         self.adjmap = {}       # v -> list of (eid, other)
@@ -117,13 +114,10 @@ class ReducedGraph:
         self.xy_eid = None
         self.cycle_vertices = ()
         self.cycle_eids = frozenset()
-        self.reps = {}         # representative -> contracted component
         self.red_comp = {}     # eid -> component behind a red edge
         self.blue_info = {}    # eid -> (rep, attach, component, host_edge)
-        self.a_set = frozenset()
 
     def add_vertex(self, v):
-        self.verts.add(v)
         self.adjmap.setdefault(v, [])
 
     def add_edge(self, u, v, tag) -> int:
@@ -138,7 +132,7 @@ class ReducedGraph:
         return len(self.adjmap[v])
 
     def odd_vertices(self) -> frozenset:
-        return frozenset(v for v in self.verts if self.degree(v) % 2 == 1)
+        return frozenset(v for v in self.adjmap if self.degree(v) % 2 == 1)
 
     def sorted_neighbors(self, v):
         return sorted(self.adjmap[v], key=lambda t: (t[1], t[0]))
@@ -301,8 +295,7 @@ def _adjacent_attachment_splice(g: Graph, p: Path, comps):
         for i, (a, b) in enumerate(zip(vs, vs[1:])):
             if a in attach and b in attach:
                 seg = _through_component(g, a, b, comp, 2)
-                longer = Path(vs[: i + 1] + seg.vertices[1:-1] + vs[i + 1:])
-                return _check_longer(g, p, longer)
+                return Path(vs[: i + 1] + seg.vertices[1:-1] + vs[i + 1:])
     return None
 
 
@@ -362,7 +355,6 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
         raise ValueError("triples do not match the interior components")
     xy_virtual = not g.has_edge(x, y)
     rg = ReducedGraph((x, y), xy_virtual)
-    rg.a_set = frozenset(a_set)
     for v in p.vertices:
         rg.add_vertex(v)
     path_eids = []
@@ -377,7 +369,6 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
     contracted = [(comp, t[2]) for comp, t in triples]
     contracted += [(comp, y if y in attach else x) for comp, attach in endpoint]
     for comp, rep in contracted:
-        rg.reps[rep] = comp
         for v, w in _contraction_edges(g, comp, rep, on_path):
             eid = rg.add_edge(rep, w, BLUE)
             rg.blue_info[eid] = (rep, w, comp, (v, w))
@@ -387,7 +378,7 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
                 "reduced-graph", f"interior vertex {v} has degree {rg.degree(v)}"
             )
     cyc_keys = Cycle(p.vertices).edge_set()
-    if any((a, b) in cyc_keys for a in rg.a_set for b in rg.a_set):
+    if any((a, b) in cyc_keys for a in a_set for b in a_set):
         raise InvariantViolation(
             "reduced-graph", "selected class not independent on the cycle"
         )
@@ -710,6 +701,17 @@ def _path_from_cycle(c: Cycle, x: int, y: int) -> Path:
     raise InvariantViolation("checker", "cycle does not contain the xy edge")
 
 
+def _finish(g, p, longer, trace, flipped=False):
+    """The one exit of both pipelines: check that ``longer`` is a longer
+    path of g with p's endpoints, undo the adjacent pipeline's flip and
+    record it as the trace's final path."""
+    longer = _check_longer(g, p, longer)
+    if flipped:
+        longer = longer.reversed()
+    trace.final_path = longer.vertices
+    return longer, trace
+
+
 def extend_path(g: Graph, p: Path):
     """Strictly longer (x,y)-path for an extendable input, with the trace
     of every construction step."""
@@ -724,16 +726,14 @@ def extend_path(g: Graph, p: Path):
     if p.length < 2:
         # length-1 inputs predate the machinery: the least detour around
         # xy is longer
-        longer = _check_longer(g, p, _through_component(g, p.x, p.y, range(g.n), 2))
+        longer = _through_component(g, p.x, p.y, range(g.n), 2)
         trace.add("component-claim", branch="short-path", path=list(longer.vertices))
-        trace.final_path = longer.vertices
-        return longer, trace
+        return _finish(g, p, longer, trace)
     comps = _attached_components(g, p.vertices)
     direct, certificate = find_direct_extension(g, p, comps)
     if direct is not None:
         trace.add("component-claim", branch="direct", path=list(direct.vertices))
-        trace.final_path = direct.vertices
-        return direct, trace
+        return _finish(g, p, direct, trace)
     trace.add(
         "component-claim",
         branch="certificate",
@@ -744,19 +744,12 @@ def extend_path(g: Graph, p: Path):
         trace.add(
             "component-claim", branch="adjacent-attachment", path=list(spliced.vertices)
         )
-        trace.final_path = spliced.vertices
-        return spliced, trace
+        return _finish(g, p, spliced, trace)
     _, triple_comps, _ = _component_split(comps, p.x, p.y)
+    a_set, triples = frozenset(), []
     if triple_comps:
         a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
-        trace.add(
-            "coloring",
-            class_a=sorted(a_set),
-            triples=[list(t) for _, t in triples],
-        )
-    else:
-        a_set, triples = frozenset(), []
-        trace.add("coloring", class_a=[], triples=[])
+    trace.add("coloring", class_a=sorted(a_set), triples=[list(t) for _, t in triples])
     rg = build_reduced_G2(g, p, comps, a_set, triples)
     trace.add("reduced-graph", edges=rg.edge_rows())
     cp = find_odd_cover_cycle(rg)
@@ -767,9 +760,7 @@ def extend_path(g: Graph, p: Path):
     trace.add("lift", cycle=list(c_star.vertices), **detail)
     base_len = len(rg.cycle_eids)
     if c_star.length > base_len:
-        longer = _check_longer(g, p, _path_from_cycle(c_star, p.x, p.y))
-        trace.final_path = longer.vertices
-        return longer, trace
+        return _finish(g, p, _path_from_cycle(c_star, p.x, p.y), trace)
     if (
         stats.dropped_vertices != 0
         or stats.red_on_cycle != 0
@@ -783,9 +774,7 @@ def extend_path(g: Graph, p: Path):
     c_host = Cycle(p.vertices)
     c1p = matching_step(g, c_star, c_host, attachments)
     trace.add("matching-step", cycle=list(c1p.vertices), length=c1p.length)
-    longer = _check_longer(g, p, _path_from_cycle(c1p, p.x, p.y))
-    trace.final_path = longer.vertices
-    return longer, trace
+    return _finish(g, p, _path_from_cycle(c1p, p.x, p.y), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -831,16 +820,14 @@ def extend_path_adjacent(g: Graph, p: Path):
 
     comps = _attached_components(g, vs)
     spliced = _adjacent_attachment_splice(g, p, comps)
-    if len(comps) <= 1:
-        if spliced is None:
-            raise InvariantViolation(
-                "component-claim", "single off-cycle component admits no splice"
-            )
-        trace.add("component-claim", branch="single-component", path=list(spliced.vertices))
-        return _finish_adjacent(g, p, spliced, trace, flipped)
     if spliced is not None:
-        trace.add("component-claim", branch="adjacent-attachment", path=list(spliced.vertices))
-        return _finish_adjacent(g, p, spliced, trace, flipped)
+        branch = "single-component" if len(comps) <= 1 else "adjacent-attachment"
+        trace.add("component-claim", branch=branch, path=list(spliced.vertices))
+        return _finish(g, p, spliced, trace, flipped)
+    if len(comps) <= 1:
+        raise InvariantViolation(
+            "component-claim", "single off-cycle component admits no splice"
+        )
 
     # w is neither a nor y, so vs runs x, a .. b, w, c .. y: the surgery
     # edges ay and bc share c = y (the classical shape), b = a (the
@@ -850,7 +837,7 @@ def extend_path_adjacent(g: Graph, p: Path):
         splice = _ay_component_splice(g, p, comps, a, y, w)
         if splice is not None:
             trace.add(case, branch="ay-component-splice", path=list(splice.vertices))
-            return _finish_adjacent(g, p, splice, trace, flipped)
+            return _finish(g, p, splice, trace, flipped)
 
     cprime_vertices = vs[1:wi] + vs[wi + 1:]  # a .. b, c .. y
     new_edges = [(min(a, y), max(a, y)), (min(b, c), max(b, c))]
@@ -887,15 +874,7 @@ def extend_path_adjacent(g: Graph, p: Path):
         raise InvariantViolation(case, "reinstated cycle is not longer")
     trace.add(case, cycle=list(reinstated.vertices), length=reinstated.length)
     longer = _path_from_cycle(reinstated, x, y)
-    return _finish_adjacent(g, p, longer, trace, flipped)
-
-
-def _finish_adjacent(g, p, longer, trace, flipped):
-    longer = _check_longer(g, p, longer)
-    if flipped:
-        longer = longer.reversed()
-    trace.final_path = longer.vertices
-    return longer, trace
+    return _finish(g, p, longer, trace, flipped)
 
 
 def _ay_component_splice(g, p, comps, a, y, w):
@@ -907,8 +886,7 @@ def _ay_component_splice(g, p, comps, a, y, w):
             seg = _through_component(g, a, y, comp, 2)
             wi = vs.index(w)
             back = tuple(reversed(vs[1:wi]))  # b .. a
-            cand = Path((vs[0], w) + back + seg.vertices[1:])
-            return _check_longer(g, p, cand)
+            return Path((vs[0], w) + back + seg.vertices[1:])
     return None
 
 
@@ -1030,109 +1008,3 @@ def _reinstate(g, lifted, x, y, w, a, b, c, case):
     if cyc.length != lifted.length + 2:
         raise InvariantViolation(case, "reinstatement did not add exactly two edges")
     return cyc
-
-
-# ---------------------------------------------------------------------------
-# verifiers
-
-# the connectivity each verified statement assumes: verify_zhan's modes
-# and verify_chords ("chords")
-CONNECTIVITY = {"all-pairs": 2, "adjacent-pairs": 3, "chords": 3}
-
-
-@dataclass(frozen=True)
-class PairResult:
-    max_length: int
-    min_bound: int
-    witness: tuple  # a path achieving the minimum
-
-
-@dataclass(frozen=True)
-class ZhanReport:
-    mode: str
-    pairs: dict
-    minimum: int
-
-
-def _check_sweep_entry(g: Graph, x: int, y: int, entry):
-    """Re-validate one sweep table entry independently of the sweep."""
-    if entry is None:
-        # the connectivity gate guarantees an (x,y)-path
-        raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
-    best, mb, wit = entry
-    try:
-        bound = internal_bound_vertices(g, Path(wit))  # validates the path
-    except ValueError as exc:
-        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {exc}") from exc
-    if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or len(bound) != mb:
-        raise InvariantViolation(
-            "sweep",
-            f"pair ({x},{y}): witness {wit} has length {len(wit) - 1} and "
-            f"{len(bound)} internal bound vertices, table says {best} and {mb}",
-        )
-
-
-def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
-    """Minimum internal bound-vertex count over longest (x,y)-paths for
-    every requested pair: all pairs of a 2-connected cubic graph, or the
-    adjacent pairs of a 3-connected one; the caller compares the minimum
-    with the paper's threshold.  For all pairs one exhaustive DFS per
-    source vertex (``kernels.xy_sweep``) fills the table; for adjacent
-    pairs one walk over every cycle (``kernels.adjacent_table``) does.
-    Every entry is re-checked before it is reported."""
-    if mode not in ("all-pairs", "adjacent-pairs"):
-        raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
-    if not is_cubic(g):
-        raise ValueError("graph is not cubic")
-    need_k = CONNECTIVITY[mode]
-    if not connectivity_at_least(g, need_k):
-        raise ValueError(f"graph is not {need_k}-connected")
-    masks = kernel_masks(g)
-    if mode == "all-pairs":
-        pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
-    else:
-        pairs = sorted(set(g.edges))
-        cycle_table = kernels.adjacent_table(masks, g.n)
-    results = {}
-    source = table = None
-    for x, y in pairs:
-        if mode == "adjacent-pairs":
-            entry = cycle_table.get((x, y))
-        else:
-            # pairs are sorted by x, so each source is swept once
-            if x != source:
-                source, table = x, kernels.xy_sweep(masks, g.n, x)
-            entry = table[y]
-        _check_sweep_entry(g, x, y, entry)
-        best, mb, wit = entry
-        results[(x, y)] = PairResult(best, mb, wit)
-    minimum = min((r.min_bound for r in results.values()), default=0)
-    return ZhanReport(mode=mode, pairs=results, minimum=minimum)
-
-
-@dataclass(frozen=True)
-class ChordReport:
-    cycle_length: int
-    min_chords: int
-    witness: tuple
-
-
-def verify_chords(g: Graph) -> ChordReport:
-    """Minimum chord count over all longest cycles of a 3-connected cubic
-    graph, with the least longest cycle (by vertex sequence) among those
-    that attain it as the witness.  The paper proves the minimum is at
-    least 2, so a lower value is a violation the caller reports."""
-    if not is_cubic(g):
-        raise ValueError("graph is not cubic")
-    need_k = CONNECTIVITY["chords"]
-    if not connectivity_at_least(g, need_k):
-        raise ValueError(f"graph is not {need_k}-connected")
-    cycles = longest_cycles(g)
-    counts = [(len(chords(g, c)), c) for c in cycles]
-    counts.sort(key=lambda t: (t[0], t[1].vertices))
-    min_chords, witness = counts[0]
-    return ChordReport(
-        cycle_length=cycles[0].length,
-        min_chords=min_chords,
-        witness=witness.vertices,
-    )

@@ -113,11 +113,15 @@ def read_edge_list(text: str) -> Graph:
 
 def load_graph_text(text: str) -> Graph:
     """Accept either format: an edge list when the first line is two
-    integers, a single graph6 record otherwise."""
+    integers, a single graph6 record otherwise; a corpus of several
+    records is refused, not read as its first graph."""
     lines = text.strip().splitlines()
     if not lines:
         raise Graph6Error("empty graph input")
     first = lines[0].split()
     if len(first) == 2 and all(tok.isdigit() for tok in first):
         return read_edge_list(text)
+    records = sum(1 for line in lines if line.strip())
+    if records > 1:
+        raise Graph6Error(f"expected one graph6 record, found {records}")
     return parse_graph6(lines[0])

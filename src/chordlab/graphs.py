@@ -1,11 +1,12 @@
 """Core undirected graph representation and small-graph structure tools.
 
-Vertices are dense integer ids 0..n-1.  Host graphs are simple; derived
-graphs produced by contraction may carry parallel edges, so the edge list
-is a multiset.  Self-loops are never allowed.  Instances are treated as
-immutable after construction and are safe to share between threads: the
-lazily filled caches (adjacency masks, connectivity answers) only ever
-store values computed from that fixed structure.
+Vertices are dense integer ids 0..n-1.  The edge list is a multiset only
+because edge-list input may repeat a pair; nothing in the package builds
+such a graph, and the connectivity gate, the search kernels and
+`write_graph6` refuse one.  Self-loops are never allowed.  Instances are
+treated as immutable after construction and are safe to share between
+threads: the lazily filled caches (adjacency masks, connectivity
+answers) only ever store values computed from that fixed structure.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from collections import deque
 class Graph:
     """Undirected (multi)graph on vertices 0..n-1.
 
-    ``edges`` keeps the construction order so that callers can address
-    individual parallel edges by index.  ``simple`` is true iff no pair
-    occurs twice.
+    ``edges`` keeps the construction order, each pair as (min, max).
+    ``simple`` is true iff no pair occurs twice.
     """
 
     __slots__ = ("n", "edges", "adj", "simple", "_masks", "_gate")

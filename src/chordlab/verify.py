@@ -1,0 +1,118 @@
+"""The exhaustive verifiers of the paper's three statements: the minimum
+internal bound-vertex count over longest (x,y)-paths for all pairs of a
+2-connected cubic graph and for the adjacent pairs of a 3-connected one
+(`verify_zhan`), and the minimum chord count over the longest cycles of a
+3-connected one (`verify_chords`).  Each returns the value with a
+witness; the caller compares it with the paper's threshold.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import kernels
+from .errors import InvariantViolation
+from .graphs import Graph, connectivity_at_least, is_cubic
+from .search import Path, chords, internal_bound_vertices, kernel_masks, longest_cycles
+
+# the connectivity each verified statement assumes: verify_zhan's modes
+# and verify_chords ("chords")
+CONNECTIVITY = {"all-pairs": 2, "adjacent-pairs": 3, "chords": 3}
+
+
+@dataclass(frozen=True)
+class PairResult:
+    max_length: int
+    min_bound: int
+    witness: tuple  # a path achieving the minimum
+
+
+@dataclass(frozen=True)
+class ZhanReport:
+    mode: str
+    pairs: dict
+    minimum: int
+
+
+def _check_sweep_entry(g: Graph, x: int, y: int, entry):
+    """Re-validate one sweep table entry independently of the sweep."""
+    if entry is None:
+        # the connectivity gate guarantees an (x,y)-path
+        raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
+    best, mb, wit = entry
+    try:
+        bound = internal_bound_vertices(g, Path(wit))  # validates the path
+    except ValueError as exc:
+        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {exc}") from exc
+    if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or len(bound) != mb:
+        raise InvariantViolation(
+            "sweep",
+            f"pair ({x},{y}): witness {wit} has length {len(wit) - 1} and "
+            f"{len(bound)} internal bound vertices, table says {best} and {mb}",
+        )
+
+
+def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
+    """Minimum internal bound-vertex count over longest (x,y)-paths for
+    every requested pair: all pairs of a 2-connected cubic graph, or the
+    adjacent pairs of a 3-connected one; the caller compares the minimum
+    with the paper's threshold.  For all pairs one exhaustive DFS per
+    source vertex (``kernels.xy_sweep``) fills the table; for adjacent
+    pairs one walk over every cycle (``kernels.adjacent_table``) does.
+    Every entry is re-checked before it is reported."""
+    if mode not in ("all-pairs", "adjacent-pairs"):
+        raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
+    if not is_cubic(g):
+        raise ValueError("graph is not cubic")
+    need_k = CONNECTIVITY[mode]
+    if not connectivity_at_least(g, need_k):
+        raise ValueError(f"graph is not {need_k}-connected")
+    masks = kernel_masks(g)
+    if mode == "all-pairs":
+        pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    else:
+        pairs = sorted(set(g.edges))
+        cycle_table = kernels.adjacent_table(masks, g.n)
+    results = {}
+    source = table = None
+    for x, y in pairs:
+        if mode == "adjacent-pairs":
+            entry = cycle_table.get((x, y))
+        else:
+            # pairs are sorted by x, so each source is swept once
+            if x != source:
+                source, table = x, kernels.xy_sweep(masks, g.n, x)
+            entry = table[y]
+        _check_sweep_entry(g, x, y, entry)
+        best, mb, wit = entry
+        results[(x, y)] = PairResult(best, mb, wit)
+    minimum = min((r.min_bound for r in results.values()), default=0)
+    return ZhanReport(mode=mode, pairs=results, minimum=minimum)
+
+
+@dataclass(frozen=True)
+class ChordReport:
+    cycle_length: int
+    min_chords: int
+    witness: tuple
+
+
+def verify_chords(g: Graph) -> ChordReport:
+    """Minimum chord count over all longest cycles of a 3-connected cubic
+    graph, with the least longest cycle (by vertex sequence) among those
+    that attain it as the witness.  The paper proves the minimum is at
+    least 2, so a lower value is a violation the caller reports."""
+    if not is_cubic(g):
+        raise ValueError("graph is not cubic")
+    need_k = CONNECTIVITY["chords"]
+    if not connectivity_at_least(g, need_k):
+        raise ValueError(f"graph is not {need_k}-connected")
+    cycles = longest_cycles(g)
+    counts = [(len(chords(g, c)), c) for c in cycles]
+    counts.sort(key=lambda t: (t[0], t[1].vertices))
+    min_chords, witness = counts[0]
+    return ChordReport(
+        cycle_length=cycles[0].length,
+        min_chords=min_chords,
+        witness=witness.vertices,
+    )

@@ -20,8 +20,6 @@ from chordlab.extender import (
     SPANNING_PATH,
     extend_path,
     precheck,
-    verify_chords,
-    verify_zhan,
 )
 from chordlab.coloring import three_color_cycle_plus
 from chordlab.generate import enumerate_cubic, random_simple_path
@@ -29,6 +27,7 @@ from chordlab.graph6 import parse_graph6, write_graph6
 from chordlab.graphs import connectivity_at_least
 from chordlab.search import chords, longest_cycles, longest_xy_paths
 from chordlab.second_cycle import build_support_graph, second_hamilton_cycle
+from chordlab.verify import verify_chords, verify_zhan
 from helpers import gen_cycle_plus_instance, gen_lemma_instance
 from oracles import verify_parity_lemma
 

@@ -12,10 +12,10 @@ import pytest
 import oracles
 from chordlab import cli, kernels
 from chordlab.cli import main
-from chordlab.extender import verify_zhan
 from chordlab.graph6 import write_graph6
 from chordlab.graphs import connectivity_at_least
 from chordlab.search import Cycle, Path, chords, internal_bound_vertices
+from chordlab.verify import verify_zhan
 
 
 def run_cli(argv, capsys):
@@ -399,6 +399,35 @@ def test_extend_empty_graph_file(tmp_path, capsys, text):
     assert code == 3
     assert out == ""
     assert err == "error: empty graph input\n"
+
+
+def test_extend_refuses_several_records(tmp_path, capsys):
+    """A graph file holding a corpus is an input error, not a run on its
+    first graph."""
+    f = tmp_path / "c6.g6"
+    assert run_cli(["generate", "--n", "6", "--out", str(f)], capsys)[0] == 0
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: expected one graph6 record, found 2\n"
+
+
+@pytest.mark.parametrize("cmd", ("generate", "verify", "extend"))
+def test_unwritable_output_exits_3(tmp_path, capsys, cmd):
+    """An output file that cannot be opened is an I/O error (exit 3) with
+    an error line, not a traceback that exits 1, the violation code."""
+    target = tmp_path / "missing" / "out"
+    c6 = _write_corpus(tmp_path, [oracles.prism()])
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(oracles.edge_list_text(oracles.k4()))
+    argv = {
+        "generate": ["generate", "--n", "4", "--out"],
+        "verify": ["verify", "--mode", "zhan2", "--in", str(c6), "--out"],
+        "extend": ["extend", "--graph", str(k4), "--path", "0,1", "--trace"],
+    }[cmd]
+    code, _, err = run_cli(argv + [str(target)], capsys)
+    assert code == 3
+    assert err.splitlines()[-1].startswith("error: ") and str(target) in err
 
 
 def test_extend_malformed_path(tmp_path, capsys):

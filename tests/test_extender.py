@@ -22,8 +22,6 @@ from chordlab.extender import (
     lift_to_host,
     matching_step,
     precheck,
-    verify_chords,
-    verify_zhan,
     _attached_components,
     _path_from_cycle,
     _through_component,
@@ -31,6 +29,7 @@ from chordlab.extender import (
 from chordlab.generate import random_cubic, random_simple_path
 from chordlab.graphs import Graph, components_after_deletion, connectivity_at_least
 from chordlab.search import Cycle, Path, longest_xy_paths
+from chordlab.verify import verify_chords, verify_zhan
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +181,10 @@ def test_reduction_matches_figure():
     ]
     assert rg.xy == (0, 10) and rg.xy_virtual
     # the closing cycle is a Hamilton cycle of the reduced graph
-    assert sorted(rg.verts) == list(p.vertices)
-    assert all(u != v and {u, v} <= rg.verts for u, v in rg.edges)
-    assert len(rg.verts) == 11 and len(rg.cycle_eids) == 11
+    verts = set(rg.adjmap)
+    assert sorted(verts) == list(p.vertices)
+    assert all(u != v and {u, v} <= verts for u, v in rg.edges)
+    assert len(verts) == 11 and len(rg.cycle_eids) == 11
 
 
 def test_reduction_hamilton_cycle_property():
@@ -211,9 +211,10 @@ def test_reduction_hamilton_cycle_property():
         else:
             a_set, triples = frozenset(), []
         rg = build_reduced_G2(g, p, comps, a_set, triples)
-        assert set(rg.cycle_vertices) == rg.verts
+        assert set(rg.cycle_vertices) == set(rg.adjmap)
+        reps = {info[0] for info in rg.blue_info.values()}
         for v in p.vertices[1:-1]:
-            if v in rg.reps:
+            if v in reps:
                 assert rg.degree(v) >= 4
             else:
                 assert rg.degree(v) == 3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from chordlab.graph6 import (
     Graph6Error,
+    load_graph_text,
     parse_graph6,
     read_edge_list,
     stream_corpus,
@@ -137,3 +138,12 @@ def test_edge_list_names_bad_line(text, message):
     with pytest.raises(ValueError) as exc:
         read_edge_list(text)
     assert str(exc.value) == message
+
+
+def test_load_graph_text_refuses_several_records():
+    k4, prism = write_graph6(oracles.k4()), write_graph6(oracles.prism())
+    assert load_graph_text(f"{k4}\n\n") == oracles.k4()
+    for text, records in ((f"{k4}\n{prism}\n", 2), (f"{k4}\n\n{prism}\n{k4}", 3)):
+        with pytest.raises(Graph6Error) as exc:
+            load_graph_text(text)
+        assert str(exc.value) == f"expected one graph6 record, found {records}"

@@ -24,11 +24,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path as FsPath
 
 import pytest
 
+import chordlab
 import oracles
 from chordlab import kernels
 from chordlab.generate import enumerate_cubic, random_cubic
@@ -114,14 +116,24 @@ def test_active_backend_is_exposed():
 
 def test_tracer_targets_resolve():
     """perfbench/tracing.py wraps chordlab functions by name; each one of
-    its TARGETS must still name a callable, or `--trace 1` breaks."""
+    its TARGETS must still name a callable, or `--trace 1` breaks.  The
+    tracer patches every chordlab module attribute that *is* that
+    function, so any other object under the same name (a wrapper, a
+    second definition) would run untraced and its span would read 0."""
     path = FsPath(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.TARGETS
+    modules = [chordlab] + [
+        importlib.import_module(f"chordlab.{info.name}")
+        for info in pkgutil.iter_modules(chordlab.__path__)
+    ]
     for span, module, name, _ in tracing.TARGETS:
-        assert callable(getattr(importlib.import_module(module), name, None)), (span, name)
+        fn = getattr(importlib.import_module(module), name, None)
+        assert callable(fn), (span, name)
+        for mod in modules:
+            assert getattr(mod, name, fn) is fn, (span, name, mod.__name__)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from chordlab import kernels
-from chordlab.extender import verify_chords
 from chordlab.graphs import Graph
 from chordlab.search import (
     Cycle,
@@ -16,6 +15,7 @@ from chordlab.search import (
     longest_xy_paths,
 )
 from chordlab.second_cycle import build_support_graph
+from chordlab.verify import verify_chords
 from helpers import gen_lemma_instance
 
 

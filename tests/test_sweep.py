@@ -10,10 +10,10 @@ import pytest
 import oracles
 from chordlab import kernels
 from chordlab.errors import InvariantViolation
-from chordlab.extender import verify_zhan
 from chordlab.generate import enumerate_cubic, random_cubic
 from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import longest_xy_paths
+from chordlab.verify import verify_zhan
 
 MODES = (("all-pairs", 2), ("adjacent-pairs", 3))
 
