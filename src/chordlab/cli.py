@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -163,20 +164,16 @@ def cmd_extend(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        vertices = tuple(int(tok) for tok in args.path.split(",") if tok.strip())
-        if len(vertices) < 2:
-            raise ValueError("path needs at least two vertices")
-        p = Path(vertices).validate(g)
+        p = Path(tuple(int(tok) for tok in args.path.split(",") if tok.strip())).validate(g)
     except ValueError as exc:
         print(f"error: bad path spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cls = precheck(g, p)
     if cls.kind != EXTENDABLE:
-        if cls.bound:
-            where = ", ".join(f"v={v}" for v in sorted(cls.bound))
-            print(f"not extendable: internal P-bound vertex present at {where}", file=sys.stderr)
-        else:
-            print(f"not extendable: {cls.kind}", file=sys.stderr)
+        # a refused path always has an internal bound vertex: in a cubic
+        # host every internal vertex of a spanning path is bound
+        where = ", ".join(f"v={v}" for v in sorted(cls.bound))
+        print(f"not extendable: internal P-bound vertex present at {where}", file=sys.stderr)
         return EXIT_USAGE
     longer, trace = extend_path(g, p)
     print(",".join(str(v) for v in longer.vertices))
@@ -214,6 +211,13 @@ def main(argv=None) -> int:
     e.set_defaults(fn=cmd_extend)
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None) or getattr(args, "trace", None)
+    folder = os.path.dirname(os.path.abspath(out)) if out else None
+    if out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        # fail before the work, not after it; the final write still maps
+        # an OSError to exit 3
+        print(f"error: cannot write {out}: {folder} is not a writable directory", file=sys.stderr)
+        return EXIT_IO
     try:
         return args.fn(args)
     except InvariantViolation as exc:

@@ -16,8 +16,6 @@ from .search import Cycle
 def _cycle_plus_components(g: Graph, c: Cycle):
     """Validate the decomposition shape and split off-cycle components
     into triangles and order-3 paths (as (end, mid, end))."""
-    if not g.simple:
-        raise ValueError("cycle-plus decomposition requires a simple graph")
     c.validate(g)
     if c.length != g.n:
         raise ValueError("c must be a Hamilton cycle of g")

@@ -225,7 +225,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     splice a longer path through one or two of them; otherwise certify a
     component attached only to the interior.  ``comps`` is
     ``_attached_components(g, p.vertices)``.  Returns (path, component)
-    with exactly one of the two set."""
+    with exactly one of the two set; `_finish` checks the path."""
     on_path = set(p.vertices)
     x, y = p.x, p.y
     nbrs = dict(comps)
@@ -247,8 +247,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     h_i = comp_of(u)
     if x in nbrs[h_i]:
         seg = _through_component(g, x, u, h_i, 2)
-        longer = Path(seg.vertices + p.vertices[2:])
-        return _check_longer(g, p, longer), None
+        return Path(seg.vertices + p.vertices[2:]), None
     if y not in nbrs[h_i]:
         raise InvariantViolation(
             "component-claim", "component misses both endpoints after the filter"
@@ -258,8 +257,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     h_j = comp_of(v)
     if y in nbrs[h_j]:
         seg = _through_component(g, v, y, h_j, 2)
-        longer = Path(p.vertices[:-1] + seg.vertices[1:])
-        return _check_longer(g, p, longer), None
+        return Path(p.vertices[:-1] + seg.vertices[1:]), None
     if x not in nbrs[h_j]:
         raise InvariantViolation(
             "component-claim", "second component misses both endpoints"
@@ -271,17 +269,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     seg_xv = _through_component(g, x, v, h_j, 2)
     seg_uy = _through_component(g, u, y, h_i, 2)
     middle = tuple(reversed(p.vertices[1:-1]))  # v .. u
-    longer = Path(seg_xv.vertices + middle[1:] + seg_uy.vertices[1:])
-    return _check_longer(g, p, longer), None
-
-
-def _check_longer(g: Graph, p: Path, q: Path) -> Path:
-    q.validate(g)
-    if (q.x, q.y) != (p.x, p.y):
-        raise InvariantViolation("checker", "endpoints moved")
-    if q.length <= p.length:
-        raise InvariantViolation("checker", "replacement path is not longer")
-    return q
+    return Path(seg_xv.vertices + middle[1:] + seg_uy.vertices[1:]), None
 
 
 def _adjacent_attachment_splice(g: Graph, p: Path, comps):
@@ -705,7 +693,11 @@ def _finish(g, p, longer, trace, flipped=False):
     """The one exit of both pipelines: check that ``longer`` is a longer
     path of g with p's endpoints, undo the adjacent pipeline's flip and
     record it as the trace's final path."""
-    longer = _check_longer(g, p, longer)
+    longer.validate(g)
+    if (longer.x, longer.y) != (p.x, p.y):
+        raise InvariantViolation("checker", "endpoints moved")
+    if longer.length <= p.length:
+        raise InvariantViolation("checker", "replacement path is not longer")
     if flipped:
         longer = longer.reversed()
     trace.final_path = longer.vertices
@@ -718,10 +710,7 @@ def extend_path(g: Graph, p: Path):
     trace = ExtensionTrace()
     cls = precheck(g, p)
     if cls.kind != EXTENDABLE:
-        raise ValueError(
-            f"path is not extendable: {cls.kind}"
-            + (f" at {sorted(cls.bound)}" if cls.bound else "")
-        )
+        raise ValueError(f"path is not extendable: {cls.kind} at {sorted(cls.bound)}")
     trace.add("precheck", classification=cls.kind, path=list(p.vertices))
     if p.length < 2:
         # length-1 inputs predate the machinery: the least detour around

@@ -179,21 +179,19 @@ def enumerate_cubic(n: int):
 
 
 def random_cubic(n: int, seed: int) -> Graph:
-    """Random simple cubic graph from the half-edge pairing model,
-    rejecting loops and parallel edges; deterministic per seed."""
+    """Random simple cubic graph from the half-edge pairing model: a
+    pairing that `Graph` refuses (a loop or a repeated pair) is drawn
+    again; deterministic per seed."""
     if n % 2 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
     rng = random.Random(seed)
     while True:
         halves = [v for v in range(n) for _ in range(3)]
         rng.shuffle(halves)
-        pairs = [(halves[i], halves[i + 1]) for i in range(0, len(halves), 2)]
-        if any(u == v for u, v in pairs):
-            continue
-        norm = {(min(u, v), max(u, v)) for u, v in pairs}
-        if len(norm) != len(pairs):
-            continue
-        return Graph(n, pairs)
+        try:
+            return Graph(n, [(halves[i], halves[i + 1]) for i in range(0, 3 * n, 2)])
+        except ValueError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def random_simple_path(g: Graph, seed: int):
             break
         if len(path) >= 2 and rng.random() < 0.2:
             break
-        nxt = rng.choice(sorted(set(nbrs)))
+        nxt = rng.choice(nbrs)
         path.append(nxt)
         seen.add(nxt)
     if len(path) < 2:

@@ -55,8 +55,6 @@ def parse_graph6(line: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if not g.simple:
-        raise ValueError("graph6 cannot encode parallel edges")
     if g.n >= 63:
         raise ValueError("long form (n >= 63) not supported")
     present = set(g.edges)

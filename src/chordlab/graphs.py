@@ -1,12 +1,10 @@
 """Core undirected graph representation and small-graph structure tools.
 
-Vertices are dense integer ids 0..n-1.  The edge list is a multiset only
-because edge-list input may repeat a pair; nothing in the package builds
-such a graph, and the connectivity gate, the search kernels and
-`write_graph6` refuse one.  Self-loops are never allowed.  Instances are
-treated as immutable after construction and are safe to share between
-threads: the lazily filled caches (adjacency masks, connectivity
-answers) only ever store values computed from that fixed structure.
+Vertices are dense integer ids 0..n-1.  Graphs are simple: construction
+refuses a self-loop or a repeated pair, so no other module checks for
+either.  Instances are treated as immutable after construction and are
+safe to share between threads: the lazily filled connectivity answers
+only ever store values computed from that fixed structure.
 """
 
 from __future__ import annotations
@@ -15,33 +13,36 @@ from collections import deque
 
 
 class Graph:
-    """Undirected (multi)graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1.
 
-    ``edges`` keeps the construction order, each pair as (min, max).
-    ``simple`` is true iff no pair occurs twice.
+    ``edges`` keeps the construction order, each pair as (min, max), and
+    ``masks[v]`` has bit w set iff vw is an edge.
     """
 
-    __slots__ = ("n", "edges", "adj", "simple", "_masks", "_gate")
+    __slots__ = ("n", "edges", "adj", "masks", "_gate")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         norm = []
+        adj = [[] for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if masks[u] >> v & 1:
+                raise ValueError(f"repeated edge ({min(u, v)},{max(u, v)})")
             norm.append((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = tuple(norm)
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.n = n
+        self.edges = tuple(norm)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.simple = len(set(norm)) == len(norm)
-        self._masks = None
+        self.masks = tuple(masks)
         self._gate = {}  # k -> connectivity_at_least(self, k)
 
     @property
@@ -57,19 +58,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    @property
-    def masks(self):
-        """Adjacency bitmasks (parallel edges collapse to one bit)."""
-        if self._masks is None:
-            masks = []
-            for a in self.adj:
-                m = 0
-                for w in a:
-                    m |= 1 << w
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -81,23 +69,11 @@ class Graph:
         return hash((self.n, tuple(sorted(self.edges))))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m}{'' if self.simple else ', multi'})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
-
-
-def _is_connected(g: Graph) -> bool:
-    seen = {0} if g.n else set()
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
 
 
 def _biconnected_without(g: Graph, removed: int) -> bool:
@@ -146,14 +122,12 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
     records the k=2 answer, so asking again costs a dict lookup."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    if not g.simple:
-        raise ValueError("connectivity gate requires a simple graph")
     gate = g._gate
     if k not in gate:
         if g.n <= k:
             gate[k] = False
         elif k == 1:
-            gate[1] = _is_connected(g)
+            gate[1] = len(components_after_deletion(g, ())) == 1
         else:
             if 2 not in gate:
                 gate[2] = _biconnected_without(g, -1)

@@ -127,8 +127,6 @@ class PathReport:
 
 def kernel_masks(g: Graph) -> tuple:
     """``g.masks`` after the limits every search kernel shares."""
-    if not g.simple:
-        raise ValueError("search kernels require a simple graph")
     if g.n >= 63:
         raise ValueError("search kernels support n < 63")
     return g.masks

@@ -71,7 +71,7 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     if mode == "all-pairs":
         pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
     else:
-        pairs = sorted(set(g.edges))
+        pairs = sorted(g.edges)
         cycle_table = kernels.adjacent_table(masks, g.n)
     results = {}
     source = table = None

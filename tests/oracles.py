@@ -203,7 +203,7 @@ def xy_sweep_reference(masks, n, x):
 
 
 def encode_graph6_reference(g: Graph) -> str:
-    assert g.simple and g.n < 63
+    assert g.n < 63
     matrix = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         matrix[u][v] = matrix[v][u] = 1

@@ -412,10 +412,43 @@ def test_extend_refuses_several_records(tmp_path, capsys):
     assert err == "error: expected one graph6 record, found 2\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ("4 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n1 0\n", "4 6\n0 1\n1 0\n2 3\n3 2\n0 2\n1 3\n"),
+    ids=("k4-plus-repeat", "cubic-multigraph"),
+)
+def test_extend_repeated_edge_is_parse_error(tmp_path, capsys, text):
+    """An edge list that names a pair twice is an input error (exit 3)
+    naming the pair, whatever the rest of the graph looks like."""
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: repeated edge (0,1)\n"
+
+
+def test_extend_one_vertex_path(tmp_path, capsys):
+    f = tmp_path / "k4.g6"
+    f.write_text(write_graph6(oracles.k4()) + "\n")
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad path spec: path needs at least two vertices\n"
+
+
 @pytest.mark.parametrize("cmd", ("generate", "verify", "extend"))
-def test_unwritable_output_exits_3(tmp_path, capsys, cmd):
+def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, cmd):
     """An output file that cannot be opened is an I/O error (exit 3) with
-    an error line, not a traceback that exits 1, the violation code."""
+    an error line, not a traceback that exits 1, the violation code.  It
+    is found before any work runs."""
+
+    def no_work(*args):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "enumerate_cubic", no_work)
+    monkeypatch.setattr(cli, "verify_zhan", no_work)
+    monkeypatch.setattr(cli, "extend_path", no_work)
     target = tmp_path / "missing" / "out"
     c6 = _write_corpus(tmp_path, [oracles.prism()])
     k4 = tmp_path / "k4.txt"
@@ -425,9 +458,19 @@ def test_unwritable_output_exits_3(tmp_path, capsys, cmd):
         "verify": ["verify", "--mode", "zhan2", "--in", str(c6), "--out"],
         "extend": ["extend", "--graph", str(k4), "--path", "0,1", "--trace"],
     }[cmd]
-    code, _, err = run_cli(argv + [str(target)], capsys)
+    code, out, err = run_cli(argv + [str(target)], capsys)
     assert code == 3
+    assert out == ""
     assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+
+
+def test_output_that_is_a_directory_exits_3(tmp_path, capsys):
+    """The early check sees only the directory; the final write still
+    turns an OSError into exit 3."""
+    code, out, err = run_cli(["generate", "--n", "4", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_extend_malformed_path(tmp_path, capsys):

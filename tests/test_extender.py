@@ -85,7 +85,8 @@ def test_direct_extension_certificate_branch():
 def test_direct_extension_branch_matches_predicate():
     """The branch taken mirrors an independently computed predicate:
     a spliced path appears exactly when every off-path component
-    touches an endpoint neighborhood."""
+    touches an endpoint neighborhood.  The splice comes back unchecked,
+    so each one is checked here: a longer path with p's endpoints."""
     checked = 0
     for seed in range(400):
         r = helpers.gen_extendable_host(seed)
@@ -101,6 +102,9 @@ def test_direct_extension_branch_matches_predicate():
         longer, cert = find_direct_extension(g, p, _attached_components(g, on_path))
         assert (longer is not None) == all_touch
         assert (cert is not None) == (not all_touch)
+        if longer is not None:
+            longer.validate(g)
+            assert (longer.x, longer.y) == (p.x, p.y) and longer.length > p.length
         checked += 1
         if checked >= 200:
             break

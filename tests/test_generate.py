@@ -16,7 +16,7 @@ from chordlab.generate import (
     random_simple_path,
 )
 from chordlab.graph6 import parse_graph6
-from chordlab.graphs import _is_connected, is_cubic
+from chordlab.graphs import connectivity_at_least, is_cubic
 from helpers import gen_cycle_plus_instance, gen_lemma_instance
 from oracles import automorphism_count, canonical_code
 
@@ -81,7 +81,7 @@ def test_outputs_connected_cubic(corpus):
     for graphs in corpus.values():
         for g in graphs:
             assert is_cubic(g)
-            assert _is_connected(g)
+            assert connectivity_at_least(g, 1)
 
 
 def test_outputs_pairwise_nonisomorphic_n8():
@@ -167,7 +167,6 @@ def test_random_cubic_properties():
     for seed in range(1000):
         g = random_cubic(20, seed)
         assert is_cubic(g)
-        assert g.simple
 
 
 def test_lemma_instance_spec_example_shape():
@@ -237,7 +236,7 @@ def test_counts_n14_optional_tier(tmp_path):
 def test_counts_n16_optional_tier(tmp_path):
     graphs = [parse_graph6(line) for line in _generate(16, tmp_path).decode().split()]
     assert len(graphs) == EXPECTED_CLASS_COUNTS[16]
-    assert all(is_cubic(g) and _is_connected(g) for g in graphs)
+    assert all(is_cubic(g) and connectivity_at_least(g, 1) for g in graphs)
     found = [oracles._canonical_search(g.masks, g.n) for g in graphs]
     assert len({code for code, _ in found}) == len(graphs)
     total = sum(factorial(16) // aut for _, aut in found)

@@ -25,7 +25,7 @@ import helpers
 from chordlab.extender import EXTENDABLE, extend_path, extend_path_adjacent, precheck
 from chordlab.generate import random_cubic, random_simple_path
 from chordlab.graphs import connectivity_at_least
-from chordlab.search import Path
+from chordlab.search import Path, internal_bound_vertices
 
 GOLDEN = FsPath(__file__).parent / "golden" / "extend_traces.json"
 
@@ -168,6 +168,34 @@ def test_extension_census_n10(corpus):
     }
     assert digest.hexdigest() == (
         "3fc2966b8a4e31cc43021f8249a98a0208333a88728887b90d87ad130ec67a3c"
+    )
+
+
+def test_adjacent_census_n10(corpus):
+    """Every directed path of every 3-connected cubic graph with n <= 10
+    whose endpoints are adjacent and which has exactly one internal bound
+    vertex goes through `extend_path_adjacent`: the exit each path takes
+    and the digest of every trace are pinned.  No path here reaches the
+    ay-component splice; n = 12 does (10 of 9,376 paths)."""
+    exits = Counter()
+    digest = hashlib.sha256()
+    for n in (4, 6, 8, 10):
+        for g in corpus[n]:
+            if not connectivity_at_least(g, 3):
+                continue
+            for vs in _directed_paths(g):
+                p = Path(vs)
+                if not g.has_edge(p.x, p.y) or len(internal_bound_vertices(g, p)) != 1:
+                    continue
+                _, trace = extend_path_adjacent(g, p)
+                digest.update(trace.to_json().encode())
+                branch = trace.steps[1]["branch"]
+                exits[trace.steps[1]["name"] if branch == "coloring" else branch] += 1
+    assert exits == {
+        "single-component": 1216, "adjacent-attachment": 248, "case-1": 112, "case-2": 24,
+    }
+    assert digest.hexdigest() == (
+        "97d0f202424341b3e7631b64f01c7fae719c430486d4dc2b9342af269d345b61"
     )
 
 

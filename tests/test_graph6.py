@@ -66,11 +66,6 @@ def test_parse_rejects_dirty_padding():
         parse_graph6(dirty)
 
 
-def test_write_rejects_multigraph():
-    with pytest.raises(ValueError):
-        write_graph6(Graph(2, [(0, 1), (0, 1)]))
-
-
 def test_roundtrip_corpus(corpus):
     for graphs in corpus.values():
         for g in graphs:

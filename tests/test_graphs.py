@@ -18,7 +18,6 @@ from chordlab.search import longest_cycles
 def test_build_k4():
     g = Graph(4, list(itertools.combinations(range(4), 2)))
     assert [g.degree(v) for v in range(4)] == [3, 3, 3, 3]
-    assert g.simple
 
 
 def test_build_path():
@@ -39,10 +38,13 @@ def test_build_rejects_bad_input():
         Graph(3, [(1, 1)])
 
 
-def test_multigraph_flag():
-    g = Graph(3, [(0, 1), (0, 1), (1, 2)])
-    assert not g.simple
-    assert g.degree(0) == 2
+def test_build_rejects_repeated_edge():
+    """Graphs are simple by construction: a pair given twice, in either
+    orientation, is refused and named."""
+    with pytest.raises(ValueError, match=r"^repeated edge \(0,1\)$"):
+        Graph(3, [(0, 1), (1, 0), (1, 2)])
+    with pytest.raises(ValueError, match=r"^repeated edge \(1,2\)$"):
+        Graph(3, [(0, 1), (2, 1), (1, 2)])
 
 
 def test_is_cubic():
@@ -213,6 +215,4 @@ def test_connectivity_against_cut_enumeration_cubic():
 def test_connectivity_gate_errors():
     with pytest.raises(ValueError, match="k must be 1, 2 or 3, got 4"):
         connectivity_at_least(oracles.k4(), 4)
-    with pytest.raises(ValueError, match="connectivity gate requires a simple graph"):
-        connectivity_at_least(Graph(3, [(0, 1), (0, 1), (1, 2)]), 2)
     assert not connectivity_at_least(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
