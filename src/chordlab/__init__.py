@@ -9,7 +9,7 @@ from .graphs import (
     is_cubic,
 )
 from .graph6 import parse_graph6, stream_corpus, write_graph6
-from .coloring import pick_color_class, subdivision_transform, three_color_cycle_plus
+from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .extender import (
     extend_path,
@@ -48,7 +48,6 @@ __all__ = [
     "chords",
     "enumerate_cubic",
     "random_cubic",
-    "subdivision_transform",
     "three_color_cycle_plus",
     "pick_color_class",
     "second_hamilton_cycle",

@@ -213,9 +213,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = getattr(args, "out", None) or getattr(args, "trace", None)
     folder = os.path.dirname(os.path.abspath(out)) if out else None
+    # fail before the work, not after it; the final write still maps an
+    # OSError to exit 3
+    if out and os.path.isdir(out):
+        print(f"error: cannot write {out}: it is a directory", file=sys.stderr)
+        return EXIT_IO
     if out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        # fail before the work, not after it; the final write still maps
-        # an OSError to exit 3
         print(f"error: cannot write {out}: {folder} is not a writable directory", file=sys.stderr)
         return EXIT_IO
     try:

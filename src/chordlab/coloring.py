@@ -1,101 +1,55 @@
 """3-coloring of graphs that decompose as a Hamilton cycle plus disjoint
-triangles or order-3 paths, via the close-the-path/subdivide transform,
-plus color-class selection under endpoint constraints.
+triangles or order-3 paths, plus color-class selection under endpoint
+constraints.
 
-Existence of the coloring is guaranteed for these shapes, so search
-exhaustion is reported as an internal error, never as "not 3-colorable".
+Existence of the coloring is guaranteed for these shapes by the
+cycle-plus-triangles theorem of Fleischner and Stiebitz: closing each
+order-3 path u-v-w into a triangle, after subdividing the cycle edge uw
+where there is one, gives a cycle plus disjoint triangles that contains
+every edge of g.  So search exhaustion is reported as an internal error,
+never as "not 3-colorable".
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .graphs import Graph
+from .graphs import Graph, components_after_deletion
 from .search import Cycle
 
 
-def _cycle_plus_components(g: Graph, c: Cycle):
-    """Validate the decomposition shape and split off-cycle components
-    into triangles and order-3 paths (as (end, mid, end))."""
+def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
+    """Proper 3-coloring of g (colors 1..3) by DSATUR backtracking on g.
+
+    ``c`` must be a Hamilton cycle of g, and every component of the edges
+    off it must have three vertices: a triangle or an order-3 path.
+
+    The extender's rings (`extender._color_ring`) carry vertex-disjoint
+    triangles, each sharing at most one edge uw with the ring; off the
+    ring such a triangle is an order-3 path u-v-w.  Closing that path
+    into a triangle, by subdividing the ring edge uw with a new vertex z
+    and keeping uw as a chord, would not change the coloring: z has the
+    highest id and only the neighbors u and w, which are adjacent, so
+    DSATUR picks z only after both are colored; z then has one free color
+    and no uncolored neighbor, and every other vertex is picked and
+    colored as it is on g.
+    """
     c.validate(g)
     if c.length != g.n:
         raise ValueError("c must be a Hamilton cycle of g")
     cyc = c.edge_set()
-    rest = [e for e in g.edges if e not in cyc]
-    nbr = {}
-    for u, v in rest:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
-    seen = set()
-    triangles, paths = [], []
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in nbr[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comp_edges = [e for e in rest if e[0] in comp]
-        if len(comp) == 3 and len(comp_edges) == 3:
-            triangles.append(tuple(sorted(comp)))
-        elif len(comp) == 3 and len(comp_edges) == 2:
-            mid = next(v for v in comp if len(nbr[v]) == 2)
-            ends = sorted(comp - {mid})
-            paths.append((ends[0], mid, ends[1]))
-        else:
+    off = Graph(g.n, [e for e in g.edges if e not in cyc])
+    for comp in components_after_deletion(off, [v for v in range(g.n) if not off.adj[v]]):
+        if len(comp) != 3:
             raise ValueError(
                 f"off-cycle component {sorted(comp)} is neither a triangle "
                 "nor a path of order 3"
             )
-    return cyc, triangles, paths
-
-
-def subdivision_transform(g: Graph, c: Cycle):
-    """Close each order-3 path component u-v-w into a triangle by adding
-    uw; when uw already lies on the cycle, first subdivide that cycle edge
-    with a fresh vertex.  The result is an edge-disjoint union of one
-    Hamilton cycle and vertex-disjoint triangles: returns (graph, that
-    Hamilton cycle)."""
-    cyc, triangles, paths = _cycle_plus_components(g, c)
-    edges = list(g.edges)
-    order = list(c.vertices)
-    n = g.n
-    for u, mid, w in paths:
-        key = (min(u, w), max(u, w))
-        if key in cyc:
-            z = n
-            n += 1
-            edges.remove(key)
-            edges.append((u, z))
-            edges.append((z, w))
-            i, j = order.index(u), order.index(w)
-            if (i + 1) % len(order) == j:
-                order.insert(j, z)
-            else:
-                order.insert(i, z)
-        edges.append((min(u, w), max(u, w)))
-    g2 = Graph(n, edges)
-    return g2, Cycle(tuple(order))
-
-
-def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
-    """Proper 3-coloring of g (colors 1..3), found on the transformed
-    graph and restricted back to V(g)."""
-    g2, _ = subdivision_transform(g, c)
-    coloring = _backtrack_three_color(g2)
+    coloring = _backtrack_three_color(g)
     if coloring is None:
         raise InvariantViolation(
             "coloring", "3-coloring search exhausted on a cycle-plus-triangles graph"
         )
-    out = {v: coloring[v] for v in range(g.n)}
-    for u, v in g.edges:
-        if out[u] == out[v]:
-            raise InvariantViolation("coloring", "restricted coloring is not proper")
-    return out
+    return dict(enumerate(coloring))
 
 
 def _backtrack_three_color(g: Graph):

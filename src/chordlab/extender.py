@@ -932,9 +932,8 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
         else:
             raise InvariantViolation("case-instance", "arc endpoint not beside A")
     arcs = [arc for i, arc in enumerate(arcs) if i != special] + [arcs[special]]
-    inst = LemmaInstance(
-        g=gd, cycle=cyc, a_set=a_dense, components=tuple(arcs)
-    ).check()
+    # second_hamilton_cycle checks the instance before it uses it
+    inst = LemmaInstance(g=gd, cycle=cyc, a_set=a_dense, components=tuple(arcs))
     return inst, (lemma_x, lemma_y), host_of
 
 

@@ -51,6 +51,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .graphs import Graph
 from .search import Cycle, Path
 
@@ -214,25 +215,26 @@ class LemmaInstance:
         return len(self.a_set)
 
     def check(self):
-        """Assert every hypothesis clause separately; returns self."""
+        """Check every hypothesis clause separately; a failed clause raises
+        InvariantViolation("lemma-instance", <clause>).  Returns self."""
         self.cycle.validate(self.g)
         if self.cycle.length != self.g.n:
-            raise AssertionError("cycle is not Hamilton")
+            raise InvariantViolation("lemma-instance", "cycle is not Hamilton")
         cyc_edges = self.cycle.edge_set()
         for a in self.a_set:
             for b in self.a_set:
                 if a != b and (min(a, b), max(a, b)) in cyc_edges:
-                    raise AssertionError("A is not independent on C")
+                    raise InvariantViolation("lemma-instance", "A is not independent on C")
         if len(self.components) != self.k:
-            raise AssertionError("arc count differs from |A|")
+            raise InvariantViolation("lemma-instance", "arc count differs from |A|")
         covered = set()
         for comp in self.components:
             covered |= set(comp)
             for a, b in zip(comp, comp[1:]):
                 if not self.g.has_edge(a, b):
-                    raise AssertionError("arc is not a path")
+                    raise InvariantViolation("lemma-instance", "arc is not a path")
         if covered | self.a_set != set(range(self.g.n)) or covered & self.a_set:
-            raise AssertionError("arcs and A do not partition the vertices")
+            raise InvariantViolation("lemma-instance", "arcs and A do not partition the vertices")
         for comp in self.components[:-1]:
             for end in (comp[0], comp[-1]):
                 if not any(
@@ -240,8 +242,9 @@ class LemmaInstance:
                     and (min(end, a), max(end, a)) not in cyc_edges
                     for a in self.a_set
                 ):
-                    raise AssertionError(
-                        f"endpoint {end} of a non-final arc has no chord to A"
+                    raise InvariantViolation(
+                        "lemma-instance",
+                        f"endpoint {end} of a non-final arc has no chord to A",
                     )
         return self
 

@@ -86,13 +86,15 @@ def test_criterion_1_extended_n12():
 )
 def test_criteria_1_to_3_extended_n16(tmp_path):
     """All 4060 connected cubic graphs on 16 vertices through `verify` in
-    every mode with two workers: no violation, and the checked counts and
-    minima recorded when the tier first ran."""
+    every mode with two workers: no violation, the checked counts and
+    minima recorded when the tier first ran, and on every 3-connected row
+    the relations of `test_statements_agree_on_three_connected_corpus`."""
     started = time.time()
     corpus = tmp_path / "cubic16.g6"
     assert main(["generate", "--n", "16", "--out", str(corpus)]) == 0
     # mode -> (graphs past the connectivity gate, minimum value)
     expected = {"zhan2": (3874, 4), "zhan3adj": (2828, 10), "chords": (2828, 6)}
+    values = {}  # mode -> graph6 -> value
     for mode, (checked, minimum) in expected.items():
         out = tmp_path / f"{mode}.json"
         argv = ["verify", "--mode", mode, "--in", str(corpus), "--jobs", "2"]
@@ -100,6 +102,11 @@ def test_criteria_1_to_3_extended_n16(tmp_path):
         rep = json.loads(out.read_text())
         got = (rep["graphs"], rep["checked"], rep["minimum"], rep["violations"])
         assert got == (4060, checked, minimum, 0), mode
+        values[mode] = {r["graph6"]: r["value"] for r in rep["rows"] if r["connectivity"] == 3}
+    assert values["zhan2"].keys() == values["zhan3adj"].keys() == values["chords"].keys()
+    assert len(values["chords"]) == 2828
+    for line, chord_count in values["chords"].items():
+        assert values["zhan2"][line] <= values["zhan3adj"][line] <= 2 * chord_count - 1, line
     elapsed = time.time() - started
     _ok("1-3x (n=16 tier)", f"(checked, minimum) per mode {expected}, {elapsed:.1f}s")
 

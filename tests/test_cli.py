@@ -437,11 +437,9 @@ def test_extend_one_vertex_path(tmp_path, capsys):
     assert err == "error: bad path spec: path needs at least two vertices\n"
 
 
-@pytest.mark.parametrize("cmd", ("generate", "verify", "extend"))
-def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, cmd):
-    """An output file that cannot be opened is an I/O error (exit 3) with
-    an error line, not a traceback that exits 1, the violation code.  It
-    is found before any work runs."""
+def _refused_output(tmp_path, capsys, monkeypatch, cmd, target):
+    """Run ``cmd`` with ``target`` as its output file while every command's
+    work raises: the output check must refuse the path first."""
 
     def no_work(*args):
         raise AssertionError("work ran before the output path was checked")
@@ -449,7 +447,6 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, cmd):
     monkeypatch.setattr(cli, "enumerate_cubic", no_work)
     monkeypatch.setattr(cli, "verify_zhan", no_work)
     monkeypatch.setattr(cli, "extend_path", no_work)
-    target = tmp_path / "missing" / "out"
     c6 = _write_corpus(tmp_path, [oracles.prism()])
     k4 = tmp_path / "k4.txt"
     k4.write_text(oracles.edge_list_text(oracles.k4()))
@@ -462,15 +459,25 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, cmd):
     assert code == 3
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+    return err
 
 
-def test_output_that_is_a_directory_exits_3(tmp_path, capsys):
-    """The early check sees only the directory; the final write still
-    turns an OSError into exit 3."""
-    code, out, err = run_cli(["generate", "--n", "4", "--out", str(tmp_path)], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and str(tmp_path) in err
+@pytest.mark.parametrize("cmd", ("generate", "verify", "extend"))
+def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, cmd):
+    """An output file that cannot be opened is an I/O error (exit 3) with
+    an error line, not a traceback that exits 1, the violation code.  It
+    is found before any work runs."""
+    _refused_output(tmp_path, capsys, monkeypatch, cmd, tmp_path / "missing" / "out")
+
+
+def test_output_that_is_a_directory_exits_3(tmp_path, capsys, monkeypatch):
+    """An output path that names an existing directory is refused before
+    any work runs, like one in a missing directory."""
+    target = tmp_path / "folder"
+    target.mkdir()
+    for cmd in ("generate", "verify", "extend"):
+        err = _refused_output(tmp_path, capsys, monkeypatch, cmd, target)
+        assert err == f"error: cannot write {target}: it is a directory\n", cmd
 
 
 def test_extend_malformed_path(tmp_path, capsys):

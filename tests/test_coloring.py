@@ -1,10 +1,6 @@
 import pytest
 
-from chordlab.coloring import (
-    pick_color_class,
-    subdivision_transform,
-    three_color_cycle_plus,
-)
+from chordlab.coloring import pick_color_class, three_color_cycle_plus
 from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph
 from chordlab.search import Cycle
@@ -25,44 +21,21 @@ def _proper_exhaustive(g):
     return None
 
 
-def test_transform_triangles_only_is_identity():
-    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4), (0, 4)])
-    c = Cycle(tuple(range(6)))
-    assert subdivision_transform(g, c) == (g, c)
-
-
-def test_transform_adds_closing_edge():
-    # 6-cycle + chords 02, 24: path component 0-2-4, closing edge 04 off-cycle
-    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4)])
-    c = Cycle(tuple(range(6)))
-    g2, _ = subdivision_transform(g, c)
-    assert g2.n == 6
-    assert g2.has_edge(0, 4)
-    assert g2.m == g.m + 1
-
-
-def test_transform_subdivides_cycle_edge():
-    # 5-cycle + chords 02, 24: closing edge 04 lies on the cycle
+def test_color_path_closing_on_cycle_edge():
+    # 5-cycle + chords 02, 24: the off-cycle path 0-2-4 closes on the
+    # cycle edge 04, the shape of an extender ring whose triangle shares
+    # an edge with the ring
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (2, 4)])
-    c = Cycle((0, 1, 2, 3, 4))
-    g2, new_cycle = subdivision_transform(g, c)
-    assert g2.n == 6
-    z = 5
-    assert g2.has_edge(0, z) and g2.has_edge(4, z)
-    assert g2.has_edge(0, 4)
-    # result decomposes as one Hamilton cycle plus disjoint triangles
-    from chordlab.coloring import _cycle_plus_components
-
-    cyc, triangles, paths = _cycle_plus_components(g2, new_cycle)
-    assert not paths
-    assert triangles == [(0, 2, 4)]
+    col = three_color_cycle_plus(g, Cycle((0, 1, 2, 3, 4)))
+    assert _proper(g, col)
+    assert {col[0], col[2], col[4]} == {1, 2, 3}
 
 
-def test_transform_rejects_bad_shape():
+def test_color_rejects_bad_shape():
     # a path of order 4 off the cycle
     g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 2), (2, 4), (4, 6)])
-    with pytest.raises(ValueError):
-        subdivision_transform(g, Cycle(tuple(range(8))))
+    with pytest.raises(ValueError, match=r"off-cycle component \[0, 2, 4, 6\]"):
+        three_color_cycle_plus(g, Cycle(tuple(range(8))))
 
 
 def test_color_triangle():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from chordlab.cli import main
+from chordlab.coloring import three_color_cycle_plus
 from chordlab.generate import (
     _children,
     _completable,
@@ -198,10 +199,9 @@ def test_cycle_plus_instance_shapes():
         g, cyc = gen_cycle_plus_instance(6 + (seed % 19), seed)
         cyc.validate(g)
         assert cyc.length == g.n
-        # off-cycle components are triangles or order-3 paths
-        from chordlab.coloring import _cycle_plus_components
-
-        _cycle_plus_components(g, cyc)
+        # off-cycle components are triangles or order-3 paths, or the
+        # coloring refuses the shape
+        three_color_cycle_plus(g, cyc)
 
 
 def test_random_simple_path_is_valid():

@@ -136,6 +136,15 @@ def test_tracer_targets_resolve():
             assert getattr(mod, name, fn) is fn, (span, name, mod.__name__)
 
 
+def test_public_names_resolve():
+    """Every name in `chordlab.__all__` is bound on the package, so a name
+    left there after its function went cannot break `from chordlab import *`."""
+    assert [name for name in chordlab.__all__ if not hasattr(chordlab, name)] == []
+    namespace = {}
+    exec("from chordlab import *", namespace)
+    assert set(chordlab.__all__) <= namespace.keys()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)

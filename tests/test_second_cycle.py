@@ -160,3 +160,15 @@ def test_second_cycle_validates_inputs():
         second_hamilton_cycle(inst, x=2, y=3)  # not an endpoint of the last arc
     with pytest.raises(ValueError):
         second_hamilton_cycle(inst, x=5, y=2)  # not a cycle edge
+
+
+def test_bad_lemma_instance_is_an_internal_error():
+    """A hypothesis clause that fails is a failed invariant that names the
+    clause, not a bare AssertionError that escapes the command line's
+    handlers."""
+    inst = spec_instance()
+    bad = LemmaInstance(
+        g=inst.g, cycle=inst.cycle, a_set=frozenset({0, 1}), components=inst.components
+    )
+    with pytest.raises(InvariantViolation, match="^lemma-instance: A is not independent on C$"):
+        second_hamilton_cycle(bad, x=5, y=4)
