@@ -18,9 +18,11 @@ import csv
 import io
 import json
 import os
+import pickle
+import select
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import InvariantViolation
 from .extender import EXTENDABLE, extend_path, precheck
@@ -82,6 +84,102 @@ def _verify_one(args):
     return row
 
 
+def _send(fh, obj):
+    """Write ``obj`` to ``fh`` as a pickle after its 8-byte length."""
+    data = pickle.dumps(obj)
+    fh.write(len(data).to_bytes(8, "little") + data)
+    fh.flush()
+
+
+def _recv(fh):
+    """The next object `_send` wrote to ``fh``, or None at end of file."""
+    head = fh.read(8)
+    size = int.from_bytes(head, "little")
+    data = fh.read(size) if len(head) == 8 else b""
+    return pickle.loads(data) if data and len(data) == size else None
+
+
+def _forked(tasks, workers):
+    """Yield `_verify_one` of every task, in input order, from ``workers``
+    forked children that inherit ``tasks``: the parent hands a task index
+    to whichever child is free and reads back (index, row, exception).
+    The first failing task in input order raises in place of its row; a
+    child that dies without replying fails its task.  Forking assumes no
+    other thread runs, as none does in the command line."""
+    results = [None] * len(tasks)
+    children = {}  # reply pipe -> (pid, task pipe)
+    busy = {}  # reply pipe -> the index of the task it holds
+    todo = iter(range(len(tasks)))
+    parent_ends = []
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # the parent's ends: an inherited task pipe would
+                    # never reach end of file in its own child
+                    for fd in [task_w, reply_r, *parent_ends]:
+                        os.close(fd)
+                    tasks_in, replies = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
+                    while (i := _recv(tasks_in)) is not None:
+                        try:
+                            reply = (i, _verify_one(tasks[i]), None)
+                        except Exception as exc:
+                            reply = (i, None, exc)
+                        _send(replies, reply)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(task_r)
+            os.close(reply_w)
+            parent_ends += [task_w, reply_r]
+            # unbuffered: a failed send leaves nothing for close to flush
+            children[os.fdopen(reply_r, "rb")] = (pid, os.fdopen(task_w, "wb", buffering=0))
+        for fh in children:
+            busy[fh] = next(todo)
+            _send(children[fh][1], busy[fh])
+        while busy:
+            for fh in select.select(list(busy), [], [])[0]:
+                reply = _recv(fh)
+                if reply is None:
+                    pid, task_w = children.pop(fh)
+                    fh.close()
+                    task_w.close()
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    exc = InvariantViolation("verify", f"worker exited with status {status}")
+                    reply = (busy[fh], None, exc)
+                i, row, exc = reply
+                results[i] = (row, exc)
+                if exc is not None:
+                    todo = iter(())  # no task after a failure is needed
+                del busy[fh]
+                if fh not in children:
+                    continue
+                i = next(todo, None)
+                if i is None:
+                    children[fh][1].close()  # end of file: the child leaves now
+                else:
+                    busy[fh] = i
+                    _send(children[fh][1], i)
+    except BaseException:
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fh, (pid, task_w) in children.items():
+            fh.close()
+            task_w.close()
+        for pid, _ in children.values():
+            os.waitpid(pid, 0)
+    for row, exc in results:
+        if exc is not None:
+            raise exc
+        yield row
+
+
 def _write(text, path):
     """Write ``text`` to the file ``path``, or to stdout without one; an
     unwritable path raises OSError, which `main` turns into exit 3."""
@@ -101,6 +199,8 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"--jobs {args.jobs} needs os.fork, which this platform lacks")
     try:
         # latin-1 keeps every byte, so the parser names a non-ASCII one
         # and its line; line numbers count blank lines
@@ -114,13 +214,8 @@ def cmd_verify(args) -> int:
     workers = min(args.jobs, len(tasks))
     rows = []
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for row in pool.map(_verify_one, tasks):  # map keeps input order
-                    rows.append(row)
-        else:
-            for task in tasks:
-                rows.append(_verify_one(task))
+        for row in _forked(tasks, workers) if workers > 1 else map(_verify_one, tasks):
+            rows.append(row)
     except InvariantViolation as exc:
         # the rows so far are those of the tasks before the failing one
         line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]

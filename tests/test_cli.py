@@ -2,18 +2,20 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import oracles
 from chordlab import cli, kernels
 from chordlab.cli import main
+from chordlab.errors import InvariantViolation
 from chordlab.graph6 import write_graph6
-from chordlab.graphs import connectivity_at_least
+from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import Cycle, Path, chords, internal_bound_vertices
 from chordlab.verify import verify_zhan
 
@@ -144,13 +146,18 @@ def test_verify_missing_file(tmp_path, capsys):
 
 
 def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
-    # all 27 graphs with n <= 10, spread over 2 workers
-    f = _write_corpus(tmp_path, [g for n in sorted(corpus) for g in corpus[n]])
-    _, serial, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
-    _, parallel, _ = run_cli(
-        ["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"], capsys
-    )
-    assert serial == parallel
+    """All 27 graphs with n <= 10, a disconnected graph and a non-cubic
+    one, spread over 2 workers: the same bytes as the serial run in
+    every mode and format."""
+    two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
+    graphs = [g for n in sorted(corpus) for g in corpus[n]] + [two_k4, oracles.cycle_graph(6)]
+    f = _write_corpus(tmp_path, graphs)
+    for mode in ("zhan2", "zhan3adj", "chords"):
+        for fmt in ("json", "csv"):
+            argv = ["verify", "--mode", mode, "--in", str(f), "--format", fmt]
+            code, serial, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (mode, fmt)
 
 
 # sha256 of the JSON `chordlab verify --mode M` writes for the output of
@@ -171,10 +178,12 @@ def test_verify_report_pinned(tmp_path, capsys, n):
     corpus = tmp_path / f"cubic{n}.g6"
     assert main(["generate", "--n", str(n), "--out", str(corpus)]) == 0
     for mode in ("zhan2", "zhan3adj", "chords"):
-        report = tmp_path / f"{mode}.json"
-        code, _, _ = run_cli(["verify", "--mode", mode, "--in", str(corpus), "--out", str(report)], capsys)
-        assert code == 0
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_SHA256[(n, mode)], mode
+        for jobs in ("1", "2"):
+            report = tmp_path / f"{mode}.json"
+            argv = ["verify", "--mode", mode, "--in", str(corpus), "--jobs", jobs, "--out", str(report)]
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_SHA256[(n, mode)], (mode, jobs)
 
 
 def _recheck_witness(g, mode, witness):
@@ -286,9 +295,7 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("jobs", ("1", "2"))
 def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, corpus, jobs):
     """An internal error during verify names the graph6 record and its
-    input line, serially and from a pool worker alike."""
-    if jobs != "1" and multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see the patched kernel only when forked")
+    input line, serially and from a forked worker alike."""
     real = kernels.adjacent_table
 
     def bumped(masks, n):
@@ -320,37 +327,107 @@ def test_verify_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert f"--jobs must be at least 1, got {jobs}" in err
 
 
-def test_verify_pool_has_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch, corpus):
-    """--jobs larger than the corpus starts one worker per graph, one
-    graph runs without a pool, and an empty corpus gives a zero-row
-    report."""
+def test_verify_forks_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch, corpus):
+    """--jobs larger than the corpus forks one worker per graph, one graph
+    runs in-process, and an empty corpus gives a zero-row report."""
     started = []
+    real = cli._forked
 
-    class Recorder:
-        # stands in for the pool: records its size and maps in-process
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def recorded(tasks, workers):
+        started.append(workers)
+        return real(tasks, workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-    for graphs, pools in ((corpus[8][:3], [3]), (corpus[8][:1], []), ([], [])):
+    monkeypatch.setattr(cli, "_forked", recorded)
+    for graphs, forks in ((corpus[8][:3], [3]), (corpus[8][:1], []), ([], [])):
         started.clear()
         f = _write_corpus(tmp_path, graphs)
         code, serial, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
         assert code == 0
         code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "8"], capsys)
         assert code == 0
-        assert started == pools
+        assert started == forks
         assert out == serial
         assert json.loads(out)["graphs"] == len(json.loads(out)["rows"]) == len(graphs)
+
+
+def _fail_on(monkeypatch, how):
+    """Make `_verify_one` call ``how[line]()`` on the graph6 lines ``how``
+    names, and verify the others as before."""
+    real = cli._verify_one
+
+    def patched(task):
+        if task[0] in how:
+            how[task[0]]()
+        return real(task)
+
+    monkeypatch.setattr(cli, "_verify_one", patched)
+
+
+def _raise_after(seconds, line):
+    def fail():
+        time.sleep(seconds)
+        raise InvariantViolation("probe", line)
+
+    return fail
+
+
+def test_verify_jobs_names_the_first_failure_in_input_order(tmp_path, capsys, monkeypatch, corpus):
+    """Two graphs fail in two workers; the later one fails first in time,
+    and the error still names the earlier one."""
+    graphs = corpus[8]
+    first, second = write_graph6(graphs[1]), write_graph6(graphs[2])
+    _fail_on(monkeypatch, {first: _raise_after(0.3, first), second: _raise_after(0, second)})
+    f = _write_corpus(tmp_path, graphs)
+    code, out, err = run_cli(["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"internal error: probe: {first} (graph {first}, input line 2)\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):
+    """--jobs 2 reaps every worker on exit 0, on the violation path (exit
+    1) and when a worker dies without replying (exit 4, naming the graph
+    it held), and a dead worker does not hang the run."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("verify --jobs 2 hung")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        f = _write_corpus(tmp_path, corpus[8])
+        argv = ["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with monkeypatch.context() as m:
+            m.setitem(cli._MODES, "chords", (99, "chords"))
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 1 and json.loads(out)["violations"] > 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        dies = write_graph6(corpus[8][3])
+        _fail_on(monkeypatch, {dies: lambda: os._exit(9)})
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == f"internal error: verify: worker exited with status 9 (graph {dies}, input line 4)\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_jobs_needs_fork(tmp_path, capsys, monkeypatch):
+    """Where os.fork does not exist, --jobs above 1 is a usage error."""
+    monkeypatch.delattr(os, "fork")
+    f = _write_corpus(tmp_path, [oracles.k4(), oracles.petersen()])
+    code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --jobs 2 needs os.fork, which this platform lacks\n"
+    assert run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)[0] == 0
 
 
 def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -503,8 +580,9 @@ def test_console_entry_point():
 
 
 def test_runs_on_the_standard_library_alone(tmp_path):
-    """`import chordlab` and `verify` (pool workers included) import no
-    third-party module: numpy and numba were dependencies once."""
+    """`import chordlab` and `verify` (forked workers included) import no
+    third-party module: numpy and numba were dependencies once.  Nor does
+    `verify --jobs 2` import a process pool."""
     g6, report = str(tmp_path / "c8.g6"), str(tmp_path / "report.json")
     code = (
         "import sys\n"
@@ -514,7 +592,8 @@ def test_runs_on_the_standard_library_alone(tmp_path):
         "for mode in ('zhan2', 'zhan3adj', 'chords'):\n"
         f"    argv = ['verify', '--mode', mode, '--in', {g6!r}, '--jobs', '2', '--out', {report!r}]\n"
         "    assert main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'numba')))\n"
+        "top = ('numpy', 'numba', 'concurrent', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in top))\n"
     )
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
