@@ -108,15 +108,8 @@ def pick_color_class(coloring: dict, forbidden=(), triangles=()):
         if col not in classes:
             raise ValueError(f"color {col} outside 1..3")
         classes[col].add(v)
-    chosen = None
-    for col in (1, 2, 3):
-        if not (classes[col] & forbidden):
-            chosen = col
-            break
-    if chosen is None:
-        raise InvariantViolation(
-            "coloring", "two forbidden vertices cover three color classes"
-        )
+    # at most two forbidden vertices meet at most two of the three classes
+    chosen = next(col for col in (1, 2, 3) if not classes[col] & forbidden)
     a_set = frozenset(classes[chosen])
     relabeled = []
     for tri in triangles:

@@ -102,23 +102,23 @@ class MultiCycle:
 
 
 class ReducedGraph:
-    """Edge-tagged multigraph on the path vertices, plus the contraction
-    bookkeeping needed to lift cycles back to the host graph."""
+    """Edge-tagged multigraph on the vertices of an (x,y)-path, plus the
+    contraction bookkeeping needed to lift cycles back to the host graph.
+    It starts as the base cycle: the path edges and then the closing edge
+    xy, all black, with edge ids 0..len(path)-1 in that order."""
 
-    def __init__(self, xy, xy_virtual):
+    def __init__(self, path):
         self.edges = []        # (u, v) per edge id
         self.tags = []         # BLACK / RED / BLUE per edge id
-        self.adjmap = {}       # v -> list of (eid, other)
-        self.xy = xy
-        self.xy_virtual = xy_virtual
-        self.xy_eid = None
-        self.cycle_vertices = ()
-        self.cycle_eids = frozenset()
+        self.adjmap = {v: [] for v in path}  # v -> list of (eid, other)
         self.red_comp = {}     # eid -> component behind a red edge
-        self.blue_info = {}    # eid -> (rep, attach, component, host_edge)
-
-    def add_vertex(self, v):
-        self.adjmap.setdefault(v, [])
+        self.blue_info = {}    # eid -> (rep, component)
+        for a, b in zip(path, path[1:]):
+            self.add_edge(a, b, BLACK)
+        self.xy = (path[0], path[-1])
+        self.xy_eid = self.add_edge(*self.xy, BLACK)
+        self.cycle_vertices = tuple(path)
+        self.cycle_eids = frozenset(range(len(path)))
 
     def add_edge(self, u, v, tag) -> int:
         eid = len(self.edges)
@@ -248,24 +248,14 @@ def find_direct_extension(g: Graph, p: Path, comps):
     if x in nbrs[h_i]:
         seg = _through_component(g, x, u, h_i, 2)
         return Path(seg.vertices + p.vertices[2:]), None
-    if y not in nbrs[h_i]:
-        raise InvariantViolation(
-            "component-claim", "component misses both endpoints after the filter"
-        )
+    # past the filter every component touches x or y, so h_i touches y;
     # without chords v has one off-path neighbor, so v attaches to h_i
     # exactly when h_j is h_i, and the splice below covers that case
     h_j = comp_of(v)
     if y in nbrs[h_j]:
         seg = _through_component(g, v, y, h_j, 2)
         return Path(p.vertices[:-1] + seg.vertices[1:]), None
-    if x not in nbrs[h_j]:
-        raise InvariantViolation(
-            "component-claim", "second component misses both endpoints"
-        )
-    if h_i == h_j:
-        raise InvariantViolation(
-            "component-claim", "double-splice components coincide"
-        )
+    # likewise h_j touches x; h_i misses x and h_j misses y, so they differ
     seg_xv = _through_component(g, x, v, h_j, 2)
     seg_uy = _through_component(g, u, y, h_i, 2)
     middle = tuple(reversed(p.vertices[1:-1]))  # v .. u
@@ -341,25 +331,16 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
     red, triple_comps, endpoint = _component_split(comps, x, y)
     if {comp for comp, _ in triples} != {comp for comp, _ in triple_comps}:
         raise ValueError("triples do not match the interior components")
-    xy_virtual = not g.has_edge(x, y)
-    rg = ReducedGraph((x, y), xy_virtual)
-    for v in p.vertices:
-        rg.add_vertex(v)
-    path_eids = []
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        path_eids.append(rg.add_edge(a, b, BLACK))
-    rg.xy_eid = rg.add_edge(x, y, BLACK)
-    rg.cycle_vertices = p.vertices
-    rg.cycle_eids = frozenset(path_eids + [rg.xy_eid])
+    rg = ReducedGraph(p.vertices)
     for comp, attach in red:
         eid = rg.add_edge(attach[0], attach[1], RED)
         rg.red_comp[eid] = comp
     contracted = [(comp, t[2]) for comp, t in triples]
     contracted += [(comp, y if y in attach else x) for comp, attach in endpoint]
     for comp, rep in contracted:
-        for v, w in _contraction_edges(g, comp, rep, on_path):
+        for w in _contraction_edges(g, comp, rep, on_path):
             eid = rg.add_edge(rep, w, BLUE)
-            rg.blue_info[eid] = (rep, w, comp, (v, w))
+            rg.blue_info[eid] = (rep, comp)
     for v in p.vertices[1:-1]:
         if rg.degree(v) < 3:
             raise InvariantViolation(
@@ -374,9 +355,10 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
 
 
 def _contraction_edges(g: Graph, comp, rep, on):
-    """Host edges (v, w) from ``comp`` to ``on`` other than those into
-    ``rep``: contracting comp onto rep turns each into the edge rep-w."""
-    return [(v, w) for v in comp for w in g.neighbors(v) if w in on and w != rep]
+    """The end w on ``on`` of each host edge from ``comp`` to ``on`` other
+    than those into ``rep``: contracting comp onto rep turns each into
+    the edge rep-w."""
+    return [w for v in comp for w in g.neighbors(v) if w in on and w != rep]
 
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
@@ -429,9 +411,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
             "odd-cover-cycle",
             "no second cycle through xy covering the odd-degree vertices",
         )
-    for v in odd:
-        if v not in found.vertices:
-            raise InvariantViolation("odd-cover-cycle", f"odd vertex {v} missed")
+    # dfs closes a cycle only when odd <= visited, the vertex set of vseq
     return found
 
 
@@ -467,7 +447,7 @@ def compute_stats(rg: ReducedGraph, cp: MultiCycle):
             mid = cp.vertices[start + 1]
             info1 = rg.blue_info[cp.eids[start]]
             info2 = rg.blue_info[cp.eids[start + 1]]
-            if info1[0] != mid or info2[0] != mid or info1[2] != info2[2]:
+            if info1[0] != mid or info2[0] != mid or info1[1] != info2[1]:
                 raise InvariantViolation(
                     "stats", "length-2 blue run not centered on one representative"
                 )
@@ -524,14 +504,14 @@ def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs, stats):
         if rg.tags[eid] == RED:
             routes[i] = (1, rg.red_comp[eid], 3)
         elif i in blue_at:
-            routes[i] = (blue_at[i], rg.blue_info[eid][2], 2)
+            routes[i] = (blue_at[i], rg.blue_info[eid][1], 2)
     verts, segs = _lift_runs(g, cp.vertices, routes, "lift")
     attachments = [
         (cp.vertices[i + 1], seg.vertices[1], routes[i][1])
         for i, seg in segs.items()
         if routes[i][0] == 2 and seg.length == 2
     ]
-    extra = [rg.xy] if rg.xy_virtual else []
+    extra = [] if g.has_edge(*rg.xy) else [rg.xy]
     c_star = Cycle(tuple(verts))
     c_star.validate(g, extra_edges=extra)
     floor = (
@@ -813,10 +793,9 @@ def extend_path_adjacent(g: Graph, p: Path):
         branch = "single-component" if len(comps) <= 1 else "adjacent-attachment"
         trace.add("component-claim", branch=branch, path=list(spliced.vertices))
         return _finish(g, p, spliced, trace, flipped)
-    if len(comps) <= 1:
-        raise InvariantViolation(
-            "component-claim", "single off-cycle component admits no splice"
-        )
+    # xw is the only chord, so with one component every cycle vertex but
+    # x and w attaches to it; a cycle of length >= 5 has two consecutive
+    # such vertices on the path, and the splice above takes them
 
     # w is neither a nor y, so vs runs x, a .. b, w, c .. y: the surgery
     # edges ay and bc share c = y (the classical shape), b = a (the
@@ -889,7 +868,7 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     m = len(cprime_vertices)
     edges = {(pos[a2], pos[b2]) for a2, b2 in Cycle(cprime_vertices).edge_pairs()}
     for comp, (_, _, w2) in relabeled:
-        for _, z in _contraction_edges(g, comp, w2, on_cycle):
+        for z in _contraction_edges(g, comp, w2, on_cycle):
             edges.add((pos[min(w2, z)], pos[max(w2, z)]))
     gd = Graph(m, sorted(edges))
     ring2 = [pos[h] for h in cprime_vertices]
@@ -923,14 +902,9 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
         # designate that arc and its outward cycle edge
         special = next(i for i, arc in enumerate(arcs) if bd in arc)
         lemma_x = arcs[special][0]
-        ring_pos = {v: i for i, v in enumerate(ring2)}
-        i0 = ring_pos[lemma_x]
-        for cand in (ring2[i0 - 1], ring2[(i0 + 1) % m]):
-            if cand in a_dense:
-                lemma_y = cand
-                break
-        else:
-            raise InvariantViolation("case-instance", "arc endpoint not beside A")
+        # every arc starts right after a member of A in ring order, and
+        # none is empty
+        lemma_y = ring2[ring2.index(lemma_x) - 1]
     arcs = [arc for i, arc in enumerate(arcs) if i != special] + [arcs[special]]
     # second_hamilton_cycle checks the instance before it uses it
     inst = LemmaInstance(g=gd, cycle=cyc, a_set=a_dense, components=tuple(arcs))

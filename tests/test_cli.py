@@ -514,6 +514,22 @@ def test_extend_one_vertex_path(tmp_path, capsys):
     assert err == "error: bad path spec: path needs at least two vertices\n"
 
 
+@pytest.mark.parametrize(
+    ("spec", "reason"),
+    (("3,0,1", "(0,1) is not an edge"), ("0,3,6", "vertex out of range in path: 3,6")),
+    ids=("non-edge", "out-of-range"),
+)
+def test_extend_bad_path_spec(tmp_path, capsys, spec, reason):
+    """A path that is not a path of the host is a usage error (exit 2)
+    naming the first bad step."""
+    f = tmp_path / "k33.txt"
+    f.write_text(oracles.edge_list_text(oracles.k33()))
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad path spec: {reason}\n"
+
+
 def _refused_output(tmp_path, capsys, monkeypatch, cmd, target):
     """Run ``cmd`` with ``target`` as its output file while every command's
     work raises: the output check must refuse the path first."""

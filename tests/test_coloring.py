@@ -4,7 +4,6 @@ from chordlab.coloring import pick_color_class, three_color_cycle_plus
 from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph
 from chordlab.search import Cycle
-from helpers import gen_cycle_plus_instance
 
 
 def _proper(g, coloring):
@@ -56,14 +55,6 @@ def test_color_matches_exhaustive_feasibility():
     assert _proper_exhaustive(g) is not None
     col = three_color_cycle_plus(g, Cycle(tuple(range(6))))
     assert _proper(g, col)
-
-
-def test_color_generated_instances():
-    for seed in range(200):
-        n = 6 + (seed % 19)
-        g, cyc = gen_cycle_plus_instance(n, seed)
-        col = three_color_cycle_plus(g, cyc)
-        assert _proper(g, col)
 
 
 def test_pick_class_empty_forbidden_takes_lowest():

@@ -183,7 +183,7 @@ def test_reduction_matches_figure():
         ((10, 4), "blue"),
         ((10, 7), "blue"),
     ]
-    assert rg.xy == (0, 10) and rg.xy_virtual
+    assert rg.xy == (0, 10) and not g.has_edge(0, 10)
     # the closing cycle is a Hamilton cycle of the reduced graph
     verts = set(rg.adjmap)
     assert sorted(verts) == list(p.vertices)
@@ -236,17 +236,10 @@ def test_reduction_end_to_end_on_figure_host():
 
 
 def _toy_reduced():
-    """Path 0..5 with virtual xy and one red chord (1,4)."""
-    rg_host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    from chordlab.extender import ReducedGraph, BLACK, RED
+    """Path 0..5 closed by xy, with one red chord (1,4)."""
+    from chordlab.extender import ReducedGraph, RED
 
-    rg = ReducedGraph((0, 5), True)
-    for v in range(6):
-        rg.add_vertex(v)
-    eids = [rg.add_edge(i, i + 1, BLACK) for i in range(5)]
-    rg.xy_eid = rg.add_edge(0, 5, BLACK)
-    rg.cycle_vertices = tuple(range(6))
-    rg.cycle_eids = frozenset(eids + [rg.xy_eid])
+    rg = ReducedGraph(tuple(range(6)))
     red = rg.add_edge(1, 4, RED)
     rg.red_comp[red] = frozenset({99})
     return rg
@@ -270,7 +263,6 @@ def test_odd_cover_differs_in_a_red_edge_when_a_empty():
 
 def test_stats_identity_case():
     rg = _toy_reduced()
-    cp = MultiCycle(rg.cycle_vertices, tuple(sorted(rg.cycle_eids)))
     # identity comparison: all quantities vanish
     order = list(range(5)) + [rg.xy_eid]
     cp = MultiCycle(tuple(range(6)), tuple(order[-1:] + order[:-1]))
@@ -289,19 +281,13 @@ def test_stats_identity_case():
 def test_stats_red_detour_case():
     # one red edge replacing two cycle edges and their middle vertex:
     # the hand-derived values are k=2, r=1, d=0, c=1, b=q=p=0
-    rg_host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    from chordlab.extender import ReducedGraph, BLACK, RED
+    from chordlab.extender import ReducedGraph, RED
 
-    rg = ReducedGraph((0, 5), True)
-    for v in range(6):
-        rg.add_vertex(v)
-    eids = [rg.add_edge(i, i + 1, BLACK) for i in range(5)]
-    rg.xy_eid = rg.add_edge(0, 5, BLACK)
-    rg.cycle_vertices = tuple(range(6))
-    rg.cycle_eids = frozenset(eids + [rg.xy_eid])
+    rg = ReducedGraph(tuple(range(6)))
     red = rg.add_edge(1, 3, RED)
     rg.red_comp[red] = frozenset({99})
-    cp = MultiCycle((0, 5, 4, 3, 1), (rg.xy_eid, eids[4], eids[3], red, eids[0]))
+    # edge ids 0..4 are the path edges and 5 is xy
+    cp = MultiCycle((0, 5, 4, 3, 1), (rg.xy_eid, 4, 3, red, 0))
     stats, _ = compute_stats(rg, cp)
     assert stats.missing_edges == 2
     assert stats.dropped_vertices == 1
@@ -649,6 +635,19 @@ def test_verify_zhan_gates():
         verify_zhan(oracles.cycle_graph(6))
     with pytest.raises(ValueError):
         verify_zhan(oracles.two_k4_minus_edge_bridge(), "adjacent-pairs")
+
+
+def test_verify_zhan_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="'bogus'"):
+        verify_zhan(oracles.k4(), "bogus")
+
+
+def test_verify_chords_gates():
+    with pytest.raises(ValueError, match="^graph is not cubic$"):
+        verify_chords(oracles.cycle_graph(6))
+    # two K4-minus-an-edge blocks joined by two edges: 2- but not 3-connected
+    with pytest.raises(ValueError, match="^graph is not 3-connected$"):
+        verify_chords(oracles.two_k4_minus_edge_bridge())
 
 
 def test_verify_chords_values():

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from chordlab.cli import main
-from chordlab.coloring import three_color_cycle_plus
 from chordlab.generate import (
     _children,
     _completable,
@@ -18,7 +17,7 @@ from chordlab.generate import (
 )
 from chordlab.graph6 import parse_graph6
 from chordlab.graphs import connectivity_at_least, is_cubic
-from helpers import gen_cycle_plus_instance, gen_lemma_instance
+from helpers import gen_lemma_instance
 from oracles import automorphism_count, canonical_code
 
 
@@ -192,16 +191,6 @@ def test_lemma_instance_invariants_many_seeds():
 def test_lemma_instance_rejects_small_k():
     with pytest.raises(ValueError):
         gen_lemma_instance(1, 0)
-
-
-def test_cycle_plus_instance_shapes():
-    for seed in range(40):
-        g, cyc = gen_cycle_plus_instance(6 + (seed % 19), seed)
-        cyc.validate(g)
-        assert cyc.length == g.n
-        # off-cycle components are triangles or order-3 paths, or the
-        # coloring refuses the shape
-        three_color_cycle_plus(g, cyc)
 
 
 def test_random_simple_path_is_valid():
