@@ -2,18 +2,20 @@
 
 All exact search funnels through the kernels below: longest (x,y)-path
 length/enumeration, longest-cycle length/enumeration (Hamilton cycles
-are the cycles of length n), and the two tables ``verify_zhan`` reads:
-the per-source sweep for all pairs and the cycle walk for adjacent
-pairs.  Each takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set
-iff vw is an edge) and returns Python ints, a list of vertex tuples or a
-table.  Children are always tried in ascending vertex id, so every
-enumeration is deterministic and the row order is part of the output.
+are the cycles of length n), and the per-source sweep whose tables
+``verify_zhan`` reads for all pairs and for adjacent pairs alike.  Each
+takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set iff vw is an
+edge) and returns Python ints, a list of vertex tuples or a table.
+Children are always tried in ascending vertex id, so every enumeration
+is deterministic and the row order is part of the output.
 
-Every kernel is an unpruned recursive walk: every cycle query reads
+The enumerations are unpruned recursive walks: every cycle query reads
 one walk over all cycles (``_cycle_walk``), and the per-pair (x,y)
-search walks every path from x (``_xy_rows``).  The sweep updates its
-bound count in one step per appended vertex, which is exact only for
-maximum degree 3, so it refuses a mask with more than three bits.
+search walks every path from x (``_xy_rows``).  The sweep walks the
+paths from x too, but skips a subtree once every target it could still
+change is settled.  It updates its bound count in one step per appended
+vertex, which is exact only for maximum degree 3, so it refuses a mask
+with more than three bits.
 """
 
 from __future__ import annotations
@@ -125,36 +127,51 @@ def hamilton_cycle_rows(adj, n) -> list:
     return _cycle_rows(adj, n, n)
 
 
-def xy_sweep(masks, n, x):
-    """Every simple path from ``x``, walked once by exhaustive DFS with
-    children in ascending id order (the order ``_xy_rows`` returns rows in).
+def xy_sweep(masks, n, x, targets=None):
+    """Every simple path from ``x`` that can still change an entry, walked
+    by DFS with children in ascending id order (the order ``_xy_rows``
+    returns rows in).
 
-    Returns a list indexed by end vertex y: None for y == x or no path,
-    else (longest length, least number of internal bound vertices among
-    the longest (x,y)-paths, the first such path in DFS order).  A vertex
-    v is bound on a path with vertex mask P iff masks[v] & ~P == 0.
-    Cubic graphs have few simple paths, so no pruning is needed and one
-    walk serves every y.
+    ``targets`` is a bit mask of end vertices, by default every y != x.
+    Returns a list indexed by end vertex y: None for y == x, for y not in
+    ``targets`` or for no path, else (longest length, least number of
+    internal bound vertices among the longest (x,y)-paths, the first such
+    path in DFS order).  A vertex v is bound on a path with vertex mask P
+    iff masks[v] & ~P == 0.  One walk serves every target.
 
     The bound count takes one step per appended vertex.  Appending w to a
     path from x to v binds exactly the path vertices other than x and v
     that are adjacent to w (their two path neighbours and w fill their
     degree), plus v when w is v's only off-path neighbour.  That needs
     maximum degree 3, so a mask with more bits is refused.
+
+    A target settles when its rank reaches ``top``, the rank of a
+    Hamiltonian path: length n - 1 with every internal vertex bound, as
+    all its neighbours lie on the path.  The walk skips the subtree below
+    w when every unsettled target lies on the path to w.  That leaves the
+    table unchanged: every path in the subtree ends off the current path,
+    so not at an unsettled target; an entry changes only on a strictly
+    greater rank, so a settled target keeps its entry; and the paths still
+    walked keep their DFS order, so each first witness is the same.
     """
     if any(m.bit_count() > 3 for m in masks):
         raise ValueError("xy_sweep needs maximum degree at most 3")
+    bx = 1 << x
+    if targets is None:
+        targets = ((1 << n) - 1) & ~bx
     # an entry is ranked by one int, (length << shift) - count: longer
     # first, then fewer bound vertices, as a count is at most n - 2
     shift = n.bit_length()
     step = 1 << shift
+    top = ((n - 1) << shift) - (n - 2)
     key = [0] * n
     first = [None] * n
     path = [x]
-    bx = 1 << x
+    unsettled = targets
 
     def visit(v, pm, inner, k):
         # inner: the path vertices other than x and v; k: the path's rank
+        nonlocal unsettled
         free = masks[v] & ~pm
         # v binds when its last off-path neighbour joins; x never counts
         base = k + step - (v != x and free & (free - 1) == 0)
@@ -168,59 +185,21 @@ def xy_sweep(masks, n, x):
             if rank > key[w]:
                 key[w] = rank
                 first[w] = (*path, w)
+                if rank == top:
+                    unsettled &= ~b
             pm2 = pm | b
-            if mw & ~pm2:  # w has a free neighbour: not a leaf
+            # w has a free neighbour and some unsettled target is off the path
+            if mw & ~pm2 and unsettled & ~pm2:
                 path.append(w)
                 visit(w, pm2, inner2, rank)
                 path.pop()
 
     visit(x, bx, 0, 0)
     return [
-        None if p is None else (len(p) - 1, ((len(p) - 1) << shift) - key[y], p)
+        None if p is None or not (targets >> y) & 1
+        else (len(p) - 1, ((len(p) - 1) << shift) - key[y], p)
         for y, p in enumerate(first)
     ]
-
-
-def adjacent_table(masks, n):
-    """Every cycle walked once (``_cycle_walk``), filling the table of
-    adjacent pairs.
-
-    Returns a dict keyed by (x, y) with x < y for each edge xy on some
-    cycle: (longest length, least number of internal bound vertices, the
-    lexicographically least path attaining both), the same entry as
-    ``xy_sweep(masks, n, x)[y]``.  A longest (x,y)-path plus xy is a
-    longest cycle through xy, and the path is the cycle minus xy read
-    from x.  Its internal bound count depends only on the cycle's vertex
-    set S: |B(S)| - [x in B(S)] - [y in B(S)], with B(S) the vertices of
-    S whose neighbours all lie in S.  The sweep's first path in DFS order
-    is the least path in lexicographic order, since its children are
-    tried in ascending id.
-    """
-    table = {}
-
-    def close(path, pm):
-        cyc = tuple(path)
-        length = len(cyc) - 1
-        bm = 0
-        for u in cyc:
-            if masks[u] & ~pm == 0:
-                bm |= 1 << u
-        nb = bm.bit_count()
-        a = cyc[-1]
-        for i, b in enumerate(cyc):
-            x, y = (a, b) if a < b else (b, a)
-            mb = nb - ((bm >> x) & 1) - ((bm >> y) & 1)
-            cur = table.get((x, y))
-            if cur is None or length > cur[0] or (length == cur[0] and mb <= cur[1]):
-                wit = cyc[i:] + cyc[:i]  # b ... a: the cycle minus ab
-                if a < b:
-                    wit = wit[::-1]
-                if cur is None or length > cur[0] or mb < cur[1] or wit < cur[2]:
-                    table[(x, y)] = (length, mb, wit)
-            a = b
-
-    _cycle_walk(masks, n, close)
-    return table
 
 
 def warmup():

@@ -56,9 +56,9 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     """Minimum internal bound-vertex count over longest (x,y)-paths for
     every requested pair: all pairs of a 2-connected cubic graph, or the
     adjacent pairs of a 3-connected one; the caller compares the minimum
-    with the paper's threshold.  For all pairs one exhaustive DFS per
-    source vertex (``kernels.xy_sweep``) fills the table; for adjacent
-    pairs one walk over every cycle (``kernels.adjacent_table``) does.
+    with the paper's threshold.  One DFS per source vertex x
+    (``kernels.xy_sweep``) fills the entries of its targets: the vertices
+    above x for all pairs, the neighbours above x for adjacent pairs.
     Every entry is re-checked before it is reported."""
     if mode not in ("all-pairs", "adjacent-pairs"):
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
@@ -68,24 +68,17 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
     masks = kernel_masks(g)
-    if mode == "all-pairs":
-        pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
-    else:
-        pairs = sorted(g.edges)
-        cycle_table = kernels.adjacent_table(masks, g.n)
     results = {}
-    source = table = None
-    for x, y in pairs:
-        if mode == "adjacent-pairs":
-            entry = cycle_table.get((x, y))
-        else:
-            # pairs are sorted by x, so each source is swept once
-            if x != source:
-                source, table = x, kernels.xy_sweep(masks, g.n, x)
-            entry = table[y]
-        _check_sweep_entry(g, x, y, entry)
-        best, mb, wit = entry
-        results[(x, y)] = PairResult(best, mb, wit)
+    for x in range(g.n):
+        ends = masks[x] if mode == "adjacent-pairs" else (1 << g.n) - 1
+        targets = ends & (-2 << x)  # only y > x: each pair once
+        table = kernels.xy_sweep(masks, g.n, x, targets)
+        for y in range(x + 1, g.n):
+            if (targets >> y) & 1:
+                entry = table[y]
+                _check_sweep_entry(g, x, y, entry)
+                best, mb, wit = entry
+                results[(x, y)] = PairResult(best, mb, wit)
     minimum = min((r.min_bound for r in results.values()), default=0)
     return ZhanReport(mode=mode, pairs=results, minimum=minimum)
 

@@ -278,8 +278,8 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     with the failing step named."""
     real = kernels.xy_sweep
 
-    def lowered(masks, n, x):
-        table = real(masks, n, x)
+    def lowered(masks, n, x, targets=None):
+        table = real(masks, n, x, targets)
         best, mb, wit = table[1]  # (0,1) is the first pair verify reads
         table[1] = (best, mb - 1, wit)
         return table
@@ -296,16 +296,16 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
 def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, corpus, jobs):
     """An internal error during verify names the graph6 record and its
     input line, serially and from a forked worker alike."""
-    real = kernels.adjacent_table
+    real = kernels.xy_sweep
 
-    def bumped(masks, n):
-        table = real(masks, n)
-        xy = min(table)
-        best, mb, wit = table[xy]
-        table[xy] = (best, mb + 1, wit)
+    def bumped(masks, n, x, targets=None):
+        table = real(masks, n, x, targets)
+        y = next(y for y, entry in enumerate(table) if entry)  # source 0 fails first
+        best, mb, wit = table[y]
+        table[y] = (best, mb + 1, wit)
         return table
 
-    monkeypatch.setattr(kernels, "adjacent_table", bumped)
+    monkeypatch.setattr(kernels, "xy_sweep", bumped)
     f = tmp_path / "c8.g6"
     # a leading blank line: input lines count it, graphs do not
     f.write_text("\n" + "".join(write_graph6(g) + "\n" for g in corpus[8]))

@@ -27,7 +27,7 @@ from chordlab.extender import (
     _through_component,
 )
 from chordlab.generate import random_cubic, random_simple_path
-from chordlab.graphs import Graph, components_after_deletion, connectivity_at_least
+from chordlab.graphs import Graph, components_after_deletion
 from chordlab.search import Cycle, Path, longest_xy_paths
 from chordlab.verify import verify_chords, verify_zhan
 
@@ -431,28 +431,6 @@ def test_extend_short_path_bootstrap():
     longer, trace = extend_path(g, Path((0, 3)))
     assert longer.length >= 2
     assert trace.steps[1]["branch"] == "short-path"
-
-
-def test_extend_iteration_reaches_fixpoint(corpus):
-    for n, graphs in corpus.items():
-        if n > 8:
-            continue
-        for g in graphs:
-            if not connectivity_at_least(g, 2):
-                continue
-            for seed in range(10):
-                p = random_simple_path(g, seed)
-                for _ in range(g.n + 1):
-                    cls = precheck(g, p)
-                    if cls.kind != EXTENDABLE:
-                        break
-                    p2, _ = extend_path(g, p)
-                    assert p2.length > p.length
-                    assert (p2.x, p2.y) == (p.x, p.y)
-                    p = p2
-                else:
-                    pytest.fail("no fixed point reached")
-                assert cls.kind in (HAS_BOUND_VERTEX, SPANNING_PATH)
 
 
 def test_extend_never_exceeds_exact_longest():

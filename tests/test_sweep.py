@@ -1,9 +1,12 @@
-"""The tables behind verify_zhan -- the one-DFS-per-source sweep for all
-pairs and the cycle walk for adjacent pairs -- checked against the
-per-pair search (longest_xy_paths), the naive oracles, the sweep's
-earlier body (oracles.xy_sweep_reference) and each other, plus
+"""The sweep behind verify_zhan -- one DFS per source, which fills the
+entries of the targets it is given -- checked against the per-pair search
+(longest_xy_paths), the naive oracles and the sweep's earlier body
+(oracles.xy_sweep_reference), which skips nothing; relabeling invariance
+of both verifiers, since the sweep's skip depends on vertex labels; and
 mutation checks showing that verify_zhan's re-validation catches a wrong
-entry from either kernel."""
+entry in either mode."""
+
+import random
 
 import pytest
 
@@ -11,9 +14,10 @@ import oracles
 from chordlab import kernels
 from chordlab.errors import InvariantViolation
 from chordlab.generate import enumerate_cubic, random_cubic
+from chordlab.graph6 import parse_graph6
 from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import longest_xy_paths
-from chordlab.verify import verify_zhan
+from chordlab.verify import verify_chords, verify_zhan
 
 MODES = (("all-pairs", 2), ("adjacent-pairs", 3))
 
@@ -112,48 +116,119 @@ def test_sweep_matches_reference_on_random(n, seed):
     _check_sweep_against_reference(random_cubic(n, seed))
 
 
+def _cube():
+    return Graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+
+
+def _matching_union(m, seed):
+    """A bipartite cubic graph on sides 0..m-1 and m..2m-1: the union of
+    three perfect matchings, drawn again until they are disjoint."""
+    rng = random.Random(seed)
+    while True:
+        edges = []
+        for _ in range(3):
+            side = list(range(m, 2 * m))
+            rng.shuffle(side)
+            edges += list(enumerate(side))
+        try:
+            return Graph(2 * m, edges)
+        except ValueError:
+            pass
+
+
+def _check_targets_against_reference(g, seed=0):
+    """Every source's table under the default targets, y > x, the
+    neighbours above x, each single y and a seeded random subset: equal to
+    the full reference table on the targets, None elsewhere."""
+    rng = random.Random(seed)
+    everyone = (1 << g.n) - 1
+    for x in range(g.n):
+        full = oracles.xy_sweep_reference(g.masks, g.n, x)
+        above = everyone & (-2 << x)
+        masks = [above, g.masks[x] & above, rng.getrandbits(g.n) & ~(1 << x)]
+        masks += [1 << y for y in range(g.n) if y != x]
+        assert kernels.xy_sweep(g.masks, g.n, x) == full, x
+        for targets in masks:
+            want = [e if (targets >> y) & 1 else None for y, e in enumerate(full)]
+            assert kernels.xy_sweep(g.masks, g.n, x, targets) == want, (x, targets)
+
+
+def test_targeted_sweep_matches_reference_on_corpus(corpus):
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    for g in graphs:
+        _check_targets_against_reference(g)
+    assert len(graphs) == 112
+
+
+@pytest.mark.parametrize("n", range(14, 23, 2))
+@pytest.mark.parametrize("seed", range(2))
+def test_targeted_sweep_matches_reference_on_random(n, seed):
+    _check_targets_against_reference(random_cubic(n, seed), seed)
+
+
+def test_targeted_sweep_matches_reference_on_special_graphs():
+    """Bipartite graphs, where a pair on one side has no Hamiltonian path
+    and so never settles; non-Hamiltonian 3-connected graphs, where no
+    target settles; and the non-cubic hosts of
+    test_sweep_table_every_end_vertex."""
+    graphs = [oracles.k33(), _cube()] + [_matching_union(m, s) for m in (5, 6, 7, 8) for s in range(2)]
+    graphs += [oracles.petersen(), parse_graph6("K{O___IAOK_k")]
+    graphs += [oracles.cycle_graph(7), oracles.path_graph(5), oracles.two_k4_minus_edge_bridge()]
+    for seed, g in enumerate(graphs):
+        _check_targets_against_reference(g, seed)
+
+
+def _values(g, k):
+    """Label-free results of every verifier that applies at connectivity k,
+    keyed by the vertices they concern: each mode's (length, bound count)
+    per pair, and the chords (cycle length, chord count) under ()."""
+    out = {}
+    for mode, need in MODES:
+        if k >= need:
+            pairs = verify_zhan(g, mode).pairs
+            out[mode] = {xy: (r.max_length, r.min_bound) for xy, r in pairs.items()}
+    if k >= 3:
+        rep = verify_chords(g)
+        out["chords"] = {(): (rep.cycle_length, rep.min_chords)}
+    return out
+
+
+def _check_relabeling_invariance(g, seed):
+    """Two seeded relabelings of g give the same values through the
+    permutation; the sweep's skip depends on the labels, the values must not."""
+    k = 3 if connectivity_at_least(g, 3) else 2 if connectivity_at_least(g, 2) else 0
+    values = _values(g, k)
+    rng = random.Random(seed)
+    for _ in range(2):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        mapped = {
+            name: {tuple(sorted(perm[v] for v in key)): val for key, val in table.items()}
+            for name, table in values.items()
+        }
+        assert _values(h, k) == mapped, perm
+    return len(values)
+
+
+def test_verifiers_are_relabeling_invariant_on_corpus(corpus):
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    checked = sum(_check_relabeling_invariance(g, seed) for seed, g in enumerate(graphs))
+    assert checked > 200
+
+
+@pytest.mark.parametrize("n", range(14, 21, 2))
+@pytest.mark.parametrize("seed", range(2))
+def test_verifiers_are_relabeling_invariant_on_random(n, seed):
+    _check_relabeling_invariance(random_cubic(n, seed), seed)
+
+
 def test_sweep_rejects_degree_above_three():
     """The sweep's bound-count step assumes maximum degree 3: a degree-4
     host is refused, not miscounted."""
     g = Graph(5, [(v, (v + 1) % 4) for v in range(4)] + [(4, v) for v in range(4)])  # wheel W4
     with pytest.raises(ValueError, match="degree"):
         kernels.xy_sweep(g.masks, g.n, 0)
-
-
-def _check_adjacent_table(g):
-    """The cycle-walk table against the sweep, edge by edge."""
-    table = kernels.adjacent_table(g.masks, g.n)
-    edges = sorted(set(g.edges))
-    assert sorted(table) == edges
-    source = sweep = None
-    for x, y in edges:
-        if x != source:
-            source, sweep = x, kernels.xy_sweep(g.masks, g.n, x)
-        assert table[(x, y)] == sweep[y], (x, y)
-
-
-def test_adjacent_table_matches_sweep_on_corpus(corpus):
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
-    checked = [g for g in graphs if connectivity_at_least(g, 2)]
-    for g in checked:
-        _check_adjacent_table(g)
-    assert len(checked) > 80
-
-
-@pytest.mark.parametrize("n", range(14, 23, 2))
-def test_adjacent_table_matches_sweep_on_random(n):
-    checked = [g for g in (random_cubic(n, s) for s in range(4)) if connectivity_at_least(g, 2)]
-    for g in checked:
-        _check_adjacent_table(g)
-    assert checked
-
-
-def test_adjacent_mode_never_sweeps(monkeypatch):
-    def refuse(masks, n, x):
-        raise AssertionError("xy_sweep called in adjacent-pairs mode")
-
-    monkeypatch.setattr(kernels, "xy_sweep", refuse)
-    assert verify_zhan(oracles.petersen(), "adjacent-pairs").minimum > 0
 
 
 def test_verify_zhan_keeps_kernel_limits():
@@ -168,32 +243,19 @@ def test_verify_zhan_keeps_kernel_limits():
 def _patch_first_table(monkeypatch, mutate):
     """Replace the sweep by one whose first table (source 0) has its entry
     for vertex 1 rewritten by ``mutate``; (0,1) is the first pair
-    verify_zhan reads in all-pairs mode."""
+    verify_zhan reads in either mode, as 01 is an edge of the Petersen
+    graph."""
     real = kernels.xy_sweep
     calls = []
 
-    def mutated(masks, n, x):
-        table = real(masks, n, x)
+    def mutated(masks, n, x, targets=None):
+        table = real(masks, n, x, targets)
         if not calls:
             table[1] = mutate(*table[1])
         calls.append(x)
         return table
 
     monkeypatch.setattr(kernels, "xy_sweep", mutated)
-
-
-def _patch_cycle_table(monkeypatch, mutate):
-    """Replace the cycle-walk kernel by one whose entry for the edge (0,1),
-    the first pair verify_zhan reads in adjacent-pairs mode, is rewritten
-    by ``mutate``."""
-    real = kernels.adjacent_table
-
-    def mutated(masks, n):
-        table = real(masks, n)
-        table[(0, 1)] = mutate(*table[(0, 1)])
-        return table
-
-    monkeypatch.setattr(kernels, "adjacent_table", mutated)
 
 
 @pytest.mark.parametrize(
@@ -210,10 +272,7 @@ def _patch_cycle_table(monkeypatch, mutate):
 def test_mutated_sweep_is_caught(monkeypatch, mutate, mode):
     g = oracles.petersen()
     assert g.has_edge(0, 1)
-    if mode == "all-pairs":
-        _patch_first_table(monkeypatch, mutate)
-    else:
-        _patch_cycle_table(monkeypatch, mutate)
+    _patch_first_table(monkeypatch, mutate)
     with pytest.raises(InvariantViolation) as info:
         verify_zhan(g, mode)
     assert info.value.step == "sweep"
