@@ -105,14 +105,23 @@ def _forked(tasks, workers):
     to whichever child is free and reads back (index, row, exception).
     The first failing task in input order raises in place of its row; a
     child that dies without replying fails its task.  Forking assumes no
-    other thread runs, as none does in the command line."""
+    other thread runs, as none does in the command line.
+
+    Child k pins itself to the k-th of the parent's allowed CPUs (modulo
+    their count) before its first task: the scheduler places a forked
+    child on its parent's CPU and keeps it there on short tasks, so
+    unpinned children share one CPU.  The pin is Linux-only; where
+    ``os.sched_setaffinity`` is missing the children are not pinned, and
+    a pin that fails (a cpuset changed under the run) is ignored."""
+    pin = getattr(os, "sched_setaffinity", None)
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
     results = [None] * len(tasks)
     children = {}  # reply pipe -> (pid, task pipe)
     busy = {}  # reply pipe -> the index of the task it holds
     todo = iter(range(len(tasks)))
     parent_ends = []
     try:
-        for _ in range(workers):
+        for k in range(workers):
             task_r, task_w = os.pipe()
             reply_r, reply_w = os.pipe()
             pid = os.fork()
@@ -123,6 +132,11 @@ def _forked(tasks, workers):
                     # never reach end of file in its own child
                     for fd in [task_w, reply_r, *parent_ends]:
                         os.close(fd)
+                    if cpus:
+                        try:
+                            pin(0, {cpus[k % len(cpus)]})
+                        except OSError:
+                            pass  # unpinned, the child still works
                     tasks_in, replies = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
                     while (i := _recv(tasks_in)) is not None:
                         try:

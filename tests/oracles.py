@@ -5,9 +5,11 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check, with two exceptions.  ``xy_sweep_reference``
+kernels it is used to check, with three exceptions.  ``xy_sweep_reference``
 is the sweep kernel's earlier, plainer body, kept as the reference its
-faster replacement is compared with.  The parity-lemma check at the end
+faster replacement is compared with.  ``check_sweep_entry_reference`` is
+`verify_zhan`'s earlier witness re-check, through the library's `Path`
+and `internal_bound_vertices`.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
 `test_search.py` checks against a DFS oracle on the same support graphs.
 """
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph, components_after_deletion
-from chordlab.search import hamilton_cycles
+from chordlab.search import Path, hamilton_cycles, internal_bound_vertices
 from chordlab.second_cycle import _edges_minus_vertices
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,25 @@ def xy_sweep_reference(masks, n, x):
         (best[y], low[y], first[y]) if first[y] is not None else None
         for y in range(n)
     ]
+
+
+def check_sweep_entry_reference(g: Graph, x: int, y: int, entry):
+    """``verify._check_sweep_entry`` as it first re-checked a table entry:
+    the witness validated by `Path.validate` and its bound vertices listed
+    by `internal_bound_vertices`, with the same messages."""
+    if entry is None:
+        raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
+    best, mb, wit = entry
+    try:
+        bound = internal_bound_vertices(g, Path(wit))  # validates the path
+    except ValueError as exc:
+        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {exc}") from exc
+    if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or len(bound) != mb:
+        raise InvariantViolation(
+            "sweep",
+            f"pair ({x},{y}): witness {wit} has length {len(wit) - 1} and "
+            f"{len(bound)} internal bound vertices, table says {best} and {mb}",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,57 @@ def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):
         signal.signal(signal.SIGALRM, previous)
 
 
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux-only"
+)
+
+
+@needs_affinity
+def test_forked_workers_are_pinned(monkeypatch, corpus):
+    """Each forked worker runs its tasks on one CPU of the parent's set,
+    worker k on the k-th: the first two tasks go to workers 0 and 1."""
+    allowed = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(cli, "_verify_one", lambda task: (task[0], sorted(os.sched_getaffinity(0))))
+    tasks = [(write_graph6(g), g, "chords", False) for g in corpus[8]]
+    rows = list(cli._forked(tasks, 2))
+    assert [line for line, _ in rows] == [task[0] for task in tasks]
+    for _, cpus in rows:
+        assert len(cpus) == 1 and set(cpus) <= set(allowed), (cpus, allowed)
+    assert rows[0][1] == allowed[:1] and rows[1][1] == [allowed[1 % len(allowed)]]
+
+
+@needs_affinity
+@pytest.mark.parametrize("how", ("missing", "failing"))
+def test_verify_jobs_without_the_pin(tmp_path, capsys, monkeypatch, corpus, how):
+    """Where os.sched_setaffinity is missing, or raises OSError, the
+    workers run unpinned: --jobs 2 writes the serial bytes, exits 0 and
+    leaves no child.  A task run on other CPUs than the parent's fails."""
+    f = _write_corpus(tmp_path, corpus[8] + [oracles.petersen()])
+    argv = ["verify", "--mode", "zhan3adj", "--in", str(f)]
+    code, serial, _ = run_cli(argv, capsys)
+    assert code == 0
+    allowed = os.sched_getaffinity(0)
+    real = cli._verify_one
+
+    def unpinned_only(task):
+        if os.sched_getaffinity(0) != allowed:
+            raise InvariantViolation("probe", f"pinned to {sorted(os.sched_getaffinity(0))}")
+        return real(task)
+
+    monkeypatch.setattr(cli, "_verify_one", unpinned_only)
+    if how == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    code, out, err = run_cli(argv + ["--jobs", "2"], capsys)
+    assert (code, out, err) == (0, serial, "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_jobs_needs_fork(tmp_path, capsys, monkeypatch):
     """Where os.fork does not exist, --jobs above 1 is a usage error."""
     monkeypatch.delattr(os, "fork")

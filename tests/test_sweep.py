@@ -6,12 +6,13 @@ of both verifiers, since the sweep's skip depends on vertex labels; and
 mutation checks showing that verify_zhan's re-validation catches a wrong
 entry in either mode."""
 
+import collections
 import random
 
 import pytest
 
 import oracles
-from chordlab import kernels
+from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
 from chordlab.generate import enumerate_cubic, random_cubic
 from chordlab.graph6 import parse_graph6
@@ -234,6 +235,78 @@ def test_sweep_rejects_degree_above_three():
 def test_verify_zhan_keeps_kernel_limits():
     with pytest.raises(ValueError, match="n < 63"):
         verify_zhan(random_cubic(64, 0))
+
+
+# ---------------------------------------------------------------------------
+# the witness re-check against its Path-based reference
+
+
+def _mutations(g, entry):
+    """Wrong variants of one table entry: the count one off either way, a
+    step over a skipped vertex (a non-edge unless it closes a triangle), a
+    repeated vertex, wrong endpoints, a vertex out of range at either end
+    of the ids, a one-vertex witness and no entry."""
+    best, mb, wit = entry
+    walks = (
+        wit[:1] + wit[2:],
+        wit[:-2] + wit[1:2] + wit[-1:],
+        wit[::-1],
+        wit[:-1],
+        wit[:-1] + (g.n,),
+        wit[:1] + (-1,) + wit[2:],
+        wit[:1],
+    )
+    return [(best, mb + 1, wit), (best, mb - 1, wit), None] + [(best, mb, w) for w in walks]
+
+
+KINDS = ("no path in the table", "at least two vertices", "repeated vertex", "out of range",
+         "is not an edge", "table says")
+
+
+def _outcome(check, g, x, y, entry):
+    try:
+        check(g, x, y, entry)
+    except InvariantViolation as exc:
+        assert exc.step == "sweep"
+        return str(exc)
+    return None
+
+
+def _check_entries_against_reference(monkeypatch, graphs):
+    """Run both verify_zhan modes on ``graphs`` with every entry, and each
+    of its mutations, re-checked by the mask check and by the Path-based
+    reference: both raise the same text or both pass.  The kinds of
+    failure seen, counted."""
+    real = verify._check_sweep_entry
+    seen = collections.Counter()
+
+    def both(g, x, y, entry):
+        for e in [entry] + _mutations(g, entry):
+            got = _outcome(real, g, x, y, e)
+            assert got == _outcome(oracles.check_sweep_entry_reference, g, x, y, e), (x, y, e)
+            seen[next((kind for kind in KINDS if got and kind in got), got)] += 1
+        return real(g, x, y, entry)
+
+    monkeypatch.setattr(verify, "_check_sweep_entry", both)
+    for g in graphs:
+        for mode, k in MODES:
+            if connectivity_at_least(g, k):
+                verify_zhan(g, mode)
+    return seen
+
+
+def test_witness_check_matches_reference_on_corpus(monkeypatch, corpus):
+    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    seen = _check_entries_against_reference(monkeypatch, graphs)
+    # every entry passes, and every failure is one of KINDS, each seen
+    assert seen[None] > 5000
+    assert sorted(seen, key=str) == sorted(KINDS + (None,), key=str)
+
+
+@pytest.mark.parametrize("n", range(14, 19, 2))
+@pytest.mark.parametrize("seed", range(2))
+def test_witness_check_matches_reference_on_random(monkeypatch, n, seed):
+    _check_entries_against_reference(monkeypatch, [random_cubic(n, seed)])
 
 
 # ---------------------------------------------------------------------------
