@@ -109,8 +109,8 @@ def _forked(tasks, workers):
 
     Child k pins itself to the k-th of the parent's allowed CPUs (modulo
     their count) before its first task: the scheduler places a forked
-    child on its parent's CPU and keeps it there on short tasks, so
-    unpinned children share one CPU.  The pin is Linux-only; where
+    child on its parent's CPU and often keeps it there on short tasks,
+    so unpinned children tend to share one CPU.  The pin is Linux-only; where
     ``os.sched_setaffinity`` is missing the children are not pinned, and
     a pin that fails (a cpuset changed under the run) is ignored."""
     pin = getattr(os, "sched_setaffinity", None)
