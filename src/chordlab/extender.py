@@ -134,9 +134,6 @@ class ReducedGraph:
     def odd_vertices(self) -> frozenset:
         return frozenset(v for v in self.adjmap if self.degree(v) % 2 == 1)
 
-    def sorted_neighbors(self, v):
-        return sorted(self.adjmap[v], key=lambda t: (t[1], t[0]))
-
     def edge_rows(self):
         return [[u, v, tag] for (u, v), tag in zip(self.edges, self.tags)]
 
@@ -367,6 +364,8 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
     x, y = rg.xy
     odd = rg.odd_vertices()
     base = rg.cycle_eids
+    # (edge id, neighbour) per vertex, by neighbour and then edge id
+    nbrs = {v: sorted(adj, key=lambda t: (t[1], t[0])) for v, adj in rg.adjmap.items()}
 
     def reach_from(cur, blocked):
         seen = {cur}
@@ -381,7 +380,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
 
     def dfs(cur, vseq, eids, visited):
         if len(vseq) >= 3:
-            for eid, w in rg.sorted_neighbors(cur):
+            for eid, w in nbrs[cur]:
                 if w == x and eid != rg.xy_eid:
                     if odd <= visited:
                         cand = frozenset(eids + (eid,))
@@ -396,7 +395,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
             w2 == x for r in reach for _, w2 in rg.adjmap[r]
         ):
             return None
-        for eid, w in rg.sorted_neighbors(cur):
+        for eid, w in nbrs[cur]:
             if w in visited or w == x:
                 continue
             found = dfs(cur=w, vseq=vseq + (w,), eids=eids + (eid,),

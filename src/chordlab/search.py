@@ -16,6 +16,24 @@ from . import kernels
 from .graphs import Graph
 
 
+def walk_problem(masks, vs, closed=False):
+    """The first reason that ``vs`` is not a simple path of the graph with
+    adjacency bit masks ``masks``, or None; with ``closed``, not a cycle,
+    whose last vertex must also join its first."""
+    kind = "cycle" if closed else "path"
+    if len(vs) < 2 + closed:
+        return f"{kind} needs at least {'three' if closed else 'two'} vertices"
+    if len(set(vs)) != len(vs):
+        return f"repeated vertex in {kind}"
+    n = len(masks)
+    for a, b in zip(vs, vs[1:] + vs[:1] if closed else vs[1:]):
+        if not (0 <= a < n and 0 <= b < n):
+            return f"vertex out of range in {kind}: {a},{b}"
+        if not masks[a] >> b & 1:
+            return f"({a},{b}) is not an edge"
+    return None
+
+
 @dataclass(frozen=True)
 class Path:
     """Simple path as an ordered vertex tuple."""
@@ -44,16 +62,9 @@ class Path:
         return Path(tuple(reversed(self.vertices)))
 
     def validate(self, g: Graph) -> "Path":
-        vs = self.vertices
-        if len(vs) < 2:
-            raise ValueError("path needs at least two vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("repeated vertex in path")
-        for a, b in zip(vs, vs[1:]):
-            if not (0 <= a < g.n and 0 <= b < g.n):
-                raise ValueError(f"vertex out of range in path: {a},{b}")
-            if not g.has_edge(a, b):
-                raise ValueError(f"({a},{b}) is not an edge")
+        problem = walk_problem(g.masks, self.vertices)
+        if problem:
+            raise ValueError(problem)
         return self
 
     def __iter__(self):
@@ -90,15 +101,16 @@ class Cycle:
         return frozenset(self.vertices)
 
     def validate(self, g: Graph, extra_edges=()) -> "Cycle":
-        vs = self.vertices
-        if len(vs) < 3:
-            raise ValueError("cycle needs at least three vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("repeated vertex in cycle")
-        extra = {frozenset(e) for e in extra_edges}
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            if not g.has_edge(a, b) and frozenset((a, b)) not in extra:
-                raise ValueError(f"({a},{b}) is not an edge")
+        """Check the cycle in g with the pairs ``extra_edges`` added."""
+        masks = g.masks
+        if extra_edges:
+            masks = list(masks)
+            for a, b in extra_edges:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        problem = walk_problem(masks, self.vertices, closed=True)
+        if problem:
+            raise ValueError(problem)
         return self
 
     def __iter__(self):
@@ -158,17 +170,18 @@ def longest_cycles(g: Graph):
     rows = kernels.cycles_of_length(adj, g.n, None)
     if not rows:
         raise ValueError("graph is acyclic")
-    cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
-    for c in cycles:
-        c.validate(g)
-    return cycles
+    return _checked_cycles(g, rows)
 
 
 def hamilton_cycles(g: Graph):
     if g.n < 3:
         return []
     adj = kernel_masks(g)
-    rows = kernels.hamilton_cycle_rows(adj, g.n)
+    return _checked_cycles(g, kernels.hamilton_cycle_rows(adj, g.n))
+
+
+def _checked_cycles(g: Graph, rows) -> list:
+    """Kernel rows as validated `Cycle`s, sorted by vertex sequence."""
     cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
     for c in cycles:
         c.validate(g)

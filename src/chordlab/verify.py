@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import InvariantViolation
 from .graphs import Graph, connectivity_at_least, is_cubic
-from .search import chords, kernel_masks, longest_cycles
+from .search import chords, kernel_masks, longest_cycles, walk_problem
 
 # the connectivity each verified statement assumes: verify_zhan's modes
 # and verify_chords ("chords")
@@ -35,39 +35,22 @@ class ZhanReport:
 
 
 def _check_sweep_entry(g: Graph, x: int, y: int, entry):
-    """Re-validate one sweep table entry from ``g.masks`` alone,
-    independently of the sweep's rank arithmetic: the endpoints and the
-    length, that the witness is a simple path of g (its vertex mask has
-    one bit per vertex, and consecutive vertices are adjacent), and its
-    internal bound count, the interior vertices with no neighbour off the
-    path.  A bad witness is named as ``Path.validate`` names it."""
+    """Re-validate one sweep table entry from ``g.masks``, independently
+    of the sweep's rank arithmetic: the witness is a simple path of g
+    (`walk_problem`), its endpoints and length are the pair's and the
+    table's, and so is its internal bound count, the interior vertices
+    with no neighbour off the path."""
     if entry is None:
         # the connectivity gate guarantees an (x,y)-path
         raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
     best, mb, wit = entry
-    masks, n = g.masks, g.n
-    problem = None
-    pm = 0
-    if len(wit) < 2:
-        problem = "path needs at least two vertices"
-    else:
-        in_range = 0 <= min(wit) and max(wit) < n
-        if in_range:
-            for v in wit:
-                pm |= 1 << v
-        # only vertices in range have a bit; otherwise count them by a set
-        if (pm.bit_count() if in_range else len(set(wit))) != len(wit):
-            problem = "repeated vertex in path"
-        else:
-            for a, b in zip(wit, wit[1:]):
-                if not (in_range or 0 <= a < n and 0 <= b < n):
-                    problem = f"vertex out of range in path: {a},{b}"
-                    break
-                if not masks[a] >> b & 1:
-                    problem = f"({a},{b}) is not an edge"
-                    break
+    masks = g.masks
+    problem = walk_problem(masks, wit)
     if problem:
         raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {problem}")
+    pm = 0
+    for v in wit:
+        pm |= 1 << v
     off = ~pm
     bound = [masks[v] & off for v in wit[1:-1]].count(0)
     if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or bound != mb:

@@ -5,13 +5,15 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check, with three exceptions.  ``xy_sweep_reference``
+kernels it is used to check, with two exceptions.  ``xy_sweep_reference``
 is the sweep kernel's earlier, plainer body, kept as the reference its
-faster replacement is compared with.  ``check_sweep_entry_reference`` is
-`verify_zhan`'s earlier witness re-check, through the library's `Path`
-and `internal_bound_vertices`.  The parity-lemma check at the end
+faster replacement is compared with.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
 `test_search.py` checks against a DFS oracle on the same support graphs.
+``walk_problem_reference`` and ``check_sweep_entry_reference`` are the
+library's earlier path check and `verify_zhan`'s earlier witness
+re-check, written out with a set and `Graph.has_edge`, so they share no
+code with `search.walk_problem`, which they are compared with.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 
 from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph, components_after_deletion
-from chordlab.search import Path, hamilton_cycles, internal_bound_vertices
+from chordlab.search import hamilton_cycles
 from chordlab.second_cycle import _edges_minus_vertices
 
 # ---------------------------------------------------------------------------
@@ -201,17 +203,38 @@ def xy_sweep_reference(masks, n, x):
     ]
 
 
+def walk_problem_reference(g: Graph, vs, closed=False, extra_edges=()):
+    """A plain ``search.walk_problem``: the library's earlier
+    `Path.validate`, by a set and `Graph.has_edge`, with the closing step
+    of a cycle and its ``extra_edges`` added; the same messages."""
+    kind = "cycle" if closed else "path"
+    if len(vs) < (3 if closed else 2):
+        return f"{kind} needs at least {'three' if closed else 'two'} vertices"
+    if len(set(vs)) != len(vs):
+        return f"repeated vertex in {kind}"
+    extra = {frozenset(e) for e in extra_edges}
+    steps = list(zip(vs, vs[1:])) + ([(vs[-1], vs[0])] if closed else [])
+    for a, b in steps:
+        if not (0 <= a < g.n and 0 <= b < g.n):
+            return f"vertex out of range in {kind}: {a},{b}"
+        if not g.has_edge(a, b) and frozenset((a, b)) not in extra:
+            return f"({a},{b}) is not an edge"
+    return None
+
+
 def check_sweep_entry_reference(g: Graph, x: int, y: int, entry):
-    """``verify._check_sweep_entry`` as it first re-checked a table entry:
-    the witness validated by `Path.validate` and its bound vertices listed
-    by `internal_bound_vertices`, with the same messages."""
+    """``verify._check_sweep_entry`` as it first re-checked a table entry,
+    with the same messages: the witness validated by
+    `walk_problem_reference` and its bound vertices listed as
+    `internal_bound_vertices` did it."""
     if entry is None:
         raise InvariantViolation("sweep", f"pair ({x},{y}): no path in the table")
     best, mb, wit = entry
-    try:
-        bound = internal_bound_vertices(g, Path(wit))  # validates the path
-    except ValueError as exc:
-        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {exc}") from exc
+    problem = walk_problem_reference(g, wit)
+    if problem:
+        raise InvariantViolation("sweep", f"pair ({x},{y}): witness {wit}: {problem}")
+    on_path = set(wit)
+    bound = [v for v in wit[1:-1] if on_path.issuperset(g.neighbors(v))]
     if (wit[0], wit[-1]) != (x, y) or len(wit) - 1 != best or len(bound) != mb:
         raise InvariantViolation(
             "sweep",

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -383,6 +384,29 @@ def test_verify_jobs_names_the_first_failure_in_input_order(tmp_path, capsys, mo
     assert err == f"internal error: probe: {first} (graph {first}, input line 2)\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc", (InvariantViolation("sweep", "pair (0,1): bad"), InvariantViolation("gate")))
+def test_invariant_violation_pickles_with_its_step(exc):
+    """Unpickling calls __init__ with the formatted text alone; the step
+    comes back from the instance dict that BaseException pickles."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), back.step, str(back)) == (InvariantViolation, exc.step, str(exc))
+
+
+def test_forked_failure_keeps_its_step(monkeypatch, corpus):
+    """A worker's InvariantViolation reaches the parent pickled, with its
+    step and its text."""
+
+    def fail(task):
+        raise InvariantViolation("sweep", f"pair (0,1): {task[0]}")
+
+    monkeypatch.setattr(cli, "_verify_one", fail)
+    tasks = [(write_graph6(g), g, "chords", False) for g in corpus[8][:2]]
+    with pytest.raises(InvariantViolation) as info:
+        list(cli._forked(tasks, 2))
+    assert info.value.step == "sweep"
+    assert str(info.value) == f"sweep: pair (0,1): {tasks[0][0]}"
 
 
 def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):

@@ -20,6 +20,7 @@ intended change of output:
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -143,6 +144,40 @@ def test_public_names_resolve():
     namespace = {}
     exec("from chordlab import *", namespace)
     assert set(chordlab.__all__) <= namespace.keys()
+
+
+def _reads(tree):
+    """The names ``tree`` reads, as a variable or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_helper_only_tests_call():
+    """Every module-level function of chordlab is read by other code of
+    the package, exported in `chordlab.__all__`, or read by perfbench
+    (its TARGETS strings, its imports and its calls, `kernels.warmup`
+    among them): a function that only tests call is dead code."""
+    root = FsPath(__file__).resolve().parent.parent
+    defined, used = [], set(chordlab.__all__)
+    for path in sorted((root / "src" / "chordlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.stem, node.name))
+                used |= _reads(node) - {node.name}  # a recursive call is no use
+            else:
+                used |= _reads(node)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
 
 
 if __name__ == "__main__":

@@ -181,6 +181,43 @@ def test_cycle_canonical_form():
     assert Cycle((0, 3, 2, 1)).vertices == (0, 1, 2, 3)
 
 
+# vertex sequence, extra_edges, then the messages of Path.validate and of
+# Cycle.validate on oracles.k33(), whose sides are 0,1,2 and 3,4,5
+WALKS = {
+    "valid": ((0, 3, 1, 4), (), None, None),
+    "non-edge": ((0, 2, 3, 4), (), "(0,2) is not an edge", "(0,2) is not an edge"),
+    "repeated-vertex": ((0, 3, 1, 3), (), "repeated vertex in path", "repeated vertex in cycle"),
+    "vertex-n": ((0, 3, 6, 4), (), "vertex out of range in path: 3,6",
+                 "vertex out of range in cycle: 3,6"),
+    "minus-one-first": ((-1, 3, 1, 4), (), "vertex out of range in path: -1,3",
+                        "vertex out of range in cycle: -1,3"),
+    # the cycle starts at its least vertex, -1
+    "minus-one-inside": ((0, 3, -1, 4), (), "vertex out of range in path: 3,-1",
+                         "vertex out of range in cycle: -1,3"),
+    "one-vertex": ((0,), (), "path needs at least two vertices",
+                   "cycle needs at least three vertices"),
+    # a path takes no extra edges
+    "extra-edge": ((0, 1, 3), ((1, 0),), "(0,1) is not an edge", None),
+}
+
+
+@pytest.mark.parametrize("closed", (False, True), ids=("path", "cycle"))
+@pytest.mark.parametrize("vs, extra, path_msg, cycle_msg", WALKS.values(), ids=WALKS)
+def test_validate_matches_naive_check(vs, extra, path_msg, cycle_msg, closed):
+    """Path.validate and Cycle.validate name a bad walk as the set- and
+    has_edge-based oracle does, out-of-range cycle vertices included."""
+    g = oracles.k33()
+    try:
+        Cycle(vs).validate(g, extra) if closed else Path(vs).validate(g)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    if closed and len(vs) >= 3:
+        vs = Cycle(vs).vertices  # the order Cycle.validate walks
+    want = oracles.walk_problem_reference(g, vs, closed, extra if closed else ())
+    assert got == want == (cycle_msg if closed else path_msg)
+
+
 # ---------------------------------------------------------------------------
 # mutation checks: a malformed kernel row must not reach a report
 
