@@ -14,6 +14,7 @@ assumes once, in `verify.CONNECTIVITY`.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -92,36 +93,74 @@ def _send(fh, obj):
 
 
 def _recv(fh):
-    """The next object `_send` wrote to ``fh``, or None at end of file."""
-    head = fh.read(8)
+    """The next object `_send` wrote to ``fh``, or None at end of file.
+    It reads no byte past that object, so on an unbuffered ``fh``
+    `select` still sees every reply that follows."""
+
+    def read(size):
+        data = b""
+        while len(data) < size and (chunk := fh.read(size - len(data))):
+            data += chunk
+        return data
+
+    head = read(8)
     size = int.from_bytes(head, "little")
-    data = fh.read(size) if len(head) == 8 else b""
+    data = read(size) if len(head) == 8 else b""
     return pickle.loads(data) if data and len(data) == size else None
+
+
+# the most task indices a forked child holds, the one it runs included;
+# a child whose queue ran dry would idle until the parent's own task ends
+_AHEAD = 4
 
 
 def _forked(tasks, workers):
     """Yield `_verify_one` of every task, in input order, from ``workers``
-    forked children that inherit ``tasks``: the parent hands a task index
-    to whichever child is free and reads back (index, row, exception).
-    The first failing task in input order raises in place of its row; a
-    child that dies without replying fails its task.  Forking assumes no
-    other thread runs, as none does in the command line.
+    processes: the parent and ``workers - 1`` forked children that inherit
+    ``tasks``.  The parent hands out task indices in input order and reads
+    back (index, row, exception).  The children get indices 0..workers-2,
+    one each as they are forked, and the parent takes the next one.
+    After every reply and every task it runs itself, the parent takes its
+    next index and tops each child up to `_AHEAD` indices, but never to
+    more than are still left to hand out: a child has its next task
+    queued while the parent computes, and the last tasks are shared.  The
+    parent runs its next index whenever no reply is waiting, and blocks
+    in `select` only when none is left.  Once nothing is left to hand
+    out, every task pipe is closed, so the children leave as soon as
+    their queues are done.
 
-    Child k pins itself to the k-th of the parent's allowed CPUs (modulo
-    their count) before its first task: the scheduler places a forked
-    child on its parent's CPU and often keeps it there on short tasks,
-    so unpinned children tend to share one CPU.  The pin is Linux-only; where
-    ``os.sched_setaffinity`` is missing the children are not pinned, and
-    a pin that fails (a cpuset changed under the run) is ignored."""
+    The first failing task in input order raises in place of its row; a
+    child that dies without replying fails the task it held, and the
+    tasks queued behind it are not needed.  A hard crash of the parent's
+    own task (a signal, `os._exit`) ends the run as it would under
+    ``--jobs 1``.  Forking assumes no other thread runs, as none does in
+    the command line.
+
+    Child k (1..workers-1) pins itself to the k-th of the parent's
+    allowed CPUs (modulo their count) before its first task: the
+    scheduler places a forked child on its parent's CPU and often keeps
+    it there on short tasks.  The parent keeps its own affinity.  The pin
+    is Linux-only; where ``os.sched_setaffinity`` is missing the children
+    are not pinned, and a pin that fails (a cpuset changed under the run)
+    is ignored."""
     pin = getattr(os, "sched_setaffinity", None)
     cpus = sorted(os.sched_getaffinity(0)) if pin else []
     results = [None] * len(tasks)
-    children = {}  # reply pipe -> (pid, task pipe)
-    busy = {}  # reply pipe -> the index of the task it holds
-    todo = iter(range(len(tasks)))
+    # reply pipe -> (pid, task pipe, the indices the child holds, oldest first)
+    children = {}
+    todo = collections.deque(range(len(tasks)))
     parent_ends = []
+
+    def hand(fh):
+        _, task_w, held = children[fh]
+        held.append(todo.popleft())
+        try:
+            _send(task_w, held[-1])
+        except BrokenPipeError:
+            pass  # the child died: its reply pipe's end of file says so
+
     try:
-        for k in range(workers):
+        for k in range(1, workers):
             task_r, task_w = os.pipe()
             reply_r, reply_w = os.pipe()
             pid = os.fork()
@@ -150,43 +189,52 @@ def _forked(tasks, workers):
             os.close(task_r)
             os.close(reply_w)
             parent_ends += [task_w, reply_r]
-            # unbuffered: a failed send leaves nothing for close to flush
-            children[os.fdopen(reply_r, "rb")] = (pid, os.fdopen(task_w, "wb", buffering=0))
-        for fh in children:
-            busy[fh] = next(todo)
-            _send(children[fh][1], busy[fh])
-        while busy:
-            for fh in select.select(list(busy), [], [])[0]:
+            # unbuffered: a failed send leaves nothing for close to flush,
+            # and a read takes no reply that select has not yet seen
+            fh = os.fdopen(reply_r, "rb", buffering=0)
+            children[fh] = (pid, os.fdopen(task_w, "wb", buffering=0), [])
+            hand(fh)  # the child starts while the next one forks
+        while (waiting := [fh for fh, (_, _, held) in children.items() if held]) or todo:
+            ready = select.select(waiting, [], [], 0 if todo else None)[0] if waiting else []
+            for fh in ready:
                 reply = _recv(fh)
+                pid, task_w, held = children[fh]
                 if reply is None:
-                    pid, task_w = children.pop(fh)
+                    del children[fh]
                     fh.close()
                     task_w.close()
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     exc = InvariantViolation("verify", f"worker exited with status {status}")
-                    reply = (busy[fh], None, exc)
+                    # the indices queued behind come later in input order
+                    reply = (held[0], None, exc)
+                else:
+                    held.remove(reply[0])
                 i, row, exc = reply
                 results[i] = (row, exc)
                 if exc is not None:
-                    todo = iter(())  # no task after a failure is needed
-                del busy[fh]
-                if fh not in children:
-                    continue
-                i = next(todo, None)
-                if i is None:
-                    children[fh][1].close()  # end of file: the child leaves now
-                else:
-                    busy[fh] = i
-                    _send(children[fh][1], i)
+                    todo.clear()  # no task after a failure is needed
+            mine = todo.popleft() if todo else None
+            for fh, (_, _, held) in children.items():
+                while len(held) < min(_AHEAD, len(todo)):
+                    hand(fh)
+            if not todo:
+                for _, task_w, _ in children.values():
+                    task_w.close()  # end of file: the child leaves when done
+            if mine is not None:
+                try:
+                    results[mine] = (_verify_one(tasks[mine]), None)
+                except Exception as exc:
+                    results[mine] = (None, exc)
+                    todo.clear()
     except BaseException:
-        for pid, _ in children.values():
+        for pid, _, _ in children.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fh, (pid, task_w) in children.items():
+        for fh, (_, task_w, _) in children.items():
             fh.close()
             task_w.close()
-        for pid, _ in children.values():
+        for pid, _, _ in children.values():
             os.waitpid(pid, 0)
     for row, exc in results:
         if exc is not None:

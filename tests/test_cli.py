@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -329,8 +331,9 @@ def test_verify_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 
 def test_verify_forks_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch, corpus):
-    """--jobs larger than the corpus forks one worker per graph, one graph
-    runs in-process, and an empty corpus gives a zero-row report."""
+    """--jobs larger than the corpus runs one worker per graph (the parent
+    and one forked child per further graph), one graph runs in-process
+    without `_forked`, and an empty corpus gives a zero-row report."""
     started = []
     real = cli._forked
 
@@ -349,6 +352,22 @@ def test_verify_forks_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch
         assert started == forks
         assert out == serial
         assert json.loads(out)["graphs"] == len(json.loads(out)["rows"]) == len(graphs)
+
+
+@contextlib.contextmanager
+def _no_hang(seconds=60):
+    """Fail the test with TimeoutError if its body runs ``seconds``."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("verify --jobs hung")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _fail_on(monkeypatch, how):
@@ -412,14 +431,17 @@ def test_forked_failure_keeps_its_step(monkeypatch, corpus):
 def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):
     """--jobs 2 reaps every worker on exit 0, on the violation path (exit
     1) and when a worker dies without replying (exit 4, naming the graph
-    it held), and a dead worker does not hang the run."""
+    it held), and a dead worker does not hang the run.  The dying graph
+    is the third: the child is handed it with its first, before the
+    parent runs the second.  It dies only in a child, so a parent that
+    ran it would not end pytest."""
+    parent = os.getpid()
 
-    def alarm(signum, frame):
-        raise TimeoutError("verify --jobs 2 hung")
+    def die():
+        if os.getpid() != parent:
+            os._exit(9)
 
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.alarm(60)
-    try:
+    with _no_hang():
         f = _write_corpus(tmp_path, corpus[8])
         argv = ["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"]
         code, out, _ = run_cli(argv, capsys)
@@ -432,16 +454,133 @@ def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):
         assert code == 1 and json.loads(out)["violations"] > 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        dies = write_graph6(corpus[8][3])
-        _fail_on(monkeypatch, {dies: lambda: os._exit(9)})
+        dies = write_graph6(corpus[8][2])
+        _fail_on(monkeypatch, {dies: die})
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (4, "")
-        assert err == f"internal error: verify: worker exited with status 9 (graph {dies}, input line 4)\n"
+        assert err == f"internal error: verify: worker exited with status 9 (graph {dies}, input line 3)\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_jobs_2_forks_one_child(tmp_path, capsys, monkeypatch):
+    """--jobs 2 forks once and writes the serial run's bytes.  On two
+    graphs the child runs the first and the parent the second; on three
+    the child is not handed the third, as no task would be left for the
+    parent, so the parent runs the second and the third."""
+    graphs = [oracles.k4(), oracles.petersen(), oracles.prism()]
+    parent = os.getpid()
+    forks, here = [], []
+    real_fork, real_verify = os.fork, cli._verify_one
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    def verify_one(task):
+        if os.getpid() == parent:
+            here.append(task[0])
+        return real_verify(task)
+
+    with _no_hang():
+        for count in (2, 3):
+            f = _write_corpus(tmp_path, graphs[:count])
+            for mode in ("zhan2", "zhan3adj", "chords"):
+                argv = ["verify", "--mode", mode, "--in", str(f)]
+                code, serial, _ = run_cli(argv, capsys)
+                assert code == 0
+                forks.clear()
+                here.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(os, "fork", fork)
+                    m.setattr(cli, "_verify_one", verify_one)
+                    assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (count, mode)
+                assert len(forks) == 1
+                assert here == [write_graph6(g) for g in graphs[1:count]]
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+
+
+def test_recv_reads_no_byte_past_its_object():
+    """Two replies in one pipe: after the first is read, select on an
+    unbuffered reader still sees the second waiting."""
+    r, w = os.pipe()
+    with os.fdopen(r, "rb", buffering=0) as fh, os.fdopen(w, "wb") as out:
+        cli._send(out, (0, {"value": 1}, None))
+        cli._send(out, (1, None, InvariantViolation("probe", "x")))
+        assert cli._recv(fh) == (0, {"value": 1}, None)
+        assert select.select([fh], [], [], 0)[0] == [fh]
+        i, row, exc = cli._recv(fh)
+        assert (i, row, str(exc)) == (1, None, "probe: x")
+        out.close()
+        assert cli._recv(fh) is None
+
+
+def _in(side, fail):
+    """``fail``, run by the parent (``side`` "parent") or by a child; on
+    the other side the task fails with a message the tests do not expect."""
+    parent = os.getpid()
+
+    def run():
+        if (os.getpid() == parent) != (side == "parent"):
+            raise InvariantViolation("probe", "ran on the wrong side")
+        fail()
+
+    return run
+
+
+@pytest.mark.parametrize("late", ("parent", "child"))
+def test_verify_jobs_first_failure_across_parent_and_child(tmp_path, capsys, monkeypatch, corpus, late):
+    """--jobs 2 on four graphs: the child holds the first and the third,
+    the parent runs the second.  Two graphs fail, one on each side, and
+    the one earlier in input order fails 0.3 s later; the error names it
+    either way, and no child is left."""
+    lines = [write_graph6(g) for g in corpus[8][:4]]
+    # (graph, the side that runs it, seconds before it fails), earlier graph first
+    if late == "parent":
+        failing = ((1, "parent", 0.3), (2, "child", 0))
+    else:
+        failing = ((0, "child", 0.3), (1, "parent", 0))
+    _fail_on(monkeypatch, {lines[i]: _in(side, _raise_after(wait, lines[i])) for i, side, wait in failing})
+    early = failing[0][0]
+    f = _write_corpus(tmp_path, corpus[8][:4])
+    with _no_hang():
+        code, out, err = run_cli(["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"internal error: probe: {lines[early]} (graph {lines[early]}, input line {early + 1})\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="os.waitid is POSIX-only")
+@pytest.mark.parametrize("dies", (0, 2))
+def test_verify_child_dies_while_the_parent_computes(tmp_path, capsys, monkeypatch, corpus, dies):
+    """--jobs 2 on four graphs: the child holds the first and the third,
+    the parent runs the second, and that task lasts until the child has
+    died on one of its graphs.  The run exits 4 naming the child's graph,
+    does not hang and leaves no child."""
+    lines = [write_graph6(g) for g in corpus[8][:4]]
+
+    def die():
+        time.sleep(0.2)  # let the parent start its own task first
+        os._exit(9)
+
+    def until_a_child_exits():
+        # WNOWAIT leaves the dead child for _forked to reap
+        deadline = time.monotonic() + 30
+        while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            assert time.monotonic() < deadline, "the child did not die"
+            time.sleep(0.01)
+
+    _fail_on(monkeypatch, {lines[dies]: _in("child", die), lines[1]: _in("parent", until_a_child_exits)})
+    f = _write_corpus(tmp_path, corpus[8][:4])
+    with _no_hang():
+        code, out, err = run_cli(["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"], capsys)
+    assert (code, out) == (4, "")
+    graph = f"(graph {lines[dies]}, input line {dies + 1})"
+    assert err == f"internal error: verify: worker exited with status 9 {graph}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 needs_affinity = pytest.mark.skipif(
@@ -451,16 +590,36 @@ needs_affinity = pytest.mark.skipif(
 
 @needs_affinity
 def test_forked_workers_are_pinned(monkeypatch, corpus):
-    """Each forked worker runs its tasks on one CPU of the parent's set,
-    worker k on the k-th: the first two tasks go to workers 0 and 1."""
+    """With 2 and 3 workers, child k (k = 1..workers-1) runs its tasks on
+    the k-th CPU of the parent's set, modulo their count; the parent runs
+    its own tasks under its own affinity, which the call leaves as it
+    was.  The first workers-1 tasks go to the children, one each."""
     allowed = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(cli, "_verify_one", lambda task: (task[0], sorted(os.sched_getaffinity(0))))
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_verify_one", lambda task: (task[0], os.getpid(), sorted(os.sched_getaffinity(0))))
     tasks = [(write_graph6(g), g, "chords", False) for g in corpus[8]]
-    rows = list(cli._forked(tasks, 2))
-    assert [line for line, _ in rows] == [task[0] for task in tasks]
-    for _, cpus in rows:
-        assert len(cpus) == 1 and set(cpus) <= set(allowed), (cpus, allowed)
-    assert rows[0][1] == allowed[:1] and rows[1][1] == [allowed[1 % len(allowed)]]
+    for workers in (2, 3):
+        forked.clear()
+        rows = list(cli._forked(tasks, workers))
+        assert [line for line, _, _ in rows] == [task[0] for task in tasks]
+        assert len(forked) == workers - 1
+        assert [pid for _, pid, _ in rows[:workers]] == forked + [os.getpid()]
+        for _, pid, cpus in rows:
+            if pid == os.getpid():
+                assert cpus == allowed
+            else:
+                k = forked.index(pid) + 1
+                assert cpus == [allowed[k % len(allowed)]], (k, cpus, allowed)
+        assert sorted(os.sched_getaffinity(0)) == allowed
 
 
 @needs_affinity
