@@ -12,6 +12,16 @@ code are kept.  Deleting the last vertex of a maximal code leaves a
 maximal code, so extending canonical prefixes one vertex at a time and
 keeping the canonical results enumerates every isomorphism class once.
 
+The enumeration walks the tree of canonical prefixes depth first.  It
+tests every child of a prefix and walks into the canonical ones in
+decreasing last-column order.  Siblings share their prefix, and every
+code of order n has n - 1 columns compared column by column, so the walk
+meets the complete codes in decreasing code order: it keeps one prefix
+per level and sorts nothing.  `_completable` judges a child by its
+columns and degrees before its masks are built, and each child's masks
+and neighbour lists are its parent's with the new vertex added, so the
+canonicity test reads them as they are.
+
 The canonicity test `_is_max_code` is exact: it looks for a relabeling
 with a strictly larger code.  The search prunes by four facts about
 connected graphs of maximum degree at most 3.
@@ -60,17 +70,16 @@ from .search import Cycle, Path
 # canonical codes
 
 
-def _is_max_code(masks, n, cols) -> bool:
-    """True iff no relabeling of the connected subcubic graph ``masks`` on
-    n vertices yields a strictly larger column code than ``cols``."""
-    nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
+def _is_max_code(masks, nbrs, n, cols) -> bool:
+    """True iff no relabeling of the connected subcubic graph on n
+    vertices with adjacency ``masks`` and neighbour lists ``nbrs`` yields
+    a strictly larger column code than ``cols``."""
     # acc[u]: the column u would get at position j, shifted up by n - j
     acc = [0] * n
     scaled = [0] + [c << (n - j) for j, c in enumerate(cols, 1)]
+    last = n - 1
 
     def beaten(j, placed, frontier):
-        if j == n:
-            return False
         target = scaled[j]
         ties = []
         w = frontier
@@ -78,11 +87,14 @@ def _is_max_code(masks, n, cols) -> bool:
             b = w & -w
             w ^= b
             u = b.bit_length() - 1
-            if acc[u] > target:
-                return True
-            if acc[u] == target:
+            a = acc[u]
+            if a >= target:
+                if a > target:
+                    return True
                 ties.append(u)
-        bit = 1 << (n - 1 - j)
+        if j == last:  # a tie here completes an equal code
+            return False
+        bit = 1 << (last - j)
         for u in ties:
             for v in nbrs[u]:
                 acc[v] += bit
@@ -94,13 +106,17 @@ def _is_max_code(masks, n, cols) -> bool:
                 return True
         return False
 
-    # (degree, twice the edges among the neighbours) per vertex, fact 3
-    keys = [
-        (len(a), sum((masks[v] & masks[u]).bit_count() for v in a))
-        for u, a in enumerate(nbrs)
-    ]
+    # 8 * degree + twice the edges among the neighbours, per vertex: the
+    # key of fact 3, as twice the edges is at most 6
+    keys = []
+    for u, a in enumerate(nbrs):
+        m = masks[u]
+        key = 8 * len(a)
+        for v in a:
+            key += (masks[v] & m).bit_count()
+        keys.append(key)
     best = max(keys)
-    top = 1 << (n - 1)
+    top = 1 << last
     for s in range(n):
         if keys[s] != best:
             continue
@@ -128,25 +144,6 @@ def _graph_from_cols(n, cols) -> Graph:
     return Graph(n, edges)
 
 
-def _children(level, k):
-    """Every child of each prefix on k vertices: a new vertex k joined to
-    one to three earlier vertices of degree below 3, as (cols, degs,
-    masks)."""
-    for cols, degs, masks in level:
-        eligible = [i for i in range(k) if degs[i] < 3]
-        for size in (1, 2, 3):
-            for subset in itertools.combinations(eligible, size):
-                col = 0
-                ndegs = list(degs) + [size]
-                nmasks = list(masks) + [0]
-                for i in subset:
-                    col |= 1 << (k - 1 - i)
-                    ndegs[i] += 1
-                    nmasks[i] |= 1 << k
-                    nmasks[k] |= 1 << i
-                yield cols + (col,), ndegs, nmasks
-
-
 def _completable(cols, degs, n) -> bool:
     """Can the remaining n - len(degs) vertices, each joined back, fill
     every degree to 3 with ``cols`` staying a prefix of a maximal code?"""
@@ -162,20 +159,49 @@ def _completable(cols, degs, n) -> bool:
     return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
 
 
+def _walk(cols, degs, masks, nbrs, n, out):
+    """Test each child of the canonical prefix ``cols`` on k vertices (a
+    new vertex k joined to one to three earlier vertices of degree below
+    3), walk into the canonical ones in decreasing last-column order, and
+    append each complete code to ``out``."""
+    k = len(degs)
+    eligible = [i for i in range(k) if degs[i] < 3]
+    kids = sorted(
+        (
+            (sum(1 << (k - 1 - i) for i in subset), subset)
+            for size in (1, 2, 3)
+            for subset in itertools.combinations(eligible, size)
+        ),
+        reverse=True,
+    )
+    for col, subset in kids:
+        ncols = cols + (col,)
+        ndegs = degs + [len(subset)]
+        for i in subset:
+            ndegs[i] += 1
+        if not _completable(ncols, ndegs, n):
+            continue
+        nmasks = masks + [0]
+        nnbrs = nbrs + [subset]
+        for i in subset:
+            nmasks[i] |= 1 << k
+            nmasks[k] |= 1 << i
+            nnbrs[i] += (k,)
+        if not _is_max_code(nmasks, nnbrs, k + 1, ncols):
+            continue
+        if k + 1 == n:
+            out.append(ncols)
+        else:
+            _walk(ncols, ndegs, nmasks, nnbrs, n, out)
+
+
 def enumerate_cubic(n: int):
     """All connected cubic graphs on n vertices, one per isomorphism
     class, in decreasing canonical-code order."""
     if n % 2 or not 4 <= n <= 16:
         raise ValueError(f"n must be even with 4 <= n <= 16, got {n}")
-    level = [((), (0,), (0,))]  # (cols, degs, masks) on 1 vertex
-    for k in range(1, n):
-        level = [
-            (cols, degs, masks)
-            for cols, degs, masks in _children(level, k)
-            if _completable(cols, degs, n)
-            and _is_max_code(masks, k + 1, cols)
-        ]
-    codes = sorted((cols for cols, _, _ in level), reverse=True)
+    codes = []
+    _walk((), [0], [0], [()], n, codes)  # from the prefix on 1 vertex
     return [_graph_from_cols(n, cols) for cols in codes]
 
 

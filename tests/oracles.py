@@ -5,11 +5,15 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check, with two exceptions.  ``xy_sweep_reference``
+kernels it is used to check, with three exceptions.  ``xy_sweep_reference``
 is the sweep kernel's earlier, plainer body, kept as the reference its
 faster replacement is compared with.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
 `test_search.py` checks against a DFS oracle on the same support graphs.
+``cubic_codes_by_level`` is the enumeration's earlier level-by-level
+body, the reference for its depth-first walk; it shares the walk's
+completability prune and canonicity test, which the relabeling backtrack
+checks on their own.
 ``walk_problem_reference`` and ``check_sweep_entry_reference`` are the
 library's earlier path check and `verify_zhan`'s earlier witness
 re-check, written out with a set and `Graph.has_edge`, so they share no
@@ -24,6 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from chordlab.errors import InvariantViolation
+from chordlab.generate import _completable, _is_max_code
 from chordlab.graphs import Graph, components_after_deletion
 from chordlab.search import hamilton_cycles
 from chordlab.second_cycle import _edges_minus_vertices
@@ -338,6 +343,42 @@ def is_max_code_backtrack(masks, n, cols) -> bool:
         return False
 
     return not rec(0)
+
+
+def _children(level, k):
+    """Every child of each prefix on k vertices: a new vertex k joined to
+    one to three earlier vertices of degree below 3, as (cols, degs,
+    masks)."""
+    for cols, degs, masks in level:
+        eligible = [i for i in range(k) if degs[i] < 3]
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(eligible, size):
+                col = 0
+                ndegs = list(degs) + [size]
+                nmasks = list(masks) + [0]
+                for i in subset:
+                    col |= 1 << (k - 1 - i)
+                    ndegs[i] += 1
+                    nmasks[i] |= 1 << k
+                    nmasks[k] |= 1 << i
+                yield cols + (col,), ndegs, nmasks
+
+
+def cubic_codes_by_level(n: int) -> list:
+    """The codes of `enumerate_cubic(n)` from the enumeration's earlier
+    body: each level of canonical prefixes kept whole, the children of a
+    level tested together and the codes sorted at the end."""
+    level = [((), (0,), (0,))]  # (cols, degs, masks) on 1 vertex
+    for k in range(1, n):
+        level = [
+            (cols, degs, masks)
+            for cols, degs, masks in _children(level, k)
+            if _completable(cols, degs, n)
+            and _is_max_code(
+                masks, [[w for w in range(k + 1) if m >> w & 1] for m in masks], k + 1, cols
+            )
+        ]
+    return sorted((cols for cols, _, _ in level), reverse=True)
 
 
 def canonical_code(g: Graph) -> tuple:

@@ -152,13 +152,13 @@ def test_criterion_3_chords(corpus):
         f"{total} graphs, min chords {minimum}; exception graph: 9-cycles, 3 chords")
 
 
-def test_statements_agree_on_three_connected_corpus(corpus):
+def test_statements_agree_on_three_connected_corpus(corpus, corpus12):
     """The three statements on one graph.  The adjacent-pairs table is the
     all-pairs table on the edges, so zhan2 <= zhan3adj.  A longest cycle C
     with the fewest chords, opened at an edge xy with x bound, is a
     longest (x,y)-path with at most |B(C)| - 1 internal bound vertices,
     and |B(C)| is twice the chord count, so zhan3adj <= 2*chords - 1."""
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
     checked = [g for g in graphs if connectivity_at_least(g, 3)]
     for g in checked:
         all_pairs = verify_zhan(g, "all-pairs")
@@ -274,7 +274,7 @@ def test_criterion_7_extension_engine(corpus):
     _ok("7 (extension engine)", f"{runs} sampled fixpoint runs, {extensions} extensions")
 
 
-def test_criterion_8_oracles(corpus):
+def test_criterion_8_oracles(corpus, corpus12):
     """Search agrees with the naive permutation oracles on every cubic
     graph with up to eight vertices, graph6 round-trips over the whole
     corpus, and the class counts match the pairing oracle (live at small
@@ -293,7 +293,7 @@ def test_criterion_8_oracles(corpus):
             assert sorted(c.vertices for c in got) == cyc
 
     full = dict(corpus)
-    full[12] = enumerate_cubic(12)
+    full[12] = corpus12
     for n, graphs in full.items():
         assert len(graphs) == CLASS_COUNTS[n]
         for g in graphs:

@@ -6,10 +6,11 @@ from math import factorial
 import pytest
 
 import oracles
+from chordlab import generate
 from chordlab.cli import main
 from chordlab.generate import (
-    _children,
     _completable,
+    _graph_from_cols,
     _is_max_code,
     enumerate_cubic,
     random_cubic,
@@ -33,6 +34,8 @@ GENERATE_SHA256 = {
     10: "b46e70b9578943cb94fa0ec1469bba1fa2825813da4fed3698b38f9061f5b40a",
     12: "ff0fcdb1521f99d5a04d95bebe9f40faae50dfff7240e11b4f0a3602bf380eba",
     14: "b4d1bff9567f76e998c7418de7fc2c7c035524ee691a54d6ca1b6071ba1861d8",
+    # recorded from the level-by-level enumeration the walk replaced
+    16: "aedeebf2a1b007f740aecef8c59fb8f4927b2a7b547eaa16cbda807afac41a25",
 }
 
 
@@ -108,24 +111,46 @@ def test_deterministic_order():
     assert [g.edges for g in enumerate_cubic(8)] == [g.edges for g in enumerate_cubic(8)]
 
 
-def test_max_code_matches_backtrack_n12():
-    """Run the search level by level for every n <= 12 and judge each
-    child it generates by the plain relabeling backtrack too: the fast
-    test agrees on every one."""
+def test_max_code_matches_backtrack_n12(monkeypatch):
+    """Judge every child the walk generates for n <= 12 by the plain
+    relabeling backtrack too, whether or not it passes `_completable`:
+    the fast test agrees on every one.  The masks and neighbour lists the
+    walk carries to `_is_max_code` are those of the child's columns."""
     judged = 0
+
+    def completable(cols, degs, n):
+        nonlocal judged
+        g = _graph_from_cols(len(degs), cols)
+        old = oracles.is_max_code_backtrack(g.masks, g.n, cols)
+        assert _is_max_code(g.masks, g.adj, g.n, cols) == old, cols
+        judged += 1
+        return _completable(cols, degs, n)
+
+    def is_max_code(masks, nbrs, n, cols):
+        g = _graph_from_cols(n, cols)
+        assert (tuple(masks), tuple(nbrs)) == (g.masks, g.adj), cols
+        return _is_max_code(masks, nbrs, n, cols)
+
+    monkeypatch.setattr(generate, "_completable", completable)
+    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     for n in range(4, 13, 2):
-        level = [((), (0,), (0,))]
-        for k in range(1, n):
-            nxt = []
-            for cols, degs, masks in _children(level, k):
-                old = oracles.is_max_code_backtrack(masks, k + 1, cols)
-                assert _is_max_code(masks, k + 1, cols) == old, cols
-                judged += 1
-                if old and _completable(cols, degs, n):
-                    nxt.append((cols, degs, masks))
-            level = nxt
-        assert len(level) == EXPECTED_CLASS_COUNTS[n]
+        assert len(enumerate_cubic(n)) == EXPECTED_CLASS_COUNTS[n]
     assert judged > 5000
+
+
+def _code(g):
+    """The column code of g's labeling: column j holds j's adjacency to
+    0..j-1, vertex 0 in the most significant bit."""
+    return tuple(
+        sum((g.masks[j] >> i & 1) << (j - 1 - i) for i in range(j)) for j in range(1, g.n)
+    )
+
+
+def test_walk_matches_level_reference(corpus, corpus12):
+    """The depth-first walk emits the codes of the level-by-level
+    enumeration it replaced, in the same order, for every n <= 12."""
+    for n, graphs in {**corpus, 12: corpus12}.items():
+        assert [_code(g) for g in graphs] == oracles.cubic_codes_by_level(n), n
 
 
 def test_enumerate_rejects_bad_n():
@@ -223,7 +248,9 @@ def test_counts_n14_optional_tier(tmp_path):
     reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
 )
 def test_counts_n16_optional_tier(tmp_path):
-    graphs = [parse_graph6(line) for line in _generate(16, tmp_path).decode().split()]
+    text = _generate(16, tmp_path)
+    assert hashlib.sha256(text).hexdigest() == GENERATE_SHA256[16]
+    graphs = [parse_graph6(line) for line in text.decode().split()]
     assert len(graphs) == EXPECTED_CLASS_COUNTS[16]
     assert all(is_cubic(g) and connectivity_at_least(g, 1) for g in graphs)
     found = [oracles._canonical_search(g.masks, g.n) for g in graphs]

@@ -99,12 +99,11 @@ def test_kernel_rows_are_tuples():
     assert rows and all(type(r) is tuple and len(r) == len(rows[0]) for r in rows)
 
 
-def test_cycle_rows_match_oracle_n12():
+def test_cycle_rows_match_oracle_n12(corpus12):
     """The n=12 corpus, which the golden set leaves out: the longest and
     the Hamilton cycles are those of the naive walk, in its order."""
-    graphs = enumerate_cubic(12)
-    assert len(graphs) == 85
-    for i, g in enumerate(graphs):
+    assert len(corpus12) == 85
+    for i, g in enumerate(corpus12):
         every = oracles.all_cycles_small({v: set(g.neighbors(v)) for v in range(g.n)})
         best = max(map(len, every))
         assert kernels.cycles_of_length(g.masks, g.n, None) == [c for c in every if len(c) == best], i

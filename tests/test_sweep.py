@@ -14,7 +14,7 @@ import pytest
 import oracles
 from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
-from chordlab.generate import enumerate_cubic, random_cubic
+from chordlab.generate import random_cubic
 from chordlab.graph6 import parse_graph6
 from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import longest_xy_paths
@@ -104,8 +104,8 @@ def _check_sweep_against_reference(g):
         assert kernels.xy_sweep(g.masks, g.n, x) == oracles.xy_sweep_reference(g.masks, g.n, x), x
 
 
-def test_sweep_matches_reference_on_corpus(corpus):
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+def test_sweep_matches_reference_on_corpus(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
     for g in graphs:
         _check_sweep_against_reference(g)
     assert len(graphs) == 112
@@ -154,8 +154,8 @@ def _check_targets_against_reference(g, seed=0):
             assert kernels.xy_sweep(g.masks, g.n, x, targets) == want, (x, targets)
 
 
-def test_targeted_sweep_matches_reference_on_corpus(corpus):
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+def test_targeted_sweep_matches_reference_on_corpus(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
     for g in graphs:
         _check_targets_against_reference(g)
     assert len(graphs) == 112
@@ -212,8 +212,8 @@ def _check_relabeling_invariance(g, seed):
     return len(values)
 
 
-def test_verifiers_are_relabeling_invariant_on_corpus(corpus):
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+def test_verifiers_are_relabeling_invariant_on_corpus(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
     checked = sum(_check_relabeling_invariance(g, seed) for seed, g in enumerate(graphs))
     assert checked > 200
 
@@ -295,8 +295,8 @@ def _check_entries_against_reference(monkeypatch, graphs):
     return seen
 
 
-def test_witness_check_matches_reference_on_corpus(monkeypatch, corpus):
-    graphs = [g for n in corpus for g in corpus[n]] + enumerate_cubic(12)
+def test_witness_check_matches_reference_on_corpus(monkeypatch, corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
     seen = _check_entries_against_reference(monkeypatch, graphs)
     # every entry passes, and every failure is one of KINDS, each seen
     assert seen[None] > 5000
