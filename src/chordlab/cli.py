@@ -114,20 +114,29 @@ def _recv(fh):
 _AHEAD = 4
 
 
+def _attempt(task):
+    """(`_verify_one` of ``task``, None), or (None, the exception it raised)."""
+    try:
+        return _verify_one(task), None
+    except Exception as exc:
+        return None, exc
+
+
 def _forked(tasks, workers):
     """Yield `_verify_one` of every task, in input order, from ``workers``
     processes: the parent and ``workers - 1`` forked children that inherit
-    ``tasks``.  The parent hands out task indices in input order and reads
-    back (index, row, exception).  The children get indices 0..workers-2,
-    one each as they are forked, and the parent takes the next one.
-    After every reply and every task it runs itself, the parent takes its
-    next index and tops each child up to `_AHEAD` indices, but never to
-    more than are still left to hand out: a child has its next task
-    queued while the parent computes, and the last tasks are shared.  The
-    parent runs its next index whenever no reply is waiting, and blocks
-    in `select` only when none is left.  Once nothing is left to hand
-    out, every task pipe is closed, so the children leave as soon as
-    their queues are done.
+    ``tasks``.  With one worker (or none, for no task) the parent runs
+    every task itself and forks nothing; this is ``--jobs 1``.  The parent
+    hands out task indices in input order and reads back (index, row,
+    exception).  The children get indices 0..workers-2, one each as they
+    are forked, and the parent takes the next one.  After every reply and
+    every task it runs itself, the parent takes its next index and tops
+    each child up to `_AHEAD` indices, but never to more than are still
+    left to hand out: a child has its next task queued while the parent
+    computes, and the last tasks are shared.  The parent runs its next
+    index whenever no reply is waiting, and blocks in `select` only when
+    none is left.  Once nothing is left to hand out, every task pipe is
+    closed, so the children leave as soon as their queues are done.
 
     The first failing task in input order raises in place of its row; a
     child that dies without replying fails the task it held, and the
@@ -150,6 +159,11 @@ def _forked(tasks, workers):
     children = {}
     todo = collections.deque(range(len(tasks)))
     parent_ends = []
+
+    def record(i, row, exc):
+        results[i] = (row, exc)
+        if exc is not None:
+            todo.clear()  # no task after a failure is needed
 
     def hand(fh):
         _, task_w, held = children[fh]
@@ -178,11 +192,7 @@ def _forked(tasks, workers):
                             pass  # unpinned, the child still works
                     tasks_in, replies = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
                     while (i := _recv(tasks_in)) is not None:
-                        try:
-                            reply = (i, _verify_one(tasks[i]), None)
-                        except Exception as exc:
-                            reply = (i, None, exc)
-                        _send(replies, reply)
+                        _send(replies, (i, *_attempt(tasks[i])))
                     status = 0
                 finally:
                     os._exit(status)
@@ -209,10 +219,7 @@ def _forked(tasks, workers):
                     reply = (held[0], None, exc)
                 else:
                     held.remove(reply[0])
-                i, row, exc = reply
-                results[i] = (row, exc)
-                if exc is not None:
-                    todo.clear()  # no task after a failure is needed
+                record(*reply)
             mine = todo.popleft() if todo else None
             for fh, (_, _, held) in children.items():
                 while len(held) < min(_AHEAD, len(todo)):
@@ -221,11 +228,7 @@ def _forked(tasks, workers):
                 for _, task_w, _ in children.values():
                     task_w.close()  # end of file: the child leaves when done
             if mine is not None:
-                try:
-                    results[mine] = (_verify_one(tasks[mine]), None)
-                except Exception as exc:
-                    results[mine] = (None, exc)
-                    todo.clear()
+                record(mine, *_attempt(tasks[mine]))
     except BaseException:
         for pid, _, _ in children.values():
             os.kill(pid, signal.SIGKILL)
@@ -273,10 +276,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     tasks = [(lines[lineno - 1].strip(), g, args.mode, args.timings) for lineno, g in corpus]
-    workers = min(args.jobs, len(tasks))
     rows = []
     try:
-        for row in _forked(tasks, workers) if workers > 1 else map(_verify_one, tasks):
+        for row in _forked(tasks, min(args.jobs, len(tasks))):
             rows.append(row)
     except InvariantViolation as exc:
         # the rows so far are those of the tasks before the failing one

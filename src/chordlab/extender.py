@@ -25,10 +25,9 @@ from itertools import groupby
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
-from .generate import LemmaInstance
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
 from .search import Cycle, Path, chords, internal_bound_vertices
-from .second_cycle import second_hamilton_cycle
+from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
 
 BLACK, RED, BLUE = "black", "red", "blue"
@@ -168,7 +167,8 @@ def precheck(g: Graph, p: Path) -> Classification:
 
 def _attached_components(g: Graph, on):
     """The components of g minus ``on``, each with its sorted attachment
-    vertices on ``on``, in ``components_after_deletion`` order."""
+    vertices on ``on``, in ``components_after_deletion`` order (ascending
+    least member)."""
     on = frozenset(on)
     return [
         (comp, sorted({w for v in comp for w in g.neighbors(v) if w in on}))
@@ -228,7 +228,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     nbrs = dict(comps)
     interior_only = [c for c, at in nbrs.items() if x not in at and y not in at]
     if interior_only:
-        return None, min(interior_only, key=min)
+        return None, interior_only[0]  # the least, in components order
     if p.length < 2:
         raise ValueError("direct extension needs a path with an interior")
     u, v = p.vertices[1], p.vertices[-2]
@@ -597,7 +597,8 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
         )
 
     # dense ids in vertex order: the relabeling keeps the canonical cycle
-    # form and the order of vertex sequences, so the tie-break below holds
+    # form and the order of vertex sequences, so the kernel's rows ascend
+    # in host ids too
     order = sorted(high)
     dense = {v: i for i, v in enumerate(order)}
     g4_keys = set(matching) | set(aux)
@@ -612,19 +613,18 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
         raise InvariantViolation("matching-step", "compressed graph is not cubic")
 
     # the shortest cycle longer than 3p through every matching edge, least
-    # vertex sequence first
+    # vertex sequence first: the first qualifying row
     required = set(matching)
-    for length in range(3 * p_count + 1, len(order) + 1):
-        qualifying = []
-        for row in kernels.cycles_of_length(g4_masks, len(order), length):
-            seq = tuple(order[i] for i in row)
-            keys = {(min(a, b), max(a, b)) for a, b in zip(seq, seq[1:] + seq[:1])}
-            if required <= keys:
-                qualifying.append(seq)
-        if qualifying:
-            seq = min(qualifying)
-            break
-    else:
+    rows = (
+        tuple(order[i] for i in row)
+        for length in range(3 * p_count + 1, len(order) + 1)
+        for row in kernels.cycles_of_length(g4_masks, len(order), length)
+    )
+    seq = next(
+        (s for s in rows if required <= {(min(a, b), max(a, b)) for a, b in zip(s, s[1:] + s[:1])}),
+        None,
+    )
+    if seq is None:
         raise InvariantViolation(
             "matching-step", "no longer cycle through the matching exists"
         )

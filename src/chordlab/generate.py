@@ -1,7 +1,5 @@
 """Test-universe generation: all connected cubic graphs up to isomorphism
-at small n, random cubic graphs and random simple paths, and the
-`LemmaInstance` shape that the Hamilton-cycle lemmas run on (the extender
-builds these; the seeded generators live with the tests).
+at small n, random cubic graphs and random simple paths.
 
 The exhaustive enumeration is an orderly search (McKay, *Isomorph-free
 exhaustive generation*, J. Algorithms 1998) over column codes.  A labeled
@@ -59,11 +57,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
-from .errors import InvariantViolation
 from .graphs import Graph
-from .search import Cycle, Path
+from .search import Path
 
 
 # ---------------------------------------------------------------------------
@@ -222,57 +218,7 @@ def random_cubic(n: int, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# lemma instances and random paths
-
-
-@dataclass(frozen=True)
-class LemmaInstance:
-    """A graph with a Hamilton cycle C and an independent-on-C set A whose
-    removal from C leaves |A| arcs, every endpoint of each non-final arc
-    joined to A by a chord.  The final arc is the distinguished one."""
-
-    g: Graph
-    cycle: Cycle
-    a_set: frozenset
-    components: tuple  # ordered vertex tuples, distinguished arc last
-
-    @property
-    def k(self) -> int:
-        return len(self.a_set)
-
-    def check(self):
-        """Check every hypothesis clause separately; a failed clause raises
-        InvariantViolation("lemma-instance", <clause>).  Returns self."""
-        self.cycle.validate(self.g)
-        if self.cycle.length != self.g.n:
-            raise InvariantViolation("lemma-instance", "cycle is not Hamilton")
-        cyc_edges = self.cycle.edge_set()
-        for a in self.a_set:
-            for b in self.a_set:
-                if a != b and (min(a, b), max(a, b)) in cyc_edges:
-                    raise InvariantViolation("lemma-instance", "A is not independent on C")
-        if len(self.components) != self.k:
-            raise InvariantViolation("lemma-instance", "arc count differs from |A|")
-        covered = set()
-        for comp in self.components:
-            covered |= set(comp)
-            for a, b in zip(comp, comp[1:]):
-                if not self.g.has_edge(a, b):
-                    raise InvariantViolation("lemma-instance", "arc is not a path")
-        if covered | self.a_set != set(range(self.g.n)) or covered & self.a_set:
-            raise InvariantViolation("lemma-instance", "arcs and A do not partition the vertices")
-        for comp in self.components[:-1]:
-            for end in (comp[0], comp[-1]):
-                if not any(
-                    self.g.has_edge(end, a)
-                    and (min(end, a), max(end, a)) not in cyc_edges
-                    for a in self.a_set
-                ):
-                    raise InvariantViolation(
-                        "lemma-instance",
-                        f"endpoint {end} of a non-final arc has no chord to A",
-                    )
-        return self
+# random paths
 
 
 def random_simple_path(g: Graph, seed: int):

@@ -9,8 +9,6 @@ only ever store values computed from that fixed structure.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -140,24 +138,22 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
 
 def components_after_deletion(g: Graph, removed) -> tuple:
     """Connected components of the subgraph induced on V(g) minus ``removed``,
-    as frozensets ordered by smallest member."""
-    removed = frozenset(removed)
-    if not removed <= set(range(g.n)):
+    as frozensets in ascending order of their least member: start vertices
+    are scanned in ascending id, and each unseen one is the least of its
+    component."""
+    seen = set(removed)
+    if not seen <= set(range(g.n)):
         raise ValueError("removed set contains out-of-range ids")
-    unseen = set(range(g.n)) - removed
     comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        queue = deque([start])
-        unseen.discard(start)
-        while queue:
-            u = queue.popleft()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for u in comp:  # breadth first: the loop reads what it appends
             for w in g.adj[u]:
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.add(w)
-                    queue.append(w)
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
         comps.append(frozenset(comp))
-    comps.sort(key=min)
     return tuple(comps)

@@ -65,7 +65,10 @@ def _cycle_walk(masks, n, close):
 
     Calls ``close(path, pm)`` on each cycle, with ``path`` the vertex list
     (reused by the walk: copy what you keep) and ``pm`` its vertex mask.
-    Cubic graphs have few cycles, so no pruning is needed.
+    The walk is a preorder with ascending children, started from each
+    vertex in ascending order, so the cycles of one length reach
+    ``close`` in ascending vertex-sequence order.  Cubic graphs have few
+    cycles, so no pruning is needed.
     """
     nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
     path = []
@@ -88,7 +91,7 @@ def _cycle_walk(masks, n, close):
 
 
 def _cycle_rows(adj, n, length):
-    """The cycles of ``length`` vertices as tuples in walk order; with
+    """The cycles of ``length`` vertices as tuples in ascending order; with
     length None, those of the greatest length (none when acyclic)."""
     rows = []
     want = 3 if length is None else length
@@ -120,10 +123,12 @@ def longest_cycle_length(adj, n) -> int:
 
 
 def cycles_of_length(adj, n, length) -> list:
+    """`_cycle_rows`: canonical tuples in ascending order."""
     return _cycle_rows(adj, n, length)
 
 
 def hamilton_cycle_rows(adj, n) -> list:
+    """The Hamilton cycles as canonical tuples in ascending order."""
     return _cycle_rows(adj, n, n)
 
 

@@ -166,26 +166,20 @@ def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
 
 
 def longest_cycles(g: Graph):
+    """The longest cycles as validated `Cycle`s, in ascending order."""
     adj = kernel_masks(g)
     rows = kernels.cycles_of_length(adj, g.n, None)
     if not rows:
         raise ValueError("graph is acyclic")
-    return _checked_cycles(g, rows)
+    return [Cycle(row).validate(g) for row in rows]
 
 
 def hamilton_cycles(g: Graph):
+    """The Hamilton cycles as validated `Cycle`s, in ascending order."""
     if g.n < 3:
         return []
     adj = kernel_masks(g)
-    return _checked_cycles(g, kernels.hamilton_cycle_rows(adj, g.n))
-
-
-def _checked_cycles(g: Graph, rows) -> list:
-    """Kernel rows as validated `Cycle`s, sorted by vertex sequence."""
-    cycles = sorted((Cycle(row) for row in rows), key=lambda c: c.vertices)
-    for c in cycles:
-        c.validate(g)
-    return cycles
+    return [Cycle(row).validate(g) for row in kernels.hamilton_cycle_rows(adj, g.n)]
 
 
 def chords(g: Graph, c: Cycle) -> frozenset:

@@ -10,7 +10,9 @@ C.  The exchange step of the parity argument is not coded: started from
 the maximum candidate it can only reach C itself or a cycle missing xy,
 because any other Hamilton cycle of the support graph through xy with a
 larger overlap would contradict maximality.  A maximum candidate without a
-turning vertex is therefore an internal error.
+turning vertex is therefore an internal error.  `LemmaInstance` is the
+shape the lemma runs on, with its hypothesis check; the extender builds
+the instances.
 """
 
 from __future__ import annotations
@@ -18,9 +20,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .generate import LemmaInstance
 from .graphs import Graph
 from .search import Cycle, hamilton_cycles
+
+
+@dataclass(frozen=True)
+class LemmaInstance:
+    """A graph with a Hamilton cycle C and an independent-on-C set A whose
+    removal from C leaves |A| arcs, every endpoint of each non-final arc
+    joined to A by a chord.  The final arc is the distinguished one."""
+
+    g: Graph
+    cycle: Cycle
+    a_set: frozenset
+    components: tuple  # ordered vertex tuples, distinguished arc last
+
+    @property
+    def k(self) -> int:
+        return len(self.a_set)
+
+    def check(self):
+        """Check every hypothesis clause separately; a failed clause raises
+        InvariantViolation("lemma-instance", <clause>).  Returns self."""
+        self.cycle.validate(self.g)
+        if self.cycle.length != self.g.n:
+            raise InvariantViolation("lemma-instance", "cycle is not Hamilton")
+        cyc_edges = self.cycle.edge_set()
+        for a in self.a_set:
+            for b in self.a_set:
+                if a != b and (min(a, b), max(a, b)) in cyc_edges:
+                    raise InvariantViolation("lemma-instance", "A is not independent on C")
+        if len(self.components) != self.k:
+            raise InvariantViolation("lemma-instance", "arc count differs from |A|")
+        covered = set()
+        for comp in self.components:
+            covered |= set(comp)
+            for a, b in zip(comp, comp[1:]):
+                if not self.g.has_edge(a, b):
+                    raise InvariantViolation("lemma-instance", "arc is not a path")
+        if covered | self.a_set != set(range(self.g.n)) or covered & self.a_set:
+            raise InvariantViolation("lemma-instance", "arcs and A do not partition the vertices")
+        for comp in self.components[:-1]:
+            for end in (comp[0], comp[-1]):
+                if not any(
+                    self.g.has_edge(end, a)
+                    and (min(end, a), max(end, a)) not in cyc_edges
+                    for a in self.a_set
+                ):
+                    raise InvariantViolation(
+                        "lemma-instance",
+                        f"endpoint {end} of a non-final arc has no chord to A",
+                    )
+        return self
 
 
 def _edges_minus_vertices(cycle_edges, drop) -> frozenset:
@@ -107,7 +158,8 @@ def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCer
                 "second-cycle", "a support-graph Hamilton cycle moved off A"
             )
     base_keys = base.edge_set()
-    best = min(cands, key=lambda h: (-len(h.edge_set() & base_keys), h.vertices))
+    # cands ascend by vertex sequence, and max returns the first maximum
+    best = max(cands, key=lambda h: len(h.edge_set() & base_keys))
     v = _satisfies_turning_condition(best, base_keys, a_set)
     if v is None:
         raise InvariantViolation(

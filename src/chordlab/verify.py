@@ -109,12 +109,11 @@ def verify_chords(g: Graph) -> ChordReport:
     need_k = CONNECTIVITY["chords"]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
-    cycles = longest_cycles(g)
-    counts = [(len(chords(g, c)), c) for c in cycles]
-    counts.sort(key=lambda t: (t[0], t[1].vertices))
-    min_chords, witness = counts[0]
+    cycles = longest_cycles(g)  # ascending, so the first minimum is the least
+    counts = [len(chords(g, c)) for c in cycles]
+    min_chords = min(counts)
     return ChordReport(
         cycle_length=cycles[0].length,
         min_chords=min_chords,
-        witness=witness.vertices,
+        witness=cycles[counts.index(min_chords)].vertices,
     )

@@ -7,9 +7,9 @@ import itertools
 import random
 
 from chordlab.extender import EXTENDABLE, precheck
-from chordlab.generate import LemmaInstance
 from chordlab.graphs import Graph, connectivity_at_least, is_cubic
 from chordlab.search import Cycle, Path
+from chordlab.second_cycle import LemmaInstance
 
 
 def gen_extendable_host(seed: int):

@@ -331,25 +331,37 @@ def test_verify_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 
 def test_verify_forks_at_most_one_worker_per_graph(tmp_path, capsys, monkeypatch, corpus):
-    """--jobs larger than the corpus runs one worker per graph (the parent
-    and one forked child per further graph), one graph runs in-process
-    without `_forked`, and an empty corpus gives a zero-row report."""
-    started = []
-    real = cli._forked
+    """Every --jobs value runs through `_forked`.  --jobs larger than the
+    corpus runs one worker per graph (the parent and one forked child per
+    further graph); one graph, and --jobs 1, run in the parent and fork
+    nothing; an empty corpus gives a zero-row report.  Every run writes
+    the serial bytes."""
+    started, forks = [], []
+    real, real_fork = cli._forked, os.fork
 
     def recorded(tasks, workers):
         started.append(workers)
         return real(tasks, workers)
 
+    def fork():
+        forks.append(None)
+        return real_fork()
+
     monkeypatch.setattr(cli, "_forked", recorded)
-    for graphs, forks in ((corpus[8][:3], [3]), (corpus[8][:1], []), ([], [])):
-        started.clear()
+    monkeypatch.setattr(os, "fork", fork)
+    for graphs in (corpus[8][:3], corpus[8][:1], []):
         f = _write_corpus(tmp_path, graphs)
-        code, serial, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
-        assert code == 0
-        code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "8"], capsys)
-        assert code == 0
-        assert started == forks
+        argv = ["verify", "--mode", "zhan2", "--in", str(f)]
+        outs = []
+        for jobs in (1, 8):
+            started.clear()
+            forks.clear()
+            code, out, _ = run_cli(argv + ["--jobs", str(jobs)] * (jobs > 1), capsys)
+            assert code == 0
+            workers = min(jobs, len(graphs))
+            assert (started, len(forks)) == ([workers], max(workers - 1, 0)), (jobs, len(graphs))
+            outs.append(out)
+        serial, out = outs
         assert out == serial
         assert json.loads(out)["graphs"] == len(json.loads(out)["rows"]) == len(graphs)
 

@@ -173,6 +173,8 @@ def test_components_partition_random(n, seed):
     union = set().union(*comps) if comps else set()
     assert union == set(range(n)) - removed
     assert sum(len(c) for c in comps) == len(union)
+    least = [min(c) for c in comps]
+    assert least == sorted(least)  # ascending order of the least member
 
 
 def _random_simple_graphs():

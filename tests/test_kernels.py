@@ -68,10 +68,13 @@ def _kernel_digests(g) -> dict:
     circumference = kernels.longest_cycle_length(adj, n)
     cycles = kernels.cycles_of_length(adj, n, circumference) if circumference else []
     assert kernels.cycles_of_length(adj, n, None) == cycles
+    ham = kernels.hamilton_cycle_rows(adj, n)
+    # the order contract: cycle rows ascend by vertex sequence
+    assert cycles == sorted(cycles) and ham == sorted(ham)
     return {
         "xy": _digest(xy),
         "cycles": _digest([[circumference]] + list(cycles)),
-        "ham": _digest(kernels.hamilton_cycle_rows(adj, n)),
+        "ham": _digest(ham),
     }
 
 
@@ -101,13 +104,18 @@ def test_kernel_rows_are_tuples():
 
 def test_cycle_rows_match_oracle_n12(corpus12):
     """The n=12 corpus, which the golden set leaves out: the longest and
-    the Hamilton cycles are those of the naive walk, in its order."""
+    the Hamilton cycles are those of the naive walk, in its order, which
+    ascends by vertex sequence."""
     assert len(corpus12) == 85
     for i, g in enumerate(corpus12):
         every = oracles.all_cycles_small({v: set(g.neighbors(v)) for v in range(g.n)})
         best = max(map(len, every))
-        assert kernels.cycles_of_length(g.masks, g.n, None) == [c for c in every if len(c) == best], i
-        assert kernels.hamilton_cycle_rows(g.masks, g.n) == [c for c in every if len(c) == g.n], i
+        longest = kernels.cycles_of_length(g.masks, g.n, None)
+        ham = kernels.hamilton_cycle_rows(g.masks, g.n)
+        assert longest == [c for c in every if len(c) == best], i
+        assert ham == [c for c in every if len(c) == g.n], i
+        assert longest == sorted(longest) and ham == sorted(ham), i
+        assert kernels.cycles_of_length(g.masks, g.n, best) == longest, i
 
 
 def test_active_backend_is_exposed():
@@ -155,17 +163,18 @@ def _reads(tree):
 
 
 def test_no_helper_only_tests_call():
-    """Every module-level function of chordlab is read by other code of
-    the package, exported in `chordlab.__all__`, or read by perfbench
-    (its TARGETS strings, its imports and its calls, `kernels.warmup`
-    among them): a function that only tests call is dead code."""
+    """Every module-level function and class of chordlab is read by other
+    code of the package, exported in `chordlab.__all__`, or read by
+    perfbench (its TARGETS strings, its imports and its calls,
+    `kernels.warmup` among them): a function that only tests call, or a
+    class that only tests read, is dead code."""
     root = FsPath(__file__).resolve().parent.parent
     defined, used = [], set(chordlab.__all__)
     for path in sorted((root / "src" / "chordlab").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, node.name))
-                used |= _reads(node) - {node.name}  # a recursive call is no use
+                used |= _reads(node) - {node.name}  # a use inside itself is no use
             else:
                 used |= _reads(node)
     for path in sorted((root / "perfbench").glob("*.py")):

@@ -2,10 +2,9 @@ import pytest
 
 from chordlab import second_cycle
 from chordlab.errors import InvariantViolation
-from chordlab.generate import LemmaInstance
 from chordlab.graphs import Graph
 from chordlab.search import Cycle, hamilton_cycles
-from chordlab.second_cycle import build_support_graph, second_hamilton_cycle
+from chordlab.second_cycle import LemmaInstance, build_support_graph, second_hamilton_cycle
 from helpers import gen_lemma_instance
 from oracles import verify_parity_lemma
 
