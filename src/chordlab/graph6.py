@@ -24,33 +24,37 @@ def parse_graph6(line: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6Error("empty record")
-    data = [ord(c) for c in line]
-    for b in data:
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126")
-    if data[0] == 126:
+    if not "?" <= min(line) <= max(line) <= "~":
+        bad = next(c for c in line if not "?" <= c <= "~")
+        raise Graph6Error(f"byte {ord(bad)} outside graph6 range 63..126")
+    if line[0] == "~":
         raise Graph6Error("long-form size prefix (n >= 63) not supported")
-    n = data[0] - 63
+    n = ord(line[0]) - 63
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    payload = data[1:]
-    if len(payload) != need:
+    if len(line) - 1 != need:
         raise Graph6Error(
-            f"payload is {len(payload)} bytes, expected {need} for n={n}"
+            f"payload is {len(line) - 1} bytes, expected {need} for n={n}"
         )
-    bits = []
-    for b in payload:
-        v = b - 63
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = 0  # the payload as one int, six bits per byte, first bit highest
+    for c in line[1:]:
+        bits = bits << 6 | (ord(c) - 63)
+    pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
+    # bit i of the column-order sequence is bit (top - i) of the int; walk
+    # the set bits from the top, so the edges come in column order
+    top = 6 * need - 1
     edges = []
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                edges.append((row, col))
-            idx += 1
+    col, first = 1, 0  # first: the index of x(0, col)
+    while bits:
+        high = bits.bit_length() - 1
+        bits ^= 1 << high
+        i = top - high
+        while i >= first + col:
+            first += col
+            col += 1
+        edges.append((i - first, col))
     return Graph(n, edges)
 
 

@@ -9,13 +9,14 @@ edge) and returns Python ints, a list of vertex tuples or a table.
 Children are always tried in ascending vertex id, so every enumeration
 is deterministic and the row order is part of the output.
 
-The enumerations are unpruned recursive walks: every cycle query reads
-one walk over all cycles (``_cycle_walk``), and the per-pair (x,y)
-search walks every path from x (``_xy_rows``).  The sweep walks the
-paths from x too, but skips a subtree once every target it could still
-change is settled.  It updates its bound count in one step per appended
-vertex, which is exact only for maximum degree 3, so it refuses a mask
-with more than three bits.
+Every cycle query reads one walk over the cycles in canonical form
+(``_cycle_rows``), which skips each subtree where no cycle of the wanted
+length can close.  The per-pair (x,y) search is an unpruned walk over
+every path from x (``_xy_rows``).  The sweep walks the paths from x too,
+but skips a subtree once every target it could still change is settled.
+It updates its bound count in one step per appended vertex, which is
+exact only for maximum degree 3, so it refuses a mask with more than
+three bits.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def _xy_rows(masks, n, x, y, length):
     length None, those of the greatest length (none when y is unreachable).
 
     One unpruned recursive walk from x, children in ascending id order; a
-    path ends when it reaches y.  Cubic graphs have few simple paths, so
-    no pruning is needed.
+    path ends when it reaches y.  A reach prune was measured slower than
+    this walk at n = 16..28, where its test costs more than it saves.
     """
     rows = []
     want = 1 if length is None else length
@@ -59,52 +60,58 @@ def _xy_rows(masks, n, x, y, length):
     return rows
 
 
-def _cycle_walk(masks, n, close):
-    """Every cycle walked once in canonical form: minimum vertex first,
-    second vertex below the last, children in ascending id order.
+def _cycle_rows(masks, n, length):
+    """The cycles of ``length`` vertices as tuples in ascending order; with
+    length None, those of the greatest length (none when acyclic).
 
-    Calls ``close(path, pm)`` on each cycle, with ``path`` the vertex list
-    (reused by the walk: copy what you keep) and ``pm`` its vertex mask.
-    The walk is a preorder with ascending children, started from each
-    vertex in ascending order, so the cycles of one length reach
-    ``close`` in ascending vertex-sequence order.  Cubic graphs have few
-    cycles, so no pruning is needed.
+    Every cycle is walked once in canonical form: least vertex s first,
+    second vertex t below the last.  The walk is a preorder with ascending
+    children, started from each s in ascending order, so the cycles of
+    one length come out in ascending vertex-sequence order.  Two exact
+    prunes skip only subtrees that hold no row:
+
+    - a path s, t, ..., v closes in canonical form only at a neighbour of
+      s above t, so the walk enters v's subtree only while such a
+      neighbour is still off the path (one AND per node);
+    - a cycle whose least vertex is s has at most n - s vertices, so the
+      walk stops at the first s with n - s below the wanted length.  The
+      Hamilton cycles are walked from vertex 0 alone.
     """
-    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
+    rows = []
+    want = 3 if length is None else length
     path = []
 
-    def visit(v, pm, s):
-        for w in nbrs[v]:
-            if w <= s or (pm >> w) & 1:
-                continue
-            path.append(w)
-            pm2 = pm | (1 << w)
-            if (masks[s] >> w) & 1 and len(path) > 2 and path[1] < w:
-                close(path, pm2)
-            visit(w, pm2, s)
+    def visit(v, pm, ends):
+        # pm: the path and every vertex below s; ends: s's neighbours above t
+        nonlocal want
+        free = masks[v] & ~pm
+        while free:
+            b = free & -free
+            free ^= b
+            path.append(b.bit_length() - 1)
+            pm2 = pm | b
+            if ends & b:
+                if len(path) == want:
+                    rows.append(tuple(path))
+                elif length is None and len(path) > want:
+                    want = len(path)
+                    rows[:] = [tuple(path)]
+            if ends & ~pm2:
+                visit(path[-1], pm2, ends)
             path.pop()
 
     for s in range(n):
-        path.append(s)
-        visit(s, 1 << s, s)
-        path.pop()
-
-
-def _cycle_rows(adj, n, length):
-    """The cycles of ``length`` vertices as tuples in ascending order; with
-    length None, those of the greatest length (none when acyclic)."""
-    rows = []
-    want = 3 if length is None else length
-
-    def close(path, pm):
-        nonlocal want
-        if len(path) == want:
-            rows.append(tuple(path))
-        elif length is None and len(path) > want:
-            want = len(path)
-            rows[:] = [tuple(path)]
-
-    _cycle_walk(adj, n, close)
+        if n - s < want:
+            break
+        below = (2 << s) - 1
+        free = masks[s] & ~below
+        while free:
+            b = free & -free
+            free ^= b
+            ends = masks[s] & -(b << 1)
+            if ends:
+                path[:] = [s, b.bit_length() - 1]
+                visit(path[1], below | b, ends)
     return rows
 
 

@@ -173,10 +173,22 @@ VERIFY_SHA256 = {
     (12, "zhan2"): "7c40f6b761f3fccb97ffdf8c8f7f5d8d43aa9e98b18f451d148b2e2e6f10f5fd",
     (12, "zhan3adj"): "ebb97f2061dabf89455eecd41c3dcbc79ebd099b0d367f138b490cfcf2aea82b",
     (12, "chords"): "492785a60caf3a54a4614ed104cef2ff1754007c47f50868b9e024db8ef0699a",
+    # recorded with the lowpoint gate, the unpruned cycle walk and the
+    # bit-list graph6 decoder
+    (14, "zhan2"): "100a467079604a1e29f0ac9dd56b507d69d2cc77fc87cb1e3e54dd669320936e",
+    (14, "zhan3adj"): "14bf76bfec54985a3572240e57bf1be4d380e71ffbae6d1e8800e66d83d51384",
+    (14, "chords"): "160af8f2a2cdc62294f89ea044a8f3f33a20ce1ac66c4b2f28739049162ac423",
 }
 
 
-@pytest.mark.parametrize("n", (10, 12))
+@pytest.mark.parametrize("n", (
+    10,
+    12,
+    pytest.param(14, marks=pytest.mark.skipif(
+        os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+        reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+    )),
+))
 def test_verify_report_pinned(tmp_path, capsys, n):
     corpus = tmp_path / f"cubic{n}.g6"
     assert main(["generate", "--n", str(n), "--out", str(corpus)]) == 0

@@ -29,6 +29,7 @@ from chordlab.extender import (
 from chordlab.generate import random_cubic, random_simple_path
 from chordlab.graphs import Graph, components_after_deletion
 from chordlab.search import Cycle, Path, longest_xy_paths
+from chordlab.second_cycle import build_support_graph
 from chordlab.verify import verify_chords, verify_zhan
 
 
@@ -387,26 +388,56 @@ def test_matching_step_requires_attachments():
         matching_step(g, Cycle(p.vertices), Cycle(p.vertices), [])
 
 
+def _minus_a_matching(g, rng):
+    """g without a random maximal matching: a subcubic graph with
+    vertices of degree 2 (and of degree 3 where the matching missed)."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    matched, keep = set(), []
+    for u, v in edges:
+        if u in matched or v in matched:
+            keep.append((u, v))
+        else:
+            matched |= {u, v}
+    return Graph(g.n, keep)
+
+
 def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
     """matching_step relabels its compressed graph to dense ids in label
     order and reads the cycle kernel per length; mapped back, that must
     list the cycles of the enumerator it replaced, in (length, sequence)
-    order."""
+    order.  Besides the cubic corpus, subcubic graphs with vertices of
+    degree 2, which second_hamilton_cycle hands the kernel: cycle graphs,
+    lemma support graphs and cubic graphs minus a matching.  The longest
+    and Hamilton rows must be the rows of their length."""
     rng = random.Random(0)
-    for n, graphs in corpus.items():
-        for g in graphs:
-            labels = rng.sample(range(100), n)
-            adj = {labels[v]: {labels[w] for w in g.neighbors(v)} for v in range(n)}
-            order = sorted(adj)
-            dense = {v: i for i, v in enumerate(order)}
-            masks = [sum(1 << dense[w] for w in adj[v]) for v in order]
-            got = [
-                tuple(order[i] for i in row)
-                for length in range(3, n + 1)
-                for row in kernels.cycles_of_length(masks, n, length)
-            ]
-            want = sorted(oracles.all_cycles_small(adj), key=lambda s: (len(s), s))
-            assert got == want, labels
+    graphs = [g for n in sorted(corpus) for g in corpus[n]]
+    subcubic = [oracles.cycle_graph(n) for n in range(3, 10)]
+    subcubic += [
+        build_support_graph(helpers.gen_lemma_instance(k, seed))[0]
+        for k in (2, 3, 4) for seed in range(5)
+    ]
+    matchings = random.Random(1)
+    subcubic += [_minus_a_matching(g, matchings) for g in graphs]
+    assert all(any(len(a) == 2 for a in g.adj) for g in subcubic)
+    for g in graphs + subcubic:
+        n = g.n
+        labels = rng.sample(range(100), n)
+        adj = {labels[v]: {labels[w] for w in g.neighbors(v)} for v in range(n)}
+        order = sorted(adj)
+        dense = {v: i for i, v in enumerate(order)}
+        masks = [sum(1 << dense[w] for w in adj[v]) for v in order]
+        by_length = {
+            length: [tuple(order[i] for i in row) for row in kernels.cycles_of_length(masks, n, length)]
+            for length in range(3, n + 1)
+        }
+        got = [row for length in range(3, n + 1) for row in by_length[length]]
+        want = sorted(oracles.all_cycles_small(adj), key=lambda s: (len(s), s))
+        assert got == want, (g.edges, labels)
+        longest = max(length for length in by_length if by_length[length])
+        for rows, length in ((kernels.cycles_of_length(masks, n, None), longest),
+                             (kernels.hamilton_cycle_rows(masks, n), n)):
+            assert [tuple(order[i] for i in row) for row in rows] == by_length[length], (g.edges, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_reference_encoder_agreement():
 
 
 def test_parse_rejects_bad_bytes():
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="byte 31 outside graph6 range 63..126"):
         parse_graph6("C\x1f")
     with pytest.raises(Graph6Error):
         parse_graph6("")
@@ -70,8 +70,11 @@ def test_roundtrip_corpus(corpus):
     for graphs in corpus.values():
         for g in graphs:
             line = write_graph6(g)
-            assert parse_graph6(line) == g
-            assert write_graph6(parse_graph6(line)) == line
+            parsed = parse_graph6(line)
+            assert parsed == g
+            # the edges come in the payload's column order
+            assert list(parsed.edges) == sorted(g.edges, key=lambda e: (e[1], e[0]))
+            assert write_graph6(parsed) == line
 
 
 @settings(max_examples=80, deadline=None)

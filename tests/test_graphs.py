@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -90,21 +91,29 @@ def test_connectivity_gate_is_memoized(monkeypatch):
     import chordlab.graphs as graphs
 
     calls = []
-    real = graphs._biconnected_without
-
-    def counted(g, removed):
-        calls.append(removed)
-        return real(g, removed)
-
-    monkeypatch.setattr(graphs, "_biconnected_without", counted)
+    for name in ("_cubic_edge_connectivity", "_biconnected_without"):
+        real = getattr(graphs, name)
+        monkeypatch.setattr(
+            graphs, name,
+            lambda *a, real=real, name=name: calls.append(name) or real(*a),
+        )
+    # a cubic graph: one cover search answers k = 1, 2 and 3, and no
+    # later question runs a search again
     g = oracles.petersen()
     assert connectivity_at_least(g, 3)
-    first = len(calls)
-    assert first == g.n + 1
-    # the k=3 test records k=2 on the way; neither question runs a DFS again
-    assert connectivity_at_least(g, 3)
-    assert connectivity_at_least(g, 2)
-    assert len(calls) == first
+    assert calls == ["_cubic_edge_connectivity"]
+    for k in (3, 2, 1):
+        assert connectivity_at_least(g, k)
+    assert calls == ["_cubic_edge_connectivity"]
+    # any other graph: k=3 runs the lowpoint DFS n + 1 times and records
+    # k=2 on the way
+    calls.clear()
+    wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+    assert connectivity_at_least(wheel, 3)
+    assert calls == ["_biconnected_without"] * (wheel.n + 1)
+    assert connectivity_at_least(wheel, 3)
+    assert connectivity_at_least(wheel, 2)
+    assert len(calls) == wheel.n + 1
 
 
 def test_connectivity_memo_matches_fresh_answers():
@@ -200,18 +209,29 @@ def test_connectivity_against_cut_enumeration_small():
     assert min(checked.values()) > 200
 
 
-def test_connectivity_against_cut_enumeration_cubic():
-    kappas = set()
-    for n in range(4, 25, 2):
-        for seed in range(6):
-            g = random_cubic(n, seed)
-            got = [connectivity_at_least(g, k) for k in (1, 2, 3)]
-            assert got == [oracles.connectivity_at_least_naive(g, k) for k in (1, 2, 3)]
-            kappas.add(sum(got))
+def test_connectivity_against_cut_enumeration_cubic(corpus, corpus12):
+    """The one-search cubic gate against the gate's definition: the whole
+    n <= 12 corpus, a seeded relabeling of each of its graphs (the labels
+    choose the spanning tree, and so whether a 2-edge cut shows as a
+    one-bit cover or as two equal covers) and random cubic graphs up to
+    n = 24."""
+    import random
+
+    rng = random.Random(0)
+    kappas = collections.Counter()
+    graphs = [g for n in sorted(corpus) for g in corpus[n]] + list(corpus12)
+    for g in list(graphs):
+        label = rng.sample(range(g.n), g.n)
+        graphs.append(Graph(g.n, [(label[u], label[v]) for u, v in g.edges]))
+    graphs += [random_cubic(n, seed) for n in range(4, 25, 2) for seed in range(6)]
+    for g in graphs:
+        got = [connectivity_at_least(g, k) for k in (1, 2, 3)]
+        assert got == [oracles.connectivity_at_least_naive(g, k) for k in (1, 2, 3)], g.edges
+        kappas[sum(got)] += 1
     for g in (oracles.two_k4_minus_edge_bridge(), oracles.petersen(), oracles.k33()):
         for k in (1, 2, 3):
             assert connectivity_at_least(g, k) == oracles.connectivity_at_least_naive(g, k)
-    assert kappas >= {1, 2, 3}
+    assert min(kappas[k] for k in (1, 2, 3)) >= 5, kappas
 
 
 def test_connectivity_gate_errors():
