@@ -139,12 +139,12 @@ def hamilton_cycle_rows(adj, n) -> list:
     return _cycle_rows(adj, n, n)
 
 
-def xy_sweep(masks, n, x, targets=None):
+def xy_sweep(masks, n, x, targets):
     """Every simple path from ``x`` that can still change an entry, walked
     by DFS with children in ascending id order (the order ``_xy_rows``
     returns rows in).
 
-    ``targets`` is a bit mask of end vertices, by default every y != x.
+    ``targets`` is a bit mask of end vertices.
     Returns a list indexed by end vertex y: None for y == x, for y not in
     ``targets`` or for no path, else (longest length, least number of
     internal bound vertices among the longest (x,y)-paths, the first such
@@ -169,8 +169,6 @@ def xy_sweep(masks, n, x, targets=None):
     if any(m.bit_count() > 3 for m in masks):
         raise ValueError("xy_sweep needs maximum degree at most 3")
     bx = 1 << x
-    if targets is None:
-        targets = ((1 << n) - 1) & ~bx
     # an entry is ranked by one int, (length << shift) - count: longer
     # first, then fewer bound vertices, as a count is at most n - 2
     shift = n.bit_length()

@@ -1,8 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance (all are
 exact combinatorial equalities or thresholds) and prints one PASS line.
 
-The extended n=12 tier for criterion 1 runs when CHORDLAB_ACCEPT_N12=1,
-and the n=16 tier for criteria 1-3 when CHORDLAB_ACCEPT_N16=1.
+The n=16 tier for criteria 1-3 runs when CHORDLAB_ACCEPT_N16=1.
 """
 
 import json
@@ -22,7 +21,7 @@ from chordlab.extender import (
     precheck,
 )
 from chordlab.coloring import three_color_cycle_plus
-from chordlab.generate import enumerate_cubic, random_simple_path
+from chordlab.generate import random_simple_path
 from chordlab.graph6 import parse_graph6, write_graph6
 from chordlab.graphs import connectivity_at_least
 from chordlab.search import chords, longest_cycles, longest_xy_paths
@@ -60,16 +59,11 @@ def test_criterion_1_two_connected_bound_vertices(corpus):
         f"{total} graphs, min count {minimum}, {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(
-    os.environ.get("CHORDLAB_ACCEPT_N12") != "1",
-    reason="extended tier: set CHORDLAB_ACCEPT_N12=1",
-)
-def test_criterion_1_extended_n12():
+def test_criterion_1_extended_n12(corpus12):
     started = time.time()
-    graphs = enumerate_cubic(12)
-    assert len(graphs) == CLASS_COUNTS[12]
+    assert len(corpus12) == CLASS_COUNTS[12]
     minimum = None
-    for g in graphs:
+    for g in corpus12:
         if not connectivity_at_least(g, 2):
             continue
         rep = verify_zhan(g, "all-pairs")

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import oracles
-from chordlab import cli, kernels
+from chordlab import cli, kernels, verify
 from chordlab.cli import main
 from chordlab.errors import InvariantViolation
 from chordlab.graph6 import write_graph6
@@ -293,7 +293,7 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     with the failing step named."""
     real = kernels.xy_sweep
 
-    def lowered(masks, n, x, targets=None):
+    def lowered(masks, n, x, targets):
         table = real(masks, n, x, targets)
         best, mb, wit = table[1]  # (0,1) is the first pair verify reads
         table[1] = (best, mb - 1, wit)
@@ -313,7 +313,7 @@ def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, co
     input line, serially and from a forked worker alike."""
     real = kernels.xy_sweep
 
-    def bumped(masks, n, x, targets=None):
+    def bumped(masks, n, x, targets):
         table = real(masks, n, x, targets)
         y = next(y for y, entry in enumerate(table) if entry)  # source 0 fails first
         best, mb, wit = table[y]
@@ -331,6 +331,21 @@ def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, co
     assert out == ""
     assert err.startswith("internal error: sweep: pair (")
     assert err.endswith(f"(graph {write_graph6(corpus[8][first])}, input line {first + 2})\n")
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_verify_chords_recount_error_names_the_graph(tmp_path, capsys, monkeypatch, corpus, jobs):
+    """A witness whose chords, recounted from the edge list, disagree with
+    the count from the masks: exit 4, naming the graph and its input line."""
+    real = verify.chords
+    monkeypatch.setattr(verify, "chords", lambda g, c: real(g, c) | {(g.n, g.n + 1)})
+    f = _write_corpus(tmp_path, corpus[8])
+    first = next(i for i, g in enumerate(corpus[8]) if connectivity_at_least(g, 3))
+    code, out, err = run_cli(["verify", "--mode", "chords", "--in", str(f), "--jobs", jobs], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: chords: witness (")
+    assert err.endswith(f"(graph {write_graph6(corpus[8][first])}, input line {first + 1})\n")
 
 
 @pytest.mark.parametrize("jobs", ("0", "-3"))

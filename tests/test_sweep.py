@@ -2,11 +2,13 @@
 entries of the targets it is given -- checked against the per-pair search
 (longest_xy_paths), the naive oracles and the sweep's earlier body
 (oracles.xy_sweep_reference), which skips nothing; relabeling invariance
-of both verifiers, since the sweep's skip depends on vertex labels; and
-mutation checks showing that verify_zhan's re-validation catches a wrong
-entry in either mode."""
+of both verifiers, since the sweep's skip depends on vertex labels;
+verify_chords' counts from the masks against the chord sets of every
+longest Cycle and the naive oracle; and mutation checks showing that
+verify_zhan's re-validation catches a wrong entry in either mode."""
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -15,9 +17,9 @@ import oracles
 from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
 from chordlab.generate import random_cubic
-from chordlab.graph6 import parse_graph6
+from chordlab.graph6 import parse_graph6, write_graph6
 from chordlab.graphs import Graph, connectivity_at_least
-from chordlab.search import longest_xy_paths
+from chordlab.search import chords, longest_cycles, longest_xy_paths
 from chordlab.verify import verify_chords, verify_zhan
 
 MODES = (("all-pairs", 2), ("adjacent-pairs", 3))
@@ -90,7 +92,7 @@ def test_sweep_table_every_end_vertex():
               oracles.two_k4_minus_edge_bridge(), random_cubic(10, 3)]
     for g in graphs:
         for x in range(g.n):
-            table = kernels.xy_sweep(g.masks, g.n, x)
+            table = kernels.xy_sweep(g.masks, g.n, x, ((1 << g.n) - 1) & ~(1 << x))
             assert table[x] is None
             for y in range(g.n):
                 if y != x:
@@ -101,7 +103,8 @@ def _check_sweep_against_reference(g):
     """Every source's full table, every y included, against the sweep's
     earlier body."""
     for x in range(g.n):
-        assert kernels.xy_sweep(g.masks, g.n, x) == oracles.xy_sweep_reference(g.masks, g.n, x), x
+        targets = ((1 << g.n) - 1) & ~(1 << x)
+        assert kernels.xy_sweep(g.masks, g.n, x, targets) == oracles.xy_sweep_reference(g.masks, g.n, x), x
 
 
 def test_sweep_matches_reference_on_corpus(corpus, corpus12):
@@ -138,7 +141,7 @@ def _matching_union(m, seed):
 
 
 def _check_targets_against_reference(g, seed=0):
-    """Every source's table under the default targets, y > x, the
+    """Every source's table with every y != x as targets, y > x, the
     neighbours above x, each single y and a seeded random subset: equal to
     the full reference table on the targets, None elsewhere."""
     rng = random.Random(seed)
@@ -148,7 +151,7 @@ def _check_targets_against_reference(g, seed=0):
         above = everyone & (-2 << x)
         masks = [above, g.masks[x] & above, rng.getrandbits(g.n) & ~(1 << x)]
         masks += [1 << y for y in range(g.n) if y != x]
-        assert kernels.xy_sweep(g.masks, g.n, x) == full, x
+        assert kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x)) == full, x
         for targets in masks:
             want = [e if (targets >> y) & 1 else None for y, e in enumerate(full)]
             assert kernels.xy_sweep(g.masks, g.n, x, targets) == want, (x, targets)
@@ -224,12 +227,81 @@ def test_verifiers_are_relabeling_invariant_on_random(n, seed):
     _check_relabeling_invariance(random_cubic(n, seed), seed)
 
 
+# ---------------------------------------------------------------------------
+# verify_chords, which counts chords from the cycle rows and the masks,
+# against the Cycle-based formulation it replaced and the naive oracle
+
+
+def _chords_reference(g):
+    """Longest cycle length, least chord count and the first longest cycle
+    attaining it, from validated Cycles and their chord sets."""
+    cycles = longest_cycles(g)
+    counts = [len(chords(g, c)) for c in cycles]
+    least = min(counts)
+    return cycles[0].length, least, cycles[counts.index(least)].vertices
+
+
+def _check_chords_against_reference(g):
+    rep = verify_chords(g)
+    assert (rep.cycle_length, rep.min_chords, rep.witness) == _chords_reference(g), write_graph6(g)
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_chord_counts_match_cycle_sets_on_corpus(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
+    checked = [g for g in graphs if connectivity_at_least(g, 3)]
+    for seed, g in enumerate(checked):
+        _check_chords_against_reference(g)
+        _check_chords_against_reference(_relabeled(g, seed))
+    assert len(checked) == 78
+
+
+@pytest.mark.parametrize("n", range(14, 21, 2))
+def test_chord_counts_match_cycle_sets_on_random(n):
+    """The first two 3-connected graphs among random_cubic(n, 0), (n, 1), ..."""
+    draws = (random_cubic(n, seed) for seed in itertools.count())
+    graphs = itertools.islice((g for g in draws if connectivity_at_least(g, 3)), 2)
+    for seed, g in enumerate(graphs):
+        _check_chords_against_reference(g)
+        _check_chords_against_reference(_relabeled(g, seed))
+
+
+def test_chord_counts_match_naive_oracle_small(corpus):
+    checked = 0
+    for n in (4, 6, 8):
+        for g in corpus[n]:
+            if not connectivity_at_least(g, 3):
+                continue
+            best, cycles = oracles.longest_cycles_naive(g)  # ascending
+            counts = [sum(1 for u, v in g.edges if u in c and v in c) - len(c) for c in map(set, cycles)]
+            least = min(counts)
+            rep = verify_chords(g)
+            assert (rep.cycle_length, rep.min_chords, rep.witness) == (best, least, cycles[counts.index(least)])
+            checked += 1
+    assert checked == 7
+
+
+def test_chord_recount_disagreement_is_caught(monkeypatch):
+    """The witness's chords are recounted from the edge list: one extra
+    pair there is an invariant violation, not a report."""
+    real = verify.chords
+    monkeypatch.setattr(verify, "chords", lambda g, c: real(g, c) | {(g.n, g.n + 1)})
+    with pytest.raises(InvariantViolation) as info:
+        verify_chords(oracles.petersen())
+    assert info.value.step == "chords"
+
+
 def test_sweep_rejects_degree_above_three():
     """The sweep's bound-count step assumes maximum degree 3: a degree-4
     host is refused, not miscounted."""
     g = Graph(5, [(v, (v + 1) % 4) for v in range(4)] + [(4, v) for v in range(4)])  # wheel W4
     with pytest.raises(ValueError, match="degree"):
-        kernels.xy_sweep(g.masks, g.n, 0)
+        kernels.xy_sweep(g.masks, g.n, 0, ((1 << g.n) - 1) & ~1)
 
 
 def test_verify_zhan_keeps_kernel_limits():
@@ -321,7 +393,7 @@ def _patch_first_table(monkeypatch, mutate):
     real = kernels.xy_sweep
     calls = []
 
-    def mutated(masks, n, x, targets=None):
+    def mutated(masks, n, x, targets):
         table = real(masks, n, x, targets)
         if not calls:
             table[1] = mutate(*table[1])
