@@ -51,6 +51,23 @@ connected graphs of maximum degree at most 3.
    i, and moving t to any placed position j > i gives column j a bit at
    position i, at least 2**(j-1-i).  So a prefix of a maximal code has a
    bit at a position <= i in each column j > i.
+
+`_completable` also drops, before the canonicity test runs, children
+with no maximal code below them by two more facts.
+
+5. Edges among the vertices to come.  Let a prefix have degree deficit
+   D, the sum of 3 - d over its vertices, with m vertices still to come.
+   Its own edges are all placed, so the later vertices send exactly D
+   edges into it.  They have degree 3 each and share some E <= m(m-1)/2
+   edges among themselves, so 3m = D + 2E and D >= 3m - m(m-1) = m(4-m).
+   For m = 1, 2, 3 that asks D >= 3, 4, 3.  For m >= 4 it asks nothing,
+   and D = 0 is refused on its own, as the prefix would be a component
+   and by fact 1 the complete graph is connected.
+6. Adjacent swap.  Swapping labels k-1 and k of a prefix on k+1 vertices
+   leaves columns 1..k-2 as they are, and column k-1 becomes the old
+   vertex k's adjacency to 0..k-2, which is col_k >> 1.  So if col_k >> 1
+   > col_(k-1), the prefix is not maximal, and as a maximal code's
+   prefixes are maximal, no code below it is.
 """
 
 from __future__ import annotations
@@ -142,13 +159,27 @@ def _graph_from_cols(n, cols) -> Graph:
 
 def _completable(cols, degs, n) -> bool:
     """Can the remaining n - len(degs) vertices, each joined back, fill
-    every degree to 3 with ``cols`` staying a prefix of a maximal code?"""
+    every degree to 3 with ``cols`` staying a prefix of a maximal code?
+    False only when no complete code below ``cols`` is maximal: ``cols``
+    fails fact 6, its degrees fail the counting checks or fact 5, or it
+    fails fact 4."""
+    # fact 6: swapping the last two labels would give a larger column
+    if len(cols) > 1 and cols[-1] >> 1 > cols[-2]:
+        return False
     m = n - len(degs)
     if m == 0:
         return min(degs) == 3
     deficits = [3 - d for d in degs]
     total = sum(deficits)
-    if total == 0 or total > 3 * m or max(deficits) > m or (3 * m - total) % 2:
+    # fact 5: total >= 3m - m(m - 1) = m(4 - m); for m >= 4 that is no
+    # bound, and total == 0 would leave the prefix a component of its own
+    if (
+        total == 0
+        or total < m * (4 - m)
+        or total > 3 * m
+        or max(deficits) > m
+        or (3 * m - total) % 2
+    ):
         return False
     # fact 4: a later vertex joins i, the first position below degree 3
     i = next(v for v, d in enumerate(degs) if d < 3)

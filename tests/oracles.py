@@ -11,9 +11,10 @@ faster replacement is compared with.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
 `test_search.py` checks against a DFS oracle on the same support graphs.
 ``cubic_codes_by_level`` is the enumeration's earlier level-by-level
-body, the reference for its depth-first walk; it shares the walk's
-completability prune and canonicity test, which the relabeling backtrack
-checks on their own.
+body, the reference for its depth-first walk.  It keeps its own copy of
+the earlier completability prune, ``completable_reference`` (the
+counting checks and fact 4, without facts 5 and 6), and shares the
+walk's canonicity test, which the relabeling backtrack checks on its own.
 ``walk_problem_reference`` and ``check_sweep_entry_reference`` are the
 library's earlier path check and `verify_zhan`'s earlier witness
 re-check, written out with a set and `Graph.has_edge`, so they share no
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import comb
 
 from chordlab.errors import InvariantViolation
-from chordlab.generate import _completable, _is_max_code
+from chordlab.generate import _is_max_code
 from chordlab.graphs import Graph, components_after_deletion
 from chordlab.search import hamilton_cycles
 from chordlab.second_cycle import _edges_minus_vertices
@@ -364,21 +365,45 @@ def _children(level, k):
                 yield cols + (col,), ndegs, nmasks
 
 
+def completable_reference(cols, degs, n) -> bool:
+    """The enumeration's earlier completability prune: the degree
+    counting checks and fact 4 of `chordlab.generate`, without facts 5
+    and 6."""
+    m = n - len(degs)
+    if m == 0:
+        return min(degs) == 3
+    deficits = [3 - d for d in degs]
+    total = sum(deficits)
+    if total == 0 or total > 3 * m or max(deficits) > m or (3 * m - total) % 2:
+        return False
+    i = next(v for v, d in enumerate(degs) if d < 3)
+    return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
+
+
+def cubic_prefixes_by_level(n: int) -> list:
+    """The canonical prefixes that the enumeration's earlier body kept
+    under `completable_reference`: entry k - 1 lists those on k vertices
+    as (cols, degs, masks), for k = 1..n."""
+    levels = [[((), (0,), (0,))]]  # (cols, degs, masks) on 1 vertex
+    for k in range(1, n):
+        levels.append(
+            [
+                (cols, degs, masks)
+                for cols, degs, masks in _children(levels[-1], k)
+                if completable_reference(cols, degs, n)
+                and _is_max_code(
+                    masks, [[w for w in range(k + 1) if m >> w & 1] for m in masks], k + 1, cols
+                )
+            ]
+        )
+    return levels
+
+
 def cubic_codes_by_level(n: int) -> list:
     """The codes of `enumerate_cubic(n)` from the enumeration's earlier
     body: each level of canonical prefixes kept whole, the children of a
     level tested together and the codes sorted at the end."""
-    level = [((), (0,), (0,))]  # (cols, degs, masks) on 1 vertex
-    for k in range(1, n):
-        level = [
-            (cols, degs, masks)
-            for cols, degs, masks in _children(level, k)
-            if _completable(cols, degs, n)
-            and _is_max_code(
-                masks, [[w for w in range(k + 1) if m >> w & 1] for m in masks], k + 1, cols
-            )
-        ]
-    return sorted((cols for cols, _, _ in level), reverse=True)
+    return sorted((cols for cols, _, _ in cubic_prefixes_by_level(n)[-1]), reverse=True)
 
 
 def canonical_code(g: Graph) -> tuple:

@@ -147,10 +147,52 @@ def _code(g):
 
 
 def test_walk_matches_level_reference(corpus, corpus12):
-    """The depth-first walk emits the codes of the level-by-level
-    enumeration it replaced, in the same order, for every n <= 12."""
+    """The depth-first walk, pruned by facts 4 to 6, emits the codes of
+    the level-by-level enumeration it replaced, pruned by the counting
+    checks and fact 4 alone, in the same order, for every n <= 12."""
     for n, graphs in {**corpus, 12: corpus12}.items():
         assert [_code(g) for g in graphs] == oracles.cubic_codes_by_level(n), n
+
+
+def test_pruned_children_head_dead_subtrees(monkeypatch):
+    """Every child of a canonical prefix that the earlier prune passes
+    and facts 5 and 6 reject, for n <= 10, has no maximal code below it:
+    a complete one is not maximal, and the walk under the earlier prune
+    emits nothing from an incomplete one."""
+    # `_walk` now prunes as before; the name imported here is the new prune
+    monkeypatch.setattr(generate, "_completable", oracles.completable_reference)
+    rejected = 0
+    for n in range(4, 11, 2):
+        levels = oracles.cubic_prefixes_by_level(n)
+        for k in range(1, n):
+            for cols, degs, masks in oracles._children(levels[k - 1], k):
+                if _completable(cols, degs, n) or not oracles.completable_reference(cols, degs, n):
+                    continue
+                rejected += 1
+                nbrs = [tuple(w for w in range(k + 1) if m >> w & 1) for m in masks]
+                if k + 1 == n:
+                    assert not _is_max_code(masks, nbrs, n, cols), cols
+                else:
+                    out = []
+                    generate._walk(cols, degs, masks, nbrs, n, out)
+                    assert out == [], cols
+    assert rejected == 147  # 49 fail fact 6, the other 98 fact 5
+
+
+def test_max_code_calls_pinned_n12(monkeypatch):
+    """The walk runs the canonicity test on 869 children at n=12, against
+    1,401 before facts 5 and 6: a count that guards the prune's cost
+    without timing it."""
+    calls = 0
+
+    def is_max_code(masks, nbrs, n, cols):
+        nonlocal calls
+        calls += 1
+        return _is_max_code(masks, nbrs, n, cols)
+
+    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
+    assert len(enumerate_cubic(12)) == EXPECTED_CLASS_COUNTS[12]
+    assert calls == 869
 
 
 def test_enumerate_rejects_bad_n():
