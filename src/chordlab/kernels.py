@@ -13,10 +13,13 @@ Every cycle query reads one walk over the cycles in canonical form
 (``_cycle_rows``), which skips each subtree where no cycle of the wanted
 length can close.  The per-pair (x,y) search is an unpruned walk over
 every path from x (``_xy_rows``).  The sweep walks the paths from x too,
-but skips a subtree once every target it could still change is settled.
-It updates its bound count in one step per appended vertex, which is
-exact only for maximum degree 3, so it refuses a mask with more than
-three bits.
+but skips a subtree once every target it could still change is settled:
+reached by a path of at least the caller's length ``floor``.  With floor
+n - 1 that is a Hamiltonian path and the table is exact on every target;
+`verify_zhan` passes a lower floor where the paper's counting bound
+shows that no longer path can lower its minimum.  The sweep updates its
+bound count in one step per appended vertex, which is exact only for
+maximum degree 3, so it refuses a mask with more than three bits.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ def hamilton_cycle_rows(adj, n) -> list:
     return _cycle_rows(adj, n, n)
 
 
-def xy_sweep(masks, n, x, targets):
+def xy_sweep(masks, n, x, targets, floor):
     """Every simple path from ``x`` that can still change an entry, walked
     by DFS with children in ascending id order (the order ``_xy_rows``
     returns rows in).
@@ -148,8 +151,9 @@ def xy_sweep(masks, n, x, targets):
     Returns a list indexed by end vertex y: None for y == x, for y not in
     ``targets`` or for no path, else (longest length, least number of
     internal bound vertices among the longest (x,y)-paths, the first such
-    path in DFS order).  A vertex v is bound on a path with vertex mask P
-    iff masks[v] & ~P == 0.  One walk serves every target.
+    path in DFS order) over the paths walked.  A vertex v is bound on a
+    path with vertex mask P iff masks[v] & ~P == 0.  One walk serves
+    every target.
 
     The bound count takes one step per appended vertex.  Appending w to a
     path from x to v binds exactly the path vertices other than x and v
@@ -157,14 +161,26 @@ def xy_sweep(masks, n, x, targets):
     degree), plus v when w is v's only off-path neighbour.  That needs
     maximum degree 3, so a mask with more bits is refused.
 
-    A target settles when its rank reaches ``top``, the rank of a
-    Hamiltonian path: length n - 1 with every internal vertex bound, as
-    all its neighbours lie on the path.  The walk skips the subtree below
-    w when every unsettled target lies on the path to w.  That leaves the
-    table unchanged: every path in the subtree ends off the current path,
-    so not at an unsettled target; an entry changes only on a strictly
-    greater rank, so a settled target keeps its entry; and the paths still
-    walked keep their DFS order, so each first witness is the same.
+    An entry is ranked by (length << shift) - count, with 2**shift > n
+    and a count in 0..n-2, so a target settles once a path of at least
+    ``floor`` edges reaches it, exactly when its rank reaches
+    (floor << shift) - (n - 2): a length L >= floor gives a rank of at
+    least that, and L < floor at most (floor << shift) - 2**shift, which
+    is less.  The walk skips the subtree below w when every unsettled
+    target lies on the path to w.  Every path in the subtree ends off the
+    current path, so not at an unsettled target.  Hence:
+
+    - an entry that never settles is exact, with the same first witness
+      as the walk that skips nothing: every path to it is walked, and the
+      paths walked keep their DFS order;
+    - an entry that settles has length at least ``floor``, and no more
+      than that is claimed for it.
+
+    With floor n - 1 a settled entry is exact too.  Its rank is the rank
+    of a Hamiltonian path, length n - 1 with every internal vertex bound,
+    which no path exceeds, and an entry changes only on a strictly
+    greater rank.  So with floor n - 1 the table is exact on every target
+    and the same whatever ``targets`` is.
     """
     if any(m.bit_count() > 3 for m in masks):
         raise ValueError("xy_sweep needs maximum degree at most 3")
@@ -173,7 +189,7 @@ def xy_sweep(masks, n, x, targets):
     # first, then fewer bound vertices, as a count is at most n - 2
     shift = n.bit_length()
     step = 1 << shift
-    top = ((n - 1) << shift) - (n - 2)
+    settle = (floor << shift) - (n - 2)
     key = [0] * n
     first = [None] * n
     path = [x]
@@ -195,7 +211,7 @@ def xy_sweep(masks, n, x, targets):
             if rank > key[w]:
                 key[w] = rank
                 first[w] = (*path, w)
-                if rank == top:
+                if rank >= settle:
                     unsettled &= ~b
             pm2 = pm | b
             # w has a free neighbour and some unsettled target is off the path

@@ -4,10 +4,20 @@ internal bound-vertex count over longest (x,y)-paths for all pairs of a
 (`verify_zhan`), and the minimum chord count over the longest cycles of a
 3-connected one (`verify_chords`).  Each returns the value with a
 witness; the caller compares it with the paper's threshold.
+
+`verify_zhan` computes only what that comparison reads: the minimum,
+and the pairs walked to an exact entry, among them the first pair below
+any threshold with its witness.  Two exact facts let it skip the rest.
+The paper's counting bound lets a source's sweep settle a target on a
+path too long to lower the minimum found so far, and Pósa's rotation
+(L. Pósa, *Hamiltonian circuits in random graphs*, Discrete Math. 14,
+1976) turns one Hamiltonian path into others, which settle their end
+pairs at n - 2 before their source is swept.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 from . import kernels
@@ -61,14 +71,96 @@ def _check_sweep_entry(g: Graph, x: int, y: int, entry):
         )
 
 
+# the most rotated paths one source's closure makes; any budget is exact
+_ROTATION_BUDGET = 100
+
+
+def _rotations(masks, p):
+    """The Pósa rotations of the Hamiltonian path ``p`` at its last vertex
+    and then at its first, neighbours ascending.  For p = v0 ... v(n-1)
+    and an edge v(n-1)v(i) with i < n - 2, the rotation is
+    v0 ... v(i) v(n-1) v(n-2) ... v(i+1): each step is an edge of p or
+    v(i)v(n-1), and it holds every vertex once, so it is a Hamiltonian
+    path with ends v0 and v(i+1)."""
+    for q in (p, p[::-1]):
+        free = masks[q[-1]] & ~(1 << q[-2])
+        while free:
+            b = free & -free
+            free ^= b
+            i = q.index(b.bit_length() - 1)
+            yield q[: i + 1] + q[:i:-1]
+
+
+def _settle_by_rotation(masks, x, seeds, open_, left):
+    """Breadth-first Pósa closure of source x's Hamiltonian witnesses
+    ``seeds``: clear from ``open_`` each pair (a, c), a > x, that a rotated
+    path joins, and return how many of the ``left`` open pairs remain.
+    Paths are kept with their lesser end first in one ``seen`` set; the
+    closure stops after `_ROTATION_BUDGET` new paths or once no pair is
+    open.  A path settles a pair only after it passes `walk_problem` and
+    holds all n vertices."""
+    n = len(masks)
+    seen = set(seeds)
+    queue = collections.deque(seeds)
+    made = 0
+    while queue:
+        for r in _rotations(masks, queue.popleft()):
+            if r[0] > r[-1]:
+                r = r[::-1]
+            if r in seen:
+                continue
+            seen.add(r)
+            a, c = r[0], r[-1]
+            if a > x and open_[a] >> c & 1:
+                problem = walk_problem(masks, r) or (len(r) != n and f"{len(r)} of {n} vertices")
+                if problem:
+                    raise InvariantViolation("rotation", f"pair ({a},{c}): path {r}: {problem}")
+                open_[a] &= ~(1 << c)
+                left -= 1
+                if not left:
+                    return 0
+            made += 1
+            if made == _ROTATION_BUDGET:
+                return left
+            queue.append(r)
+    return left
+
+
 def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     """Minimum internal bound-vertex count over longest (x,y)-paths for
     every requested pair: all pairs of a 2-connected cubic graph, or the
     adjacent pairs of a 3-connected one; the caller compares the minimum
     with the paper's threshold.  One DFS per source vertex x
-    (``kernels.xy_sweep``) fills the entries of its targets: the vertices
-    above x for all pairs, the neighbours above x for adjacent pairs.
-    Every entry is re-checked before it is reported."""
+    (``kernels.xy_sweep``), in ascending x, walks the pairs (x, y), y > x,
+    for all pairs, or y a neighbour above x for adjacent pairs.
+    ``pairs`` holds, in (x, y) order, the entries walked to an exact
+    value; `minimum` is exact, and so is the first pair below any
+    threshold, with the witness the sweep that skips nothing finds.
+    Every entry kept is re-checked before it is reported.
+
+    Length floor.  A path with L edges has at least 4L - 3n + 2 internal
+    bound vertices: of its L - 1 interior vertices, only those with a
+    neighbour among the n - L - 1 vertices off it are free, and each of
+    those has at most three neighbours.  Let M be the least value kept
+    from the earlier sources, n - 2 at the start.  Source x sweeps with
+    floor ceil((M + 3n - 2) / 4), so a target reached by a path of at
+    least floor edges has value at least M.  Of its entries it keeps:
+
+    - length n - 1: exact, with value n - 2, as no path is longer;
+    - length below floor: the target never settled, so the entry and its
+      first witness are the full sweep's (``xy_sweep``'s docstring);
+    - nothing else: the target settled, so its value is at least M.
+
+    Rotations.  After the sweep, `_settle_by_rotation` rotates x's
+    Hamiltonian witnesses.  A Hamiltonian (a,c)-path is longest with every
+    internal vertex bound, so the pair's value is n - 2, at least M; the
+    pair leaves its source's targets unreported.
+
+    So no pair left out is below the least value kept, which is then the
+    minimum, as every value is at most n - 2 and source 0 keeps all its
+    entries.  The first pair below a threshold t keeps its entry and
+    witness: every earlier pair has value at least t, so its own value is
+    below M, it is not Hamiltonian, and it never settles."""
     if mode not in ("all-pairs", "adjacent-pairs"):
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
     if not is_cubic(g):
@@ -77,19 +169,33 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
     masks = kernel_masks(g)
+    n = g.n
+    # open_[x]: source x's targets that no rotation has settled, y > x
+    # only, so each pair once
+    open_ = [(masks[x] if mode == "adjacent-pairs" else (1 << n) - 1) & (-2 << x) for x in range(n)]
+    left = sum(m.bit_count() for m in open_)
     results = {}
-    for x in range(g.n):
-        ends = masks[x] if mode == "adjacent-pairs" else (1 << g.n) - 1
-        targets = ends & (-2 << x)  # only y > x: each pair once
-        table = kernels.xy_sweep(masks, g.n, x, targets)
-        for y in range(x + 1, g.n):
+    least = n - 2  # M: the least value kept so far
+    for x in range(n):
+        targets = open_[x]
+        left -= targets.bit_count()
+        floor = (least + 3 * n + 1) // 4  # ceil((least + 3n - 2) / 4)
+        table = kernels.xy_sweep(masks, n, x, targets, floor)
+        seeds = []
+        for y in range(x + 1, n):
             if (targets >> y) & 1:
                 entry = table[y]
+                if entry and floor <= entry[0] < n - 1:
+                    continue  # settled by the floor: its value is at least M
                 _check_sweep_entry(g, x, y, entry)
                 best, mb, wit = entry
                 results[(x, y)] = PairResult(best, mb, wit)
-    minimum = min((r.min_bound for r in results.values()), default=0)
-    return ZhanReport(mode=mode, pairs=results, minimum=minimum)
+                least = min(least, mb)
+                if best == n - 1:
+                    seeds.append(wit)
+        if seeds and left:
+            left = _settle_by_rotation(masks, x, seeds, open_, left)
+    return ZhanReport(mode=mode, pairs=results, minimum=least)
 
 
 @dataclass(frozen=True)

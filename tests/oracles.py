@@ -5,9 +5,12 @@ enumeration, a from-scratch graph6 encoder, half-edge pairing enumeration
 of cubic graphs with backtracking isomorphism tests, plain relabeling
 backtracks for the maximal column code, Menger-style connectivity, and a
 labeled-count recurrence.  None of it shares logic with the library
-kernels it is used to check, with three exceptions.  ``xy_sweep_reference``
+kernels it is used to check, with four exceptions.  ``xy_sweep_reference``
 is the sweep kernel's earlier, plainer body, kept as the reference its
-faster replacement is compared with.  The parity-lemma check at the end
+faster replacement is compared with.  ``zhan_table`` is `verify_zhan`'s
+earlier full table, every pair swept with the kernel at floor n - 1, the
+reference for the entries, minimum and first violating pair that the
+verifier now computes with a length floor and rotations.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
 `test_search.py` checks against a DFS oracle on the same support graphs.
 ``cubic_codes_by_level`` is the enumeration's earlier level-by-level
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
 from chordlab.generate import _is_max_code
 from chordlab.graphs import Graph, components_after_deletion
@@ -207,6 +211,24 @@ def xy_sweep_reference(masks, n, x):
         (best[y], low[y], first[y]) if first[y] is not None else None
         for y in range(n)
     ]
+
+
+def zhan_table(g: Graph, mode: str) -> dict:
+    """Every pair of ``verify_zhan``'s mode as it first filled its table:
+    {(x, y): PairResult} in (x, y) order, each source swept with the
+    kernel at floor n - 1, which is exact on every target, and every
+    entry re-checked by ``verify._check_sweep_entry``."""
+    masks = g.masks
+    pairs = {}
+    for x in range(g.n):
+        ends = masks[x] if mode == "adjacent-pairs" else (1 << g.n) - 1
+        targets = ends & (-2 << x)
+        table = kernels.xy_sweep(masks, g.n, x, targets, g.n - 1)
+        for y in range(x + 1, g.n):
+            if (targets >> y) & 1:
+                verify._check_sweep_entry(g, x, y, table[y])
+                pairs[(x, y)] = verify.PairResult(*table[y])
+    return pairs
 
 
 def walk_problem_reference(g: Graph, vs, closed=False, extra_edges=()):

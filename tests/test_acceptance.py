@@ -155,12 +155,16 @@ def test_statements_agree_on_three_connected_corpus(corpus, corpus12):
     graphs = [g for n in corpus for g in corpus[n]] + corpus12
     checked = [g for g in graphs if connectivity_at_least(g, 3)]
     for g in checked:
-        all_pairs = verify_zhan(g, "all-pairs")
-        adjacent = verify_zhan(g, "adjacent-pairs")
-        for xy, res in adjacent.pairs.items():
-            assert res == all_pairs.pairs[xy], (write_graph6(g), xy)
+        all_pairs = oracles.zhan_table(g, "all-pairs")
+        adjacent = oracles.zhan_table(g, "adjacent-pairs")
+        for xy, res in adjacent.items():
+            assert res == all_pairs[xy], (write_graph6(g), xy)
+        zhan2 = verify_zhan(g, "all-pairs").minimum
+        zhan3adj = verify_zhan(g, "adjacent-pairs").minimum
+        assert zhan2 == min(r.min_bound for r in all_pairs.values()), write_graph6(g)
+        assert zhan3adj == min(r.min_bound for r in adjacent.values()), write_graph6(g)
         min_chords = verify_chords(g).min_chords
-        assert all_pairs.minimum <= adjacent.minimum <= 2 * min_chords - 1, write_graph6(g)
+        assert zhan2 <= zhan3adj <= 2 * min_chords - 1, write_graph6(g)
     assert len(checked) == 78
 
 

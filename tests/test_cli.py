@@ -20,7 +20,6 @@ from chordlab.errors import InvariantViolation
 from chordlab.graph6 import write_graph6
 from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import Cycle, Path, chords, internal_bound_vertices
-from chordlab.verify import verify_zhan
 
 
 def run_cli(argv, capsys):
@@ -253,10 +252,11 @@ def test_verify_reports_violations(tmp_path, capsys, monkeypatch, corpus, mode, 
         assert row["witness"] is not None, row
         assert _recheck_witness(g, mode, row["witness"]) < threshold
         if statement != "chords":
-            # the first violating pair in the report's pair order
-            pairs = verify_zhan(g, statement).pairs
+            # the full table's first violating pair and its path
+            pairs = oracles.zhan_table(g, statement)
             first = next(xy for xy, r in pairs.items() if r.min_bound < threshold)
             assert tuple(row["witness"]["pair"]) == first
+            assert tuple(row["witness"]["path"]) == pairs[first].witness
 
 
 @pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))
@@ -293,8 +293,8 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     with the failing step named."""
     real = kernels.xy_sweep
 
-    def lowered(masks, n, x, targets):
-        table = real(masks, n, x, targets)
+    def lowered(masks, n, x, targets, floor):
+        table = real(masks, n, x, targets, floor)
         best, mb, wit = table[1]  # (0,1) is the first pair verify reads
         table[1] = (best, mb - 1, wit)
         return table
@@ -313,8 +313,8 @@ def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, co
     input line, serially and from a forked worker alike."""
     real = kernels.xy_sweep
 
-    def bumped(masks, n, x, targets):
-        table = real(masks, n, x, targets)
+    def bumped(masks, n, x, targets, floor):
+        table = real(masks, n, x, targets, floor)
         y = next(y for y, entry in enumerate(table) if entry)  # source 0 fails first
         best, mb, wit = table[y]
         table[y] = (best, mb + 1, wit)

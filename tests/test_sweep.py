@@ -1,22 +1,29 @@
 """The sweep behind verify_zhan -- one DFS per source, which fills the
 entries of the targets it is given -- checked against the per-pair search
 (longest_xy_paths), the naive oracles and the sweep's earlier body
-(oracles.xy_sweep_reference), which skips nothing; relabeling invariance
-of both verifiers, since the sweep's skip depends on vertex labels;
+(oracles.xy_sweep_reference), which skips nothing, at floor n - 1 and at
+every lower floor; verify_zhan, which sweeps at a length floor and
+settles pairs by Pósa rotation, against the full table
+(oracles.zhan_table) and the naive oracle; relabeling invariance of both
+verifiers, since the sweep's skip depends on vertex labels;
 verify_chords' counts from the masks against the chord sets of every
 longest Cycle and the naive oracle; and mutation checks showing that
-verify_zhan's re-validation catches a wrong entry in either mode."""
+verify_zhan's re-validation catches a wrong entry in either mode and a
+wrong rotated path."""
 
+import ast
 import collections
 import itertools
+import os
 import random
+import re
 
 import pytest
 
 import oracles
 from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
-from chordlab.generate import random_cubic
+from chordlab.generate import enumerate_cubic, random_cubic
 from chordlab.graph6 import parse_graph6, write_graph6
 from chordlab.graphs import Graph, connectivity_at_least
 from chordlab.search import chords, longest_cycles, longest_xy_paths
@@ -45,7 +52,7 @@ def _check_against_reference(g):
     for mode, k in MODES:
         if not connectivity_at_least(g, k):
             continue
-        pairs = verify_zhan(g, mode).pairs
+        pairs = oracles.zhan_table(g, mode)
         assert list(pairs) == _pairs(g, mode)
         for (x, y), res in pairs.items():
             assert (res.max_length, res.min_bound, res.witness) == _reference(g, x, y), (mode, x, y)
@@ -78,7 +85,7 @@ def test_sweep_matches_naive_oracle_small(corpus):
             for mode, k in MODES:
                 if not connectivity_at_least(g, k):
                     continue
-                for (x, y), res in verify_zhan(g, mode).pairs.items():
+                for (x, y), res in oracles.zhan_table(g, mode).items():
                     best, paths = oracles.longest_xy_naive(g, x, y)
                     assert res.max_length == best
                     assert res.min_bound == _naive_min_bound(g, paths)
@@ -92,7 +99,7 @@ def test_sweep_table_every_end_vertex():
               oracles.two_k4_minus_edge_bridge(), random_cubic(10, 3)]
     for g in graphs:
         for x in range(g.n):
-            table = kernels.xy_sweep(g.masks, g.n, x, ((1 << g.n) - 1) & ~(1 << x))
+            table = kernels.xy_sweep(g.masks, g.n, x, ((1 << g.n) - 1) & ~(1 << x), g.n - 1)
             assert table[x] is None
             for y in range(g.n):
                 if y != x:
@@ -104,7 +111,7 @@ def _check_sweep_against_reference(g):
     earlier body."""
     for x in range(g.n):
         targets = ((1 << g.n) - 1) & ~(1 << x)
-        assert kernels.xy_sweep(g.masks, g.n, x, targets) == oracles.xy_sweep_reference(g.masks, g.n, x), x
+        assert kernels.xy_sweep(g.masks, g.n, x, targets, g.n - 1) == oracles.xy_sweep_reference(g.masks, g.n, x), x
 
 
 def test_sweep_matches_reference_on_corpus(corpus, corpus12):
@@ -151,10 +158,10 @@ def _check_targets_against_reference(g, seed=0):
         above = everyone & (-2 << x)
         masks = [above, g.masks[x] & above, rng.getrandbits(g.n) & ~(1 << x)]
         masks += [1 << y for y in range(g.n) if y != x]
-        assert kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x)) == full, x
+        assert kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x), g.n - 1) == full, x
         for targets in masks:
             want = [e if (targets >> y) & 1 else None for y, e in enumerate(full)]
-            assert kernels.xy_sweep(g.masks, g.n, x, targets) == want, (x, targets)
+            assert kernels.xy_sweep(g.masks, g.n, x, targets, g.n - 1) == want, (x, targets)
 
 
 def test_targeted_sweep_matches_reference_on_corpus(corpus, corpus12):
@@ -189,7 +196,7 @@ def _values(g, k):
     out = {}
     for mode, need in MODES:
         if k >= need:
-            pairs = verify_zhan(g, mode).pairs
+            pairs = oracles.zhan_table(g, mode)
             out[mode] = {xy: (r.max_length, r.min_bound) for xy, r in pairs.items()}
     if k >= 3:
         rep = verify_chords(g)
@@ -225,6 +232,120 @@ def test_verifiers_are_relabeling_invariant_on_corpus(corpus, corpus12):
 @pytest.mark.parametrize("seed", range(2))
 def test_verifiers_are_relabeling_invariant_on_random(n, seed):
     _check_relabeling_invariance(random_cubic(n, seed), seed)
+
+
+# ---------------------------------------------------------------------------
+# the length floor: the sweep at every floor against the full table, and
+# verify_zhan, which sweeps at a floor and settles pairs by rotation,
+# against the full table and the naive oracle
+
+
+def _check_floors_against_reference(g):
+    """From every source at every floor, with every y != x as targets: an
+    entry whose longest path is shorter than the floor never settles and
+    is the full table's; any other has a path of at least the floor."""
+    everyone = (1 << g.n) - 1
+    for x in range(g.n):
+        full = oracles.xy_sweep_reference(g.masks, g.n, x)
+        for floor in range(1, g.n):
+            table = kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x), floor)
+            for y, want in enumerate(full):
+                if want is None or want[0] < floor:
+                    assert table[y] == want, (x, y, floor)
+                else:
+                    assert table[y][0] >= floor, (x, y, floor)
+
+
+def test_floor_sweep_matches_reference_on_corpus(corpus):
+    for n in corpus:
+        for g in corpus[n]:
+            _check_floors_against_reference(g)
+
+
+@pytest.mark.parametrize("n", (12, 14))
+def test_floor_sweep_matches_reference_on_random(n):
+    _check_floors_against_reference(random_cubic(n, n))
+
+
+def _first_below(pairs, threshold):
+    return next(((xy, r.witness) for xy, r in pairs.items() if r.min_bound < threshold), None)
+
+
+def _check_against_table(g):
+    """verify_zhan in each mode that applies against the full table: the
+    same minimum; at every threshold 1..n-1 the same first pair below it,
+    with the same witness; every pair it reports in (x, y) order with the
+    table's length and count, and the table's witness unless the path is
+    Hamiltonian.  Returns how many modes applied."""
+    checked = 0
+    for mode, k in MODES:
+        if not connectivity_at_least(g, k):
+            continue
+        rep = verify_zhan(g, mode)
+        full = oracles.zhan_table(g, mode)
+        assert rep.minimum == min(r.min_bound for r in full.values()), mode
+        for threshold in range(1, g.n):
+            assert _first_below(rep.pairs, threshold) == _first_below(full, threshold), (mode, threshold)
+        assert list(rep.pairs) == [xy for xy in full if xy in rep.pairs], mode
+        for xy, res in rep.pairs.items():
+            want = full[xy]
+            assert (res.max_length, res.min_bound) == (want.max_length, want.min_bound), (mode, xy)
+            assert res.witness == want.witness or res.max_length == g.n - 1, (mode, xy)
+        checked += 1
+    return checked
+
+
+def test_verify_zhan_matches_table_on_corpus(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
+    assert sum(_check_against_table(g) for g in graphs) == 185
+
+
+def test_verify_zhan_matches_table_on_relabelings(corpus, corpus12):
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
+    checked = sum(_check_against_table(_relabeled(g, seed)) for seed, g in enumerate(graphs))
+    assert checked == 185
+
+
+@pytest.mark.parametrize("n", range(14, 23, 2))
+def test_verify_zhan_matches_table_on_random(n):
+    """The first three 2-connected graphs among random_cubic(n, 0), (n, 1), ..."""
+    draws = (random_cubic(n, seed) for seed in itertools.count())
+    graphs = itertools.islice((g for g in draws if connectivity_at_least(g, 2)), 3)
+    assert sum(_check_against_table(g) for g in graphs) >= 3
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_verify_zhan_matches_table_n14():
+    graphs = enumerate_cubic(14)
+    assert len(graphs) == 509
+    assert sum(_check_against_table(g) for g in graphs) == 480 + 341
+
+
+def test_verify_zhan_matches_naive_oracle_small(corpus):
+    """The minimum, every pair reported, and the first pair below every
+    threshold with its witness, against the naive oracle.  The sweep
+    walks in lexicographic order, so a first witness is the least naive
+    longest path with the least count."""
+    for n in (4, 6, 8):
+        for g in corpus[n]:
+            for mode, k in MODES:
+                if not connectivity_at_least(g, k):
+                    continue
+                naive = {}
+                for x, y in _pairs(g, mode):
+                    best, paths = oracles.longest_xy_naive(g, x, y)
+                    bound = _naive_min_bound(g, paths)
+                    first = min(p for p in paths if _naive_min_bound(g, [p]) == bound)
+                    naive[(x, y)] = verify.PairResult(best, bound, first)
+                rep = verify_zhan(g, mode)
+                assert rep.minimum == min(r.min_bound for r in naive.values())
+                for threshold in range(1, g.n):
+                    assert _first_below(rep.pairs, threshold) == _first_below(naive, threshold)
+                for xy, res in rep.pairs.items():
+                    assert (res.max_length, res.min_bound) == (naive[xy].max_length, naive[xy].min_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +422,7 @@ def test_sweep_rejects_degree_above_three():
     host is refused, not miscounted."""
     g = Graph(5, [(v, (v + 1) % 4) for v in range(4)] + [(4, v) for v in range(4)])  # wheel W4
     with pytest.raises(ValueError, match="degree"):
-        kernels.xy_sweep(g.masks, g.n, 0, ((1 << g.n) - 1) & ~1)
+        kernels.xy_sweep(g.masks, g.n, 0, ((1 << g.n) - 1) & ~1, g.n - 1)
 
 
 def test_verify_zhan_keeps_kernel_limits():
@@ -345,10 +466,10 @@ def _outcome(check, g, x, y, entry):
 
 
 def _check_entries_against_reference(monkeypatch, graphs):
-    """Run both verify_zhan modes on ``graphs`` with every entry, and each
-    of its mutations, re-checked by the mask check and by the Path-based
-    reference: both raise the same text or both pass.  The kinds of
-    failure seen, counted."""
+    """Run both verify_zhan modes and both full tables on ``graphs`` with
+    every entry, and each of its mutations, re-checked by the mask check
+    and by the Path-based reference: both raise the same text or both
+    pass.  The kinds of failure seen, counted."""
     real = verify._check_sweep_entry
     seen = collections.Counter()
 
@@ -364,6 +485,7 @@ def _check_entries_against_reference(monkeypatch, graphs):
         for mode, k in MODES:
             if connectivity_at_least(g, k):
                 verify_zhan(g, mode)
+                oracles.zhan_table(g, mode)
     return seen
 
 
@@ -393,8 +515,8 @@ def _patch_first_table(monkeypatch, mutate):
     real = kernels.xy_sweep
     calls = []
 
-    def mutated(masks, n, x, targets):
-        table = real(masks, n, x, targets)
+    def mutated(masks, n, x, targets, floor):
+        table = real(masks, n, x, targets, floor)
         if not calls:
             table[1] = mutate(*table[1])
         calls.append(x)
@@ -422,3 +544,51 @@ def test_mutated_sweep_is_caught(monkeypatch, mutate, mode):
         verify_zhan(g, mode)
     assert info.value.step == "sweep"
     assert "pair (0,1)" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Pósa rotations: every rotation is a Hamiltonian path, and a corrupted
+# one is caught before it settles a pair
+
+
+def test_rotations_are_hamiltonian_paths(corpus, corpus12):
+    """Each Hamiltonian witness of the full table has four rotations in a
+    cubic graph, two at each end, and each is a Hamiltonian path that
+    keeps the other end."""
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
+    rotated = 0
+    for g in graphs:
+        if not connectivity_at_least(g, 2):
+            continue
+        for res in oracles.zhan_table(g, "all-pairs").values():
+            p = res.witness
+            if len(p) < g.n:
+                continue
+            rows = list(verify._rotations(g.masks, p))
+            assert len(set(rows)) == len(rows) == 4, p
+            for i, r in enumerate(rows):
+                assert oracles.walk_problem_reference(g, r) is None and len(r) == g.n, (p, r)
+                assert r[0] == (p[0] if i < 2 else p[-1]), (p, r)
+                rotated += 1
+    assert rotated == 22448
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    (lambda r: r[:1] + r[2:3] + r[1:2] + r[3:], lambda r: r[:-1]),
+    ids=("two-swapped", "one-short"),
+)
+def test_corrupted_rotation_is_caught(monkeypatch, corrupt):
+    """A rotated path is re-checked before it settles its pair: a wrong
+    step, or a path one vertex short, raises at stage rotation and names
+    the pair, which is the corrupted path's ends."""
+    g = random_cubic(16, 0)
+    real = verify._rotations
+    monkeypatch.setattr(verify, "_rotations", lambda masks, p: map(corrupt, real(masks, p)))
+    with pytest.raises(InvariantViolation) as info:
+        verify_zhan(g, "all-pairs")
+    assert info.value.step == "rotation"
+    pair, path = re.match(r"rotation: pair \((\d+,\d+)\): path (\(.*?\)): ", str(info.value)).groups()
+    path = ast.literal_eval(path)
+    assert pair == f"{path[0]},{path[-1]}"
+    assert oracles.walk_problem_reference(g, path) or len(path) != g.n
