@@ -3,21 +3,24 @@
 Vertices are dense integer ids 0..n-1.  Graphs are simple: construction
 refuses a self-loop or a repeated pair, so no other module checks for
 either.  Instances are treated as immutable after construction and are
-safe to share between threads: the lazily filled connectivity answers
-only ever store values computed from that fixed structure.
+safe to share between threads: the one lazily stored connectivity value
+is computed from that fixed structure only.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` keeps the construction order, each pair as (min, max), and
-    ``masks[v]`` has bit w set iff vw is an edge.
+    ``masks[v]`` has bit w set iff vw is an edge.  ``_kappa`` is None until
+    `connectivity_at_least` stores min(vertex connectivity, 3) there.
     """
 
-    __slots__ = ("n", "edges", "adj", "masks", "_gate")
+    __slots__ = ("n", "edges", "adj", "masks", "_kappa")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -41,7 +44,7 @@ class Graph:
         self.edges = tuple(norm)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.masks = tuple(masks)
-        self._gate = {}  # k -> connectivity_at_least(self, k)
+        self._kappa = None
 
     @property
     def m(self) -> int:
@@ -72,43 +75,6 @@ class Graph:
 
 def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
-
-
-def _biconnected_without(g: Graph, removed: int) -> bool:
-    """True iff g minus vertex ``removed`` (-1: none) is connected and has
-    no cut vertex.  One iterative lowpoint DFS (Hopcroft & Tarjan 1973):
-    a non-root u is a cut vertex iff some DFS child c has low[c] >=
-    disc[u], the root iff it has two DFS children."""
-    root = 1 if removed == 0 else 0
-    disc = [-1] * g.n
-    low = [0] * g.n
-    disc[root] = low[root] = 0
-    visited = 1
-    root_children = 0
-    stack = [(root, -1, iter(g.adj[root]))]
-    while stack:
-        u, parent, it = stack[-1]
-        for w in it:
-            if w == removed or w == parent:
-                continue
-            if disc[w] < 0:
-                disc[w] = low[w] = visited
-                visited += 1
-                stack.append((w, u, iter(g.adj[w])))
-                break
-            if disc[w] < low[u]:
-                low[u] = disc[w]
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent >= 0:
-                if low[u] >= disc[parent]:
-                    return False
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-    alive = g.n - (removed >= 0)
-    return visited == alive and root_children <= 1
 
 
 def _cubic_edge_connectivity(g: Graph) -> int:
@@ -152,45 +118,42 @@ def _cubic_edge_connectivity(g: Graph) -> int:
     return kappa
 
 
+def _connectivity_by_deletion(g: Graph) -> int:
+    """min(vertex connectivity, 3) of any g, by the definition: the least
+    size s < 3 of a vertex set whose deletion does not leave exactly one
+    component, else 3, and at most n - 1 (0 for the empty graph)."""
+    for s in range(min(g.n, 3)):
+        for cut in combinations(range(g.n), s):
+            if len(components_after_deletion(g, cut)) != 1:
+                return s
+    return max(min(g.n - 1, 3), 0)
+
+
 def connectivity_at_least(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices, is connected, and stays
     connected after deleting any fewer than k vertices.  Only k <= 3 is
-    supported.  Answers are kept on g, so asking again costs a dict
-    lookup.
+    supported.  The first question stores min(vertex connectivity, 3) on
+    g, which answers every k, so asking again costs an attribute read.
 
-    A cubic g answers k = 1, 2 and 3 at once from one search
-    (`_cubic_edge_connectivity`, O(n) steps on ints of m - n + 1 bits),
-    since its vertex connectivity equals its edge connectivity.  Edge
-    cuts are never smaller (Whitney), and K4, which has no vertex cut,
-    has both equal to 3.  Conversely, take a least vertex cut S and a
-    component C of g - S: by minimality each s in S has a neighbour in C
-    and one in another component.  Put into X the set C and every s with
-    two neighbours in C.  Then each s in S has exactly one edge between X
-    and the rest (its one edge into C, or its one edge out of C + s), and
-    no other edge leaves X, so |S| edges cut g.
+    A cubic g takes it from one search (`_cubic_edge_connectivity`, O(n)
+    steps on ints of m - n + 1 bits), since its vertex connectivity
+    equals its edge connectivity.  Edge cuts are never smaller
+    (Whitney), and K4, which has no vertex cut, has both equal to 3.
+    Conversely, take a least vertex cut S and a component C of g - S: by
+    minimality each s in S has a neighbour in C and one in another
+    component.  Put into X the set C and every s with two neighbours in
+    C.  Then each s in S has exactly one edge between X and the rest (its
+    one edge into C, or its one edge out of C + s), and no other edge
+    leaves X, so |S| edges cut g.
 
-    Other graphs take k=1 as one BFS, k=2 as one lowpoint DFS that fails
-    on a disconnection or a cut vertex, and k=3 as that DFS once more per
-    deleted vertex, O(n*m) in all; the k=3 test records the k=2 answer."""
+    Any other graph, the empty one included, is gated by the definition
+    (`_connectivity_by_deletion`), one BFS per vertex set of size < 3."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    gate = g._gate
-    if k not in gate:
-        if g.n <= k:
-            gate[k] = False
-        elif is_cubic(g):
-            kappa = _cubic_edge_connectivity(g)
-            gate.update((j, kappa >= j) for j in (1, 2, 3))
-        elif k == 1:
-            gate[1] = len(components_after_deletion(g, ())) == 1
-        else:
-            if 2 not in gate:
-                gate[2] = _biconnected_without(g, -1)
-            if k == 3:
-                gate[3] = gate[2] and all(
-                    _biconnected_without(g, v) for v in range(g.n)
-                )
-    return gate[k]
+    if g._kappa is None:
+        cubic = g.n and is_cubic(g)  # a cover search needs a vertex 0
+        g._kappa = (_cubic_edge_connectivity if cubic else _connectivity_by_deletion)(g)
+    return g._kappa >= k
 
 
 def components_after_deletion(g: Graph, removed) -> tuple:

@@ -162,6 +162,30 @@ def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
             assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (mode, fmt)
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_verify_connectivity_of_non_cubic_lines(tmp_path, capsys, jobs):
+    """The `connectivity` column of lines that no statement checks, the
+    gate's one reader outside the cubic path, against max-flow vertex
+    connectivity: a wheel (3), C6 (2), two triangles joined by a bridge
+    (1) and two disjoint triangles (0)."""
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    graphs = [
+        Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)]),
+        oracles.cycle_graph(6),
+        Graph(6, triangles + [(2, 3)]),
+        Graph(6, triangles),
+    ]
+    f = _write_corpus(tmp_path, graphs)
+    code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", jobs], capsys)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [r["connectivity"] for r in rows] == [3, 2, 1, 0]
+    assert [r["connectivity"] for r in rows] == [
+        min(oracles.vertex_connectivity_menger(g), 3) for g in graphs
+    ]
+    assert [r["value"] for r in rows] == [None] * 4
+
+
 # sha256 of the JSON `chordlab verify --mode M` writes for the output of
 # `chordlab generate --n N`, recorded with the sweep that rescanned every
 # neighbour of the new end: a faster kernel must keep the same bytes

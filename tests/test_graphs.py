@@ -78,42 +78,50 @@ def test_connectivity_chain():
 
 
 def test_connectivity_against_menger():
+    """Against max-flow vertex connectivity, an oracle that shares no code
+    with the gate's definition: a cubic zoo, every graph of
+    `_random_simple_graphs` (many with a vertex of degree >= 4) and the
+    graphs with at most three vertices, where n - 1 caps the answer."""
+    tiny = [Graph(0, []), Graph(1, []), Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)])]
     zoo = [oracles.k4(), oracles.k33(), oracles.prism(), oracles.petersen(),
            oracles.two_k4_minus_edge_bridge(), oracles.cycle_graph(7),
            oracles.path_graph(5)]
-    for g in zoo:
+    high_degree = 0
+    for g in zoo + tiny + list(_random_simple_graphs()):
         kappa = oracles.vertex_connectivity_menger(g)
         for k in (1, 2, 3):
-            assert connectivity_at_least(g, k) == (kappa >= k and g.n > k)
+            assert connectivity_at_least(g, k) == (kappa >= k and g.n > k), (g.n, g.edges, k)
+        high_degree += max(map(len, g.adj), default=0) >= 4
+    assert [sum(connectivity_at_least(g, k) for k in (1, 2, 3)) for g in tiny] == [0, 0, 1, 2]
+    assert high_degree > 100
 
 
 def test_connectivity_gate_is_memoized(monkeypatch):
+    """One stored value answers every k: the first question runs one
+    search, and no later question runs anything."""
     import chordlab.graphs as graphs
 
     calls = []
-    for name in ("_cubic_edge_connectivity", "_biconnected_without"):
+    for name in ("_cubic_edge_connectivity", "_connectivity_by_deletion"):
         real = getattr(graphs, name)
         monkeypatch.setattr(
             graphs, name,
             lambda *a, real=real, name=name: calls.append(name) or real(*a),
         )
-    # a cubic graph: one cover search answers k = 1, 2 and 3, and no
-    # later question runs a search again
     g = oracles.petersen()
-    assert connectivity_at_least(g, 3)
-    assert calls == ["_cubic_edge_connectivity"]
     for k in (3, 2, 1):
         assert connectivity_at_least(g, k)
     assert calls == ["_cubic_edge_connectivity"]
-    # any other graph: k=3 runs the lowpoint DFS n + 1 times and records
-    # k=2 on the way
     calls.clear()
     wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
-    assert connectivity_at_least(wheel, 3)
-    assert calls == ["_biconnected_without"] * (wheel.n + 1)
-    assert connectivity_at_least(wheel, 3)
-    assert connectivity_at_least(wheel, 2)
-    assert len(calls) == wheel.n + 1
+    for k in (2, 3, 1):
+        assert connectivity_at_least(wheel, k)
+    assert calls == ["_connectivity_by_deletion"]
+    calls.clear()
+    for h in (g, wheel):
+        for k in (1, 2, 3):
+            assert connectivity_at_least(h, k)
+    assert calls == []
 
 
 def test_connectivity_memo_matches_fresh_answers():

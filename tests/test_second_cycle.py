@@ -171,3 +171,42 @@ def test_bad_lemma_instance_is_an_internal_error():
     )
     with pytest.raises(InvariantViolation, match="^lemma-instance: A is not independent on C$"):
         second_hamilton_cycle(bad, x=5, y=4)
+
+
+@pytest.mark.parametrize("cycle, components, clause", [
+    ((1, 2, 3), ((2, 3), (5, 0)), "cycle is not Hamilton"),
+    (None, ((2, 3),), "arc count differs from |A|"),
+    (None, ((0, 3), (2, 5)), "arc is not a path"),
+    (None, ((2, 3), (5,)), "arcs and A do not partition the vertices"),
+    (None, ((5, 0), (2, 3)), "endpoint 5 of a non-final arc has no chord to A"),
+], ids=("short-cycle", "arc-count", "arc-not-path", "not-a-partition", "no-chord"))
+def test_each_lemma_clause_is_an_internal_error(cycle, components, clause):
+    """Each hypothesis clause, broken alone in the spec instance, fails
+    with its own message in the lemma-instance stage."""
+    inst = spec_instance()
+    bad = LemmaInstance(
+        g=inst.g,
+        cycle=Cycle(cycle) if cycle else inst.cycle,
+        a_set=inst.a_set,
+        components=components,
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        second_hamilton_cycle(bad, x=5, y=4)
+    assert exc.value.step == "lemma-instance"
+    assert str(exc.value) == f"lemma-instance: {clause}"
+
+
+@pytest.mark.parametrize("found, detail", [
+    ((0, 1, 2, 3, 4, 5), "no second Hamilton cycle through (5,4)"),
+    ((0, 2, 1, 3, 4, 5), "a support-graph Hamilton cycle moved off A"),
+], ids=("only-the-base", "moved-off-a"))
+def test_bad_support_cycles_are_an_internal_error(monkeypatch, found, detail):
+    """The parity lemma guarantees a second Hamilton cycle through xy, and
+    every Hamilton cycle of the support graph agrees with the instance
+    cycle off A.  A search that finds only the base cycle, or a candidate
+    that swaps the arc edge (2,3) for (0,2), is a failed invariant."""
+    monkeypatch.setattr(second_cycle, "hamilton_cycles", lambda g: [Cycle(found)])
+    with pytest.raises(InvariantViolation) as exc:
+        second_hamilton_cycle(spec_instance(), x=5, y=4)
+    assert exc.value.step == "second-cycle"
+    assert str(exc.value) == f"second-cycle: {detail}"
