@@ -10,15 +10,16 @@ code are kept.  Deleting the last vertex of a maximal code leaves a
 maximal code, so extending canonical prefixes one vertex at a time and
 keeping the canonical results enumerates every isomorphism class once.
 
-The enumeration walks the tree of canonical prefixes depth first.  It
-tests every child of a prefix and walks into the canonical ones in
-decreasing last-column order.  Siblings share their prefix, and every
-code of order n has n - 1 columns compared column by column, so the walk
-meets the complete codes in decreasing code order: it keeps one prefix
-per level and sorts nothing.  `_completable` judges a child by its
-columns and degrees before its masks are built, and each child's masks
-and neighbour lists are its parent's with the new vertex added, so the
-canonicity test reads them as they are.
+The enumeration walks the tree of prefixes depth first.  It walks the
+children of a prefix in decreasing last-column order, into those that
+pass the canonicity test or, by fact 7 below, skip it.  Siblings share
+their prefix, and every code of order n has n - 1 columns compared
+column by column, so the walk meets the complete codes in decreasing
+code order: it keeps one prefix per level and sorts nothing.
+`_completable` judges a child by its columns and degrees before its
+masks are built, and each child's masks and neighbour lists are its
+parent's with the new vertex added, so the canonicity test reads them as
+they are.
 
 The canonicity test `_is_max_code` is exact: it looks for a relabeling
 with a strictly larger code.  The search prunes by four facts about
@@ -68,6 +69,24 @@ with no maximal code below them by two more facts.
    vertex k's adjacency to 0..k-2, which is col_k >> 1.  So if col_k >> 1
    > col_(k-1), the prefix is not maximal, and as a maximal code's
    prefixes are maximal, no code below it is.
+
+The walk skips the canonicity test where it prunes too little, by one
+more fact.
+
+7. Skipped prefix tests.  A maximal code's prefixes are maximal, so the
+   test on a prefix only prunes: a walk that skips it on some prefixes
+   still emits exactly the maximal complete codes, in the same order, as
+   long as it tests every complete code.  The walk skips it on children
+   with one or two vertices to come, whose subtrees are too small to pay
+   for it.  With m = 1 to come, a child that `_completable` passes has
+   total deficit D >= 3 by fact 5, and the counting checks give
+   D <= 3m = 3 and each deficit at most m = 1, so exactly three vertices
+   have deficit 1 and the last vertex joins all three.  The walk
+   generates only that forced completion, runs `_completable` on it
+   (fact 6 and every degree 3, the degrees computed from its column) and
+   tests it once: that one call decides both the child and its only
+   complete code.  A child with m = 2 to come is walked untested, and
+   each of its children is judged by its forced completion.
 """
 
 from __future__ import annotations
@@ -187,16 +206,21 @@ def _completable(cols, degs, n) -> bool:
 
 
 def _walk(cols, degs, masks, nbrs, n, out):
-    """Test each child of the canonical prefix ``cols`` on k vertices (a
-    new vertex k joined to one to three earlier vertices of degree below
-    3), walk into the canonical ones in decreasing last-column order, and
-    append each complete code to ``out``."""
+    """Walk the children of the prefix ``cols`` on k vertices (a new
+    vertex k joined to one to three earlier vertices of degree below 3)
+    in decreasing last-column order, and append each maximal complete
+    code below it to ``out``.  By fact 7 the canonicity test runs on
+    complete codes and on children with at least three vertices to come,
+    and the last vertex is generated only as the forced completion."""
     k = len(degs)
+    left = n - k - 1  # vertices to come below each child
     eligible = [i for i in range(k) if degs[i] < 3]
+    # fact 7: a complete child joins every vertex below degree 3
+    sizes = (1, 2, 3) if left else (len(eligible),)
     kids = sorted(
         (
             (sum(1 << (k - 1 - i) for i in subset), subset)
-            for size in (1, 2, 3)
+            for size in sizes
             for subset in itertools.combinations(eligible, size)
         ),
         reverse=True,
@@ -214,12 +238,11 @@ def _walk(cols, degs, masks, nbrs, n, out):
             nmasks[i] |= 1 << k
             nmasks[k] |= 1 << i
             nnbrs[i] += (k,)
-        if not _is_max_code(nmasks, nnbrs, k + 1, ncols):
-            continue
-        if k + 1 == n:
-            out.append(ncols)
-        else:
-            _walk(ncols, ndegs, nmasks, nnbrs, n, out)
+        if 0 < left < 3 or _is_max_code(nmasks, nnbrs, k + 1, ncols):
+            if left:
+                _walk(ncols, ndegs, nmasks, nnbrs, n, out)
+            else:
+                out.append(ncols)
 
 
 def enumerate_cubic(n: int):

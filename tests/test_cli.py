@@ -14,7 +14,7 @@ import time
 import pytest
 
 import oracles
-from chordlab import cli, kernels, verify
+from chordlab import cli, extender, kernels, verify
 from chordlab.cli import main
 from chordlab.errors import InvariantViolation
 from chordlab.graph6 import write_graph6
@@ -738,6 +738,26 @@ def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: coloring:")
+
+
+@pytest.mark.parametrize("bad, detail", [
+    (lambda p, found: found.reversed(), "endpoints moved"),
+    (lambda p, found: p, "replacement path is not longer"),
+])
+def test_extend_checker_failure_exits_4(tmp_path, capsys, monkeypatch, bad, detail):
+    """A replacement path with swapped endpoints, or no longer than the
+    input, fails the checker stage at the pipelines' one exit: exit 4."""
+    real = extender._through_component
+
+    def corrupted(g, a, b, allowed, min_len):
+        return bad(Path((a, b)), real(g, a, b, allowed, min_len))
+
+    monkeypatch.setattr(extender, "_through_component", corrupted)
+    f = tmp_path / "k33.txt"
+    f.write_text(oracles.edge_list_text(oracles.k33()))
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,3"], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"internal error: checker: {detail}\n"
 
 
 def test_extend_k33(tmp_path, capsys):

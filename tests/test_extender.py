@@ -10,6 +10,7 @@ from chordlab.errors import InvariantViolation
 from chordlab.extender import (
     EXTENDABLE,
     HAS_BOUND_VERTEX,
+    BlueSubpathStats,
     ExtensionTrace,
     SPANNING_PATH,
     MultiCycle,
@@ -314,6 +315,33 @@ def test_stats_property_run():
                     == step["blue_on_cycle"] + step["red_on_cycle"]
                 )
     assert ran >= 20
+
+
+@pytest.mark.parametrize("counts, detail", [
+    ((1, 1, -1, 0, 0, 0, 0), "surplus is negative"),
+    ((0, 0, 0, 1, 0, 0, 0), "blue runs do not add up"),
+    ((0, 0, 0, 1, 0, 1, 0), "component count identity fails"),
+    ((1, 3, 1, 2, 0, 1, 1), "surplus below twice the long runs"),
+    ((1, 4, 2, 3, 0, 2, 1), "strict surplus bound fails"),
+])
+def test_stats_check_names_each_failed_identity(counts, detail):
+    """Counts that break one identity of the comparison argument, all
+    earlier ones holding, fail the stats stage with that identity's
+    message."""
+    with pytest.raises(InvariantViolation) as exc:
+        BlueSubpathStats(*counts).check()
+    assert exc.value.step == "stats"
+    assert str(exc.value) == f"stats: {detail}"
+
+
+def test_path_from_cycle_needs_the_xy_edge():
+    """A cycle without the closing edge xy cannot be opened into an
+    (x,y)-path: the checker stage fails."""
+    assert _path_from_cycle(Cycle((0, 1, 2, 3)), 1, 0).vertices == (1, 2, 3, 0)
+    with pytest.raises(InvariantViolation) as exc:
+        _path_from_cycle(Cycle((0, 1, 2, 3)), 0, 2)
+    assert exc.value.step == "checker"
+    assert str(exc.value) == "checker: cycle does not contain the xy edge"
 
 
 # ---------------------------------------------------------------------------

@@ -180,19 +180,53 @@ def test_pruned_children_head_dead_subtrees(monkeypatch):
 
 
 def test_max_code_calls_pinned_n12(monkeypatch):
-    """The walk runs the canonicity test on 869 children at n=12, against
-    1,401 before facts 5 and 6: a count that guards the prune's cost
-    without timing it."""
-    calls = 0
+    """The canonicity calls at n=12 per number of vertices still to come:
+    a census that guards the walk's cost without timing it.  By fact 7
+    no call falls at one or two to come, and the complete codes are the
+    forced completions (629 calls, against 869 with a test on every
+    child)."""
+    calls = {}
 
     def is_max_code(masks, nbrs, n, cols):
-        nonlocal calls
-        calls += 1
+        calls[12 - n] = calls.get(12 - n, 0) + 1
         return _is_max_code(masks, nbrs, n, cols)
 
     monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     assert len(enumerate_cubic(12)) == EXPECTED_CLASS_COUNTS[12]
-    assert calls == 869
+    assert calls == {0: 310, 3: 159, 4: 79, 5: 42, 6: 21, 7: 10, 8: 5, 9: 2, 10: 1}
+
+
+def test_forced_completion_joins_three_deficit_one_vertices(monkeypatch):
+    """Fact 7, for n <= 12: every child with one vertex to come that
+    `_completable` passes has exactly three vertices of degree 2 and the
+    rest of degree 3, and the next code the walk judges is the child's
+    completion, whose last vertex joins exactly those three.  Every
+    complete code the walk judges is such a completion."""
+    seen = []
+
+    def completable(cols, degs, n):
+        ok = _completable(cols, degs, n)
+        seen.append((cols, list(degs), ok))
+        return ok
+
+    monkeypatch.setattr(generate, "_completable", completable)
+    forced = 0
+    for n in range(4, 13, 2):
+        seen.clear()
+        assert len(enumerate_cubic(n)) == EXPECTED_CLASS_COUNTS[n]
+        for at, (cols, degs, ok) in enumerate(seen):
+            if len(degs) == n:
+                before, bdegs, bok = seen[at - 1]
+                assert bok and len(bdegs) == n - 1 and cols[:-1] == before, cols
+            if len(degs) != n - 1 or not ok:
+                continue
+            short = [i for i, d in enumerate(degs) if d != 3]
+            assert len(short) == 3 and all(degs[i] == 2 for i in short), cols
+            full, fdegs, _ = seen[at + 1]
+            assert full == cols + (sum(1 << (n - 2 - i) for i in short),), cols
+            assert fdegs == [3] * n, cols
+            forced += 1
+    assert forced == 440
 
 
 def test_enumerate_rejects_bad_n():
