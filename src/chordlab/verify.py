@@ -12,7 +12,9 @@ The paper's counting bound lets a source's sweep settle a target on a
 path too long to lower the minimum found so far, and Pósa's rotation
 (L. Pósa, *Hamiltonian circuits in random graphs*, Discrete Math. 14,
 1976) turns one Hamiltonian path into others, which settle their end
-pairs at n - 2 before their source is swept.
+pairs at n - 2 before their source is swept.  The rotation closure keeps
+one path per end pair, so it ends after at most 4 C(n,2) rotations with
+no budget, and it builds a rotated path only for a new end pair.
 """
 
 from __future__ import annotations
@@ -71,58 +73,61 @@ def _check_sweep_entry(g: Graph, x: int, y: int, entry):
         )
 
 
-# the most rotated paths one source's closure makes; any budget is exact
-_ROTATION_BUDGET = 100
-
-
-def _rotations(masks, p):
-    """The Pósa rotations of the Hamiltonian path ``p`` at its last vertex
-    and then at its first, neighbours ascending.  For p = v0 ... v(n-1)
-    and an edge v(n-1)v(i) with i < n - 2, the rotation is
-    v0 ... v(i) v(n-1) v(n-2) ... v(i+1): each step is an edge of p or
+def _rotate(q, i):
+    """The Pósa rotation of the Hamiltonian path q = v0 ... v(n-1) at its
+    last vertex through the edge v(n-1)v(i), i < n - 2:
+    v0 ... v(i) v(n-1) v(n-2) ... v(i+1).  Each step is an edge of q or
     v(i)v(n-1), and it holds every vertex once, so it is a Hamiltonian
     path with ends v0 and v(i+1)."""
-    for q in (p, p[::-1]):
-        free = masks[q[-1]] & ~(1 << q[-2])
-        while free:
-            b = free & -free
-            free ^= b
-            i = q.index(b.bit_length() - 1)
-            yield q[: i + 1] + q[:i:-1]
+    return q[: i + 1] + q[:i:-1]
 
 
 def _settle_by_rotation(masks, x, seeds, open_, left):
     """Breadth-first Pósa closure of source x's Hamiltonian witnesses
     ``seeds``: clear from ``open_`` each pair (a, c), a > x, that a rotated
     path joins, and return how many of the ``left`` open pairs remain.
-    Paths are kept with their lesser end first in one ``seen`` set; the
-    closure stops after `_ROTATION_BUDGET` new paths or once no pair is
-    open.  A path settles a pair only after it passes `walk_problem` and
-    holds all n vertices."""
+
+    The closure keeps one path per unordered end pair.  Each path is
+    rotated at its last vertex and then at its first, neighbours
+    ascending; a rotation through the edge to v(i) ends at v(i+1), so its
+    end pair is read before the path is built, and `_rotate` builds it
+    only for a pair not yet ``seen``.  So at most C(n,2) paths are queued,
+    each with at most four rotations, and the closure ends after at most
+    4 C(n,2) steps, or once no pair is open.  A path settles its pair only
+    after it passes `walk_problem`, holds all n vertices and has that
+    pair's ends."""
     n = len(masks)
-    seen = set(seeds)
+    seen = {(p[0], p[-1]) for p in seeds}  # each seed starts at x
     queue = collections.deque(seeds)
-    made = 0
     while queue:
-        for r in _rotations(masks, queue.popleft()):
-            if r[0] > r[-1]:
-                r = r[::-1]
-            if r in seen:
-                continue
-            seen.add(r)
-            a, c = r[0], r[-1]
-            if a > x and open_[a] >> c & 1:
-                problem = walk_problem(masks, r) or (len(r) != n and f"{len(r)} of {n} vertices")
-                if problem:
-                    raise InvariantViolation("rotation", f"pair ({a},{c}): path {r}: {problem}")
-                open_[a] &= ~(1 << c)
-                left -= 1
-                if not left:
-                    return 0
-            made += 1
-            if made == _ROTATION_BUDGET:
-                return left
-            queue.append(r)
+        p = queue.popleft()
+        for q in (p, p[::-1]):
+            a = q[0]
+            free = masks[q[-1]] & ~(1 << q[-2])
+            while free:
+                b = free & -free
+                free ^= b
+                i = q.index(b.bit_length() - 1)
+                c = q[i + 1]
+                pair = (a, c) if a < c else (c, a)
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                r = _rotate(q, i)
+                lo, hi = pair
+                if lo > x and open_[lo] >> hi & 1:
+                    problem = (
+                        walk_problem(masks, r)
+                        or (len(r) != n and f"{len(r)} of {n} vertices")
+                        or ((r[0], r[-1]) != (a, c) and f"ends {r[0]} and {r[-1]}")
+                    )
+                    if problem:
+                        raise InvariantViolation("rotation", f"pair ({lo},{hi}): path {r}: {problem}")
+                    open_[lo] &= ~(1 << hi)
+                    left -= 1
+                    if not left:
+                        return 0
+                queue.append(r)
     return left
 
 
@@ -152,9 +157,13 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     - nothing else: the target settled, so its value is at least M.
 
     Rotations.  After the sweep, `_settle_by_rotation` rotates x's
-    Hamiltonian witnesses.  A Hamiltonian (a,c)-path is longest with every
-    internal vertex bound, so the pair's value is n - 2, at least M; the
-    pair leaves its source's targets unreported.
+    Hamiltonian witnesses, keeping one path per end pair, so it queues at
+    most C(n,2) paths and ends after at most 4 C(n,2) rotations.  A
+    Hamiltonian (a,c)-path is longest with every internal vertex bound, so
+    the pair's value is n - 2, at least M; the pair leaves its source's
+    targets unreported.  Which pairs the closure reaches does not matter
+    for exactness: each one it settles has a re-checked Hamiltonian
+    witness, so its value is n - 2 whatever path settled it.
 
     So no pair left out is below the least value kept, which is then the
     minimum, as every value is at most n - 2 and source 0 keeps all its

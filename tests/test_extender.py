@@ -627,6 +627,92 @@ def test_adjacent_lift_ignores_the_cycle_start():
         ]
 
 
+def _toy_lift(c1):
+    """`_lift_adjacent` on the ring of the test above with the found cycle
+    ``c1`` in place of the lemma's."""
+    ring = tuple(range(12))
+    g = Graph(22, [(i, (i + 1) % 12) for i in range(12)]
+              + [(20, 1), (20, 3), (20, 5), (21, 7), (21, 9), (21, 11)])
+    relabeled = [(frozenset({20}), (1, 5, 3)), (frozenset({21}), (7, 11, 9))]
+    return extender._lift_adjacent(g, ring, [], relabeled, c1, ExtensionTrace(), "case-1")
+
+
+def test_adjacent_lift_needs_a_ring_edge():
+    """A found cycle of contraction chords alone has no ring edge to start
+    the lift on."""
+    with pytest.raises(InvariantViolation) as exc:
+        _toy_lift((1, 3, 5))
+    assert exc.value.step == "case-1"
+    assert str(exc.value) == "case-1: found cycle uses no ring edge"
+
+
+def test_adjacent_lift_needs_a_short_run():
+    """A found cycle whose only chord run is the two-chord run 1-3-5 gains
+    nothing over the ring: the accounting fails."""
+    with pytest.raises(InvariantViolation) as exc:
+        _toy_lift((0, 1, 3, 5, 6, 7, 8, 9, 10, 11))
+    assert exc.value.step == "case-1"
+    assert str(exc.value) == "case-1: accounting needs more runs than length-2 runs (1 vs 1)"
+
+
+def _adjacent_lift_config():
+    """The first case-1 host of `helpers.gen_adjacent_config` whose
+    extension runs the coloring, the lift and the reinstatement."""
+    for seed in range(200):
+        r = helpers.gen_adjacent_config(seed, case="case-1")
+        if r is not None and any(s.get("branch") == "lift" for s in extend_path_adjacent(*r)[1].steps):
+            return r
+    raise AssertionError("no case-1 host reaches the lift")
+
+
+class _Miscounted(Cycle):
+    """A cycle that reports one edge more than it has."""
+
+    @property
+    def length(self):
+        return len(self.vertices) + 1
+
+
+def _corrupted_adjacent(monkeypatch, helper, corrupt):
+    """Run `extend_path_adjacent` on `_adjacent_lift_config` with the
+    result of ``helper`` replaced by ``corrupt(path, args, result)``;
+    return the path and the raised `InvariantViolation`."""
+    g, p = _adjacent_lift_config()
+    real = getattr(extender, helper)
+    monkeypatch.setattr(extender, helper, lambda *args: corrupt(p, args, real(*args)))
+    with pytest.raises(InvariantViolation) as exc:
+        extend_path_adjacent(g, p)
+    return p, exc.value
+
+
+@pytest.mark.parametrize("helper, corrupt, message", [
+    ("_reinstate", lambda p, args, cyc: Cycle(p.vertices), "reinstated cycle is not longer"),
+    ("_lift_adjacent", lambda p, args, cyc: Cycle(p.vertices), "surgery edge ({a},{y}) missing from lift"),
+    ("_lift_adjacent", lambda p, args, cyc: _Miscounted(cyc.vertices), "reinstatement did not add exactly two edges"),
+], ids=("closing-cycle-reinstated", "closing-cycle-lifted", "lift-miscounted"))
+def test_adjacent_reinstatement_checks_fire(monkeypatch, helper, corrupt, message):
+    """The closing cycle handed back as the reinstated cycle is not
+    longer; handed back as the lift, it lacks the surgery edge ay; a lift
+    that miscounts its edges makes the reinstatement add other than two."""
+    p, exc = _corrupted_adjacent(monkeypatch, helper, corrupt)
+    assert exc.step == "case-1"
+    assert str(exc) == "case-1: " + message.format(a=p.vertices[1], y=p.y)
+
+
+def test_adjacent_instance_needs_one_arc_per_member(monkeypatch):
+    """A class with two members side by side on the ring leaves an empty
+    arc between them: the lemma instance is refused."""
+    def corrupt(p, args, colored):
+        ring = args[0]
+        a_set, chosen, relabeled = colored
+        v = min(a_set, key=ring.index)
+        return a_set | {ring[ring.index(v) + 1]}, chosen, relabeled
+
+    _, exc = _corrupted_adjacent(monkeypatch, "_color_ring", corrupt)
+    assert exc.step == "case-instance"
+    assert str(exc) == "case-instance: class removal does not leave one arc per member"
+
+
 def test_adjacent_handles_reversed_orientation():
     # chord incident to the far endpoint: normalization flips and the
     # output comes back in the caller's orientation

@@ -9,7 +9,8 @@ verifiers, since the sweep's skip depends on vertex labels;
 verify_chords' counts from the masks against the chord sets of every
 longest Cycle and the naive oracle; and mutation checks showing that
 verify_zhan's re-validation catches a wrong entry in either mode and a
-wrong rotated path."""
+wrong rotated path; and a spy on the rotation closure, which queues each
+end pair once and settles only Hamiltonian pairs."""
 
 import ast
 import collections
@@ -551,10 +552,22 @@ def test_mutated_sweep_is_caught(monkeypatch, mutate, mode):
 # one is caught before it settles a pair
 
 
+def _rotations(masks, p):
+    """Every Pósa rotation of ``p``, at its last vertex and then at its
+    first, neighbours ascending, each built by `verify._rotate`, with the
+    end it should have: v(i+1) for the edge to v(i)."""
+    for q in (p, p[::-1]):
+        free = masks[q[-1]] & ~(1 << q[-2])
+        for v in range(len(q)):
+            if free >> v & 1:
+                i = q.index(v)
+                yield verify._rotate(q, i), q[i + 1]
+
+
 def test_rotations_are_hamiltonian_paths(corpus, corpus12):
     """Each Hamiltonian witness of the full table has four rotations in a
     cubic graph, two at each end, and each is a Hamiltonian path that
-    keeps the other end."""
+    keeps the other end and ends where the closure reads it will."""
     graphs = [g for n in corpus for g in corpus[n]] + corpus12
     rotated = 0
     for g in graphs:
@@ -564,31 +577,116 @@ def test_rotations_are_hamiltonian_paths(corpus, corpus12):
             p = res.witness
             if len(p) < g.n:
                 continue
-            rows = list(verify._rotations(g.masks, p))
-            assert len(set(rows)) == len(rows) == 4, p
-            for i, r in enumerate(rows):
+            rows = list(_rotations(g.masks, p))
+            assert len({r for r, _ in rows}) == len(rows) == 4, p
+            for i, (r, end) in enumerate(rows):
                 assert oracles.walk_problem_reference(g, r) is None and len(r) == g.n, (p, r)
-                assert r[0] == (p[0] if i < 2 else p[-1]), (p, r)
+                assert r[0] == (p[0] if i < 2 else p[-1]) and r[-1] == end, (p, r)
                 rotated += 1
     assert rotated == 22448
 
 
+def _spy_rotate(monkeypatch, corrupt):
+    """Patch `verify._rotate` to corrupt each path it builds; return a
+    dict from each corrupted path to the end pair its rotation has."""
+    real = verify._rotate
+    made = {}
+
+    def rotate(q, i):
+        r = corrupt(q, real(q, i))
+        made[r] = tuple(sorted((q[0], q[i + 1])))
+        return r
+
+    monkeypatch.setattr(verify, "_rotate", rotate)
+    return made
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    (lambda r: r[:1] + r[2:3] + r[1:2] + r[3:], lambda r: r[:-1]),
+    (lambda q, r: r[:1] + r[2:3] + r[1:2] + r[3:], lambda q, r: r[:-1]),
     ids=("two-swapped", "one-short"),
 )
 def test_corrupted_rotation_is_caught(monkeypatch, corrupt):
     """A rotated path is re-checked before it settles its pair: a wrong
     step, or a path one vertex short, raises at stage rotation and names
-    the pair, which is the corrupted path's ends."""
+    the pair, which is the end pair of the rotation that built the
+    corrupted path, that path and what is wrong with it."""
     g = random_cubic(16, 0)
-    real = verify._rotations
-    monkeypatch.setattr(verify, "_rotations", lambda masks, p: map(corrupt, real(masks, p)))
+    made = _spy_rotate(monkeypatch, corrupt)
     with pytest.raises(InvariantViolation) as info:
         verify_zhan(g, "all-pairs")
     assert info.value.step == "rotation"
-    pair, path = re.match(r"rotation: pair \((\d+,\d+)\): path (\(.*?\)): ", str(info.value)).groups()
+    pair, path, problem = re.match(r"rotation: pair \((\d+,\d+)\): path (\(.*?\)): (.*)$", str(info.value)).groups()
     path = ast.literal_eval(path)
-    assert pair == f"{path[0]},{path[-1]}"
-    assert oracles.walk_problem_reference(g, path) or len(path) != g.n
+    assert pair == "%d,%d" % made[path]
+    assert problem == (oracles.walk_problem_reference(g, path) or f"{len(path)} of {g.n} vertices")
+
+
+def test_rotation_with_wrong_ends_is_caught(monkeypatch):
+    """A Hamiltonian path with the wrong ends, here the path before its
+    rotation, does not settle the rotation's pair: it raises at stage
+    rotation and names both."""
+    g = random_cubic(16, 0)
+    made = _spy_rotate(monkeypatch, lambda q, r: q)
+    with pytest.raises(InvariantViolation) as info:
+        verify_zhan(g, "all-pairs")
+    assert info.value.step == "rotation"
+    pair, path = re.match(r"rotation: pair \((\d+,\d+)\): path (\(.*?\)): ends ", str(info.value)).groups()
+    path = ast.literal_eval(path)
+    assert oracles.walk_problem_reference(g, path) is None and len(path) == g.n
+    assert pair != "%d,%d" % tuple(sorted((path[0], path[-1])))
+
+
+def _spy_closures(monkeypatch):
+    """Record each rotation closure: its source, the end pairs of the
+    paths it queues (the seeds, then every path `verify._rotate` builds)
+    and the pairs it settles."""
+    real_rotate, real_settle = verify._rotate, verify._settle_by_rotation
+    calls = []
+
+    def rotate(q, i):
+        r = real_rotate(q, i)
+        calls[-1]["queued"].append(tuple(sorted((r[0], r[-1]))))
+        return r
+
+    def settle(masks, x, seeds, open_, left):
+        before = list(open_)
+        calls.append({"x": x, "queued": [(p[0], p[-1]) for p in seeds]})
+        out = real_settle(masks, x, seeds, open_, left)
+        calls[-1]["settled"] = [
+            (a, c) for a in range(len(masks)) for c in range(len(masks)) if (before[a] & ~open_[a]) >> c & 1
+        ]
+        return out
+
+    monkeypatch.setattr(verify, "_rotate", rotate)
+    monkeypatch.setattr(verify, "_settle_by_rotation", settle)
+    return calls
+
+
+def test_closure_queues_each_end_pair_once(monkeypatch, corpus, corpus12):
+    """Over the n <= 12 corpus and random graphs of order 14..20, in both
+    modes: each source's closure queues no end pair twice, so at most
+    C(n,2) paths, and every pair it settles is Hamiltonian, with value
+    n - 2 in the full table."""
+    graphs = [g for n in corpus for g in corpus[n]] + corpus12
+    graphs += [random_cubic(n, seed) for n in range(14, 21, 2) for seed in range(5)]
+    calls = _spy_closures(monkeypatch)
+    closures = settled = 0
+    for g in graphs:
+        for mode, k in MODES:
+            if not connectivity_at_least(g, k):
+                continue
+            calls.clear()
+            verify_zhan(g, mode)
+            full = None
+            for call in calls:
+                queued = call["queued"]
+                assert len(set(queued)) == len(queued) <= g.n * (g.n - 1) // 2, (mode, call["x"])
+                if call["settled"]:
+                    full = full or oracles.zhan_table(g, mode)
+                for xy in call["settled"]:
+                    assert xy[0] > call["x"], (mode, xy)
+                    assert (full[xy].max_length, full[xy].min_bound) == (g.n - 1, g.n - 2), (mode, xy)
+                closures += 1
+                settled += len(call["settled"])
+    assert closures and settled
