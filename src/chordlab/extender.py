@@ -25,7 +25,7 @@ from itertools import groupby
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
-from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
+from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic, vertex_mask
 from .search import Cycle, Path, chords, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
@@ -153,15 +153,18 @@ def precheck(g: Graph, p: Path) -> Classification:
         return Classification(SPANNING_PATH, bound)
     if bound:
         return Classification(HAS_BOUND_VERTEX, bound)
-    x, y = p.x, p.y
-    pos = {v: i for i, v in enumerate(p.vertices)}
-    for i, u in enumerate(p.vertices):
-        for w in g.neighbors(u):
-            if w in pos and abs(i - pos[w]) > 1 and {u, w} != {x, y}:
-                raise InvariantViolation(
-                    "precheck",
-                    f"chord ({u},{w}) on a path without internal bound vertices",
-                )
+    # a chord joins u to a path vertex other than its two neighbours on
+    # the closing cycle, which at x and y include the other endpoint
+    vs, masks = p.vertices, g.masks
+    pm = vertex_mask(vs)
+    for i, u in enumerate(vs):
+        rest = masks[u] & pm & ~(1 << vs[i - 1] | 1 << vs[i + 1 - len(vs)])
+        if rest:
+            w = (rest & -rest).bit_length() - 1
+            raise InvariantViolation(
+                "precheck",
+                f"chord ({u},{w}) on a path without internal bound vertices",
+            )
     return Classification(EXTENDABLE, frozenset())
 
 
@@ -169,11 +172,24 @@ def _attached_components(g: Graph, on):
     """The components of g minus ``on``, each with its sorted attachment
     vertices on ``on``, in ``components_after_deletion`` order (ascending
     least member)."""
-    on = frozenset(on)
-    return [
-        (comp, sorted({w for v in comp for w in g.neighbors(v) if w in on}))
-        for comp in components_after_deletion(g, on)
-    ]
+    masks, om = g.masks, vertex_mask(on)
+    out = []
+    for comp in components_after_deletion(g, on):
+        seen = 0
+        for v in comp:
+            seen |= masks[v]
+        out.append((comp, _bits(seen & om)))
+    return out
+
+
+def _bits(mask: int) -> list:
+    """The set bits of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
@@ -183,31 +199,37 @@ def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
     Length-ordered search: BFS distances to b through comp bound the
     edges still needed, and for each length L from the lower bound up a
     DFS in ascending neighbor order enters w only if it can still reach b
-    in the edges left; the first path of exactly L edges is the least."""
-    inner = frozenset(comp) - {a, b}
-    dist = {b: 0}
-    frontier = [b]
+    in the edges left; the first path of exactly L edges is the least.
+    ``near[d]`` is the mask of b and the comp vertices within d edges of
+    b through comp."""
+    masks = g.masks
+    inner = vertex_mask(comp) & ~(1 << a | 1 << b)
+    size = inner.bit_count()
+    near = [1 << b]
+    frontier = near[0]
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w in inner and w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    reach = [dist[w] for w in g.neighbors(a) if w in dist]
-    if not reach:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & inner & ~near[-1]
+        near.append(near[-1] | frontier)
+    if not masks[a] & near[-1]:
         return None
-    for L in range(max(min_len, 1 + min(reach)), len(inner) + 2):
+    least = next(d for d, m in enumerate(near) if masks[a] & m)
+    near += [near[-1]] * (size - len(near) + 1)  # a DFS has at most size edges left
+    for L in range(max(min_len, 1 + least), size + 2):
         seq = [a]
         stack = [iter(g.neighbors(a))]
         while stack:
             left = L - len(stack)  # edges after the one taken now
+            ok = near[left]
             for w in stack[-1]:
                 if w == b:
                     if left == 0:
                         return Path(tuple(seq) + (b,))
-                elif dist.get(w, left + 1) <= left and w not in seq:
+                elif ok >> w & 1 and w not in seq:
                     seq.append(w)
                     stack.append(iter(g.neighbors(w)))
                     break

@@ -16,11 +16,13 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` keeps the construction order, each pair as (min, max), and
-    ``masks[v]`` has bit w set iff vw is an edge.  ``_kappa`` is None until
+    ``masks[v]`` has bit w set iff vw is an edge.  ``_cubic`` is stored at
+    construction, True iff every vertex has degree 3 (the empty graph
+    included), and `is_cubic` reads it.  ``_kappa`` is None until
     `connectivity_at_least` stores min(vertex connectivity, 3) there.
     """
 
-    __slots__ = ("n", "edges", "adj", "masks", "_kappa")
+    __slots__ = ("n", "edges", "adj", "masks", "_cubic", "_kappa")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -44,6 +46,7 @@ class Graph:
         self.edges = tuple(norm)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.masks = tuple(masks)
+        self._cubic = all(len(a) == 3 for a in adj)
         self._kappa = None
 
     @property
@@ -74,7 +77,15 @@ class Graph:
 
 
 def is_cubic(g: Graph) -> bool:
-    return all(len(a) == 3 for a in g.adj)
+    return g._cubic
+
+
+def vertex_mask(vertices) -> int:
+    """The bit mask with bit v set for each v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _cubic_edge_connectivity(g: Graph) -> int:
@@ -160,20 +171,30 @@ def components_after_deletion(g: Graph, removed) -> tuple:
     """Connected components of the subgraph induced on V(g) minus ``removed``,
     as frozensets in ascending order of their least member: start vertices
     are scanned in ascending id, and each unseen one is the least of its
-    component."""
-    seen = set(removed)
-    if not seen <= set(range(g.n)):
-        raise ValueError("removed set contains out-of-range ids")
+    component.
+
+    Each frozenset is built from its component's breadth-first order
+    (FIFO, neighbours in ascending id).  Iterating a frozenset follows
+    its build order, and `extender._contraction_edges` iterates it to
+    number the blue edges of an `extend` trace, so this order is part of
+    the traces' bytes."""
+    n, masks = g.n, g.masks
+    unseen = (1 << n) - 1
+    for v in removed:
+        if not 0 <= v < n:
+            raise ValueError("removed set contains out-of-range ids")
+        unseen &= ~(1 << v)
     comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        comp = [low.bit_length() - 1]
         for u in comp:  # breadth first: the loop reads what it appends
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
+            new = masks[u] & unseen
+            unseen ^= new
+            while new:
+                low = new & -new
+                comp.append(low.bit_length() - 1)
+                new ^= low
         comps.append(frozenset(comp))
     return tuple(comps)

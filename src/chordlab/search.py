@@ -11,9 +11,10 @@ second).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, vertex_mask
 
 
 def walk_problem(masks, vs, closed=False):
@@ -77,7 +78,9 @@ class Path:
 @dataclass(frozen=True)
 class Cycle:
     """Cycle as a canonical cyclic vertex tuple: minimum vertex first,
-    then its smaller neighbor."""
+    then its smaller neighbor.  Its edge pairs and edge set are built on
+    first use and kept; they are not fields, so ``==`` and ``hash`` read
+    the vertices alone."""
 
     vertices: tuple
 
@@ -88,14 +91,22 @@ class Cycle:
     def length(self) -> int:
         return len(self.vertices)
 
-    def edge_pairs(self) -> tuple:
+    @cached_property
+    def _edge_pairs(self) -> tuple:
         vs = self.vertices
         return tuple(
-            (min(a, b), max(a, b)) for a, b in zip(vs, vs[1:] + vs[:1])
+            (a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:] + vs[:1])
         )
 
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        return frozenset(self._edge_pairs)
+
+    def edge_pairs(self) -> tuple:
+        return self._edge_pairs
+
     def edge_set(self) -> frozenset:
-        return frozenset(self.edge_pairs())
+        return self._edge_set
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
@@ -147,8 +158,8 @@ def kernel_masks(g: Graph) -> tuple:
 def internal_bound_vertices(g: Graph, p: Path) -> frozenset:
     """Internal vertices of p whose whole host neighborhood lies on p."""
     p.validate(g)
-    on_path = set(p.vertices)
-    return frozenset(v for v in p.interior() if on_path.issuperset(g.neighbors(v)))
+    masks, off = g.masks, ~vertex_mask(p.vertices)
+    return frozenset(v for v in p.interior() if not masks[v] & off)
 
 
 def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:

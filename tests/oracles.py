@@ -21,7 +21,11 @@ walk's canonicity test, which the relabeling backtrack checks on its own.
 ``walk_problem_reference`` and ``check_sweep_entry_reference`` are the
 library's earlier path check and `verify_zhan`'s earlier witness
 re-check, written out with a set and `Graph.has_edge`, so they share no
-code with `search.walk_problem`, which they are compared with.
+code with `search.walk_problem`, which they are compared with.  The
+extender's scans over the host's bit masks have their earlier set-based
+bodies here: ``components_after_deletion_reference``,
+``internal_bound_vertices_reference``, ``attached_components_reference``,
+``through_component_reference`` and ``precheck_chord_reference``.
 """
 
 from __future__ import annotations
@@ -76,6 +80,94 @@ def two_k4_minus_edge_bridge() -> Graph:
              (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
              (0, 4), (1, 5)]
     return Graph(8, edges)
+
+
+# ---------------------------------------------------------------------------
+# the extender's earlier set-based scans
+
+
+def components_after_deletion_reference(g: Graph, removed) -> tuple:
+    """`components_after_deletion` with a seen set: each frozenset built
+    from its component's breadth-first order, neighbours ascending."""
+    seen = set(removed)
+    if not seen <= set(range(g.n)):
+        raise ValueError("removed set contains out-of-range ids")
+    comps = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for u in comp:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def internal_bound_vertices_reference(g: Graph, p) -> frozenset:
+    on_path = set(p.vertices)
+    return frozenset(v for v in p.interior() if on_path.issuperset(g.neighbors(v)))
+
+
+def attached_components_reference(g: Graph, on) -> list:
+    on = frozenset(on)
+    return [
+        (comp, sorted({w for v in comp for w in g.neighbors(v) if w in on}))
+        for comp in components_after_deletion_reference(g, on)
+    ]
+
+
+def through_component_reference(g: Graph, a: int, b: int, comp, min_len: int):
+    """`extender._through_component` with a distance dict: the vertex
+    tuple of the least (a,b)-path of length >= min_len through comp, or
+    None."""
+    inner = frozenset(comp) - {a, b}
+    dist = {b: 0}
+    frontier = [b]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w in inner and w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    reach = [dist[w] for w in g.neighbors(a) if w in dist]
+    if not reach:
+        return None
+    for L in range(max(min_len, 1 + min(reach)), len(inner) + 2):
+        seq = [a]
+        stack = [iter(g.neighbors(a))]
+        while stack:
+            left = L - len(stack)
+            for w in stack[-1]:
+                if w == b:
+                    if left == 0:
+                        return tuple(seq) + (b,)
+                elif dist.get(w, left + 1) <= left and w not in seq:
+                    seq.append(w)
+                    stack.append(iter(g.neighbors(w)))
+                    break
+            else:
+                stack.pop()
+                seq.pop()
+    return None
+
+
+def precheck_chord_reference(g: Graph, p):
+    """The first chord (u, w) of p that `extender.precheck` names: u first
+    in path order, then w least; None when p has no chord.  The edge xy
+    is no chord."""
+    x, y = p.x, p.y
+    pos = {v: i for i, v in enumerate(p.vertices)}
+    for i, u in enumerate(p.vertices):
+        for w in g.neighbors(u):
+            if w in pos and abs(i - pos[w]) > 1 and {u, w} != {x, y}:
+                return u, w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from chordlab.extender import (
     _through_component,
 )
 from chordlab.generate import random_cubic, random_simple_path
-from chordlab.graphs import Graph, components_after_deletion
-from chordlab.search import Cycle, Path, longest_xy_paths
+from chordlab.graphs import Graph, components_after_deletion, connectivity_at_least
+from chordlab.search import Cycle, Path, internal_bound_vertices, longest_xy_paths
 from chordlab.second_cycle import build_support_graph
 from chordlab.verify import verify_chords, verify_zhan
 
@@ -162,6 +162,112 @@ def test_through_component_small_cases():
     assert _through_component(g, 0, 3, {4}, 2) is None
     assert _through_component(g, 0, 1, {3, 4, 5}, 1).vertices == (0, 3, 1)
     assert _through_component(g, 0, 1, set(), 1) is None
+
+
+# ---------------------------------------------------------------------------
+# the mask scans against their earlier set-based bodies
+
+
+def _scan_cases(corpus, corpus12):
+    """(g, p, removed) over the n <= 12 corpus and random cubic graphs with
+    n = 14..20: three random simple paths and three random vertex sets per
+    graph."""
+    graphs = [g for n in sorted(corpus) for g in corpus[n]] + list(corpus12)
+    graphs += [random_cubic(n, seed) for n in range(14, 21, 2) for seed in range(5)]
+    rng = random.Random(35)
+    for g in graphs:
+        for _ in range(3):
+            p = random_simple_path(g, rng.randrange(2**31))
+            yield g, p, rng.sample(range(g.n), rng.randrange(g.n))
+
+
+def _listed(comps):
+    """Components with each frozenset listed in its iteration order, which
+    numbers the blue edges of an `extend` trace."""
+    return [(list(c), at) for c, at in comps]
+
+
+def test_mask_scans_match_set_scans(corpus, corpus12):
+    cases = 0
+    for g, p, removed in _scan_cases(corpus, corpus12):
+        for dropped in (removed, p.vertices):
+            got = components_after_deletion(g, dropped)
+            want = oracles.components_after_deletion_reference(g, dropped)
+            assert [list(c) for c in got] == [list(c) for c in want], (g.edges, dropped)
+        assert _listed(_attached_components(g, p.vertices)) == _listed(
+            oracles.attached_components_reference(g, p.vertices)
+        )
+        assert internal_bound_vertices(g, p) == oracles.internal_bound_vertices_reference(g, p)
+        cases += 1
+    assert cases == 3 * (112 + 20)
+
+
+def test_through_component_matches_set_body(corpus, corpus12):
+    """Every ordered pair of attachments of every off-path component, and
+    the matching-step shape with a inside comp and b taken out of it."""
+    found = missing = 0
+    for g, p, _ in _scan_cases(corpus, corpus12):
+        for comp, attach in _attached_components(g, p.vertices):
+            pairs = [(a, b, comp) for a in attach for b in attach if a != b]
+            pairs += [(a, b, comp - {b}) for a in sorted(comp)[:3] for b in attach]
+            for a, b, inside in pairs:
+                for min_len in (1, 2, 3):
+                    got = _through_component(g, a, b, inside, min_len)
+                    want = oracles.through_component_reference(g, a, b, inside, min_len)
+                    assert (got and got.vertices) == want, (g.edges, a, b, sorted(inside))
+                    found += want is not None
+                    missing += want is None
+    assert found > 1000 and missing > 100
+
+
+def test_precheck_chord_scan_matches_set_scan(monkeypatch, corpus, corpus12):
+    """With the bound-vertex test out of the way, precheck names the first
+    chord exactly as the set scan does, or finds none."""
+    monkeypatch.setattr(extender, "internal_bound_vertices", lambda g, p: frozenset())
+    named = clear = 0
+    for g, p, _ in _scan_cases(corpus, corpus12):
+        if len(p) == g.n or not connectivity_at_least(g, 2):
+            continue
+        want = oracles.precheck_chord_reference(g, p)
+        if want is None:
+            assert precheck(g, p).kind == EXTENDABLE
+            clear += 1
+            continue
+        with pytest.raises(InvariantViolation) as info:
+            precheck(g, p)
+        assert info.value.step == "precheck"
+        assert str(info.value) == (
+            f"precheck: chord ({want[0]},{want[1]}) on a path without internal bound vertices"
+        )
+        named += 1
+    assert named > 100 and clear > 20
+
+
+def test_precheck_chord_check_fires():
+    """On the prism, the path 0,1,2,5 has the bound vertex 2; were it not
+    found, the chord scan would name (0,2), the first chord in path
+    order."""
+    g, p = oracles.prism(), Path((0, 1, 2, 5))
+    assert precheck(g, p).kind == HAS_BOUND_VERTEX
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extender, "internal_bound_vertices", lambda g, p: frozenset())
+        with pytest.raises(InvariantViolation) as info:
+            precheck(g, p)
+    assert info.value.step == "precheck"
+    assert str(info.value) == "precheck: chord (0,2) on a path without internal bound vertices"
+
+
+def test_component_claim_check_fires():
+    """On the prism, the path 3,0,1,2,5 leaves the one component {4},
+    which touches both ends, and its second vertex 0 has every neighbour
+    on the path: no component can be claimed for it."""
+    g, p = oracles.prism(), Path((3, 0, 1, 2, 5))
+    comps = _attached_components(g, p.vertices)
+    assert comps == [(frozenset({4}), [1, 3, 5])]
+    with pytest.raises(InvariantViolation) as info:
+        find_direct_extension(g, p, comps)
+    assert info.value.step == "component-claim"
+    assert str(info.value) == "component-claim: interior vertex 0 has no off-path edge"
 
 
 # ---------------------------------------------------------------------------
