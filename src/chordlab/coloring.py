@@ -13,7 +13,7 @@ never as "not 3-colorable".
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .graphs import Graph, components_after_deletion
+from .graphs import Graph, components_after_deletion, vertex_bits
 from .search import Cycle
 
 
@@ -39,9 +39,9 @@ def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
     cyc = c.edge_set()
     off = Graph(g.n, [e for e in g.edges if e not in cyc])
     for comp in components_after_deletion(off, [v for v in range(g.n) if not off.adj[v]]):
-        if len(comp) != 3:
+        if comp.bit_count() != 3:
             raise ValueError(
-                f"off-cycle component {sorted(comp)} is neither a triangle "
+                f"off-cycle component {vertex_bits(comp)} is neither a triangle "
                 "nor a path of order 3"
             )
     coloring = _backtrack_three_color(g)

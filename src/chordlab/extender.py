@@ -25,7 +25,9 @@ from itertools import groupby
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
-from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic, vertex_mask
+from .graphs import (
+    Graph, components_after_deletion, connectivity_at_least, is_cubic, vertex_bits, vertex_mask,
+)
 from .search import Cycle, Path, chords, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
@@ -169,32 +171,23 @@ def precheck(g: Graph, p: Path) -> Classification:
 
 
 def _attached_components(g: Graph, on):
-    """The components of g minus ``on``, each with its sorted attachment
-    vertices on ``on``, in ``components_after_deletion`` order (ascending
-    least member)."""
+    """The components of g minus ``on`` (vertex masks), each with its
+    sorted attachment vertices on ``on``, in ``components_after_deletion``
+    order (ascending least member)."""
     masks, om = g.masks, vertex_mask(on)
     out = []
     for comp in components_after_deletion(g, on):
         seen = 0
-        for v in comp:
+        for v in vertex_bits(comp):
             seen |= masks[v]
-        out.append((comp, _bits(seen & om)))
+        out.append((comp, vertex_bits(seen & om)))
     return out
 
 
-def _bits(mask: int) -> list:
-    """The set bits of ``mask``, in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
-    """Shortest (a,b)-path of length >= min_len whose interior lies in
-    comp; ties broken by vertex sequence, None when there is none.
+def _through_component(g: Graph, a: int, b: int, comp: int, min_len: int):
+    """Shortest (a,b)-path of length >= min_len whose interior lies in the
+    vertex mask comp; ties broken by vertex sequence, None when there is
+    none.
 
     Length-ordered search: BFS distances to b through comp bound the
     edges still needed, and for each length L from the lower bound up a
@@ -203,7 +196,7 @@ def _through_component(g: Graph, a: int, b: int, comp, min_len: int):
     ``near[d]`` is the mask of b and the comp vertices within d edges of
     b through comp."""
     masks = g.masks
-    inner = vertex_mask(comp) & ~(1 << a | 1 << b)
+    inner = comp & ~(1 << a | 1 << b)
     size = inner.bit_count()
     near = [1 << b]
     frontier = near[0]
@@ -245,7 +238,7 @@ def find_direct_extension(g: Graph, p: Path, comps):
     component attached only to the interior.  ``comps`` is
     ``_attached_components(g, p.vertices)``.  Returns (path, component)
     with exactly one of the two set; `_finish` checks the path."""
-    on_path = set(p.vertices)
+    pm = vertex_mask(p.vertices)
     x, y = p.x, p.y
     nbrs = dict(comps)
     interior_only = [c for c, at in nbrs.items() if x not in at and y not in at]
@@ -256,12 +249,12 @@ def find_direct_extension(g: Graph, p: Path, comps):
     u, v = p.vertices[1], p.vertices[-2]
 
     def comp_of(vertex):
-        off = [w for w in g.neighbors(vertex) if w not in on_path]
+        off = g.masks[vertex] & ~pm
         if not off:
             raise InvariantViolation(
                 "component-claim", f"interior vertex {vertex} has no off-path edge"
             )
-        return next(c for c in nbrs if off[0] in c)
+        return next(c for c in nbrs if off & c)
 
     h_i = comp_of(u)
     if x in nbrs[h_i]:
@@ -346,7 +339,7 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
     (preferred) or x, with all contraction edges blue.  ``comps`` is
     ``_attached_components(g, p.vertices)``."""
     x, y = p.x, p.y
-    on_path = set(p.vertices)
+    on_path = vertex_mask(p.vertices)
     red, triple_comps, endpoint = _component_split(comps, x, y)
     if {comp for comp, _ in triples} != {comp for comp, _ in triple_comps}:
         raise ValueError("triples do not match the interior components")
@@ -373,11 +366,13 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
     return rg
 
 
-def _contraction_edges(g: Graph, comp, rep, on):
+def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
     """The end w on ``on`` of each host edge from ``comp`` to ``on`` other
-    than those into ``rep``: contracting comp onto rep turns each into
-    the edge rep-w."""
-    return [w for v in comp for w in g.neighbors(v) if w in on and w != rep]
+    than those into ``rep`` (both vertex masks): contracting comp onto rep
+    turns each into the edge rep-w.  The members of comp come in
+    ascending order, and each member's neighbours in ascending order;
+    this order numbers the blue edges of an `extend` trace."""
+    return [w for v in vertex_bits(comp) for w in g.neighbors(v) if on >> w & 1 and w != rep]
 
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
@@ -659,8 +654,7 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
             piece = seg if seg[0] == a else tuple(reversed(seg))
         elif key in aux:
             w, w_star, comp = aux[key]
-            allowed = frozenset(comp) - {w_star}
-            found = _through_component(g, w, w_star, allowed, 1)
+            found = _through_component(g, w, w_star, comp & ~(1 << w_star), 1)
             if found is None:
                 raise InvariantViolation(
                     "matching-step", f"no host route for attachment ({w},{w_star})"
@@ -716,7 +710,7 @@ def extend_path(g: Graph, p: Path):
     if p.length < 2:
         # length-1 inputs predate the machinery: the least detour around
         # xy is longer
-        longer = _through_component(g, p.x, p.y, range(g.n), 2)
+        longer = _through_component(g, p.x, p.y, (1 << g.n) - 1, 2)
         trace.add("component-claim", branch="short-path", path=list(longer.vertices))
         return _finish(g, p, longer, trace)
     comps = _attached_components(g, p.vertices)
@@ -727,7 +721,7 @@ def extend_path(g: Graph, p: Path):
     trace.add(
         "component-claim",
         branch="certificate",
-        component=sorted(certificate),
+        component=vertex_bits(certificate),
     )
     spliced = _adjacent_attachment_splice(g, p, comps)
     if spliced is not None:
@@ -833,7 +827,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     for comp, attach in comps:
         if len(attach) < 3:
             raise ValueError(
-                f"component {sorted(comp)} has fewer than three attachments"
+                f"component {vertex_bits(comp)} has fewer than three attachments"
             )
     # x and w have every neighbor on the cycle, so the attachments lie on
     # the ring and the ring ends a, y are the reinstatement pair
@@ -885,7 +879,7 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     instance, the designated lemma edge, and the dense->host map."""
     host_of = dict(enumerate(sorted(cprime_vertices)))
     pos = {h: i for i, h in host_of.items()}  # keeps the order of ids
-    on_cycle = set(cprime_vertices)
+    on_cycle = vertex_mask(cprime_vertices)
     m = len(cprime_vertices)
     edges = {(pos[a2], pos[b2]) for a2, b2 in Cycle(cprime_vertices).edge_pairs()}
     for comp, (_, _, w2) in relabeled:

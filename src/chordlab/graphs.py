@@ -88,6 +88,16 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
+def vertex_bits(mask: int) -> list:
+    """The vertices of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _cubic_edge_connectivity(g: Graph) -> int:
     """min(edge connectivity, 3) of a cubic g, from one search: 0 when g
     is disconnected.  Bit i goes to the i-th non-tree edge of a spanning
@@ -168,16 +178,9 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
 
 
 def components_after_deletion(g: Graph, removed) -> tuple:
-    """Connected components of the subgraph induced on V(g) minus ``removed``,
-    as frozensets in ascending order of their least member: start vertices
-    are scanned in ascending id, and each unseen one is the least of its
-    component.
-
-    Each frozenset is built from its component's breadth-first order
-    (FIFO, neighbours in ascending id).  Iterating a frozenset follows
-    its build order, and `extender._contraction_edges` iterates it to
-    number the blue edges of an `extend` trace, so this order is part of
-    the traces' bytes."""
+    """Connected components of the subgraph induced on V(g) minus
+    ``removed``, as vertex bit masks in ascending order of their least
+    member."""
     n, masks = g.n, g.masks
     unseen = (1 << n) - 1
     for v in removed:
@@ -186,15 +189,14 @@ def components_after_deletion(g: Graph, removed) -> tuple:
         unseen &= ~(1 << v)
     comps = []
     while unseen:
-        low = unseen & -unseen
-        unseen ^= low
-        comp = [low.bit_length() - 1]
-        for u in comp:  # breadth first: the loop reads what it appends
-            new = masks[u] & unseen
+        comp = frontier = unseen & -unseen
+        unseen ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = masks[low.bit_length() - 1] & unseen
             unseen ^= new
-            while new:
-                low = new & -new
-                comp.append(low.bit_length() - 1)
-                new ^= low
-        comps.append(frozenset(comp))
+            comp |= new
+            frontier |= new
+        comps.append(comp)
     return tuple(comps)

@@ -92,8 +92,7 @@ def build_support_graph(inst: LemmaInstance):
     cyc_keys = cyc.edge_set()
     designated = set()
     for comp in inst.components[:-1]:
-        start, end = comp[0], comp[-1]
-        for v in {start, end}:
+        for v in dict.fromkeys((comp[0], comp[-1])):  # start, then end
             targets = sorted(
                 a for a in inst.a_set
                 if g.has_edge(v, a) and (min(v, a), max(v, a)) not in cyc_keys

@@ -25,7 +25,13 @@ code with `search.walk_problem`, which they are compared with.  The
 extender's scans over the host's bit masks have their earlier set-based
 bodies here: ``components_after_deletion_reference``,
 ``internal_bound_vertices_reference``, ``attached_components_reference``,
-``through_component_reference`` and ``precheck_chord_reference``.
+``through_component_reference`` and ``precheck_chord_reference``.  The
+library carries each component as a vertex bit mask; these references
+keep frozensets, and the tests compare them through
+`graphs.vertex_mask`, component order included.
+``contraction_edges_reference`` states the order, written with
+``sorted``, in which `extender._contraction_edges` numbers the blue
+edges.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from math import comb
 from chordlab import kernels, verify
 from chordlab.errors import InvariantViolation
 from chordlab.generate import _is_max_code
-from chordlab.graphs import Graph, components_after_deletion
+from chordlab.graphs import Graph, components_after_deletion, vertex_bits
 from chordlab.search import hamilton_cycles
 from chordlab.second_cycle import _edges_minus_vertices
 
@@ -155,6 +161,14 @@ def through_component_reference(g: Graph, a: int, b: int, comp, min_len: int):
                 stack.pop()
                 seq.pop()
     return None
+
+
+def contraction_edges_reference(g: Graph, comp, rep: int, on) -> list:
+    """`extender._contraction_edges` over sets: for each member v of comp
+    in ascending order, each neighbour w of v in ascending order that lies
+    on ``on`` and is not rep."""
+    on = set(on)
+    return [w for v in sorted(comp) for w in sorted(g.neighbors(v)) if w in on and w != rep]
 
 
 def precheck_chord_reference(g: Graph, p):
@@ -837,7 +851,7 @@ def verify_parity_lemma(g: Graph, a_set) -> ParityReport:
     a_set = frozenset(a_set)
     if len(a_set) < 2:
         raise ValueError("the parity hypotheses need |A| >= 2")
-    comps = components_after_deletion(g, a_set)
+    comps = [frozenset(vertex_bits(c)) for c in components_after_deletion(g, a_set)]
     if len(comps) != len(a_set):
         raise ValueError(
             f"G - A has {len(comps)} components, expected |A| = {len(a_set)}"

@@ -28,7 +28,9 @@ from chordlab.extender import (
     _through_component,
 )
 from chordlab.generate import random_cubic, random_simple_path
-from chordlab.graphs import Graph, components_after_deletion, connectivity_at_least
+from chordlab.graphs import (
+    Graph, components_after_deletion, connectivity_at_least, vertex_bits, vertex_mask,
+)
 from chordlab.search import Cycle, Path, internal_bound_vertices, longest_xy_paths
 from chordlab.second_cycle import build_support_graph
 from chordlab.verify import verify_chords, verify_zhan
@@ -81,7 +83,7 @@ def test_direct_extension_certificate_branch():
     longer, cert = find_direct_extension(g, p, _attached_components(g, p.vertices))
     assert longer is None
     # the lowest interior-only component: the block attached to {1, 8}
-    assert cert == frozenset({14, 15, 16, 17})
+    assert vertex_bits(cert) == [14, 15, 16, 17]
 
 
 def test_direct_extension_branch_matches_predicate():
@@ -98,7 +100,7 @@ def test_direct_extension_branch_matches_predicate():
         comps = components_after_deletion(g, set(p.vertices))
         on_path = set(p.vertices)
         all_touch = all(
-            any(w in (p.x, p.y) for v in comp for w in g.neighbors(v) if w in on_path)
+            any(w in (p.x, p.y) for v in vertex_bits(comp) for w in g.neighbors(v) if w in on_path)
             for comp in comps
         )
         longer, cert = find_direct_extension(g, p, _attached_components(g, on_path))
@@ -127,7 +129,8 @@ def _routing_cases():
             for start in range(3):
                 p = random_simple_path(g, 100 * seed + start)
                 on_path = set(p.vertices)
-                for comp in components_after_deletion(g, on_path):
+                for mask in components_after_deletion(g, on_path):
+                    comp = set(vertex_bits(mask))
                     if len(comp) > 14:
                         continue
                     attach = sorted({w for v in comp for w in g.neighbors(v) if w in on_path})
@@ -146,7 +149,7 @@ def test_through_component_matches_enumerator():
     for g, a, b, comp in _routing_cases():
         for min_len in (1, 2, 3):
             want = oracles.through_component_naive(g, a, b, comp, min_len)
-            got = _through_component(g, a, b, comp, min_len)
+            got = _through_component(g, a, b, vertex_mask(comp), min_len)
             assert (got and got.vertices) == want, (g.edges, a, b, sorted(comp), min_len)
             found += want is not None
             missing += want is None
@@ -155,13 +158,14 @@ def test_through_component_matches_enumerator():
 
 def test_through_component_small_cases():
     g = oracles.k33()  # 0,1,2 | 3,4,5
-    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 1).vertices == (0, 3)
+    inside = vertex_mask({1, 2, 4, 5})
+    assert _through_component(g, 0, 3, inside, 1).vertices == (0, 3)
     # bipartite: no route of length 2, so min_len 2 and 3 both give 3
-    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 2).vertices == (0, 4, 1, 3)
-    assert _through_component(g, 0, 3, {1, 2, 4, 5}, 3).vertices == (0, 4, 1, 3)
-    assert _through_component(g, 0, 3, {4}, 2) is None
-    assert _through_component(g, 0, 1, {3, 4, 5}, 1).vertices == (0, 3, 1)
-    assert _through_component(g, 0, 1, set(), 1) is None
+    assert _through_component(g, 0, 3, inside, 2).vertices == (0, 4, 1, 3)
+    assert _through_component(g, 0, 3, inside, 3).vertices == (0, 4, 1, 3)
+    assert _through_component(g, 0, 3, 1 << 4, 2) is None
+    assert _through_component(g, 0, 1, vertex_mask({3, 4, 5}), 1).vertices == (0, 3, 1)
+    assert _through_component(g, 0, 1, 0, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +185,29 @@ def _scan_cases(corpus, corpus12):
             yield g, p, rng.sample(range(g.n), rng.randrange(g.n))
 
 
-def _listed(comps):
-    """Components with each frozenset listed in its iteration order, which
-    numbers the blue edges of an `extend` trace."""
-    return [(list(c), at) for c, at in comps]
-
-
 def test_mask_scans_match_set_scans(corpus, corpus12):
-    cases = 0
+    """The scans agree with the set bodies, component order included, and
+    the blue edges of each contraction come in the stated order: members
+    ascending, each member's neighbours ascending."""
+    cases = contracted = 0
     for g, p, removed in _scan_cases(corpus, corpus12):
         for dropped in (removed, p.vertices):
             got = components_after_deletion(g, dropped)
             want = oracles.components_after_deletion_reference(g, dropped)
-            assert [list(c) for c in got] == [list(c) for c in want], (g.edges, dropped)
-        assert _listed(_attached_components(g, p.vertices)) == _listed(
-            oracles.attached_components_reference(g, p.vertices)
-        )
+            assert list(got) == [vertex_mask(c) for c in want], (g.edges, dropped)
+        attached = oracles.attached_components_reference(g, p.vertices)
+        assert _attached_components(g, p.vertices) == [
+            (vertex_mask(c), at) for c, at in attached
+        ]
+        pm = vertex_mask(p.vertices)
+        for comp, attach in attached:
+            for rep in attach:
+                got = extender._contraction_edges(g, vertex_mask(comp), rep, pm)
+                assert got == oracles.contraction_edges_reference(g, comp, rep, p.vertices)
+                contracted += 1
         assert internal_bound_vertices(g, p) == oracles.internal_bound_vertices_reference(g, p)
         cases += 1
-    assert cases == 3 * (112 + 20)
+    assert cases == 3 * (112 + 20) and contracted > 1000
 
 
 def test_through_component_matches_set_body(corpus, corpus12):
@@ -209,12 +217,14 @@ def test_through_component_matches_set_body(corpus, corpus12):
     for g, p, _ in _scan_cases(corpus, corpus12):
         for comp, attach in _attached_components(g, p.vertices):
             pairs = [(a, b, comp) for a in attach for b in attach if a != b]
-            pairs += [(a, b, comp - {b}) for a in sorted(comp)[:3] for b in attach]
+            pairs += [(a, b, comp & ~(1 << b)) for a in vertex_bits(comp)[:3] for b in attach]
             for a, b, inside in pairs:
                 for min_len in (1, 2, 3):
                     got = _through_component(g, a, b, inside, min_len)
-                    want = oracles.through_component_reference(g, a, b, inside, min_len)
-                    assert (got and got.vertices) == want, (g.edges, a, b, sorted(inside))
+                    want = oracles.through_component_reference(
+                        g, a, b, vertex_bits(inside), min_len
+                    )
+                    assert (got and got.vertices) == want, (g.edges, a, b, vertex_bits(inside))
                     found += want is not None
                     missing += want is None
     assert found > 1000 and missing > 100
@@ -263,7 +273,7 @@ def test_component_claim_check_fires():
     on the path: no component can be claimed for it."""
     g, p = oracles.prism(), Path((3, 0, 1, 2, 5))
     comps = _attached_components(g, p.vertices)
-    assert comps == [(frozenset({4}), [1, 3, 5])]
+    assert comps == [(1 << 4, [1, 3, 5])]
     with pytest.raises(InvariantViolation) as info:
         find_direct_extension(g, p, comps)
     assert info.value.step == "component-claim"
@@ -276,7 +286,7 @@ def test_component_claim_check_fires():
 
 def test_reduction_matches_figure():
     g, p = helpers.figure_host()
-    comp3 = frozenset({18, 19, 20, 21})
+    comp3 = vertex_mask({18, 19, 20, 21})
     comps = _attached_components(g, p.vertices)
     rg = build_reduced_G2(g, p, comps, frozenset({6}), [(comp3, (2, 3, 6))])
     tagged = sorted(
@@ -349,7 +359,7 @@ def _toy_reduced():
 
     rg = ReducedGraph(tuple(range(6)))
     red = rg.add_edge(1, 4, RED)
-    rg.red_comp[red] = frozenset({99})
+    rg.red_comp[red] = 1 << 99
     return rg
 
 
@@ -393,7 +403,7 @@ def test_stats_red_detour_case():
 
     rg = ReducedGraph(tuple(range(6)))
     red = rg.add_edge(1, 3, RED)
-    rg.red_comp[red] = frozenset({99})
+    rg.red_comp[red] = 1 << 99
     # edge ids 0..4 are the path edges and 5 is xy
     cp = MultiCycle((0, 5, 4, 3, 1), (rg.xy_eid, 4, 3, red, 0))
     stats, _ = compute_stats(rg, cp)
@@ -484,7 +494,7 @@ def test_tight_pipeline_end_to_end():
     and the matching step must beat it."""
     g, p = _tight_host()
     assert precheck(g, p).kind == EXTENDABLE
-    h1, h2 = frozenset({10}), frozenset({11})
+    h1, h2 = 1 << 10, 1 << 11
     comps = _attached_components(g, p.vertices)
     rg = build_reduced_G2(g, p, comps, frozenset({2, 7}), [(h1, (6, 8, 2)), (h2, (1, 3, 7))])
     cp = _tight_cover(rg)
@@ -511,7 +521,7 @@ def test_matching_step_minimal_instance():
                   (1, 6), (2, 6), (3, 6)])
     c_host = Cycle((0, 1, 2, 3, 4, 5))
     c_star = Cycle((0, 1, 6, 3, 4, 5))
-    out = matching_step(g, c_star, c_host, [(2, 6, frozenset({6}))])
+    out = matching_step(g, c_star, c_host, [(2, 6, 1 << 6)])
     assert out.vertices == (0, 1, 2, 6, 3, 4, 5)
     assert out.length == 7 > c_host.length
 
@@ -722,7 +732,7 @@ def test_adjacent_lift_ignores_the_cycle_start():
     ring = tuple(range(12))
     g = Graph(22, [(i, (i + 1) % 12) for i in range(12)]
               + [(20, 1), (20, 3), (20, 5), (21, 7), (21, 9), (21, 11)])
-    relabeled = [(frozenset({20}), (1, 5, 3)), (frozenset({21}), (7, 11, 9))]
+    relabeled = [(1 << 20, (1, 5, 3)), (1 << 21, (7, 11, 9))]
     c1 = (0, 1, 3, 5, 6, 7, 9, 10, 11)
     for k in range(len(c1)):
         trace = ExtensionTrace()
@@ -739,7 +749,7 @@ def _toy_lift(c1):
     ring = tuple(range(12))
     g = Graph(22, [(i, (i + 1) % 12) for i in range(12)]
               + [(20, 1), (20, 3), (20, 5), (21, 7), (21, 9), (21, 11)])
-    relabeled = [(frozenset({20}), (1, 5, 3)), (frozenset({21}), (7, 11, 9))]
+    relabeled = [(1 << 20, (1, 5, 3)), (1 << 21, (7, 11, 9))]
     return extender._lift_adjacent(g, ring, [], relabeled, c1, ExtensionTrace(), "case-1")
 
 

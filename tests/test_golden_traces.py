@@ -167,7 +167,7 @@ def test_extension_census_n10(corpus):
         "adjacent-attachment": 458, "lift": 52,
     }
     assert digest.hexdigest() == (
-        "3fc2966b8a4e31cc43021f8249a98a0208333a88728887b90d87ad130ec67a3c"
+        "c4856984d1d6d8b2ca82b4bb35bef1df9f8721b0e0e9d62abb24591d4694429e"
     )
 
 

@@ -11,6 +11,7 @@ from chordlab.graphs import (
     components_after_deletion,
     connectivity_at_least,
     is_cubic,
+    vertex_bits,
 )
 from chordlab.generate import random_cubic
 from chordlab.search import longest_cycles
@@ -154,19 +155,19 @@ def test_components_petersen_minus_9cycle():
     nine = longest_cycles(g)[0]
     assert nine.length == 9
     comps = components_after_deletion(g, set(nine.vertices))
-    assert len(comps) == 1 and len(comps[0]) == 1
+    assert len(comps) == 1 and comps[0].bit_count() == 1
 
 
 def test_components_antipodal():
     g = oracles.cycle_graph(6)
     comps = components_after_deletion(g, {0, 3})
-    assert sorted(len(c) for c in comps) == [2, 2]
+    assert sorted(c.bit_count() for c in comps) == [2, 2]
 
 
 def test_components_cover_and_separate():
     g = oracles.petersen()
     removed = {0, 3, 7}
-    comps = components_after_deletion(g, removed)
+    comps = [vertex_bits(c) for c in components_after_deletion(g, removed)]
     union = set().union(*comps) if comps else set()
     assert union == set(range(g.n)) - removed
     for a, b in itertools.combinations(comps, 2):
@@ -187,10 +188,10 @@ def test_components_partition_random(n, seed):
     g = Graph(n, sorted(edges))
     removed = {v for v in range(n) if rng.random() < 0.3}
     comps = components_after_deletion(g, removed)
-    union = set().union(*comps) if comps else set()
+    union = set().union(*map(vertex_bits, comps)) if comps else set()
     assert union == set(range(n)) - removed
-    assert sum(len(c) for c in comps) == len(union)
-    least = [min(c) for c in comps]
+    assert sum(c.bit_count() for c in comps) == len(union)
+    least = [vertex_bits(c)[0] for c in comps]
     assert least == sorted(least)  # ascending order of the least member
 
 
