@@ -377,51 +377,47 @@ def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
     """First cycle (deterministic order) through the closing edge that
-    covers every odd-degree vertex and differs from the base cycle."""
+    covers every odd-degree vertex and differs from the base cycle.
+
+    A DFS from y, neighbours by id and then edge id; ``visited``,
+    ``odd`` and the reach of the current vertex are vertex masks.  A
+    branch is cut when the vertices it can still reach miss an
+    uncovered odd vertex or every neighbour of x."""
     x, y = rg.xy
-    odd = rg.odd_vertices()
+    odd = vertex_mask(rg.odd_vertices())
     base = rg.cycle_eids
     # (edge id, neighbour) per vertex, by neighbour and then edge id
     nbrs = {v: sorted(adj, key=lambda t: (t[1], t[0])) for v, adj in rg.adjmap.items()}
-
-    def reach_from(cur, blocked):
-        seen = {cur}
-        stack = [cur]
-        while stack:
-            a = stack.pop()
-            for _, w in rg.adjmap[a]:
-                if w not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    near = {v: vertex_mask(w for _, w in adj) for v, adj in rg.adjmap.items()}
 
     def dfs(cur, vseq, eids, visited):
         if len(vseq) >= 3:
             for eid, w in nbrs[cur]:
                 if w == x and eid != rg.xy_eid:
-                    if odd <= visited:
+                    if not odd & ~visited:
                         cand = frozenset(eids + (eid,))
                         if cand != base:
                             return MultiCycle(vseq, eids + (eid,))
-        remaining = odd - visited
-        blocked = visited - {cur}
-        reach = reach_from(cur, blocked)
-        if remaining - reach:
-            return None
-        if not any(
-            w2 == x for r in reach for _, w2 in rg.adjmap[r]
-        ):
+        allowed = ~visited | 1 << cur
+        reach = frontier = 1 << cur
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = near[low.bit_length() - 1] & allowed & ~reach
+            reach |= new
+            frontier |= new
+        if odd & ~visited & ~reach or not near[x] & reach:
             return None
         for eid, w in nbrs[cur]:
-            if w in visited or w == x:
+            if visited >> w & 1 or w == x:
                 continue
             found = dfs(cur=w, vseq=vseq + (w,), eids=eids + (eid,),
-                        visited=visited | {w})
+                        visited=visited | 1 << w)
             if found is not None:
                 return found
         return None
 
-    found = dfs(y, (x, y), (rg.xy_eid,), {x, y})
+    found = dfs(y, (x, y), (rg.xy_eid,), 1 << x | 1 << y)
     if found is None:
         raise InvariantViolation(
             "odd-cover-cycle",
