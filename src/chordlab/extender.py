@@ -25,9 +25,8 @@ from itertools import groupby
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
-from .graphs import (
-    Graph, components_after_deletion, connectivity_at_least, is_cubic, vertex_bits, vertex_mask,
-)
+from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
+from .graphs import reach_mask, vertex_bits, vertex_mask
 from .search import Cycle, Path, chords, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
@@ -377,12 +376,9 @@ def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
     """First cycle (deterministic order) through the closing edge that
-    covers every odd-degree vertex and differs from the base cycle.
-
-    A DFS from y, neighbours by id and then edge id; ``visited``,
-    ``odd`` and the reach of the current vertex are vertex masks.  A
-    branch is cut when the vertices it can still reach miss an
-    uncovered odd vertex or every neighbour of x."""
+    covers every odd-degree vertex and differs from the base cycle.  A
+    DFS from y cuts a branch once the vertices it can still reach miss
+    an uncovered odd vertex or every neighbour of x."""
     x, y = rg.xy
     odd = vertex_mask(rg.odd_vertices())
     base = rg.cycle_eids
@@ -398,14 +394,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
                         cand = frozenset(eids + (eid,))
                         if cand != base:
                             return MultiCycle(vseq, eids + (eid,))
-        allowed = ~visited | 1 << cur
-        reach = frontier = 1 << cur
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = near[low.bit_length() - 1] & allowed & ~reach
-            reach |= new
-            frontier |= new
+        reach = reach_mask(near, 1 << cur, ~visited)
         if odd & ~visited & ~reach or not near[x] & reach:
             return None
         for eid, w in nbrs[cur]:

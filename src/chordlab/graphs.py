@@ -98,6 +98,20 @@ def vertex_bits(mask: int) -> list:
     return out
 
 
+def reach_mask(masks, start: int, allowed: int) -> int:
+    """The vertex mask of ``start`` and every vertex joined to it by a
+    walk whose later vertices lie in ``allowed``; ``masks[v]`` is v's
+    neighbour mask."""
+    reach = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & allowed & ~reach
+        reach |= new
+        frontier |= new
+    return reach
+
+
 def _cubic_edge_connectivity(g: Graph) -> int:
     """min(edge connectivity, 3) of a cubic g, from one search: 0 when g
     is disconnected.  Bit i goes to the i-th non-tree edge of a spanning
@@ -189,14 +203,7 @@ def components_after_deletion(g: Graph, removed) -> tuple:
         unseen &= ~(1 << v)
     comps = []
     while unseen:
-        comp = frontier = unseen & -unseen
+        comp = reach_mask(masks, unseen & -unseen, unseen)
         unseen ^= comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = masks[low.bit_length() - 1] & unseen
-            unseen ^= new
-            comp |= new
-            frontier |= new
         comps.append(comp)
     return tuple(comps)
