@@ -309,6 +309,32 @@ def test_reduction_matches_figure():
     assert len(verts) == 11 and len(rg.cycle_eids) == 11
 
 
+def test_reduction_degree_check_fires():
+    """On K3,3 with the path 0,4,1,3, built without its one component,
+    the reduced graph is the bare closing cycle, and the interior vertex
+    4, which has the off-path neighbour 2, is left with degree 2."""
+    g, p = oracles.k33(), Path((0, 4, 1, 3))
+    with pytest.raises(InvariantViolation) as info:
+        build_reduced_G2(g, p, [], frozenset(), [])
+    assert info.value.step == "reduced-graph"
+    assert str(info.value) == "reduced-graph: interior vertex 4 has degree 2"
+
+
+def test_reduction_independence_check_fires():
+    """The same path with its component {2, 5}, which touches both ends
+    and is contracted onto y: every interior vertex reaches degree 3, no
+    component is a triple, and a class holding the path edge 4-1 is not
+    independent on the closing cycle."""
+    g, p = oracles.k33(), Path((0, 4, 1, 3))
+    comps = _attached_components(g, p.vertices)
+    assert comps == [(vertex_mask({2, 5}), [0, 1, 3, 4])]
+    assert build_reduced_G2(g, p, comps, frozenset({4}), []).degree(4) == 3
+    with pytest.raises(InvariantViolation) as info:
+        build_reduced_G2(g, p, comps, frozenset({4, 1}), [])
+    assert info.value.step == "reduced-graph"
+    assert str(info.value) == "reduced-graph: selected class not independent on the cycle"
+
+
 def test_reduction_hamilton_cycle_property():
     for seed in range(60):
         r = helpers.gen_extendable_host(seed)
@@ -371,6 +397,20 @@ def test_odd_cover_on_cycle_plus_red_chord():
     assert set(cp.vertices) >= rg.odd_vertices()
     assert cp.eid_set() != rg.cycle_eids
     assert rg.xy_eid in cp.eid_set()
+
+
+def test_odd_cover_check_fires_without_a_second_cycle():
+    """A reduced graph with no red or blue edge is the bare closing
+    cycle: its only cycle through xy is the base one, so no cover
+    exists."""
+    from chordlab.extender import ReducedGraph
+
+    with pytest.raises(InvariantViolation) as info:
+        find_odd_cover_cycle(ReducedGraph(tuple(range(6))))
+    assert info.value.step == "odd-cover-cycle"
+    assert str(info.value) == (
+        "odd-cover-cycle: no second cycle through xy covering the odd-degree vertices"
+    )
 
 
 def test_odd_cover_differs_in_a_red_edge_when_a_empty():
