@@ -367,10 +367,11 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
 
 def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
     """The end w on ``on`` of each host edge from ``comp`` to ``on`` other
-    than those into ``rep`` (both vertex masks): contracting comp onto rep
-    turns each into the edge rep-w.  The members of comp come in
-    ascending order, and each member's neighbours in ascending order;
-    this order numbers the blue edges of an `extend` trace."""
+    than those into ``rep``, where comp and on are vertex masks:
+    contracting comp onto rep turns each into the edge rep-w.  The
+    members of comp come in ascending order, and each member's
+    neighbours in ascending order; this order numbers the blue edges of
+    an `extend` trace."""
     return [w for v in vertex_bits(comp) for w in g.neighbors(v) if on >> w & 1 and w != rep]
 
 

@@ -99,9 +99,9 @@ def vertex_bits(mask: int) -> list:
 
 
 def reach_mask(masks, start: int, allowed: int) -> int:
-    """The vertex mask of ``start`` and every vertex joined to it by a
-    walk whose later vertices lie in ``allowed``; ``masks[v]`` is v's
-    neighbour mask."""
+    """The vertices of the mask ``start`` and every vertex joined to one of
+    them by a walk whose later vertices lie in the mask ``allowed``, as a
+    vertex mask; ``masks[v]`` is v's neighbour mask."""
     reach = frontier = start
     while frontier:
         low = frontier & -frontier
