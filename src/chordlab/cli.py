@@ -145,13 +145,21 @@ def _forked(tasks, workers):
     ``--jobs 1``.  Forking assumes no other thread runs, as none does in
     the command line.
 
-    Child k (1..workers-1) pins itself to the k-th of the parent's
-    allowed CPUs (modulo their count) before its first task: the
-    scheduler places a forked child on its parent's CPU and often keeps
-    it there on short tasks.  The parent keeps its own affinity.  The pin
-    is Linux-only; where ``os.sched_setaffinity`` is missing the children
-    are not pinned, and a pin that fails (a cpuset changed under the run)
-    is ignored."""
+    The parent pins child k (1..workers-1) to the k-th of its allowed
+    CPUs (modulo their count) as it forks it, before handing it a task:
+    the scheduler places a forked child on its parent's run queue and
+    often keeps it there on short tasks, and a pin from the parent moves
+    the child to its own CPU at once.  The parent keeps its own affinity.
+    The pin is Linux-only; where ``os.sched_setaffinity`` is missing the
+    children are not pinned, and a pin that fails (a cpuset changed under
+    the run, a child already dead) is ignored.
+
+    The rows are yielded once every task is done, and the children are
+    reaped when the generator ends or is closed, not before its first
+    row: a caller that takes exactly ``len(tasks)`` rows and closes the
+    generator after writing its report overlaps the children's teardown
+    with that write.  A failure while dispatching kills the children
+    before they are reaped."""
     pin = getattr(os, "sched_setaffinity", None)
     cpus = sorted(os.sched_getaffinity(0)) if pin else []
     results = [None] * len(tasks)
@@ -174,75 +182,78 @@ def _forked(tasks, workers):
             pass  # the child died: its reply pipe's end of file says so
 
     try:
-        for k in range(1, workers):
-            task_r, task_w = os.pipe()
-            reply_r, reply_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    # the parent's ends: an inherited task pipe would
-                    # never reach end of file in its own child
-                    for fd in [task_w, reply_r, *parent_ends]:
-                        os.close(fd)
-                    if cpus:
-                        try:
-                            pin(0, {cpus[k % len(cpus)]})
-                        except OSError:
-                            pass  # unpinned, the child still works
-                    tasks_in, replies = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
-                    while (i := _recv(tasks_in)) is not None:
-                        _send(replies, (i, *_attempt(tasks[i])))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(task_r)
-            os.close(reply_w)
-            parent_ends += [task_w, reply_r]
-            # unbuffered: a failed send leaves nothing for close to flush,
-            # and a read takes no reply that select has not yet seen
-            fh = os.fdopen(reply_r, "rb", buffering=0)
-            children[fh] = (pid, os.fdopen(task_w, "wb", buffering=0), [])
-            hand(fh)  # the child starts while the next one forks
-        while (waiting := [fh for fh, (_, _, held) in children.items() if held]) or todo:
-            ready = select.select(waiting, [], [], 0 if todo else None)[0] if waiting else []
-            for fh in ready:
-                reply = _recv(fh)
-                pid, task_w, held = children[fh]
-                if reply is None:
-                    del children[fh]
-                    fh.close()
-                    task_w.close()
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    exc = InvariantViolation("verify", f"worker exited with status {status}")
-                    # the indices queued behind come later in input order
-                    reply = (held[0], None, exc)
-                else:
-                    held.remove(reply[0])
-                record(*reply)
-            mine = todo.popleft() if todo else None
-            for fh, (_, _, held) in children.items():
-                while len(held) < min(_AHEAD, len(todo)):
-                    hand(fh)
-            if not todo:
-                for _, task_w, _ in children.values():
-                    task_w.close()  # end of file: the child leaves when done
-            if mine is not None:
-                record(mine, *_attempt(tasks[mine]))
-    except BaseException:
-        for pid, _, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            for k in range(1, workers):
+                task_r, task_w = os.pipe()
+                reply_r, reply_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # the parent's ends: an inherited task pipe would
+                        # never reach end of file in its own child
+                        for fd in [task_w, reply_r, *parent_ends]:
+                            os.close(fd)
+                        tasks_in, replies = os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")
+                        while (i := _recv(tasks_in)) is not None:
+                            _send(replies, (i, *_attempt(tasks[i])))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                if cpus:
+                    try:
+                        pin(pid, {cpus[k % len(cpus)]})
+                    except OSError:
+                        pass  # unpinned, the child still works
+                os.close(task_r)
+                os.close(reply_w)
+                parent_ends += [task_w, reply_r]
+                # unbuffered: a failed send leaves nothing for close to flush,
+                # and a read takes no reply that select has not yet seen
+                fh = os.fdopen(reply_r, "rb", buffering=0)
+                children[fh] = (pid, os.fdopen(task_w, "wb", buffering=0), [])
+                hand(fh)  # the child starts while the next one forks
+            while (waiting := [fh for fh, (_, _, held) in children.items() if held]) or todo:
+                ready = select.select(waiting, [], [], 0 if todo else None)[0] if waiting else []
+                for fh in ready:
+                    reply = _recv(fh)
+                    pid, task_w, held = children[fh]
+                    if reply is None:
+                        del children[fh]
+                        fh.close()
+                        task_w.close()
+                        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        exc = InvariantViolation("verify", f"worker exited with status {status}")
+                        # the indices queued behind come later in input order
+                        reply = (held[0], None, exc)
+                    else:
+                        held.remove(reply[0])
+                    record(*reply)
+                mine = todo.popleft() if todo else None
+                for fh, (_, _, held) in children.items():
+                    while len(held) < min(_AHEAD, len(todo)):
+                        hand(fh)
+                if not todo:
+                    for _, task_w, _ in children.values():
+                        task_w.close()  # end of file: the child leaves when done
+                if mine is not None:
+                    record(mine, *_attempt(tasks[mine]))
+        except BaseException:
+            for pid, _, _ in children.values():
+                os.kill(pid, signal.SIGKILL)
+            raise
+        for row, exc in results:
+            if exc is not None:
+                raise exc
+            yield row
     finally:
+        # after the last row, this waits for the caller to close the
+        # generator: the children exit while it writes its report
         for fh, (_, task_w, _) in children.items():
             fh.close()
             task_w.close()
         for pid, _, _ in children.values():
             os.waitpid(pid, 0)
-    for row, exc in results:
-        if exc is not None:
-            raise exc
-        yield row
 
 
 def _write(text, path):
@@ -277,14 +288,25 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     tasks = [(lines[lineno - 1].strip(), g, args.mode, args.timings) for lineno, g in corpus]
     rows = []
+    workers = _forked(tasks, min(args.jobs, len(tasks)))
     try:
-        for row in _forked(tasks, min(args.jobs, len(tasks))):
-            rows.append(row)
+        # exactly one row per task: the children are reaped when `workers`
+        # closes, after the report is written
+        for _ in tasks:
+            rows.append(next(workers))
     except InvariantViolation as exc:
         # the rows so far are those of the tasks before the failing one
         line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]
         print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        return _report(args, rows)
+    finally:
+        workers.close()
+
+
+def _report(args, rows) -> int:
+    """Write the report of ``rows`` and return the exit code it implies."""
     threshold = _MODES[args.mode][0]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)

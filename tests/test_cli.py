@@ -653,13 +653,14 @@ needs_affinity = pytest.mark.skipif(
 
 @needs_affinity
 def test_forked_workers_are_pinned(monkeypatch, corpus):
-    """With 2 and 3 workers, child k (k = 1..workers-1) runs its tasks on
-    the k-th CPU of the parent's set, modulo their count; the parent runs
-    its own tasks under its own affinity, which the call leaves as it
-    was.  The first workers-1 tasks go to the children, one each."""
+    """With 2 and 3 workers, the parent pins child k (k = 1..workers-1)
+    to the k-th CPU of its set, modulo their count, with one call per
+    child as it forks it, and the child runs its tasks there; the parent
+    runs its own tasks under its own affinity, which the call leaves as
+    it was.  The first workers-1 tasks go to the children, one each."""
     allowed = sorted(os.sched_getaffinity(0))
-    forked = []
-    real_fork = os.fork
+    forked, pins = [], []
+    real_fork, real_pin = os.fork, os.sched_setaffinity
 
     def fork():
         pid = real_fork()
@@ -667,14 +668,21 @@ def test_forked_workers_are_pinned(monkeypatch, corpus):
             forked.append(pid)
         return pid
 
+    def pin(pid, cpus):
+        pins.append((pid, set(cpus)))
+        real_pin(pid, cpus)
+
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
     monkeypatch.setattr(cli, "_verify_one", lambda task: (task[0], os.getpid(), sorted(os.sched_getaffinity(0))))
     tasks = [(write_graph6(g), g, "chords", False) for g in corpus[8]]
     for workers in (2, 3):
         forked.clear()
+        pins.clear()
         rows = list(cli._forked(tasks, workers))
         assert [line for line, _, _ in rows] == [task[0] for task in tasks]
         assert len(forked) == workers - 1
+        assert pins == [(pid, {allowed[k % len(allowed)]}) for k, pid in enumerate(forked, 1)]
         assert [pid for _, pid, _ in rows[:workers]] == forked + [os.getpid()]
         for _, pid, cpus in rows:
             if pid == os.getpid():
@@ -713,6 +721,51 @@ def test_verify_jobs_without_the_pin(tmp_path, capsys, monkeypatch, corpus, how)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
     code, out, err = run_cli(argv + ["--jobs", "2"], capsys)
     assert (code, out, err) == (0, serial, "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_jobs_reaps_after_the_report(tmp_path, capsys, monkeypatch, corpus):
+    """--jobs 2 writes the report before it reaps the first child, so the
+    children's teardown overlaps the write; the report is the serial one."""
+    f = _write_corpus(tmp_path, corpus[8][:4])
+    argv = ["verify", "--mode", "zhan3adj", "--in", str(f)]
+    code, serial, _ = run_cli(argv, capsys)
+    assert code == 0
+    order = []
+    real_write, real_waitpid = cli._write, os.waitpid
+
+    def write(text, path):
+        order.append("write")
+        real_write(text, path)
+
+    def waitpid(pid, options):
+        order.append("waitpid")
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "_write", write)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with _no_hang():
+        code, out, _ = run_cli(argv + ["--jobs", "2"], capsys)
+    assert (code, out) == (0, serial)
+    assert order == ["write", "waitpid"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_jobs_write_failure_leaves_no_child(tmp_path, capsys, monkeypatch, corpus):
+    """A report write that raises OSError under --jobs 2 exits 3, and the
+    children are still reaped."""
+
+    def refuse(text, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write", refuse)
+    f = _write_corpus(tmp_path, corpus[8][:4])
+    with _no_hang():
+        code, out, err = run_cli(["verify", "--mode", "chords", "--in", str(f), "--jobs", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: [Errno 28] No space left on device\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
