@@ -162,7 +162,7 @@ def gen_lemma_instance(k: int, seed: int) -> LemmaInstance:
     cyc_keys = {(min(u, v), max(u, v)) for u, v in cycle_edges}
     chords = set()
     for comp in components[:-1]:
-        for end in {comp[0], comp[-1]}:
+        for end in dict.fromkeys((comp[0], comp[-1])):  # start, then end
             targets = [
                 a for a in a_set
                 if (min(end, a), max(end, a)) not in cyc_keys
