@@ -290,8 +290,8 @@ def cmd_verify(args) -> int:
     rows = []
     workers = _forked(tasks, min(args.jobs, len(tasks)))
     try:
-        # exactly one row per task: the children are reaped when `workers`
-        # closes, after the report is written
+        # one row per task, so `workers` stays open: the children are
+        # reaped when it closes, after the report is written
         for _ in tasks:
             rows.append(next(workers))
     except InvariantViolation as exc:
@@ -299,14 +299,6 @@ def cmd_verify(args) -> int:
         line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]
         print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
         return EXIT_INTERNAL
-    try:
-        return _report(args, rows)
-    finally:
-        workers.close()
-
-
-def _report(args, rows) -> int:
-    """Write the report of ``rows`` and return the exit code it implies."""
     threshold = _MODES[args.mode][0]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)
@@ -333,7 +325,10 @@ def _report(args, rows) -> int:
             row["witness"] = json.dumps(row["witness"]) if row["witness"] else ""
             writer.writerow(row)
         out = buf.getvalue()
-    _write(out, args.out)
+    try:
+        _write(out, args.out)
+    finally:
+        workers.close()
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
