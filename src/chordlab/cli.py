@@ -247,8 +247,6 @@ def _forked(tasks, workers):
                 raise exc
             yield row
     finally:
-        # after the last row, this waits for the caller to close the
-        # generator: the children exit while it writes its report
         for fh, (_, task_w, _) in children.items():
             fh.close()
             task_w.close()
