@@ -38,7 +38,7 @@ def three_color_cycle_plus(g: Graph, c: Cycle) -> dict:
         raise ValueError("c must be a Hamilton cycle of g")
     cyc = c.edge_set()
     off = Graph(g.n, [e for e in g.edges if e not in cyc])
-    for comp in components_after_deletion(off, [v for v in range(g.n) if not off.adj[v]]):
+    for comp in components_after_deletion(off, [v for v in range(g.n) if not off.masks[v]]):
         if comp.bit_count() != 3:
             raise ValueError(
                 f"off-cycle component {vertex_bits(comp)} is neither a triangle "

@@ -212,22 +212,22 @@ def _through_component(g: Graph, a: int, b: int, comp: int, min_len: int):
     least = next(d for d, m in enumerate(near) if masks[a] & m)
     near += [near[-1]] * (size - len(near) + 1)  # a DFS has at most size edges left
     for L in range(max(min_len, 1 + least), size + 2):
-        seq = [a]
-        stack = [iter(g.neighbors(a))]
+        seq, on = [a], 1 << a | 1 << b  # b ends a path and is never entered
+        stack = [masks[a]]  # per depth: the neighbours not yet tried
         while stack:
             left = L - len(stack)  # edges after the one taken now
-            ok = near[left]
-            for w in stack[-1]:
-                if w == b:
-                    if left == 0:
-                        return Path(tuple(seq) + (b,))
-                elif ok >> w & 1 and w not in seq:
-                    seq.append(w)
-                    stack.append(iter(g.neighbors(w)))
-                    break
-            else:
-                stack.pop()
-                seq.pop()
+            if not left:
+                if stack[-1] >> b & 1:
+                    return Path(tuple(seq) + (b,))
+            elif nxt := stack[-1] & near[left] & ~on:
+                low = nxt & -nxt
+                stack[-1] ^= low
+                on |= low
+                seq.append(low.bit_length() - 1)
+                stack.append(masks[seq[-1]])
+                continue
+            stack.pop()
+            on ^= 1 << seq.pop()
     return None
 
 
@@ -322,7 +322,7 @@ def _color_ring(ring, comps):
     for t in chosen:
         for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
             edges.add((min(pos[a], pos[b]), max(pos[a], pos[b])))
-    coloring = three_color_cycle_plus(Graph(m, sorted(edges)), Cycle(tuple(range(m))))
+    coloring = three_color_cycle_plus(Graph(m, edges), Cycle(tuple(range(m))))
     a_set, relabeled = pick_color_class(
         {ring[i]: c for i, c in coloring.items()},
         forbidden={ring[0], ring[-1]},
@@ -372,7 +372,8 @@ def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
     members of comp come in ascending order, and each member's
     neighbours in ascending order; this order numbers the blue edges of
     an `extend` trace."""
-    return [w for v in vertex_bits(comp) for w in g.neighbors(v) if on >> w & 1 and w != rep]
+    on &= ~(1 << rep)
+    return [w for v in vertex_bits(comp) for w in vertex_bits(g.masks[v] & on)]
 
 
 def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
@@ -871,7 +872,7 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     for comp, (_, _, w2) in relabeled:
         for z in _contraction_edges(g, comp, w2, on_cycle):
             edges.add((pos[min(w2, z)], pos[max(w2, z)]))
-    gd = Graph(m, sorted(edges))
+    gd = Graph(m, edges)
     ring2 = [pos[h] for h in cprime_vertices]
     cyc = Cycle(tuple(ring2))
     a_dense = frozenset(pos[h] for h in a_set)

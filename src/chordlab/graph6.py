@@ -61,20 +61,15 @@ def parse_graph6(line: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     if g.n >= 63:
         raise ValueError("long form (n >= 63) not supported")
-    present = set(g.edges)
-    bits = []
-    for col in range(1, g.n):
+    n = g.n
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    bits = 0  # the payload as one int, first bit highest, as parse_graph6 reads it
+    for col, mask in enumerate(g.masks):
         for row in range(col):
-            bits.append(1 if (row, col) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i:i + 6]:
-            v = (v << 1) | b
-        out.append(chr(v + 63))
-    return "".join(out)
+            bits = bits << 1 | mask >> row & 1
+    bits <<= 6 * need - nbits
+    return chr(n + 63) + "".join(chr((bits >> 6 * i & 63) + 63) for i in reversed(range(need)))
 
 
 def stream_corpus(source):

@@ -1,10 +1,12 @@
 """Core undirected graph representation and small-graph structure tools.
 
-Vertices are dense integer ids 0..n-1.  Graphs are simple: construction
-refuses a self-loop or a repeated pair, so no other module checks for
-either.  Instances are treated as immutable after construction and are
-safe to share between threads: the one lazily stored connectivity value
-is computed from that fixed structure only.
+Vertices are dense integer ids 0..n-1.  A graph is stored as its
+adjacency bit masks only; its edges, neighbours and degrees are views
+computed from them.  Graphs are simple: construction refuses a self-loop
+or a repeated pair, so no other module checks for either.  Instances are
+treated as immutable after construction and are safe to share between
+threads: the one lazily stored connectivity value is computed from that
+fixed structure only.
 """
 
 from __future__ import annotations
@@ -15,20 +17,19 @@ from itertools import combinations
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``edges`` keeps the construction order, each pair as (min, max), and
-    ``masks[v]`` has bit w set iff vw is an edge.  ``_cubic`` is stored at
-    construction, True iff every vertex has degree 3 (the empty graph
-    included), and `is_cubic` reads it.  ``_kappa`` is None until
-    `connectivity_at_least` stores min(vertex connectivity, 3) there.
+    ``masks[v]`` has bit w set iff vw is an edge, and it is the only
+    stored adjacency: ``edges``, ``m``, `degree`, `neighbors` and
+    `has_edge` read it.  ``_cubic`` is stored at construction, True iff
+    every vertex has degree 3 (the empty graph included), and `is_cubic`
+    reads it.  ``_kappa`` is None until `connectivity_at_least` stores
+    min(vertex connectivity, 3) there.
     """
 
-    __slots__ = ("n", "edges", "adj", "masks", "_cubic", "_kappa")
+    __slots__ = ("n", "masks", "_cubic", "_kappa")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        norm = []
-        adj = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in edges:
             if u == v:
@@ -37,40 +38,37 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if masks[u] >> v & 1:
                 raise ValueError(f"repeated edge ({min(u, v)},{max(u, v)})")
-            norm.append((u, v) if u < v else (v, u))
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.n = n
-        self.edges = tuple(norm)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.masks = tuple(masks)
-        self._cubic = all(len(a) == 3 for a in adj)
+        self._cubic = all(mask.bit_count() == 3 for mask in masks)
         self._kappa = None
 
     @property
+    def edges(self) -> tuple:
+        """The edges as (u, v) with u < v, in ascending order."""
+        return tuple((u, v) for u, mask in enumerate(self.masks) for v in vertex_bits(mask >> u << u))
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
-    def neighbors(self, v: int):
-        return self.adj[v]
+    def neighbors(self, v: int) -> list:
+        """The neighbours of v, in ascending order."""
+        return vertex_bits(self.masks[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and sorted(self.edges) == sorted(other.edges)
-        )
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.edges))))
+        return hash(self.masks)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -121,25 +119,27 @@ def _cubic_edge_connectivity(g: Graph) -> int:
     subtree.  A tree edge with an empty cover is a bridge; a cover of one
     bit makes a 2-edge cut with that non-tree edge, and two equal covers
     make one with each other.  Two non-tree edges never cut, as the tree
-    stays whole."""
-    n, adj = g.n, g.adj
-    parent = [-1] * n
-    parent[0] = 0
+    stays whole.  The non-tree edges of u are labelled when u is
+    searched: they join u to the searched vertices other than its parent,
+    as u's tree children are searched after it."""
+    n, masks = g.n, g.masks
+    parent = [0] * n
+    label = [0] * n
     order = [0]
+    seen, done, bit = 1, 0, 1
     for u in order:  # breadth first: the loop reads what it appends
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
+        kids = masks[u] & ~seen
+        seen |= kids
+        for w in vertex_bits(kids):
+            parent[w] = u
+            order.append(w)
+        for w in vertex_bits(masks[u] & done & ~(1 << parent[u])):
+            label[u] ^= bit
+            label[w] ^= bit
+            bit <<= 1
+        done |= 1 << u
     if len(order) < n:
         return 0
-    label = [0] * n
-    bit = 1
-    for u, v in g.edges:
-        if parent[v] != u and parent[u] != v:
-            label[u] ^= bit
-            label[v] ^= bit
-            bit <<= 1
     kappa = 3
     covers = set()
     for v in reversed(order[1:]):  # every vertex after its subtree

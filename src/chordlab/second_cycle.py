@@ -101,8 +101,7 @@ def build_support_graph(inst: LemmaInstance):
                 raise ValueError(f"arc endpoint {v} has no chord into A")
             a = targets[0]
             designated.add((min(v, a), max(v, a)))
-    edges = list(cyc.edge_pairs()) + sorted(designated)
-    return Graph(g.n, edges), frozenset(designated)
+    return Graph(g.n, [*cyc.edge_pairs(), *designated]), frozenset(designated)
 
 
 def _satisfies_turning_condition(cycle: Cycle, base_keys, a_set):

@@ -105,7 +105,7 @@ def components_after_deletion_reference(g: Graph, removed) -> tuple:
         seen.add(start)
         comp = [start]
         for u in comp:
-            for w in g.adj[u]:
+            for w in g.neighbors(u):
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -409,7 +409,7 @@ def edge_list_text(g: Graph) -> str:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+    if g.n != h.n or sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
         return False
     gm, hm = g.masks, h.masks
 
@@ -643,7 +643,7 @@ def labeled_cubic_graphs(n: int):
 def _vertex_invariant_key(g: Graph) -> tuple:
     """Sorted per-vertex (edges among the neighbors, sorted common-neighbor
     counts with every other vertex): equal for isomorphic graphs."""
-    nbrs = [set(a) for a in g.adj]
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     per_vertex = []
     for v in range(g.n):
         triangles = sum(1 for u in nbrs[v] for w in nbrs[v] if u < w and w in nbrs[u])
@@ -744,7 +744,7 @@ def _connected_without(g: Graph, removed) -> bool:
     todo = [alive[0]]
     while todo:
         u = todo.pop()
-        for w in g.adj[u]:
+        for w in g.neighbors(u):
             if w not in removed and w not in seen:
                 seen.add(w)
                 todo.append(w)

@@ -8,12 +8,15 @@ import oracles
 from chordlab import extender, kernels
 from chordlab.errors import InvariantViolation
 from chordlab.extender import (
+    BLUE,
     EXTENDABLE,
     HAS_BOUND_VERTEX,
     BlueSubpathStats,
     ExtensionTrace,
     SPANNING_PATH,
     MultiCycle,
+    RED,
+    ReducedGraph,
     build_reduced_G2,
     compute_stats,
     extend_path,
@@ -490,6 +493,69 @@ def test_stats_check_names_each_failed_identity(counts, detail):
     assert str(exc.value) == f"stats: {detail}"
 
 
+def _stats_error(rg, cp):
+    with pytest.raises(InvariantViolation) as exc:
+        compute_stats(rg, cp)
+    assert exc.value.step == "stats"
+    return str(exc.value)
+
+
+def test_stats_cycle_must_start_on_xy():
+    """A cover cycle listed from a blue edge, not from the closing edge
+    xy, fails the stats stage."""
+    rg = ReducedGraph((0, 1, 2, 3))
+    blue = rg.add_edge(0, 2, BLUE)
+    rg.blue_info[blue] = (2, 1 << 9)
+    assert _stats_error(rg, MultiCycle((0, 2, 3), (blue, 2, rg.xy_eid))) == (
+        "stats: cycle does not start on the xy edge"
+    )
+
+
+def test_stats_long_run_needs_one_representative():
+    """A length-2 blue run 0-2-4 whose two edges come from different
+    components contracted onto 2 fails the stats stage."""
+    rg = ReducedGraph((0, 1, 2, 3, 4))
+    first, second = rg.add_edge(2, 0, BLUE), rg.add_edge(2, 4, BLUE)
+    rg.blue_info[first], rg.blue_info[second] = (2, 1 << 9), (2, 1 << 10)
+    cp = MultiCycle((4, 0, 2), (rg.xy_eid, first, second))
+    assert _stats_error(rg, cp) == "stats: length-2 blue run not centered on one representative"
+
+
+def test_stats_blue_run_longer_than_two():
+    """Three blue edges in a row on the cover cycle fail the stats stage
+    before any run is read."""
+    rg = ReducedGraph(tuple(range(6)))
+    blues = [rg.add_edge(a, b, BLUE) for a, b in ((0, 2), (2, 4), (4, 5))]
+    cp = MultiCycle((5, 0, 2, 4), (rg.xy_eid, *blues))
+    assert _stats_error(rg, cp) == "stats: maximal blue run of length 3 > 2"
+
+
+def test_lift_needs_a_host_path_through_the_component():
+    """On K3,3 a red edge 0-1 whose component is the one vertex 3 stands
+    for a host path of length >= 3, but 0-3-1 has length 2."""
+    rg = ReducedGraph((0, 4, 1))
+    red = rg.add_edge(0, 1, RED)
+    rg.red_comp[red] = 1 << 3
+    stats = BlueSubpathStats(1, 2, 0, 0, 1, 0, 0).check()
+    with pytest.raises(InvariantViolation) as exc:
+        lift_to_host(oracles.k33(), rg, MultiCycle((1, 0), (rg.xy_eid, red)), [], stats)
+    assert exc.value.step == "lift"
+    assert str(exc.value) == "lift: no host path of length >= 3 from 0 to 1 through its component"
+
+
+def test_lift_checks_the_floor():
+    """Stats that pass their own check and claim one blue run promise a
+    cycle one longer than the base cycle of K3,3's path 0,4,1,3; lifting
+    the base cycle itself falls below that floor."""
+    rg = ReducedGraph((0, 4, 1, 3))
+    stats = BlueSubpathStats(0, 1, 1, 1, 0, 1, 0).check()
+    cp = MultiCycle((3, 0, 4, 1), (rg.xy_eid, 0, 1, 2))
+    with pytest.raises(InvariantViolation) as exc:
+        lift_to_host(oracles.k33(), rg, cp, [], stats)
+    assert exc.value.step == "lift"
+    assert str(exc.value) == "lift: lifted length 4 below the floor 5"
+
+
 def test_path_from_cycle_needs_the_xy_edge():
     """A cycle without the closing edge xy cannot be opened into an
     (x,y)-path: the checker stage fails."""
@@ -603,7 +669,7 @@ def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
     ]
     matchings = random.Random(1)
     subcubic += [_minus_a_matching(g, matchings) for g in graphs]
-    assert all(any(len(a) == 2 for a in g.adj) for g in subcubic)
+    assert all(any(g.degree(v) == 2 for v in range(g.n)) for g in subcubic)
     for g in graphs + subcubic:
         n = g.n
         labels = rng.sample(range(100), n)

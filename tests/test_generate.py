@@ -122,13 +122,15 @@ def test_max_code_matches_backtrack_n12(monkeypatch):
         nonlocal judged
         g = _graph_from_cols(len(degs), cols)
         old = oracles.is_max_code_backtrack(g.masks, g.n, cols)
-        assert _is_max_code(g.masks, g.adj, g.n, cols) == old, cols
+        nbrs = tuple(tuple(g.neighbors(v)) for v in range(g.n))
+        assert _is_max_code(g.masks, nbrs, g.n, cols) == old, cols
         judged += 1
         return _completable(cols, degs, n)
 
     def is_max_code(masks, nbrs, n, cols):
         g = _graph_from_cols(n, cols)
-        assert (tuple(masks), tuple(nbrs)) == (g.masks, g.adj), cols
+        want = tuple(tuple(g.neighbors(v)) for v in range(g.n))
+        assert (tuple(masks), tuple(nbrs)) == (g.masks, want), cols
         return _is_max_code(masks, nbrs, n, cols)
 
     monkeypatch.setattr(generate, "_completable", completable)

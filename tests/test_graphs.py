@@ -23,8 +23,37 @@ def test_build_k4():
 
 
 def test_build_path():
-    g = Graph(3, [(0, 1), (1, 2)])
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    """The views of the stored masks match a set-based reference built
+    from the input edge list: on a path, K4 and seeded random simple
+    graphs with n = 0..9 (sparse, disconnected and dense ones), each edge
+    given in a random orientation and the list in a random order."""
+    import random
+
+    assert [Graph(3, [(0, 1), (1, 2)]).degree(v) for v in range(3)] == [1, 2, 1]
+    rng = random.Random(38)
+    inputs = [(3, [(0, 1), (1, 2)]), (4, list(itertools.combinations(range(4), 2)))]
+    for n in range(10):
+        for density in (0.2, 0.5, 0.9):
+            for _ in range(8):
+                pairs = itertools.combinations(range(n), 2)
+                edges = [e[::rng.choice((1, -1))] for e in pairs if rng.random() < density]
+                rng.shuffle(edges)
+                inputs.append((n, edges))
+    for n, edges in inputs:
+        g = Graph(n, edges)
+        want = {tuple(sorted(e)) for e in edges}
+        nbrs = [sorted({w for e in want if v in e for w in e} - {v}) for v in range(n)]
+        assert (g.n, g.edges, g.m) == (n, tuple(sorted(want)), len(want))
+        assert [list(g.neighbors(v)) for v in range(n)] == nbrs
+        assert [g.degree(v) for v in range(n)] == list(map(len, nbrs))
+        assert is_cubic(g) == all(len(a) == 3 for a in nbrs)
+        for u, v in itertools.product(range(n), repeat=2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in want)
+        same = Graph(n, sorted(want, reverse=True))
+        assert g == same and hash(g) == hash(same)
+        assert g != Graph(n + 1, edges) and g != g.masks
+        for e in want:
+            assert g != Graph(n, want - {e})
 
 
 def test_build_petersen():
@@ -92,7 +121,7 @@ def test_connectivity_against_menger():
         kappa = oracles.vertex_connectivity_menger(g)
         for k in (1, 2, 3):
             assert connectivity_at_least(g, k) == (kappa >= k and g.n > k), (g.n, g.edges, k)
-        high_degree += max(map(len, g.adj), default=0) >= 4
+        high_degree += max(map(g.degree, range(g.n)), default=0) >= 4
     assert [sum(connectivity_at_least(g, k) for k in (1, 2, 3)) for g in tiny] == [0, 0, 1, 2]
     assert high_degree > 100
 
