@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import importlib
 import io
 import json
 import os
@@ -26,12 +27,37 @@ import sys
 import time
 
 from .errors import InvariantViolation
-from .extender import EXTENDABLE, extend_path, precheck
-from .generate import enumerate_cubic
 from .graph6 import Graph6Error, load_graph_text, stream_corpus, write_graph6
 from .graphs import connectivity_at_least, is_cubic
-from .search import Path
-from .verify import CONNECTIVITY, verify_chords, verify_zhan
+
+# name -> the module that defines it.  The commands read these names as
+# attributes of this module (`_this.verify_zhan`), which `__getattr__`
+# resolves (PEP 562) from the defining module when a command runs: each
+# command loads only its own modules, and a binding set on this module
+# (perfbench/selftest.py plants its faults as `cli.verify_zhan` and
+# `cli.enumerate_cubic`) takes precedence over the defining module's.
+_HOME = {
+    "enumerate_cubic": "generate",
+    "CONNECTIVITY": "verify",
+    "verify_chords": "verify",
+    "verify_zhan": "verify",
+    "EXTENDABLE": "extender",
+    "extend_path": "extender",
+    "precheck": "extender",
+    "Path": "search",
+}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"chordlab.{_HOME[name]}"
+    # sys.modules first, a third of import_module's cost: `_verify_one`
+    # reads two of these names per graph
+    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
+
+
+_this = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -67,14 +93,14 @@ def _verify_one(args):
         "value": None,
         "witness": None,
     }
-    if is_cubic(g) and kappa >= CONNECTIVITY[statement]:
+    if is_cubic(g) and kappa >= _this.CONNECTIVITY[statement]:
         if statement == "chords":
-            rep = verify_chords(g)
+            rep = _this.verify_chords(g)
             row["value"] = rep.min_chords
             if rep.min_chords < threshold:
                 row["witness"] = {"cycle": list(rep.witness)}
         else:
-            rep = verify_zhan(g, statement)
+            rep = _this.verify_zhan(g, statement)
             row["value"] = rep.minimum
             # the first pair below this mode's threshold, in pairs order
             xy = next((xy for xy, r in rep.pairs.items() if r.min_bound < threshold), None)
@@ -265,7 +291,7 @@ def _write(text, path):
 
 
 def cmd_generate(args) -> int:
-    lines = [write_graph6(g) for g in enumerate_cubic(args.n)]
+    lines = [write_graph6(g) for g in _this.enumerate_cubic(args.n)]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -285,6 +311,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     tasks = [(lines[lineno - 1].strip(), g, args.mode, args.timings) for lineno, g in corpus]
+    linenos = [lineno for lineno, _ in corpus]
+    del lines, corpus  # each task holds its line
+    # load the verifiers `_verify_one` reads once here, not in every
+    # child that `_forked` forks
+    from . import verify  # noqa: F401
     rows = []
     workers = _forked(tasks, min(args.jobs, len(tasks)))
     try:
@@ -294,7 +325,7 @@ def cmd_verify(args) -> int:
             rows.append(next(workers))
     except InvariantViolation as exc:
         # the rows so far are those of the tasks before the failing one
-        line, lineno = tasks[len(rows)][0], corpus[len(rows)][0]
+        line, lineno = tasks[len(rows)][0], linenos[len(rows)]
         print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
         return EXIT_INTERNAL
     threshold = _MODES[args.mode][0]
@@ -338,18 +369,18 @@ def cmd_extend(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        p = Path(tuple(int(tok) for tok in args.path.split(",") if tok.strip())).validate(g)
+        p = _this.Path(tuple(int(tok) for tok in args.path.split(",") if tok.strip())).validate(g)
     except ValueError as exc:
         print(f"error: bad path spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cls = precheck(g, p)
-    if cls.kind != EXTENDABLE:
+    cls = _this.precheck(g, p)
+    if cls.kind != _this.EXTENDABLE:
         # a refused path always has an internal bound vertex: in a cubic
         # host every internal vertex of a spanning path is bound
         where = ", ".join(f"v={v}" for v in sorted(cls.bound))
         print(f"not extendable: internal P-bound vertex present at {where}", file=sys.stderr)
         return EXIT_USAGE
-    longer, trace = extend_path(g, p)
+    longer, trace = _this.extend_path(g, p)
     print(",".join(str(v) for v in longer.vertices))
     print(f"length {p.length} -> {longer.length}", file=sys.stderr)
     if args.trace:

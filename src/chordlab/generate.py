@@ -95,7 +95,6 @@ import itertools
 import random
 
 from .graphs import Graph
-from .search import Path
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +277,8 @@ def random_cubic(n: int, seed: int) -> Graph:
 def random_simple_path(g: Graph, seed: int):
     """Seeded self-avoiding walk used to sample candidate (x,y)-paths;
     may stop early so short non-maximal paths occur too."""
+    from .search import Path  # here, so that enumeration never loads search
+
     rng = random.Random(seed)
     x = rng.randrange(g.n)
     path = [x]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import time
 import pytest
 
 import oracles
-from chordlab import cli, extender, kernels, verify
+from chordlab import cli, extender, generate, kernels, verify
 from chordlab.cli import main
 from chordlab.errors import InvariantViolation
 from chordlab.graph6 import write_graph6
@@ -907,9 +908,9 @@ def _refused_output(tmp_path, capsys, monkeypatch, cmd, target):
     def no_work(*args):
         raise AssertionError("work ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "enumerate_cubic", no_work)
-    monkeypatch.setattr(cli, "verify_zhan", no_work)
-    monkeypatch.setattr(cli, "extend_path", no_work)
+    monkeypatch.setattr(generate, "enumerate_cubic", no_work)
+    monkeypatch.setattr(verify, "verify_zhan", no_work)
+    monkeypatch.setattr(extender, "extend_path", no_work)
     c6 = _write_corpus(tmp_path, [oracles.prism()])
     k4 = tmp_path / "k4.txt"
     k4.write_text(oracles.edge_list_text(oracles.k4()))
@@ -941,6 +942,28 @@ def test_output_that_is_a_directory_exits_3(tmp_path, capsys, monkeypatch):
     for cmd in ("generate", "verify", "extend"):
         err = _refused_output(tmp_path, capsys, monkeypatch, cmd, target)
         assert err == f"error: cannot write {target}: it is a directory\n", cmd
+
+
+def test_binding_on_cli_takes_precedence(tmp_path, capsys, monkeypatch, corpus):
+    """The commands read `enumerate_cubic` and the verifiers through the
+    `cli` module, so a binding set there wins over the defining module's:
+    perfbench/selftest.py plants its faults as `cli.enumerate_cubic` and
+    `cli.verify_zhan`.  Without one, `cli` holds no copy of either."""
+    assert "enumerate_cubic" not in vars(cli) and "verify_zhan" not in vars(cli)
+    real_enumerate, real_verify = cli.enumerate_cubic, cli.verify_zhan
+    # setitem, not setattr: undoing it deletes the binding, leaving no copy
+    monkeypatch.setitem(vars(cli), "enumerate_cubic", lambda n: real_enumerate(n)[:1])
+    code, out, _ = run_cli(["generate", "--n", "8"], capsys)
+    assert (code, out.count("\n")) == (0, 1)
+
+    def lowered(g, mode):
+        rep = real_verify(g, mode)
+        return dataclasses.replace(rep, minimum=rep.minimum - 5)
+
+    monkeypatch.setitem(vars(cli), "verify_zhan", lowered)
+    f = _write_corpus(tmp_path, corpus[6])
+    code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
+    assert code == 1 and json.loads(out)["violations"] == 2
 
 
 def test_extend_malformed_path(tmp_path, capsys):
@@ -984,3 +1007,89 @@ def test_runs_on_the_standard_library_alone(tmp_path):
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs the command line as `python -m chordlab.cli` does (the module runs
+# as `__main__`, so `chordlab.cli` is not among the loaded modules), and
+# at exit writes the modules the process loaded and, for each `os.fork`,
+# whether `chordlab.verify` was already loaded when it forked.
+_LOADS = """
+import atexit, json, os, runpy, sys
+forks, fork = [], os.fork
+def recorded_fork():
+    forks.append("chordlab.verify" in sys.modules)
+    return fork()
+os.fork = recorded_fork
+def report():
+    with open({out!r}, "w") as fh:
+        json.dump({{"modules": sorted(sys.modules), "forks": forks}}, fh)
+atexit.register(report)
+sys.argv = ["chordlab", *{argv!r}]
+runpy.run_module("chordlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loads(tmp_path, argv):
+    """(the chordlab submodules, whether `dataclasses` was loaded, the
+    fork records) of a command-line process running ``argv``."""
+    out = tmp_path / "loads.json"
+    proc = run_python(["-c", _LOADS.format(out=str(out), argv=argv)])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(out.read_text())
+    ours = {m.partition(".")[2] for m in seen["modules"] if m.startswith("chordlab.")}
+    return ours, "dataclasses" in seen["modules"], seen["forks"]
+
+
+def test_import_chordlab_loads_no_submodule():
+    """The package surface is lazy: `import chordlab` loads no submodule,
+    `dir` lists every public name without loading one, and each name
+    resolves to the object its defining module holds."""
+    code = (
+        "import sys\n"
+        "import chordlab\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('chordlab.'))\n"
+        "assert loaded() == [], loaded()\n"
+        "assert set(chordlab.__all__) <= set(dir(chordlab)), dir(chordlab)\n"
+        "assert loaded() == [], loaded()\n"
+        "namespace = {}\n"
+        "exec('from chordlab import *', namespace)\n"
+        "assert set(chordlab.__all__) <= namespace.keys()\n"
+        "for name in chordlab.__all__:\n"
+        "    module = sys.modules['chordlab.' + chordlab._HOME[name]]\n"
+        "    assert namespace[name] is getattr(module, name), name\n"
+        "    assert name not in vars(chordlab), name\n"
+        "try:\n"
+        "    chordlab.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "from chordlab import kernels\n"
+        "assert kernels is sys.modules['chordlab.kernels']\n"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_generate_loads_only_enumeration(tmp_path):
+    """`generate` loads the enumeration and graph6 writer it runs, and not
+    the search, the verifiers or the extender, nor `dataclasses`."""
+    ours, dataclasses, _ = _loads(tmp_path, ["generate", "--n", "4"])
+    assert ours == {"errors", "generate", "graph6", "graphs"}
+    assert not dataclasses
+
+
+@pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))
+def test_verify_loads_no_extender(tmp_path, corpus, mode):
+    f = _write_corpus(tmp_path, corpus[6])
+    ours, _, _ = _loads(tmp_path, ["verify", "--mode", mode, "--in", str(f)])
+    assert "verify" in ours
+    assert not ours & {"extender", "coloring", "second_cycle", "generate"}
+
+
+def test_verify_loads_the_verifiers_before_forking(tmp_path, corpus):
+    """`verify --jobs 2` loads `chordlab.verify` before each fork, so no
+    child imports it again."""
+    f = _write_corpus(tmp_path, corpus[8])
+    _, _, forks = _loads(tmp_path, ["verify", "--mode", "zhan2", "--in", str(f), "--jobs", "2"])
+    assert forks == [True]

@@ -185,6 +185,7 @@ def test_no_helper_only_tests_call():
                 used.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
+    used |= {"__getattr__", "__dir__"}  # PEP 562 hooks (the package's, cli's): Python calls them
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
 
 
