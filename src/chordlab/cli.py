@@ -15,14 +15,9 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import importlib
 import io
-import json
 import os
-import pickle
-import select
-import signal
 import sys
 import time
 
@@ -113,6 +108,8 @@ def _verify_one(args):
 
 def _send(fh, obj):
     """Write ``obj`` to ``fh`` as a pickle after its 8-byte length."""
+    import pickle
+
     data = pickle.dumps(obj)
     fh.write(len(data).to_bytes(8, "little") + data)
     fh.flush()
@@ -122,6 +119,7 @@ def _recv(fh):
     """The next object `_send` wrote to ``fh``, or None at end of file.
     It reads no byte past that object, so on an unbuffered ``fh``
     `select` still sees every reply that follows."""
+    import pickle
 
     def read(size):
         data = b""
@@ -186,6 +184,11 @@ def _forked(tasks, workers):
     generator after writing its report overlaps the children's teardown
     with that write.  A failure while dispatching kills the children
     before they are reaped."""
+    # pickle for `_send` and `_recv`: loaded here, before the children fork
+    import pickle  # noqa: F401
+    import select
+    import signal
+
     pin = getattr(os, "sched_setaffinity", None)
     cpus = sorted(os.sched_getaffinity(0)) if pin else []
     results = [None] * len(tasks)
@@ -328,6 +331,9 @@ def cmd_verify(args) -> int:
         line, lineno = tasks[len(rows)][0], linenos[len(rows)]
         print(f"internal error: {exc} (graph {line}, input line {lineno})", file=sys.stderr)
         return EXIT_INTERNAL
+    import csv
+    import json
+
     threshold = _MODES[args.mode][0]
     checked = [r["value"] for r in rows if r["value"] is not None]
     violations = sum(1 for v in checked if v < threshold)

@@ -63,9 +63,12 @@ def _xy_rows(masks, n, x, y, length):
     return rows
 
 
-def _cycle_rows(masks, n, length):
+def _cycle_rows(masks, n, length, stop=False):
     """The cycles of ``length`` vertices as tuples in ascending order; with
-    length None, those of the greatest length (none when acyclic).
+    length None, those of the greatest length (none when acyclic).  With
+    length None and ``stop``, the walk ends at the first Hamilton cycle,
+    if any, which is then the one row: no cycle is longer, and it is the
+    least Hamilton cycle by the order below.
 
     Every cycle is walked once in canonical form: least vertex s first,
     second vertex t below the last.  The walk is a preorder with ascending
@@ -99,22 +102,27 @@ def _cycle_rows(masks, n, length):
                 elif length is None and len(path) > want:
                     want = len(path)
                     rows[:] = [tuple(path)]
+                    if stop and want == n:
+                        raise StopIteration
             if ends & ~pm2:
                 visit(path[-1], pm2, ends)
             path.pop()
 
-    for s in range(n):
-        if n - s < want:
-            break
-        below = (2 << s) - 1
-        free = masks[s] & ~below
-        while free:
-            b = free & -free
-            free ^= b
-            ends = masks[s] & -(b << 1)
-            if ends:
-                path[:] = [s, b.bit_length() - 1]
-                visit(path[1], below | b, ends)
+    try:
+        for s in range(n):
+            if n - s < want:
+                break
+            below = (2 << s) - 1
+            free = masks[s] & ~below
+            while free:
+                b = free & -free
+                free ^= b
+                ends = masks[s] & -(b << 1)
+                if ends:
+                    path[:] = [s, b.bit_length() - 1]
+                    visit(path[1], below | b, ends)
+    except StopIteration:
+        pass
     return rows
 
 
@@ -132,9 +140,9 @@ def longest_cycle_length(adj, n) -> int:
     return len(rows[0]) if rows else 0
 
 
-def cycles_of_length(adj, n, length) -> list:
+def cycles_of_length(adj, n, length, stop=False) -> list:
     """`_cycle_rows`: canonical tuples in ascending order."""
-    return _cycle_rows(adj, n, length)
+    return _cycle_rows(adj, n, length, stop)
 
 
 def hamilton_cycle_rows(adj, n) -> list:

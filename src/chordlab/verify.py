@@ -15,6 +15,11 @@ path too long to lower the minimum found so far, and Pósa's rotation
 pairs at n - 2 before their source is swept.  The rotation closure keeps
 one path per end pair, so it ends after at most 4 C(n,2) rotations with
 no budget, and it builds a rotated path only for a new end pair.
+
+A Hamilton cycle C of a cubic graph fixes both numbers at once.  Each of
+its n edges uv leaves the Hamiltonian (u,v)-path C - uv, so `verify_zhan`
+settles every pair on C that a witness closes into C.  And C has n/2
+chords, so `verify_chords` stops at the first Hamilton cycle it finds.
 """
 
 from __future__ import annotations
@@ -80,6 +85,26 @@ def _rotate(q, i):
     v(i)v(n-1), and it holds every vertex once, so it is a Hamiltonian
     path with ends v0 and v(i+1)."""
     return q[: i + 1] + q[:i:-1]
+
+
+def _settle_by_cycle(masks, x, seed, open_, left):
+    """Clear from ``open_`` each pair (u, v), u > x, that is an edge of the
+    Hamilton cycle C that source x's Hamiltonian witness ``seed`` closes
+    (its ends are adjacent), and return how many of the ``left`` open
+    pairs remain.  For each edge uv of C, C - uv is a Hamiltonian
+    (u,v)-path.  C settles pairs only after `walk_problem` passes on it as
+    a closed walk and it holds all n vertices."""
+    n = len(masks)
+    problem = walk_problem(masks, seed, closed=True) or (len(seed) != n and f"{len(seed)} of {n} vertices")
+    if problem:
+        raise InvariantViolation("cycle", f"seed {seed}: {problem}")
+    for u, v in zip(seed, seed[1:] + seed[:1]):
+        if u > v:
+            u, v = v, u
+        if u > x and open_[u] >> v & 1:
+            open_[u] &= ~(1 << v)
+            left -= 1
+    return left
 
 
 def _settle_by_rotation(masks, x, seeds, open_, left):
@@ -156,14 +181,24 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
       first witness are the full sweep's (``xy_sweep``'s docstring);
     - nothing else: the target settled, so its value is at least M.
 
+    A source with no open target is not swept, as no entry of its table
+    would be read.
+
+    Cycles.  A Hamiltonian (x,y)-path p with xy an edge closes a Hamilton
+    cycle C, as in adjacent mode every one does.  After the sweep,
+    `_settle_by_cycle` checks C once and clears each pair (u, v), u > x,
+    with uv an edge of C: C - uv is a path from u to v through every
+    vertex, so it is a longest (u,v)-path with every internal vertex bound
+    (it has no neighbour off the path), and the pair's value is n - 2.
+
     Rotations.  After the sweep, `_settle_by_rotation` rotates x's
     Hamiltonian witnesses, keeping one path per end pair, so it queues at
     most C(n,2) paths and ends after at most 4 C(n,2) rotations.  A
     Hamiltonian (a,c)-path is longest with every internal vertex bound, so
     the pair's value is n - 2, at least M; the pair leaves its source's
-    targets unreported.  Which pairs the closure reaches does not matter
-    for exactness: each one it settles has a re-checked Hamiltonian
-    witness, so its value is n - 2 whatever path settled it.
+    targets unreported.  Which pairs the cycles and the closure reach does
+    not matter for exactness: each one they settle has a re-checked
+    Hamiltonian witness, so its value is n - 2 whatever path settled it.
 
     So no pair left out is below the least value kept, which is then the
     minimum, as every value is at most n - 2 and source 0 keeps all its
@@ -187,6 +222,8 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     least = n - 2  # M: the least value kept so far
     for x in range(n):
         targets = open_[x]
+        if not targets:
+            continue  # no table would be read
         left -= targets.bit_count()
         floor = (least + 3 * n + 1) // 4  # ceil((least + 3n - 2) / 4)
         table = kernels.xy_sweep(masks, n, x, targets, floor)
@@ -203,7 +240,11 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
                 if best == n - 1:
                     seeds.append(wit)
         if seeds and left:
-            left = _settle_by_rotation(masks, x, seeds, open_, left)
+            for p in seeds:
+                if masks[x] >> p[-1] & 1:
+                    left = _settle_by_cycle(masks, x, p, open_, left)
+            if left:
+                left = _settle_by_rotation(masks, x, seeds, open_, left)
     return ZhanReport(mode=mode, pairs=results, minimum=least)
 
 
@@ -218,7 +259,20 @@ def verify_chords(g: Graph) -> ChordReport:
     """Minimum chord count over the longest cycles of a 3-connected cubic
     graph, at least 2 by the paper, with the least such cycle (by vertex
     sequence) as the witness.  A cycle's chords are the edges inside its
-    vertex set less its own; only the witness is validated and recounted."""
+    vertex set less its own; only the witness is validated and recounted.
+
+    A Hamilton cycle has n/2 chords: its vertex set spans all 3n/2 edges,
+    n of them its own.  So when the graph is Hamiltonian, every longest
+    cycle has n/2 chords, and the witness is the least Hamilton cycle.
+    The cycle walk emits the cycles of one length in ascending order, so
+    that is the first Hamilton cycle it closes, and the walk ends there
+    (`kernels.cycles_of_length` with ``stop``).  Otherwise it walks every
+    longest cycle.
+
+    Remark: in general, a cycle of length L on the vertex set S has
+    2L - 3n/2 + e(V - S) chords, by counting the degrees in S and in
+    V - S: 3L = 2 e(S) + e(S, V - S) and 3(n - L) = 2 e(V - S) + e(S, V - S).
+    With L = n this is n/2 again."""
     if not is_cubic(g):
         raise ValueError("graph is not cubic")
     need_k = CONNECTIVITY["chords"]
@@ -226,7 +280,8 @@ def verify_chords(g: Graph) -> ChordReport:
         raise ValueError(f"graph is not {need_k}-connected")
     masks = kernel_masks(g)
     best, witness = g.n, ()
-    for row in kernels.cycles_of_length(masks, g.n, None):  # ascending
+    # ascending; stop=True: end at the first Hamilton cycle
+    for row in kernels.cycles_of_length(masks, g.n, None, True):
         inside = 0
         for v in row:
             inside |= 1 << v

@@ -202,16 +202,21 @@ VERIFY_SHA256 = {
     (14, "zhan2"): "100a467079604a1e29f0ac9dd56b507d69d2cc77fc87cb1e3e54dd669320936e",
     (14, "zhan3adj"): "14bf76bfec54985a3572240e57bf1be4d380e71ffbae6d1e8800e66d83d51384",
     (14, "chords"): "160af8f2a2cdc62294f89ea044a8f3f33a20ce1ac66c4b2f28739049162ac423",
+    # recorded with the sweep called for every source, the chord walk over
+    # every longest cycle and pairs settled by Pósa rotation alone
+    (16, "zhan2"): "504c2124ca1a00dd458e7a486afc85a5c3c59c7246157668ec33f6e9b58c6728",
+    (16, "zhan3adj"): "02e7d8c47a6d6625a793ef01a59f5470714c338b1c3a5566426fe0f89f6d0375",
+    (16, "chords"): "0bcd026e51f38adf2798aa391bfe2a131b69ad0417c5d14761782a0e71460681",
 }
 
 
 @pytest.mark.parametrize("n", (
     10,
     12,
-    pytest.param(14, marks=pytest.mark.skipif(
+    *(pytest.param(n, marks=pytest.mark.skipif(
         os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
         reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
-    )),
+    )) for n in (14, 16)),
 ))
 def test_verify_report_pinned(tmp_path, capsys, n):
     corpus = tmp_path / f"cubic{n}.g6"
@@ -1014,15 +1019,17 @@ def test_runs_on_the_standard_library_alone(tmp_path):
 # at exit writes the modules the process loaded and, for each `os.fork`,
 # whether `chordlab.verify` was already loaded when it forked.
 _LOADS = """
-import atexit, json, os, runpy, sys
+import atexit, os, runpy, sys
 forks, fork = [], os.fork
 def recorded_fork():
     forks.append("chordlab.verify" in sys.modules)
     return fork()
 os.fork = recorded_fork
 def report():
+    modules = sorted(sys.modules)
+    import json
     with open({out!r}, "w") as fh:
-        json.dump({{"modules": sorted(sys.modules), "forks": forks}}, fh)
+        json.dump({{"modules": modules, "forks": forks}}, fh)
 atexit.register(report)
 sys.argv = ["chordlab", *{argv!r}]
 runpy.run_module("chordlab.cli", run_name="__main__", alter_sys=True)
@@ -1030,14 +1037,14 @@ runpy.run_module("chordlab.cli", run_name="__main__", alter_sys=True)
 
 
 def _loads(tmp_path, argv):
-    """(the chordlab submodules, whether `dataclasses` was loaded, the
-    fork records) of a command-line process running ``argv``."""
+    """(the chordlab submodules, every loaded module, the fork records) of
+    a command-line process running ``argv``."""
     out = tmp_path / "loads.json"
     proc = run_python(["-c", _LOADS.format(out=str(out), argv=argv)])
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(out.read_text())
     ours = {m.partition(".")[2] for m in seen["modules"] if m.startswith("chordlab.")}
-    return ours, "dataclasses" in seen["modules"], seen["forks"]
+    return ours, set(seen["modules"]), seen["forks"]
 
 
 def test_import_chordlab_loads_no_submodule():
@@ -1073,10 +1080,20 @@ def test_import_chordlab_loads_no_submodule():
 
 def test_generate_loads_only_enumeration(tmp_path):
     """`generate` loads the enumeration and graph6 writer it runs, and not
-    the search, the verifiers or the extender, nor `dataclasses`."""
-    ours, dataclasses, _ = _loads(tmp_path, ["generate", "--n", "4"])
+    the search, the verifiers or the extender, nor `dataclasses`, nor the
+    report writers and the worker pool's modules that only `verify` uses."""
+    ours, modules, _ = _loads(tmp_path, ["generate", "--n", "4"])
     assert ours == {"errors", "generate", "graph6", "graphs"}
-    assert not dataclasses
+    assert not modules & {"dataclasses", "csv", "json", "pickle", "select", "signal"}
+
+
+def test_extend_loads_no_worker_pool(tmp_path):
+    """`extend` loads neither the CSV writer nor the worker pool's modules."""
+    f = tmp_path / "k33.txt"
+    f.write_text(oracles.edge_list_text(oracles.k33()))
+    ours, modules, _ = _loads(tmp_path, ["extend", "--graph", str(f), "--path", "0,4,1,3"])
+    assert "extender" in ours
+    assert not modules & {"csv", "pickle", "select", "signal"}
 
 
 @pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))

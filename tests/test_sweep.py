@@ -9,8 +9,11 @@ verifiers, since the sweep's skip depends on vertex labels;
 verify_chords' counts from the masks against the chord sets of every
 longest Cycle and the naive oracle; and mutation checks showing that
 verify_zhan's re-validation catches a wrong entry in either mode and a
-wrong rotated path; and a spy on the rotation closure, which queues each
-end pair once and settles only Hamiltonian pairs."""
+wrong rotated path or a seed that closes no Hamilton cycle; a spy on
+the rotation closure and the Hamilton-cycle settle, which queue each end
+pair once and settle only Hamiltonian pairs, and on the sweep, which is
+never called without a target; and verify_chords' walk, which stops at
+the first Hamilton cycle, against the full one."""
 
 import ast
 import collections
@@ -364,8 +367,16 @@ def _chords_reference(g):
 
 
 def _check_chords_against_reference(g):
+    """verify_chords against the reference, and its cycle walk against the
+    full one: it yields the first Hamilton cycle when there is one, and
+    every longest cycle otherwise.  Returns whether g is Hamiltonian, the
+    branch where the walk stops early."""
     rep = verify_chords(g)
     assert (rep.cycle_length, rep.min_chords, rep.witness) == _chords_reference(g), write_graph6(g)
+    full = kernels.cycles_of_length(g.masks, g.n, None)
+    hamiltonian = len(full[0]) == g.n
+    assert kernels.cycles_of_length(g.masks, g.n, None, True) == (full[:1] if hamiltonian else full)
+    return hamiltonian
 
 
 def _relabeled(g, seed):
@@ -375,22 +386,35 @@ def _relabeled(g, seed):
 
 
 def test_chord_counts_match_cycle_sets_on_corpus(corpus, corpus12):
+    """The 78 3-connected graphs of order at most 12 and a relabeling of
+    each; two are not Hamiltonian, the Petersen graph and one of order 12."""
     graphs = [g for n in corpus for g in corpus[n]] + corpus12
     checked = [g for g in graphs if connectivity_at_least(g, 3)]
+    branches = collections.Counter()
     for seed, g in enumerate(checked):
-        _check_chords_against_reference(g)
-        _check_chords_against_reference(_relabeled(g, seed))
+        branches[_check_chords_against_reference(g)] += 1
+        branches[_check_chords_against_reference(_relabeled(g, seed))] += 1
     assert len(checked) == 78
+    assert branches == {True: 152, False: 4}
+    assert not _check_chords_against_reference(oracles.petersen())
+
+
+def test_chord_counts_match_cycle_sets_n14():
+    """The 341 3-connected graphs of order 14, four of them not Hamiltonian."""
+    checked = [g for g in enumerate_cubic(14) if connectivity_at_least(g, 3)]
+    branches = collections.Counter(_check_chords_against_reference(g) for g in checked)
+    assert branches == {True: 337, False: 4}
 
 
 @pytest.mark.parametrize("n", range(14, 21, 2))
 def test_chord_counts_match_cycle_sets_on_random(n):
-    """The first two 3-connected graphs among random_cubic(n, 0), (n, 1), ..."""
+    """The first two 3-connected graphs among random_cubic(n, 0), (n, 1), ...,
+    all of them Hamiltonian."""
     draws = (random_cubic(n, seed) for seed in itertools.count())
     graphs = itertools.islice((g for g in draws if connectivity_at_least(g, 3)), 2)
     for seed, g in enumerate(graphs):
-        _check_chords_against_reference(g)
-        _check_chords_against_reference(_relabeled(g, seed))
+        assert _check_chords_against_reference(g)
+        assert _check_chords_against_reference(_relabeled(g, seed))
 
 
 def test_chord_counts_match_naive_oracle_small(corpus):
@@ -638,46 +662,64 @@ def test_rotation_with_wrong_ends_is_caught(monkeypatch):
 
 
 def _spy_closures(monkeypatch):
-    """Record each rotation closure: its source, the end pairs of the
-    paths it queues (the seeds, then every path `verify._rotate` builds)
-    and the pairs it settles."""
-    real_rotate, real_settle = verify._rotate, verify._settle_by_rotation
-    calls = []
+    """Record each settling step of verify_zhan, in call order: each
+    Hamilton cycle `verify._settle_by_cycle` settles from, and each
+    rotation closure with the end pairs of the paths it queues (the seeds,
+    then every path `verify._rotate` builds); each with its kind, its
+    source and the pairs it settles.  Also record the target mask of
+    every `kernels.xy_sweep` call."""
+    real_rotate, real_sweep = verify._rotate, kernels.xy_sweep
+    calls, sweeps = [], []
 
     def rotate(q, i):
         r = real_rotate(q, i)
         calls[-1]["queued"].append(tuple(sorted((r[0], r[-1]))))
         return r
 
-    def settle(masks, x, seeds, open_, left):
-        before = list(open_)
-        calls.append({"x": x, "queued": [(p[0], p[-1]) for p in seeds]})
-        out = real_settle(masks, x, seeds, open_, left)
-        calls[-1]["settled"] = [
-            (a, c) for a in range(len(masks)) for c in range(len(masks)) if (before[a] & ~open_[a]) >> c & 1
-        ]
-        return out
+    def spy(kind, real):
+        def settle(masks, x, seeds, open_, left):
+            before = list(open_)
+            queued = [(p[0], p[-1]) for p in seeds] if kind == "rotation" else []
+            calls.append({"kind": kind, "x": x, "queued": queued})
+            out = real(masks, x, seeds, open_, left)
+            calls[-1]["settled"] = [
+                (a, c) for a in range(len(masks)) for c in range(len(masks)) if (before[a] & ~open_[a]) >> c & 1
+            ]
+            assert out == left - len(calls[-1]["settled"])
+            return out
+
+        return settle
+
+    def sweep(masks, n, x, targets, floor):
+        sweeps.append(targets)
+        return real_sweep(masks, n, x, targets, floor)
 
     monkeypatch.setattr(verify, "_rotate", rotate)
-    monkeypatch.setattr(verify, "_settle_by_rotation", settle)
-    return calls
+    monkeypatch.setattr(verify, "_settle_by_cycle", spy("cycle", verify._settle_by_cycle))
+    monkeypatch.setattr(verify, "_settle_by_rotation", spy("rotation", verify._settle_by_rotation))
+    monkeypatch.setattr(kernels, "xy_sweep", sweep)
+    return calls, sweeps
 
 
 def test_closure_queues_each_end_pair_once(monkeypatch, corpus, corpus12):
     """Over the n <= 12 corpus and random graphs of order 14..20, in both
     modes: each source's closure queues no end pair twice, so at most
-    C(n,2) paths, and every pair it settles is Hamiltonian, with value
-    n - 2 in the full table."""
+    C(n,2) paths; every pair that a Hamilton cycle or a closure settles
+    is Hamiltonian, with value n - 2 in the full table; and no source is
+    swept without a target, while some sources are skipped."""
     graphs = [g for n in corpus for g in corpus[n]] + corpus12
     graphs += [random_cubic(n, seed) for n in range(14, 21, 2) for seed in range(5)]
-    calls = _spy_closures(monkeypatch)
-    closures = settled = 0
+    calls, sweeps = _spy_closures(monkeypatch)
+    closures, settled, skipped = collections.Counter(), collections.Counter(), 0
     for g in graphs:
         for mode, k in MODES:
             if not connectivity_at_least(g, k):
                 continue
             calls.clear()
+            sweeps.clear()
             verify_zhan(g, mode)
+            assert 0 not in sweeps, mode
+            skipped += g.n - len(sweeps)
             full = None
             for call in calls:
                 queued = call["queued"]
@@ -687,6 +729,30 @@ def test_closure_queues_each_end_pair_once(monkeypatch, corpus, corpus12):
                 for xy in call["settled"]:
                     assert xy[0] > call["x"], (mode, xy)
                     assert (full[xy].max_length, full[xy].min_bound) == (g.n - 1, g.n - 2), (mode, xy)
-                closures += 1
-                settled += len(call["settled"])
-    assert closures and settled
+                closures[call["kind"]] += 1
+                settled[call["kind"]] += len(call["settled"])
+    assert closures["cycle"] and closures["rotation"] and skipped
+    assert settled["cycle"] and settled["rotation"]
+
+
+@pytest.mark.parametrize("short", (False, True), ids=("open", "one-short"))
+def test_cycle_settle_checks_its_seed(short):
+    """A seed settles the pairs of its cycle only if it is a Hamilton
+    cycle: a Hamiltonian path of the Petersen graph, whose ends are never
+    adjacent, and a 9-cycle, one vertex short, each raise at stage cycle,
+    name the seed and what is wrong with it, and settle nothing."""
+    g = oracles.petersen()
+    if short:
+        seed = kernels.cycles_of_length(g.masks, g.n, g.n - 1)[0]
+        problem = f"{g.n - 1} of {g.n} vertices"
+    else:
+        seed = next(r.witness for r in oracles.zhan_table(g, "all-pairs").values() if r.max_length == g.n - 1)
+        problem = f"({seed[-1]},{seed[0]}) is not an edge"
+    assert oracles.walk_problem_reference(g, seed) is None
+    open_ = [((1 << g.n) - 1) & (-2 << x) for x in range(g.n)]
+    before = list(open_)
+    with pytest.raises(InvariantViolation) as info:
+        verify._settle_by_cycle(g.masks, 0, seed, open_, sum(m.bit_count() for m in open_))
+    assert info.value.step == "cycle"
+    assert str(info.value) == f"cycle: seed {seed}: {problem}"
+    assert open_ == before
