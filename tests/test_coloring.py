@@ -37,6 +37,13 @@ def test_color_rejects_bad_shape():
         three_color_cycle_plus(g, Cycle(tuple(range(8))))
 
 
+def test_color_needs_a_hamilton_cycle():
+    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (2, 4), (0, 4)])
+    with pytest.raises(ValueError) as exc:
+        three_color_cycle_plus(g, Cycle((0, 2, 4)))
+    assert str(exc.value) == "c must be a Hamilton cycle of g"
+
+
 def test_color_triangle():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     col = three_color_cycle_plus(g, Cycle((0, 1, 2)))

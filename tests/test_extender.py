@@ -256,6 +256,16 @@ def test_precheck_chord_scan_matches_set_scan(monkeypatch, corpus, corpus12):
     assert named > 100 and clear > 20
 
 
+def test_precheck_refuses_a_bridge():
+    """Two K4s, each with one edge subdivided, joined by a bridge between
+    the subdivision vertices: cubic, but not 2-connected."""
+    k4_split = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    g = Graph(10, k4_split + [(u + 5, v + 5) for u, v in k4_split] + [(4, 9)])
+    with pytest.raises(ValueError) as exc:
+        precheck(g, Path((0, 2)))
+    assert str(exc.value) == "host graph is not 2-connected"
+
+
 def test_precheck_chord_check_fires():
     """On the prism, the path 0,1,2,5 has the bound vertex 2; were it not
     found, the chord scan would name (0,2), the first chord in path
@@ -594,15 +604,20 @@ def _tight_cover(rg):
     return MultiCycle(verts, eids)
 
 
+def _tight_reduction():
+    g, p = _tight_host()
+    comps = _attached_components(g, p.vertices)
+    triples = [(1 << 10, (6, 8, 2)), (1 << 11, (1, 3, 7))]
+    return g, p, build_reduced_G2(g, p, comps, frozenset({2, 7}), triples)
+
+
 def test_tight_pipeline_end_to_end():
     """Drive the collapse branch on a real cubic host by feeding the
     two-blue cover cycle directly: the lift exactly ties the base length
     and the matching step must beat it."""
-    g, p = _tight_host()
+    g, p, rg = _tight_reduction()
     assert precheck(g, p).kind == EXTENDABLE
     h1, h2 = 1 << 10, 1 << 11
-    comps = _attached_components(g, p.vertices)
-    rg = build_reduced_G2(g, p, comps, frozenset({2, 7}), [(h1, (6, 8, 2)), (h2, (1, 3, 7))])
     cp = _tight_cover(rg)
     stats, runs = compute_stats(rg, cp)
     assert stats.dropped_vertices == 0 and stats.red_on_cycle == 0
@@ -622,20 +637,118 @@ def test_tight_pipeline_end_to_end():
     assert final.length > p.length
 
 
-def test_matching_step_minimal_instance():
+def _minimal_tight():
+    """A hexagon with vertex 6 joined to 1, 2 and 3: the host, the lift
+    through 6 in place of 2, the hexagon and the attachment of 2 to 6."""
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
                   (1, 6), (2, 6), (3, 6)])
-    c_host = Cycle((0, 1, 2, 3, 4, 5))
-    c_star = Cycle((0, 1, 6, 3, 4, 5))
-    out = matching_step(g, c_star, c_host, [(2, 6, 1 << 6)])
+    return g, Cycle((0, 1, 6, 3, 4, 5)), Cycle((0, 1, 2, 3, 4, 5)), [(2, 6, 1 << 6)]
+
+
+def test_matching_step_minimal_instance():
+    g, c_star, c_host, attachments = _minimal_tight()
+    out = matching_step(g, c_star, c_host, attachments)
     assert out.vertices == (0, 1, 2, 6, 3, 4, 5)
     assert out.length == 7 > c_host.length
 
 
 def test_matching_step_requires_attachments():
     g, p = _tight_host()
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as exc:
         matching_step(g, Cycle(p.vertices), Cycle(p.vertices), [])
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: no attachments in the tight case"
+
+
+def _tight_lift():
+    """The host, the lift, the base cycle and the attachments of
+    `test_tight_pipeline_end_to_end`: the lift (0, 1, 11, 3, 4, 5, 6, 10,
+    8, 9) drops the representatives 2 and 7, attached to 10 and 11."""
+    g, p, rg = _tight_reduction()
+    cp = _tight_cover(rg)
+    c_star, attachments, _ = lift_to_host(g, rg, cp, *compute_stats(rg, cp)[::-1])
+    return g, c_star, Cycle(p.vertices), attachments
+
+
+def _host_without(g, u, v):
+    return Graph(g.n, [e for e in g.edges if e != (min(u, v), max(u, v))])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda g, s, h, a: (g, s, h, [(3, 11, a[1][2])]), "attachment edge collides"),
+    (lambda g, s, h, a: (g, Cycle((12, 14, 15)), h, a), "no branch vertices on the lift"),
+    (lambda g, s, h, a: (g, Cycle(s.vertices * 2), h, a), "segment endpoints repeat"),
+    (lambda g, s, h, a: (g, h, h, a), "non-trivial run not between matching endpoints"),
+    (lambda g, s, h, a: (g, s, h, a * 2), "bipartition sizes off: 4 partners, 2 matching edges"),
+    (lambda g, s, h, a: (g, s, h, [a[0], (2, 11, a[1][2])]), "compressed graph is not cubic"),
+    (lambda g, s, h, a: (_host_without(g, 2, 10), s, h, a), "no host route for attachment (2,10)"),
+], ids=("colliding-attachment", "lift-off-the-base", "lift-runs-twice",
+        "lift-is-the-base", "attachments-repeat", "representative-twice", "attachment-edge-gone"))
+def test_matching_step_checks_fire(corrupt, message):
+    """Each check of the matching step, fed the tight case with one
+    intermediate corrupted:
+    - an attachment along the lift's edge (3, 11) collides, while a
+      repeated attachment does not: it only throws the counts off;
+    - a lift that meets neither the base cycle nor an attachment has no
+      branch vertex;
+    - a lift that runs round its cycle twice repeats its runs.  A simple
+      lift cannot: two runs with the same ends are its two arcs between
+      them, both on the base cycle, so the lift is the base cycle and
+      every vertex of degree 3 ends an attachment edge;
+    - the base cycle handed back as the lift leaves the run 2 .. 7
+      between two representatives;
+    - a second attachment at representative 2 gives it degree 4;
+    - a host without the attachment edge (2, 10) has no route for it."""
+    g, c_star, c_host, attachments = corrupt(*_tight_lift())
+    with pytest.raises(InvariantViolation) as exc:
+        matching_step(g, c_star, c_host, attachments)
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: " + message
+
+
+def test_matching_step_runs_stay_on_the_base_cycle():
+    """With the 4-cycle 1, 2, 3, 6 as the base cycle, the minimal
+    instance's run 3, 4, 5, 0, 1 joins its two partners off it."""
+    g, c_star, _, attachments = _minimal_tight()
+    with pytest.raises(InvariantViolation) as exc:
+        matching_step(g, c_star, Cycle((1, 2, 3, 6)), attachments)
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: compressed run leaves the base cycle"
+
+
+def test_matching_step_needs_a_longer_cycle(monkeypatch):
+    """A cycle kernel that finds nothing leaves no cycle through the
+    matching."""
+    monkeypatch.setattr(kernels, "cycles_of_length", lambda masks, n, length: [])
+    with pytest.raises(InvariantViolation) as exc:
+        matching_step(*_tight_lift())
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: no longer cycle through the matching exists"
+
+
+def test_matching_step_must_beat_the_base_cycle():
+    """A base cycle that reports one edge more than it has is as long as
+    the decompressed cycle of the minimal instance."""
+    g, c_star, c_host, attachments = _minimal_tight()
+    with pytest.raises(InvariantViolation) as exc:
+        matching_step(g, c_star, _Miscounted(c_host.vertices), attachments)
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: decompressed cycle is not longer"
+
+
+def test_extend_checks_the_tight_collapse(monkeypatch):
+    """A lift that fails to grow on a cover that is not tight fails the
+    collapse check before the matching step.  Seed 12 is the first
+    extendable host whose extension reaches the lift; its cover has two
+    blue runs of length 1."""
+    g, p = helpers.gen_extendable_host(12)
+    monkeypatch.setattr(extender, "lift_to_host", lambda g, rg, cp, runs, stats: (Cycle(p.vertices), [], {}))
+    with pytest.raises(InvariantViolation) as exc:
+        extend_path(g, p)
+    assert exc.value.step == "stats-collapse"
+    assert str(exc.value) == (
+        "stats-collapse: lift failed to grow but the tight-case collapse does not hold"
+    )
 
 
 def _minus_a_matching(g, rng):
@@ -957,8 +1070,47 @@ def test_adjacent_handles_reversed_orientation():
 
 def test_adjacent_rejects_wrong_configuration():
     g = oracles.k4()
-    with pytest.raises(ValueError):
-        extend_path_adjacent(g, Path((0, 2, 3, 1)))  # closing cycle has 2 chords
+    with pytest.raises(ValueError) as exc:
+        extend_path_adjacent(g, Path((0, 2, 3, 1)))
+    assert str(exc.value) == "closing cycle must have exactly one chord, found 2"
+
+
+def _k4_minus_edge(b):
+    """K4 on b .. b+3 without the edge (b, b+1), whose ends are left with
+    one free degree each."""
+    return [(b, b + 2), (b, b + 3), (b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
+
+
+@pytest.mark.parametrize("g, path, message", [
+    (oracles.cycle_graph(5), (0, 1), "host graph is not cubic"),
+    (oracles.two_k4_minus_edge_bridge(), (2, 0, 3, 1), "host graph is not 3-connected"),
+    (oracles.k33(), (0, 3, 1), "endpoints are not adjacent"),
+    (Graph(10, [(i, (i + 1) % 8) for i in range(8)]
+           + [(2, 5), (8, 0), (8, 3), (8, 6), (9, 1), (9, 4), (9, 7)]),
+     tuple(range(8)), "the chord is not incident to an endpoint"),
+], ids=("not-cubic", "not-3-connected", "endpoints-apart", "chord-inside"))
+def test_adjacent_refuses_inputs(g, path, message):
+    with pytest.raises(ValueError) as exc:
+        extend_path_adjacent(g, Path(path))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("g, path, message", [
+    (oracles.two_k4_minus_edge_bridge(), (2, 0, 3, 1), "closing cycle shorter than 5"),
+    (Graph(14, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+           + _k4_minus_edge(6) + [(6, 1), (7, 4)] + _k4_minus_edge(10) + [(10, 2), (11, 5)]),
+     tuple(range(6)), "component [6, 7, 8, 9] has fewer than three attachments"),
+], ids=("short-cycle", "two-attachments"))
+def test_adjacent_refusals_past_the_gate(monkeypatch, g, path, message):
+    """Two refusals that no 3-connected cubic host reaches, shown on
+    2-connected hosts with the connectivity gate lifted.  Off x and w,
+    every cycle vertex has one edge off the cycle, so a component with
+    fewer than three attachments, or the two ends other than x and w of
+    a 4-cycle x, a, w, y, are cut off by at most two edges."""
+    monkeypatch.setattr(extender, "connectivity_at_least", lambda g, k: True)
+    with pytest.raises(ValueError) as exc:
+        extend_path_adjacent(g, Path(path))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_second_cycle_validates_inputs():
         second_hamilton_cycle(inst, x=5, y=2)  # not a cycle edge
 
 
+def test_second_cycle_refuses_an_edge_inside_the_last_arc():
+    """The spec instance's distinguished arc is (5, 0): its own edge
+    cannot be the designated one."""
+    with pytest.raises(ValueError) as exc:
+        second_hamilton_cycle(spec_instance(), x=5, y=0)
+    assert str(exc.value) == "(5,0) lies inside the distinguished arc"
+
+
 def test_bad_lemma_instance_is_an_internal_error():
     """A hypothesis clause that fails is a failed invariant that names the
     clause, not a bare AssertionError that escapes the command line's
