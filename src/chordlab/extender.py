@@ -18,7 +18,6 @@ checkers in search before being returned.  The verifiers live in
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
@@ -26,7 +25,7 @@ from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
-from .graphs import reach_mask, vertex_bits, vertex_mask
+from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
 from .search import Cycle, Path, chords, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
@@ -53,6 +52,8 @@ class ExtensionTrace:
         self.steps.append({"name": name, **data})
 
     def to_json(self) -> str:
+        import json  # only `extend --trace` writes a trace
+
         return json.dumps(
             {"steps": self.steps, "final_path": list(self.final_path)}, indent=2
         )
@@ -357,8 +358,8 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
             raise InvariantViolation(
                 "reduced-graph", f"interior vertex {v} has degree {rg.degree(v)}"
             )
-    cyc_keys = Cycle(p.vertices).edge_set()
-    if any((a, b) in cyc_keys for a in a_set for b in a_set):
+    on, am = cycle_masks(p.vertices, g.n), vertex_mask(a_set)
+    if any(on[a] & am for a in a_set):
         raise InvariantViolation(
             "reduced-graph", "selected class not independent on the cycle"
         )
@@ -543,29 +544,24 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
     longer cycle through the matching, and decompress."""
     if not attachments:
         raise InvariantViolation("matching-step", "no attachments in the tight case")
-    star_edges = set(c_star.edge_pairs())
-    host_edges = set(c_host.edge_pairs())
+    host = cycle_masks(c_host.vertices, g.n)
+    both = [s | h for s, h in zip(cycle_masks(c_star.vertices, g.n), host)]
+    g3 = list(both)  # both cycles and the attachment edges
     aux = {}
     for w, w_star, comp in attachments:
-        key = (min(w, w_star), max(w, w_star))
-        if key in star_edges | host_edges:
+        if both[w] >> w_star & 1:
             raise InvariantViolation("matching-step", "attachment edge collides")
-        aux[key] = (w, w_star, comp)
-    g3_edges = star_edges | host_edges | set(aux)
-    deg = {}
-    for u, v in g3_edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    high = {v for v, d in deg.items() if d >= 3}
+        aux[(min(w, w_star), max(w, w_star))] = (w, w_star, comp)
+        g3[w] |= 1 << w_star
+        g3[w_star] |= 1 << w
+    high = vertex_mask(v for v, m in enumerate(g3) if m.bit_count() >= 3)
 
     p_count = len(attachments)
-    reps = {w for w, _, _ in attachments}
-    stars = {w_star for _, w_star, _ in attachments}
-    partners = high - reps - stars
+    partners = high & ~vertex_mask(v for w, w_star, _ in attachments for v in (w, w_star))
 
     vs = c_star.vertices
     Lc = len(vs)
-    anchors = [i for i, v in enumerate(vs) if v in high]
+    anchors = [i for i, v in enumerate(vs) if high >> v & 1]
     if not anchors:
         raise InvariantViolation("matching-step", "no branch vertices on the lift")
     segments = []
@@ -579,14 +575,14 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
         segments.append(tuple(seg))
     matching = {}
     for seg in segments:
-        if seg[0] in partners and seg[-1] in partners:
+        if partners >> seg[0] & 1 and partners >> seg[-1] & 1:
             for a, b in zip(seg, seg[1:]):
-                if (min(a, b), max(a, b)) not in host_edges:
+                if not host[a] >> b & 1:
                     raise InvariantViolation(
                         "matching-step", "compressed run leaves the base cycle"
                     )
             key = (min(seg[0], seg[-1]), max(seg[0], seg[-1]))
-            if key in matching:
+            if key in matching:  # only on cycles that repeat a vertex
                 raise InvariantViolation("matching-step", "segment endpoints repeat")
             matching[key] = seg
         elif len(seg) != 2:
@@ -594,40 +590,36 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
                 "matching-step", "non-trivial run not between matching endpoints"
             )
 
-    if len(partners) != 2 * p_count or len(matching) != p_count:
+    if partners.bit_count() != 2 * p_count or len(matching) != p_count:
         raise InvariantViolation(
             "matching-step",
-            f"bipartition sizes off: {len(partners)} partners, {len(matching)} matching edges",
+            f"bipartition sizes off: {partners.bit_count()} partners, {len(matching)} matching edges",
         )
 
     # dense ids in vertex order: the relabeling keeps the canonical cycle
     # form and the order of vertex sequences, so the kernel's rows ascend
     # in host ids too
-    order = sorted(high)
+    order = vertex_bits(high)
     dense = {v: i for i, v in enumerate(order)}
-    g4_keys = set(matching) | set(aux)
-    for u, v in g3_edges:
-        if u in high and v in high:
-            g4_keys.add((min(u, v), max(u, v)))
-    g4_masks = [0] * len(order)
-    for u, v in g4_keys:
-        g4_masks[dense[u]] |= 1 << dense[v]
-        g4_masks[dense[v]] |= 1 << dense[u]
+    for a, b in matching:  # the compressed graph: g3 and the matching on high
+        g3[a] |= 1 << b
+        g3[b] |= 1 << a
+    g4_masks = [vertex_mask(dense[w] for w in vertex_bits(g3[v] & high)) for v in order]
     if any(m.bit_count() != 3 for m in g4_masks):
         raise InvariantViolation("matching-step", "compressed graph is not cubic")
 
     # the shortest cycle longer than 3p through every matching edge, least
     # vertex sequence first: the first qualifying row
-    required = set(matching)
+    def through_matching(seq):
+        on = cycle_masks(seq, g.n)
+        return all(on[a] >> b & 1 for a, b in matching)
+
     rows = (
         tuple(order[i] for i in row)
         for length in range(3 * p_count + 1, len(order) + 1)
         for row in kernels.cycles_of_length(g4_masks, len(order), length)
     )
-    seq = next(
-        (s for s in rows if required <= {(min(a, b), max(a, b)) for a, b in zip(s, s[1:] + s[:1])}),
-        None,
-    )
+    seq = next(filter(through_matching, rows), None)
     if seq is None:
         raise InvariantViolation(
             "matching-step", "no longer cycle through the matching exists"
@@ -781,6 +773,10 @@ def extend_path_adjacent(g: Graph, p: Path):
     if x not in e:
         raise ValueError("the chord is not incident to an endpoint")
     w = e[0] if e[1] == x else e[1]
+    # unreachable on 3-connected hosts, as is the attachment count below:
+    # off x and w each cycle vertex has one edge off the cycle, so a and y
+    # of a 4-cycle x, a, w, y, or a component with fewer than three
+    # attachments, would be cut off by at most two edges
     if c_host.length < 5:
         raise ValueError("closing cycle shorter than 5")
     vs = p.vertices  # x .. w .. y along the cycle
@@ -810,7 +806,7 @@ def extend_path_adjacent(g: Graph, p: Path):
             return _finish(g, p, splice, trace, flipped)
 
     cprime_vertices = vs[1:wi] + vs[wi + 1:]  # a .. b, c .. y
-    new_edges = [(min(a, y), max(a, y)), (min(b, c), max(b, c))]
+    new_edges = [(a, y), (b, c)]
     for comp, attach in comps:
         if len(attach) < 3:
             raise ValueError(
@@ -918,10 +914,10 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
     their components; the result lives in the host minus the reinstated
     pair, plus the two surgery edges."""
     comp_of_rep = {w2: comp for comp, (_, _, w2) in relabeled}
-    ring_keys = Cycle(cprime_vertices).edge_set()
+    ring = cycle_masks(cprime_vertices, g.n)
     L = len(c1_vertices)
     is_chord = [
-        (min(a2, b2), max(a2, b2)) not in ring_keys
+        not ring[a2] >> b2 & 1
         for a2, b2 in zip(c1_vertices, c1_vertices[1:] + c1_vertices[:1])
     ]
     start = next((i for i, ch in enumerate(is_chord) if not ch), None)

@@ -96,6 +96,16 @@ def vertex_bits(mask: int) -> list:
     return out
 
 
+def cycle_masks(vertices, n: int) -> list:
+    """For each vertex 0..n-1, the mask of its neighbours on the closed
+    walk ``vertices`` (0 off the walk)."""
+    masks = [0] * n
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
 def reach_mask(masks, start: int, allowed: int) -> int:
     """The vertices of the mask ``start`` and every vertex joined to one of
     them by a walk whose later vertices lie in the mask ``allowed``, as a

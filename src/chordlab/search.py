@@ -11,7 +11,6 @@ second).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import kernels
 from .graphs import Graph, vertex_mask
@@ -78,9 +77,7 @@ class Path:
 @dataclass(frozen=True)
 class Cycle:
     """Cycle as a canonical cyclic vertex tuple: minimum vertex first,
-    then its smaller neighbor.  Its edge pairs and edge set are built on
-    first use and kept; they are not fields, so ``==`` and ``hash`` read
-    the vertices alone."""
+    then its smaller neighbor."""
 
     vertices: tuple
 
@@ -91,22 +88,14 @@ class Cycle:
     def length(self) -> int:
         return len(self.vertices)
 
-    @cached_property
-    def _edge_pairs(self) -> tuple:
+    def edge_pairs(self) -> tuple:
         vs = self.vertices
         return tuple(
             (a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:] + vs[:1])
         )
 
-    @cached_property
-    def _edge_set(self) -> frozenset:
-        return frozenset(self._edge_pairs)
-
-    def edge_pairs(self) -> tuple:
-        return self._edge_pairs
-
     def edge_set(self) -> frozenset:
-        return self._edge_set
+        return frozenset(self.edge_pairs())
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .graphs import Graph
+from .graphs import Graph, cycle_masks, vertex_mask
 from .search import Cycle, hamilton_cycles
 
 
@@ -45,37 +45,28 @@ class LemmaInstance:
         self.cycle.validate(self.g)
         if self.cycle.length != self.g.n:
             raise InvariantViolation("lemma-instance", "cycle is not Hamilton")
-        cyc_edges = self.cycle.edge_set()
-        for a in self.a_set:
-            for b in self.a_set:
-                if a != b and (min(a, b), max(a, b)) in cyc_edges:
-                    raise InvariantViolation("lemma-instance", "A is not independent on C")
+        masks, on = self.g.masks, cycle_masks(self.cycle.vertices, self.g.n)
+        am = vertex_mask(self.a_set)
+        if any(m & am for v, m in enumerate(on) if am >> v & 1):
+            raise InvariantViolation("lemma-instance", "A is not independent on C")
         if len(self.components) != self.k:
             raise InvariantViolation("lemma-instance", "arc count differs from |A|")
         covered = set()
         for comp in self.components:
             covered |= set(comp)
             for a, b in zip(comp, comp[1:]):
-                if not self.g.has_edge(a, b):
+                if not masks[a] >> b & 1:
                     raise InvariantViolation("lemma-instance", "arc is not a path")
         if covered | self.a_set != set(range(self.g.n)) or covered & self.a_set:
             raise InvariantViolation("lemma-instance", "arcs and A do not partition the vertices")
         for comp in self.components[:-1]:
             for end in (comp[0], comp[-1]):
-                if not any(
-                    self.g.has_edge(end, a)
-                    and (min(end, a), max(end, a)) not in cyc_edges
-                    for a in self.a_set
-                ):
+                if not masks[end] & ~on[end] & am:
                     raise InvariantViolation(
                         "lemma-instance",
                         f"endpoint {end} of a non-final arc has no chord to A",
                     )
         return self
-
-
-def _edges_minus_vertices(cycle_edges, drop) -> frozenset:
-    return frozenset(e for e in cycle_edges if e[0] not in drop and e[1] not in drop)
 
 
 @dataclass(frozen=True)
@@ -87,37 +78,24 @@ class SecondCycleCertificate:
 def build_support_graph(inst: LemmaInstance):
     """Cycle plus one designated chord per endpoint of each non-final arc
     (lowest-id target in A); this is the graph the lemma machinery runs
-    on."""
+    on.  Returns it with the set of designated chords as (u, v), u < v."""
     g, cyc = inst.g, inst.cycle
-    cyc_keys = cyc.edge_set()
+    on, am = cycle_masks(cyc.vertices, g.n), vertex_mask(inst.a_set)
     designated = set()
     for comp in inst.components[:-1]:
         for v in dict.fromkeys((comp[0], comp[-1])):  # start, then end
-            targets = sorted(
-                a for a in inst.a_set
-                if g.has_edge(v, a) and (min(v, a), max(v, a)) not in cyc_keys
-            )
+            targets = g.masks[v] & ~on[v] & am
             if not targets:
                 raise ValueError(f"arc endpoint {v} has no chord into A")
-            a = targets[0]
-            designated.add((min(v, a), max(v, a)))
-    return Graph(g.n, [*cyc.edge_pairs(), *designated]), frozenset(designated)
+            designated.add((v, (targets & -targets).bit_length() - 1))
+    g1 = Graph(g.n, [*cyc.edge_pairs(), *designated])
+    return g1, frozenset((u, v) for u, v in g1.edges if not on[u] >> v & 1)
 
 
-def _satisfies_turning_condition(cycle: Cycle, base_keys, a_set):
-    """Vertex of A with exactly one incident cycle edge in the base cycle,
-    or None."""
-    at = {v: [] for v in a_set}
-    for u, v in cycle.edge_pairs():
-        if u in at:
-            at[u].append((u, v))
-        if v in at:
-            at[v].append((u, v))
-    for v in sorted(a_set):
-        inside = sum(1 for e in at[v] if e in base_keys)
-        if inside == 1:
-            return v
-    return None
+def _satisfies_turning_condition(hm, on, a_set):
+    """Vertex of A with exactly one incident edge of the candidate cycle
+    (neighbour masks ``hm``) on the base cycle (``on``), or None."""
+    return next((v for v in sorted(a_set) if (hm[v] & on[v]).bit_count() == 1), None)
 
 
 def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCertificate:
@@ -129,36 +107,33 @@ def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCer
     h_last = inst.components[-1]
     if x not in (h_last[0], h_last[-1]):
         raise ValueError(f"{x} is not an endpoint of the distinguished arc")
-    key = (min(x, y), max(x, y))
-    cyc_keys = inst.cycle.edge_set()
-    if key not in cyc_keys:
+    n, base = inst.g.n, inst.cycle
+    on = cycle_masks(base.vertices, n)
+    if not on[x] >> y & 1:
         raise ValueError(f"({x},{y}) is not a cycle edge")
-    inside = {
-        (min(a, b), max(a, b)) for a, b in zip(h_last, h_last[1:])
-    }
-    if key in inside:
+    steps = list(zip(h_last, h_last[1:]))
+    if (x, y) in steps or (y, x) in steps:
         raise ValueError(f"({x},{y}) lies inside the distinguished arc")
     g1, _ = build_support_graph(inst)
-    base = inst.cycle
-    cands = [
-        h for h in hamilton_cycles(g1)
-        if key in h.edge_set() and h != base
-    ]
+    cands = []  # (cycle, its neighbour masks), through xy
+    for h in hamilton_cycles(g1):
+        hm = cycle_masks(h.vertices, n)
+        if hm[x] >> y & 1 and h != base:
+            cands.append((h, hm))
     if not cands:
         raise InvariantViolation(
             "second-cycle", f"no second Hamilton cycle through ({x},{y})"
         )
-    a_set = inst.a_set
-    off = _edges_minus_vertices(base.edge_pairs(), a_set)
-    for h in cands:
-        if _edges_minus_vertices(h.edge_pairs(), a_set) != off:
+    am = vertex_mask(inst.a_set)
+    outside = [v for v in range(n) if not am >> v & 1]
+    for _, hm in cands:
+        if any((hm[v] ^ on[v]) & ~am for v in outside):
             raise InvariantViolation(
                 "second-cycle", "a support-graph Hamilton cycle moved off A"
             )
-    base_keys = base.edge_set()
     # cands ascend by vertex sequence, and max returns the first maximum
-    best = max(cands, key=lambda h: len(h.edge_set() & base_keys))
-    v = _satisfies_turning_condition(best, base_keys, a_set)
+    best, hm = max(cands, key=lambda c: sum((m & o).bit_count() for m, o in zip(c[1], on)))
+    v = _satisfies_turning_condition(hm, on, inst.a_set)
     if v is None:
         raise InvariantViolation(
             "second-cycle", "the maximum-overlap candidate has no turning vertex"

@@ -12,7 +12,9 @@ earlier full table, every pair swept with the kernel at floor n - 1, the
 reference for the entries, minimum and first violating pair that the
 verifier now computes with a length floor and rotations.  The parity-lemma check at the end
 counts Hamilton cycles with the library's `hamilton_cycles`, which
-`test_search.py` checks against a DFS oracle on the same support graphs.
+`test_search.py` checks against a DFS oracle on the same support graphs;
+it compares their edges off A as sets of pairs, where the second-cycle
+step compares neighbour masks.
 ``cubic_codes_by_level`` is the enumeration's earlier level-by-level
 body, the reference for its depth-first walk.  It keeps its own copy of
 the earlier completability prune, ``completable_reference`` (the
@@ -46,7 +48,6 @@ from chordlab.errors import InvariantViolation
 from chordlab.generate import _is_max_code
 from chordlab.graphs import Graph, components_after_deletion, vertex_bits
 from chordlab.search import hamilton_cycles
-from chordlab.second_cycle import _edges_minus_vertices
 
 # ---------------------------------------------------------------------------
 # graph zoo
@@ -886,12 +887,10 @@ def verify_parity_lemma(g: Graph, a_set) -> ParityReport:
                 continue
             count = sum(1 for h in h_all if key in h.edge_set())
             checked.append((key, count))
-    preserved = True
-    if h_all:
-        base = _edges_minus_vertices(h_all[0].edge_pairs(), a_set)
-        preserved = all(
-            _edges_minus_vertices(h.edge_pairs(), a_set) == base for h in h_all
-        )
+    def edges_off_a(h):
+        return {e for e in h.edge_pairs() if e[0] not in a_set and e[1] not in a_set}
+
+    preserved = all(edges_off_a(h) == edges_off_a(h_all[0]) for h in h_all)
     return ParityReport(
         checked_edges=tuple(checked),
         all_even=all(c % 2 == 0 for _, c in checked),

@@ -1088,12 +1088,13 @@ def test_generate_loads_only_enumeration(tmp_path):
 
 
 def test_extend_loads_no_worker_pool(tmp_path):
-    """`extend` loads neither the CSV writer nor the worker pool's modules."""
+    """`extend` without ``--trace`` loads neither the CSV or JSON writers
+    nor the worker pool's modules."""
     f = tmp_path / "k33.txt"
     f.write_text(oracles.edge_list_text(oracles.k33()))
     ours, modules, _ = _loads(tmp_path, ["extend", "--graph", str(f), "--path", "0,4,1,3"])
     assert "extender" in ours
-    assert not modules & {"csv", "pickle", "select", "signal"}
+    assert not modules & {"csv", "json", "pickle", "select", "signal"}
 
 
 @pytest.mark.parametrize("mode", ("zhan2", "zhan3adj", "chords"))

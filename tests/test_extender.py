@@ -666,23 +666,20 @@ def _tight_lift():
     8, 9) drops the representatives 2 and 7, attached to 10 and 11."""
     g, p, rg = _tight_reduction()
     cp = _tight_cover(rg)
-    c_star, attachments, _ = lift_to_host(g, rg, cp, *compute_stats(rg, cp)[::-1])
+    stats, runs = compute_stats(rg, cp)
+    c_star, attachments, _ = lift_to_host(g, rg, cp, runs, stats)
     return g, c_star, Cycle(p.vertices), attachments
-
-
-def _host_without(g, u, v):
-    return Graph(g.n, [e for e in g.edges if e != (min(u, v), max(u, v))])
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda g, s, h, a: (g, s, h, [(3, 11, a[1][2])]), "attachment edge collides"),
     (lambda g, s, h, a: (g, Cycle((12, 14, 15)), h, a), "no branch vertices on the lift"),
-    (lambda g, s, h, a: (g, Cycle(s.vertices * 2), h, a), "segment endpoints repeat"),
     (lambda g, s, h, a: (g, h, h, a), "non-trivial run not between matching endpoints"),
     (lambda g, s, h, a: (g, s, h, a * 2), "bipartition sizes off: 4 partners, 2 matching edges"),
     (lambda g, s, h, a: (g, s, h, [a[0], (2, 11, a[1][2])]), "compressed graph is not cubic"),
-    (lambda g, s, h, a: (_host_without(g, 2, 10), s, h, a), "no host route for attachment (2,10)"),
-], ids=("colliding-attachment", "lift-off-the-base", "lift-runs-twice",
+    (lambda g, s, h, a: (Graph(g.n, [e for e in g.edges if e != (2, 10)]), s, h, a),
+     "no host route for attachment (2,10)"),
+], ids=("colliding-attachment", "lift-off-the-base",
         "lift-is-the-base", "attachments-repeat", "representative-twice", "attachment-edge-gone"))
 def test_matching_step_checks_fire(corrupt, message):
     """Each check of the matching step, fed the tight case with one
@@ -691,10 +688,6 @@ def test_matching_step_checks_fire(corrupt, message):
       repeated attachment does not: it only throws the counts off;
     - a lift that meets neither the base cycle nor an attachment has no
       branch vertex;
-    - a lift that runs round its cycle twice repeats its runs.  A simple
-      lift cannot: two runs with the same ends are its two arcs between
-      them, both on the base cycle, so the lift is the base cycle and
-      every vertex of degree 3 ends an attachment edge;
     - the base cycle handed back as the lift leaves the run 2 .. 7
       between two representatives;
     - a second attachment at representative 2 gives it degree 4;
@@ -704,6 +697,21 @@ def test_matching_step_checks_fire(corrupt, message):
         matching_step(g, c_star, c_host, attachments)
     assert exc.value.step == "matching-step"
     assert str(exc.value) == "matching-step: " + message
+
+
+def test_matching_step_runs_do_not_repeat():
+    """A lift that runs round its cycle twice repeats its runs between
+    partners; run once, it does not.  A simple lift of a simple base
+    cycle cannot repeat a run: two runs with the same ends are its two
+    arcs between them, both on the base cycle, so the lift is the base
+    cycle and every vertex of degree 3 ends an attachment edge, which no
+    partner does."""
+    g, c_star, c_host, attachments = _tight_lift()
+    assert matching_step(g, c_star, c_host, attachments).length == 12
+    with pytest.raises(InvariantViolation) as exc:
+        matching_step(g, Cycle(c_star.vertices * 2), c_host, attachments)
+    assert exc.value.step == "matching-step"
+    assert str(exc.value) == "matching-step: segment endpoints repeat"
 
 
 def test_matching_step_runs_stay_on_the_base_cycle():
