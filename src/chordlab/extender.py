@@ -26,7 +26,7 @@ from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
 from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
-from .search import Cycle, Path, chords, internal_bound_vertices
+from .search import Cycle, Path, chords, internal_bound_vertices, walk_problem
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
 
@@ -581,10 +581,7 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
                     raise InvariantViolation(
                         "matching-step", "compressed run leaves the base cycle"
                     )
-            key = (min(seg[0], seg[-1]), max(seg[0], seg[-1]))
-            if key in matching:  # only on cycles that repeat a vertex
-                raise InvariantViolation("matching-step", "segment endpoints repeat")
-            matching[key] = seg
+            matching[(min(seg[0], seg[-1]), max(seg[0], seg[-1]))] = seg
         elif len(seg) != 2:
             raise InvariantViolation(
                 "matching-step", "non-trivial run not between matching endpoints"
@@ -667,7 +664,9 @@ def _finish(g, p, longer, trace, flipped=False):
     """The one exit of both pipelines: check that ``longer`` is a longer
     path of g with p's endpoints, undo the adjacent pipeline's flip and
     record it as the trace's final path."""
-    longer.validate(g)
+    problem = walk_problem(g.masks, longer.vertices)
+    if problem:
+        raise InvariantViolation("checker", problem)
     if (longer.x, longer.y) != (p.x, p.y):
         raise InvariantViolation("checker", "endpoints moved")
     if longer.length <= p.length:
@@ -873,18 +872,12 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     cyc = Cycle(tuple(ring2))
     a_dense = frozenset(pos[h] for h in a_set)
 
-    arcs = []
     start = next(i for i, v in enumerate(ring2) if v in a_dense)
     order = ring2[start:] + ring2[:start]
-    cur = []
-    for v in order[1:]:
-        if v in a_dense:
-            arcs.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(v)
-    arcs.append(tuple(cur))
-    if len(arcs) != len(a_dense) or any(not arc for arc in arcs):
+    # the arcs are the runs of the ring outside A; two neighbouring
+    # members of A share a run, so a missing arc lowers the count
+    arcs = [tuple(run) for inside, run in groupby(order, a_dense.__contains__) if not inside]
+    if len(arcs) != len(a_dense):
         raise InvariantViolation(
             "case-instance", "class removal does not leave one arc per member"
         )

@@ -67,17 +67,14 @@ class Path:
             raise ValueError(problem)
         return self
 
-    def __iter__(self):
-        return iter(self.vertices)
-
     def __len__(self):
         return len(self.vertices)
 
 
 @dataclass(frozen=True)
 class Cycle:
-    """Cycle as a canonical cyclic vertex tuple: minimum vertex first,
-    then its smaller neighbor."""
+    """Simple cycle as a canonical cyclic vertex tuple: minimum vertex
+    first, then its smaller neighbor.  A repeated vertex is refused."""
 
     vertices: tuple
 
@@ -113,14 +110,13 @@ class Cycle:
             raise ValueError(problem)
         return self
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 def _canon_cycle(seq) -> tuple:
     vs = tuple(int(v) for v in seq)
     if len(vs) < 3:
         raise ValueError("cycle needs at least three vertices")
+    if len(set(vs)) != len(vs):
+        raise ValueError("repeated vertex in cycle")
     k = vs.index(min(vs))
     rot = vs[k:] + vs[:k]
     if rot[1] > rot[-1]:
@@ -176,8 +172,6 @@ def longest_cycles(g: Graph):
 
 def hamilton_cycles(g: Graph):
     """The Hamilton cycles as validated `Cycle`s, in ascending order."""
-    if g.n < 3:
-        return []
     adj = kernel_masks(g)
     return [Cycle(row).validate(g) for row in kernels.hamilton_cycle_rows(adj, g.n)]
 

@@ -51,13 +51,12 @@ class LemmaInstance:
             raise InvariantViolation("lemma-instance", "A is not independent on C")
         if len(self.components) != self.k:
             raise InvariantViolation("lemma-instance", "arc count differs from |A|")
-        covered = set()
         for comp in self.components:
-            covered |= set(comp)
             for a, b in zip(comp, comp[1:]):
                 if not masks[a] >> b & 1:
                     raise InvariantViolation("lemma-instance", "arc is not a path")
-        if covered | self.a_set != set(range(self.g.n)) or covered & self.a_set:
+        members = [*self.a_set, *(v for comp in self.components for v in comp)]
+        if sorted(members) != list(range(self.g.n)):  # a repeated vertex fails too
             raise InvariantViolation("lemma-instance", "arcs and A do not partition the vertices")
         for comp in self.components[:-1]:
             for end in (comp[0], comp[-1]):

@@ -168,13 +168,23 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     threshold, with the witness the sweep that skips nothing finds.
     Every entry kept is re-checked before it is reported.
 
-    Length floor.  A path with L edges has at least 4L - 3n + 2 internal
-    bound vertices: of its L - 1 interior vertices, only those with a
-    neighbour among the n - L - 1 vertices off it are free, and each of
-    those has at most three neighbours.  Let M be the least value kept
-    from the earlier sources, n - 2 at the start.  Source x sweeps with
-    floor ceil((M + 3n - 2) / 4), so a target reached by a path of at
-    least floor edges has value at least M.  Of its entries it keeps:
+    Length floor.  An (x,y)-path P with L edges on the vertex set S has
+
+        bound(P) = 4L - 3n + 2 + 2 e(V - S) + out(x) + out(y)
+
+    internal bound vertices, where e(V - S) counts the edges outside S
+    and out(v) the edges of v that leave S.  Each interior vertex has two
+    path edges and one more, so it is free exactly when that edge leaves
+    S, and e(S, V - S) = L - 1 - bound(P) + out(x) + out(y).  Each of the
+    n - L - 1 vertices off P has degree 3, so 3(n - L - 1) =
+    2 e(V - S) + e(S, V - S); together these give the identity.  Its
+    slack, 2 e(V - S) + out(x) + out(y), is at least 0, so a path with L
+    edges has at least 4L - 3n + 2 internal bound vertices.
+
+    Let M be the least value kept from the earlier sources, n - 2 at the
+    start.  Source x sweeps with floor ceil((M + 3n - 2) / 4), so a
+    target reached by a path of at least floor edges has value at least
+    M.  Of its entries it keeps:
 
     - length n - 1: exact, with value n - 2, as no path is longer;
     - length below floor: the target never settled, so the entry and its

@@ -497,6 +497,31 @@ def test_forked_failure_keeps_its_step(monkeypatch, corpus):
     assert str(info.value) == f"sweep: pair (0,1): {tasks[0][0]}"
 
 
+def test_forked_kills_its_children_when_dispatch_fails(monkeypatch, corpus):
+    """A failure while the parent dispatches, here `select` raising,
+    reaches the caller, and the children are killed before they are
+    reaped: the child, which sleeps a minute on its first task, is gone
+    at once and nothing is left to wait for."""
+    parent = os.getpid()
+
+    def slow(task):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return task[0]
+
+    def broken(*args):
+        raise OSError("select failed")
+
+    monkeypatch.setattr(cli, "_verify_one", slow)
+    monkeypatch.setattr(select, "select", broken)
+    tasks = [(write_graph6(g), g, "chords", False) for g in corpus[8][:4]]
+    with _no_hang(10), pytest.raises(OSError) as exc:
+        list(cli._forked(tasks, 2))
+    assert str(exc.value) == "select failed"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_workers_leave_no_child(tmp_path, capsys, monkeypatch, corpus):
     """--jobs 2 reaps every worker on exit 0, on the violation path (exit
     1) and when a worker dies without replying (exit 4, naming the graph
@@ -802,10 +827,13 @@ def test_extend_coloring_failure_exits_4(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("bad, detail", [
     (lambda p, found: found.reversed(), "endpoints moved"),
     (lambda p, found: p, "replacement path is not longer"),
+    # a walk along edges that goes back and forth once: 0,4,1,4,1,3
+    (lambda p, found: Path(found.vertices[:3] + found.vertices[1:]), "repeated vertex in path"),
 ])
 def test_extend_checker_failure_exits_4(tmp_path, capsys, monkeypatch, bad, detail):
-    """A replacement path with swapped endpoints, or no longer than the
-    input, fails the checker stage at the pipelines' one exit: exit 4."""
+    """A replacement path with swapped endpoints, no longer than the
+    input, or not a path of the graph fails the checker stage at the
+    pipelines' one exit: exit 4."""
     real = extender._through_component
 
     def corrupted(g, a, b, allowed, min_len):

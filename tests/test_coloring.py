@@ -1,6 +1,7 @@
 import pytest
 
-from chordlab.coloring import pick_color_class, three_color_cycle_plus
+import oracles
+from chordlab.coloring import _backtrack_three_color, pick_color_class, three_color_cycle_plus
 from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph
 from chordlab.search import Cycle
@@ -93,3 +94,15 @@ def test_pick_class_rejects_nonrainbow_triangle():
 def test_pick_class_limit_on_forbidden():
     with pytest.raises(ValueError):
         pick_color_class({0: 1}, forbidden={1, 2, 3})
+
+
+def test_pick_class_rejects_a_color_outside_three():
+    with pytest.raises(ValueError) as info:
+        pick_color_class({0: 1, 1: 4})
+    assert str(info.value) == "color 4 outside 1..3"
+
+
+def test_backtracking_exhausts_on_k4():
+    """K4 needs four colors: the search tries every order and gives up."""
+    assert _backtrack_three_color(oracles.k4()) is None
+    assert _proper(oracles.k33(), dict(enumerate(_backtrack_three_color(oracles.k33()))))

@@ -293,6 +293,18 @@ def test_component_claim_check_fires():
     assert str(info.value) == "component-claim: interior vertex 0 has no off-path edge"
 
 
+def test_direct_extension_needs_an_interior():
+    """On K3,3 the edge path 0,3 leaves one component, {1, 2, 4, 5}, which
+    touches both ends: no component is claimed, and a path without an
+    interior has no second or next-to-last vertex to splice at."""
+    g, p = oracles.k33(), Path((0, 3))
+    comps = _attached_components(g, p.vertices)
+    assert comps == [(vertex_mask({1, 2, 4, 5}), [0, 3])]
+    with pytest.raises(ValueError) as info:
+        find_direct_extension(g, p, comps)
+    assert str(info.value) == "direct extension needs a path with an interior"
+
+
 # ---------------------------------------------------------------------------
 # reduction (the worked construction figure)
 
@@ -320,6 +332,16 @@ def test_reduction_matches_figure():
     assert sorted(verts) == list(p.vertices)
     assert all(u != v and {u, v} <= verts for u, v in rg.edges)
     assert len(verts) == 11 and len(rg.cycle_eids) == 11
+
+
+def test_reduction_refuses_triples_of_other_components():
+    """The figure's one triple component {18, 19, 20, 21}, left out of
+    the triples, is refused before any edge is built."""
+    g, p = helpers.figure_host()
+    comps = _attached_components(g, p.vertices)
+    with pytest.raises(ValueError) as info:
+        build_reduced_G2(g, p, comps, frozenset({6}), [])
+    assert str(info.value) == "triples do not match the interior components"
 
 
 def test_reduction_degree_check_fires():
@@ -700,18 +722,17 @@ def test_matching_step_checks_fire(corrupt, message):
 
 
 def test_matching_step_runs_do_not_repeat():
-    """A lift that runs round its cycle twice repeats its runs between
-    partners; run once, it does not.  A simple lift of a simple base
-    cycle cannot repeat a run: two runs with the same ends are its two
-    arcs between them, both on the base cycle, so the lift is the base
-    cycle and every vertex of degree 3 ends an attachment edge, which no
-    partner does."""
+    """A lift that runs round its cycle twice would repeat its runs
+    between partners, and `Cycle` refuses it; run once, it does not.  A
+    simple lift of a simple base cycle cannot repeat a run: two runs with
+    the same ends are its two arcs between them, both on the base cycle,
+    so the lift is the base cycle and every vertex of degree 3 ends an
+    attachment edge, which no partner does."""
     g, c_star, c_host, attachments = _tight_lift()
     assert matching_step(g, c_star, c_host, attachments).length == 12
-    with pytest.raises(InvariantViolation) as exc:
-        matching_step(g, Cycle(c_star.vertices * 2), c_host, attachments)
-    assert exc.value.step == "matching-step"
-    assert str(exc.value) == "matching-step: segment endpoints repeat"
+    with pytest.raises(ValueError) as exc:
+        Cycle(c_star.vertices * 2)
+    assert str(exc.value) == "repeated vertex in cycle"
 
 
 def test_matching_step_runs_stay_on_the_base_cycle():

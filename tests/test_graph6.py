@@ -51,6 +51,13 @@ def test_parse_rejects_long_form():
         parse_graph6("~??")
 
 
+def test_write_refuses_long_form():
+    assert write_graph6(Graph(62, []))[0] == chr(62 + 63)
+    with pytest.raises(ValueError) as exc:
+        write_graph6(Graph(63, []))
+    assert str(exc.value) == "long form (n >= 63) not supported"
+
+
 def test_parse_rejects_truncation_and_excess():
     with pytest.raises(Graph6Error):
         parse_graph6("C")  # needs one payload byte
@@ -132,6 +139,21 @@ def test_edge_list_validates_count():
     ("3 2\n0 1\n\n0 x\n", "line 4: edge line '0 x' is not two integers"),
 ), ids=("three-values", "non-integer"))
 def test_edge_list_names_bad_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", (
+    ("", "empty edge-list input"),
+    ("\n  \n", "empty edge-list input"),
+    ("3\n", 'edge-list header must be "n m"'),
+    ("3 1 1\n0 1\n", 'edge-list header must be "n m"'),
+), ids=("empty", "blank-lines", "one-field-header", "three-field-header"))
+def test_edge_list_refuses_no_input_and_bad_header(text, message):
+    """`load_graph_text` reads only input whose first line is two
+    integers as an edge list, so these reach `read_edge_list` only when
+    it is called directly."""
     with pytest.raises(ValueError) as exc:
         read_edge_list(text)
     assert str(exc.value) == message

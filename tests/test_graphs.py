@@ -56,6 +56,13 @@ def test_build_path():
             assert g != Graph(n, want - {e})
 
 
+def test_graph_refuses_a_negative_order():
+    assert Graph(0, []).n == 0
+    with pytest.raises(ValueError) as exc:
+        Graph(-1, [])
+    assert str(exc.value) == "vertex count must be nonnegative, got -1"
+
+
 def test_build_petersen():
     g = oracles.petersen()
     assert g.m == 15
@@ -177,6 +184,13 @@ def test_connectivity_memo_matches_fresh_answers():
 def test_components_spanning_deletion():
     g = oracles.k4()
     assert components_after_deletion(g, {0, 1, 2, 3}) == ()
+
+
+@pytest.mark.parametrize("removed", ({4}, {-1}), ids=("n", "minus-one"))
+def test_components_refuse_an_out_of_range_deletion(removed):
+    with pytest.raises(ValueError) as exc:
+        components_after_deletion(oracles.k4(), removed)
+    assert str(exc.value) == "removed set contains out-of-range ids"
 
 
 def test_components_petersen_minus_9cycle():

@@ -63,6 +63,17 @@ def test_longest_xy_matches_naive_oracle_on_zoo():
     assert unreachable == 16  # the pairs across the two K4s
 
 
+@pytest.mark.parametrize("x, y, message", (
+    (0, 4, "endpoint out of range: 0,4"),
+    (-1, 2, "endpoint out of range: -1,2"),
+    (2, 2, "endpoints must differ"),
+), ids=("y-is-n", "x-negative", "same-vertex"))
+def test_longest_xy_refuses_bad_endpoints(x, y, message):
+    with pytest.raises(ValueError) as exc:
+        longest_xy_paths(oracles.k4(), x, y)
+    assert str(exc.value) == message
+
+
 def test_witnesses_are_valid_paths():
     g = oracles.petersen()
     rep = longest_xy_paths(g, 0, 7)
@@ -92,6 +103,14 @@ def test_bound_vertices_petersen_adjacent():
 def test_longest_cycles_k4():
     cycles = longest_cycles(oracles.k4())
     assert [c.length for c in cycles] == [4, 4, 4]
+
+
+def test_no_hamilton_cycle_below_three_vertices():
+    """The cycle walk closes no row on fewer than three vertices, an edge
+    included."""
+    for g in (Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])):
+        assert hamilton_cycles(g) == []
+    assert hamilton_cycles(oracles.cycle_graph(3)) == [Cycle((0, 1, 2))]
 
 
 def test_longest_cycles_self():
@@ -205,14 +224,16 @@ WALKS = {
 @pytest.mark.parametrize("vs, extra, path_msg, cycle_msg", WALKS.values(), ids=WALKS)
 def test_validate_matches_naive_check(vs, extra, path_msg, cycle_msg, closed):
     """Path.validate and Cycle.validate name a bad walk as the set- and
-    has_edge-based oracle does, out-of-range cycle vertices included."""
+    has_edge-based oracle does, out-of-range cycle vertices included; a
+    cycle that repeats a vertex is refused when it is built, with the
+    same message."""
     g = oracles.k33()
     try:
         Cycle(vs).validate(g, extra) if closed else Path(vs).validate(g)
         got = None
     except ValueError as exc:
         got = str(exc)
-    if closed and len(vs) >= 3:
+    if closed and len(vs) >= 3 and len(set(vs)) == len(vs):
         vs = Cycle(vs).vertices  # the order Cycle.validate walks
     want = oracles.walk_problem_reference(g, vs, closed, extra if closed else ())
     assert got == want == (cycle_msg if closed else path_msg)

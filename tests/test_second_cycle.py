@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from chordlab import second_cycle
@@ -218,6 +220,19 @@ def test_each_lemma_clause_is_an_internal_error(cycle, components, clause):
         second_hamilton_cycle(bad, x=5, y=4)
     assert exc.value.step == "lemma-instance"
     assert str(exc.value) == f"lemma-instance: {clause}"
+
+
+def test_an_arc_that_repeats_a_vertex_is_no_partition():
+    """The arcs and A of a seeded instance cover every vertex, and its
+    last arc (8, 9) stays a walk along cycle edges as (8, 9, 8); it then
+    holds 8 twice, so the arcs and A do not partition the vertices."""
+    inst = gen_lemma_instance(3, 1)
+    assert inst.components[-1] == (8, 9)
+    bad = dataclasses.replace(inst, components=inst.components[:-1] + ((8, 9, 8),))
+    with pytest.raises(InvariantViolation) as exc:
+        bad.check()
+    assert exc.value.step == "lemma-instance"
+    assert str(exc.value) == "lemma-instance: arcs and A do not partition the vertices"
 
 
 @pytest.mark.parametrize("found, detail", [

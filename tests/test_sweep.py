@@ -328,6 +328,33 @@ def test_verify_zhan_matches_table_n14():
     assert sum(_check_against_table(g) for g in graphs) == 480 + 341
 
 
+def _slack_recount(g, length, wit):
+    """4L - 3n + 2 + 2 e(V - S) + out(x) + out(y) for the path ``wit``
+    with L = ``length`` edges on the vertex set S: e(V - S), the edges
+    outside S, counted over ``g.edges``, and out(v), v's edges that leave
+    S, over v's neighbours."""
+    on = set(wit)
+    outside = sum(1 for u, v in g.edges if u not in on and v not in on)
+    leave = sum(1 for end in (wit[0], wit[-1]) for v in g.neighbors(end) if v not in on)
+    return 4 * length - 3 * g.n + 2 + 2 * outside + leave
+
+
+def test_slack_identity_on_every_exact_entry(corpus, corpus12):
+    """Every exact entry of the full all-pairs table has as many internal
+    bound vertices as the slack identity of `verify_zhan`'s docstring
+    gives its witness: the 2-connected graphs of the n <= 12 corpus and
+    the 2-connected ones among random_cubic(n, 0), n = 14, 16, 18, 20."""
+    randoms = [random_cubic(n, 0) for n in range(14, 21, 2)]
+    checked = 0
+    for g in [g for n in corpus for g in corpus[n]] + corpus12 + randoms:
+        if not connectivity_at_least(g, 2):
+            continue
+        for (x, y), res in oracles.zhan_table(g, "all-pairs").items():
+            assert res.min_bound == _slack_recount(g, res.max_length, res.witness), (g.n, x, y)
+            checked += 1
+    assert checked == 6886
+
+
 def test_verify_zhan_matches_naive_oracle_small(corpus):
     """The minimum, every pair reported, and the first pair below every
     threshold with its witness, against the naive oracle.  The sweep
