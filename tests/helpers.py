@@ -201,3 +201,20 @@ def gen_cycle_plus_instance(n: int, seed: int):
         extra.extend(p for p in pairs if p not in cyc_keys)
     g = Graph(n, cycle_edges + extra)
     return g, Cycle(tuple(range(n)))
+
+
+def directed_paths(g):
+    """Every directed simple path of g with at least two vertices, by DFS
+    from each start vertex in neighbor order."""
+    for s in range(g.n):
+        seq = [s]
+
+        def grow(v):
+            for w in g.neighbors(v):
+                if w not in seq:
+                    seq.append(w)
+                    yield tuple(seq)
+                    yield from grow(w)
+                    seq.pop()
+
+        yield from grow(s)

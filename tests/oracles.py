@@ -33,7 +33,9 @@ keep frozensets, and the tests compare them through
 `graphs.vertex_mask`, component order included.
 ``contraction_edges_reference`` states the order, written with
 ``sorted``, in which `extender._contraction_edges` numbers the blue
-edges.
+edges.  ``chords_reference`` is the earlier body of `search.chords`, a
+scan of ``g.edges`` against the cycle's vertex and edge sets, the
+reference for its mask form.
 """
 
 from __future__ import annotations
@@ -183,6 +185,17 @@ def precheck_chord_reference(g: Graph, p):
             if w in pos and abs(i - pos[w]) > 1 and {u, w} != {x, y}:
                 return u, w
     return None
+
+
+def chords_reference(g: Graph, c) -> frozenset:
+    """`search.chords` as a scan of every edge of g against the cycle's
+    vertex set and edge set."""
+    on_cycle = c.vertex_set()
+    cycle_edges = c.edge_set()
+    return frozenset(
+        (u, v) for u, v in g.edges
+        if u in on_cycle and v in on_cycle and (u, v) not in cycle_edges
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -120,23 +120,6 @@ def test_extend_traces_match_golden(golden):
     assert seen == list(golden)
 
 
-def _directed_paths(g):
-    """Every directed simple path of g with at least two vertices, by DFS
-    from each start vertex in neighbor order."""
-    for s in range(g.n):
-        seq = [s]
-
-        def grow(v):
-            for w in g.neighbors(v):
-                if w not in seq:
-                    seq.append(w)
-                    yield tuple(seq)
-                    yield from grow(w)
-                    seq.pop()
-
-        yield from grow(s)
-
-
 def test_extension_census_n10(corpus):
     """Every directed simple path of every 2-connected cubic graph with
     n <= 10 goes through `precheck` and, when extendable, `extend_path`:
@@ -148,7 +131,7 @@ def test_extension_census_n10(corpus):
         for g in corpus[n]:
             if not connectivity_at_least(g, 2):
                 continue
-            for vs in _directed_paths(g):
+            for vs in helpers.directed_paths(g):
                 p = Path(vs)
                 kind = precheck(g, p).kind
                 kinds[kind] += 1
@@ -183,7 +166,7 @@ def test_adjacent_census_n10(corpus):
         for g in corpus[n]:
             if not connectivity_at_least(g, 3):
                 continue
-            for vs in _directed_paths(g):
+            for vs in helpers.directed_paths(g):
                 p = Path(vs)
                 if not g.has_edge(p.x, p.y) or len(internal_bound_vertices(g, p)) != 1:
                     continue

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from chordlab import kernels
+from chordlab.generate import random_cubic
 from chordlab.graphs import Graph
 from chordlab.search import (
     Cycle,
@@ -200,6 +201,28 @@ def test_cycle_canonical_form():
     assert Cycle((0, 3, 2, 1)).vertices == (0, 1, 2, 3)
 
 
+def test_chords_match_edge_scan(corpus):
+    """`chords` reads each cycle vertex's mask and gives the set that the
+    earlier scan of ``g.edges`` gives, on every cycle of the n <= 8
+    corpus and on the longest cycles of random cubic graphs of order
+    14 to 20."""
+    cases = []
+    for n in (4, 6, 8):
+        for g in corpus[n]:
+            adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+            cases += [(g, Cycle(c)) for c in oracles.all_cycles_small(adj)]
+    for n in (14, 16, 18, 20):
+        for seed in range(5):
+            g = random_cubic(n, seed)
+            cases += [(g, c) for c in longest_cycles(g)]
+    sizes = set()
+    for g, c in cases:
+        got = chords(g, c)
+        assert got == oracles.chords_reference(g, c), (g, c.vertices)
+        sizes.add(len(got))
+    assert {0, 1, 2, 3} <= sizes
+
+
 # vertex sequence, extra_edges, then the messages of Path.validate and of
 # Cycle.validate on oracles.k33(), whose sides are 0,1,2 and 3,4,5
 WALKS = {
@@ -217,6 +240,8 @@ WALKS = {
                    "cycle needs at least three vertices"),
     # a path takes no extra edges
     "extra-edge": ((0, 1, 3), ((1, 0),), "(0,1) is not an edge", None),
+    # past a failed range test the first bad pair is named, in walk order
+    "non-edge-then-vertex-n": ((0, 1, 9, 3), (), "(0,1) is not an edge", "(0,1) is not an edge"),
 }
 
 
