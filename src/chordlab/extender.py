@@ -26,7 +26,7 @@ from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
 from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
-from .search import Cycle, Path, chords, internal_bound_vertices, walk_problem
+from .search import Cycle, Path, chords, cycle_problem, internal_bound_vertices, walk_problem
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
 
@@ -143,31 +143,44 @@ class ReducedGraph:
 # classification and direct splices
 
 
+# (graph, path, classification) of the last `precheck` that returned;
+# read and replaced whole, so every thread sees a matching triple
+_classified = (None, None, None)
+
+
 def precheck(g: Graph, p: Path) -> Classification:
     """Gate the hypotheses and classify the path: spanning, owning an
-    internal bound vertex, or extendable."""
+    internal bound vertex, or extendable.
+
+    It always computes, then stores its result in ``_classified`` in one
+    assignment (a raise stores nothing) for `extend_path` to reuse on the
+    same two objects: exact, as a `Graph` and a `Path` never change."""
+    global _classified
     if not is_cubic(g):
         raise ValueError("host graph is not cubic")
     if not connectivity_at_least(g, 2):
         raise ValueError("host graph is not 2-connected")
     bound = internal_bound_vertices(g, p)  # validates p
     if len(p) == g.n:
-        return Classification(SPANNING_PATH, bound)
-    if bound:
-        return Classification(HAS_BOUND_VERTEX, bound)
-    # a chord joins u to a path vertex other than its two neighbours on
-    # the closing cycle, which at x and y include the other endpoint
-    vs, masks = p.vertices, g.masks
-    pm = vertex_mask(vs)
-    for i, u in enumerate(vs):
-        rest = masks[u] & pm & ~(1 << vs[i - 1] | 1 << vs[i + 1 - len(vs)])
-        if rest:
-            w = (rest & -rest).bit_length() - 1
-            raise InvariantViolation(
-                "precheck",
-                f"chord ({u},{w}) on a path without internal bound vertices",
-            )
-    return Classification(EXTENDABLE, frozenset())
+        cls = Classification(SPANNING_PATH, bound)
+    elif bound:
+        cls = Classification(HAS_BOUND_VERTEX, bound)
+    else:
+        # a chord joins u to a path vertex other than its two neighbours
+        # on the closing cycle, which at x and y include the other endpoint
+        vs, masks = p.vertices, g.masks
+        pm = vertex_mask(vs)
+        for i, u in enumerate(vs):
+            rest = masks[u] & pm & ~(1 << vs[i - 1] | 1 << vs[i + 1 - len(vs)])
+            if rest:
+                w = (rest & -rest).bit_length() - 1
+                raise InvariantViolation(
+                    "precheck",
+                    f"chord ({u},{w}) on a path without internal bound vertices",
+                )
+        cls = Classification(EXTENDABLE, frozenset())
+    _classified = g, p, cls
+    return cls
 
 
 def _attached_components(g: Graph, on):
@@ -516,8 +529,7 @@ def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs, stats):
         if routes[i][0] == 2 and seg.length == 2
     ]
     extra = [] if g.has_edge(*rg.xy) else [rg.xy]
-    c_star = Cycle(tuple(verts))
-    c_star.validate(g, extra_edges=extra)
+    c_star = _checked_cycle(g, verts, extra, "lift")
     floor = (
         len(rg.cycle_eids)
         - stats.missing_edges
@@ -660,10 +672,22 @@ def _path_from_cycle(c: Cycle, x: int, y: int) -> Path:
     raise InvariantViolation("checker", "cycle does not contain the xy edge")
 
 
+def _checked_cycle(g: Graph, verts, extra, stage: str) -> Cycle:
+    """The `Cycle` on ``verts``, once `cycle_problem` finds it a cycle of g
+    with the pairs ``extra`` added; a problem fails ``stage``."""
+    problem = cycle_problem(g, verts, extra)
+    if problem:
+        raise InvariantViolation(stage, problem)
+    return Cycle(verts)
+
+
 def _finish(g, p, longer, trace, flipped=False):
     """The one exit of both pipelines: check that ``longer`` is a longer
     path of g with p's endpoints, undo the adjacent pipeline's flip and
-    record it as the trace's final path."""
+    record it as the trace's final path.
+
+    It alone marks a path as walked in g (``Path._walked_in``), so the
+    next `precheck` of a fixpoint loop does not walk it again."""
     problem = walk_problem(g.masks, longer.vertices)
     if problem:
         raise InvariantViolation("checker", problem)
@@ -673,15 +697,21 @@ def _finish(g, p, longer, trace, flipped=False):
         raise InvariantViolation("checker", "replacement path is not longer")
     if flipped:
         longer = longer.reversed()
+    object.__setattr__(longer, "_walked_in", g)
     trace.final_path = longer.vertices
     return longer, trace
 
 
 def extend_path(g: Graph, p: Path):
     """Strictly longer (x,y)-path for an extendable input, with the trace
-    of every construction step."""
+    of every construction step.
+
+    Reuses the classification of the last `precheck` when that ran on
+    these very objects (by identity), and runs `precheck` otherwise."""
     trace = ExtensionTrace()
-    cls = precheck(g, p)
+    last_g, last_p, cls = _classified
+    if last_g is not g or last_p is not p:
+        cls = precheck(g, p)
     if cls.kind != EXTENDABLE:
         raise ValueError(f"path is not extendable: {cls.kind} at {sorted(cls.bound)}")
     trace.add("precheck", classification=cls.kind, path=list(p.vertices))
@@ -935,9 +965,7 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
         )
     trace.add(case, branch="lift", blue_runs=len(runs), long_blue_runs=long_runs)
     verts, _ = _lift_runs(g, vs, runs, case)
-    cyc = Cycle(tuple(verts))
-    cyc.validate(g, extra_edges=new_edges)
-    return cyc
+    return _checked_cycle(g, verts, new_edges, case)
 
 
 def _reinstate(g, lifted, x, y, w, a, b, c, case):
@@ -956,8 +984,7 @@ def _reinstate(g, lifted, x, y, w, a, b, c, case):
 
     vs = insert_between(vs, a, y, x)
     vs = insert_between(vs, b, c, w)
-    cyc = Cycle(tuple(vs))
-    cyc.validate(g)
+    cyc = _checked_cycle(g, vs, (), case)
     if cyc.length != lifted.length + 2:
         raise InvariantViolation(case, "reinstatement did not add exactly two edges")
     return cyc

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import Graph, vertex_mask
+from .graphs import Graph, vertex_bits, vertex_mask
 
 
 def walk_problem(masks, vs, closed=False):
@@ -36,12 +36,19 @@ def walk_problem(masks, vs, closed=False):
 
 @dataclass(frozen=True)
 class Path:
-    """Simple path as an ordered vertex tuple."""
+    """Simple path as an ordered vertex tuple.
+
+    ``_walked_in``, not a field (so ``==``, ``hash``, ``repr`` and
+    ``asdict`` ignore it), is the `Graph` object in which
+    `extender._finish`, its only setter, walked the path; `validate`
+    skips the walk in that object alone, exactly, as neither changes.
+    """
 
     vertices: tuple
+    _walked_in = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(map(int, self.vertices)))
 
     @property
     def length(self) -> int:
@@ -62,9 +69,10 @@ class Path:
         return Path(tuple(reversed(self.vertices)))
 
     def validate(self, g: Graph) -> "Path":
-        problem = walk_problem(g.masks, self.vertices)
-        if problem:
-            raise ValueError(problem)
+        if self._walked_in is not g:
+            problem = walk_problem(g.masks, self.vertices)
+            if problem:
+                raise ValueError(problem)
         return self
 
     def __len__(self):
@@ -99,20 +107,26 @@ class Cycle:
 
     def validate(self, g: Graph, extra_edges=()) -> "Cycle":
         """Check the cycle in g with the pairs ``extra_edges`` added."""
-        masks = g.masks
-        if extra_edges:
-            masks = list(masks)
-            for a, b in extra_edges:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        problem = walk_problem(masks, self.vertices, closed=True)
+        problem = cycle_problem(g, self.vertices, extra_edges)
         if problem:
             raise ValueError(problem)
         return self
 
 
+def cycle_problem(g: Graph, vs, extra_edges=()):
+    """`walk_problem` of the closed walk ``vs`` in g with the pairs
+    ``extra_edges`` added."""
+    masks = g.masks
+    if extra_edges:
+        masks = list(masks)
+        for a, b in extra_edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return walk_problem(masks, vs, closed=True)
+
+
 def _canon_cycle(seq) -> tuple:
-    vs = tuple(int(v) for v in seq)
+    vs = tuple(map(int, seq))
     if len(vs) < 3:
         raise ValueError("cycle needs at least three vertices")
     if len(set(vs)) != len(vs):
@@ -179,10 +193,12 @@ def hamilton_cycles(g: Graph):
 def chords(g: Graph, c: Cycle) -> frozenset:
     """Edges of g joining two cycle vertices that are not cycle edges."""
     c.validate(g)
-    on_cycle = c.vertex_set()
-    cycle_edges = c.edge_set()
-    out = set()
-    for u, v in g.edges:
-        if u in on_cycle and v in on_cycle and (u, v) not in cycle_edges:
-            out.add((u, v))
-    return frozenset(out)
+    vs, masks = c.vertices, g.masks
+    on, k = vertex_mask(vs), len(vs)
+    # each u's neighbours on the cycle but not next to u along it
+    return frozenset(
+        (u, v)
+        for i, u in enumerate(vs)
+        for v in vertex_bits(masks[u] & on & ~(1 << vs[i - 1] | 1 << vs[i + 1 - k]))
+        if u < v
+    )

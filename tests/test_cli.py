@@ -847,6 +847,23 @@ def test_extend_checker_failure_exits_4(tmp_path, capsys, monkeypatch, bad, deta
     assert err == f"internal error: checker: {detail}\n"
 
 
+def test_extend_lift_failure_exits_4(tmp_path, capsys, monkeypatch):
+    """A lift that repeats a vertex fails the lift stage, checked before
+    a `Cycle` is built: an internal error (exit 4), not a usage error."""
+    real = extender._lift_runs
+
+    def repeating(*args):
+        verts, segs = real(*args)
+        return verts + [verts[1]], segs
+
+    monkeypatch.setattr(extender, "_lift_runs", repeating)
+    f = tmp_path / "g10.g6"
+    f.write_text("I{O_ogK?w\n")  # this path reaches the lift
+    code, out, err = run_cli(["extend", "--graph", str(f), "--path", "0,3,6,9,8,5,2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal error: lift: repeated vertex in cycle\n"
+
+
 def test_extend_k33(tmp_path, capsys):
     f = tmp_path / "k33.txt"
     f.write_text(oracles.edge_list_text(oracles.k33()))

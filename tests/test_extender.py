@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 import oracles
-from chordlab import extender, kernels
+from chordlab import extender, kernels, search
 from chordlab.errors import InvariantViolation
 from chordlab.extender import (
     BLUE,
@@ -66,6 +66,114 @@ def test_precheck_gates():
     assert precheck(g, Path((2, 0, 4, 6))).kind  # 2-connected is enough
     tree_ish = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
     assert precheck(tree_ish, Path((0, 1))).kind  # K4 again, fine
+
+
+# ---------------------------------------------------------------------------
+# one classification and one walk per extension step
+
+
+def _spy_checks(monkeypatch):
+    """Count `extender.precheck` calls and record each path that
+    `walk_problem` walks, in `search` (`Path.validate`) and in
+    `extender` (`_finish`); cycle walks are left out."""
+    calls, walked = [], []
+    real_precheck, real_walk = extender.precheck, search.walk_problem
+
+    def precheck_spy(g, p):
+        calls.append(p.vertices)
+        return real_precheck(g, p)
+
+    def walk_spy(masks, vs, closed=False):
+        if not closed:
+            walked.append(tuple(vs))
+        return real_walk(masks, vs, closed)
+
+    monkeypatch.setattr(extender, "precheck", precheck_spy)
+    monkeypatch.setattr(search, "walk_problem", walk_spy)
+    monkeypatch.setattr(extender, "walk_problem", walk_spy)
+    return calls, walked
+
+
+def test_fixpoint_steps_classify_and_walk_once(monkeypatch, corpus):
+    """Run every extendable path of the n <= 10 census to its fixpoint.
+    Each step is classified once: `extend_path` reuses the caller's
+    `precheck`.  Each path is walked once: a start path by its first
+    `precheck`, and a path made by `_finish` by `_finish` alone, since
+    the next `precheck` reads its mark."""
+    starts = [
+        (g, p)
+        for n in (4, 6, 8, 10)
+        for g in corpus[n]
+        if connectivity_at_least(g, 2)
+        for p in map(Path, helpers.directed_paths(g))
+        if precheck(g, p).kind == EXTENDABLE
+    ]
+    calls, walked = _spy_checks(monkeypatch)
+    steps = 0
+    for g, p in starts:
+        while extender.precheck(g, p).kind == EXTENDABLE:
+            p, _ = extend_path(g, p)
+            steps += 1
+    assert len(starts) == 9736 and steps > len(starts)
+    assert len(calls) == steps + len(starts)  # the last precheck of each run refuses
+    assert len(walked) == steps + len(starts)
+
+
+def test_extend_path_reclassifies_other_objects(monkeypatch):
+    """The stored classification is reused only for the very graph and
+    path objects that `precheck` saw; equal copies are classified anew."""
+    g, p = oracles.k33(), Path((0, 4, 1, 3))
+    calls, _ = _spy_checks(monkeypatch)
+    extender.precheck(g, p)
+    extend_path(g, p)
+    assert len(calls) == 1
+    extend_path(g, Path(p.vertices))
+    assert len(calls) == 2
+    extender.precheck(g, p)
+    extend_path(Graph(g.n, g.edges), p)
+    assert len(calls) == 4
+
+
+def test_a_refused_precheck_stores_nothing():
+    """After `precheck` refuses a non-cubic host, `extend_path` on the same
+    objects refuses it too, though a good pair was classified before."""
+    g, p = oracles.cycle_graph(6), Path((0, 1, 2))
+    extender.precheck(oracles.k33(), Path((0, 4, 1, 3)))
+    for call in (extender.precheck, extend_path):
+        with pytest.raises(ValueError) as exc:
+            call(g, p)
+        assert str(exc.value) == "host graph is not cubic"
+
+
+def test_a_marked_path_is_walked_in_other_graphs(monkeypatch):
+    """`_finish` marks its path as walked in its own graph object only: an
+    equal copy of the graph walks it again, and a graph that lacks one of
+    its edges refuses it."""
+    g = oracles.k33()
+    longer, _ = extend_path(g, Path((0, 4, 1, 3)))
+    assert longer._walked_in is g
+    _, walked = _spy_checks(monkeypatch)
+    longer.validate(g)
+    assert walked == []
+    longer.validate(Graph(g.n, g.edges))
+    assert walked == [longer.vertices]
+    a, b = sorted(longer.vertices[:2])
+    other = Graph(g.n, [e for e in g.edges if e != (a, b)])
+    with pytest.raises(ValueError) as exc:
+        internal_bound_vertices(other, longer)
+    assert str(exc.value) == f"({longer.x},{longer.vertices[1]}) is not an edge"
+
+
+def test_the_mark_is_not_a_field():
+    """A marked path compares, hashes, prints and converts as an unmarked
+    path with the same vertices."""
+    g = oracles.k33()
+    longer, _ = extend_path(g, Path((0, 4, 1, 3)))
+    plain = Path(longer.vertices)
+    assert longer._walked_in is g and plain._walked_in is None
+    assert longer == plain and hash(longer) == hash(plain)
+    assert repr(longer) == repr(plain) == f"Path(vertices={plain.vertices})"
+    assert asdict(longer) == asdict(plain) == {"vertices": plain.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1145,12 @@ class _Miscounted(Cycle):
         return len(self.vertices) + 1
 
 
+def _swapped(vs, i, j):
+    vs = list(vs)
+    vs[i], vs[j] = vs[j], vs[i]
+    return vs
+
+
 def _corrupted_adjacent(monkeypatch, helper, corrupt):
     """Run `extend_path_adjacent` on `_adjacent_lift_config` with the
     result of ``helper`` replaced by ``corrupt(path, args, result)``;
@@ -1053,14 +1167,33 @@ def _corrupted_adjacent(monkeypatch, helper, corrupt):
     ("_reinstate", lambda p, args, cyc: Cycle(p.vertices), "reinstated cycle is not longer"),
     ("_lift_adjacent", lambda p, args, cyc: Cycle(p.vertices), "surgery edge ({a},{y}) missing from lift"),
     ("_lift_adjacent", lambda p, args, cyc: _Miscounted(cyc.vertices), "reinstatement did not add exactly two edges"),
-], ids=("closing-cycle-reinstated", "closing-cycle-lifted", "lift-miscounted"))
+    ("_lift_adjacent", lambda p, args, cyc: Cycle(_swapped(cyc.vertices, 1, 4)), "(1,5) is not an edge"),
+], ids=("closing-cycle-reinstated", "closing-cycle-lifted", "lift-miscounted", "lift-swapped"))
 def test_adjacent_reinstatement_checks_fire(monkeypatch, helper, corrupt, message):
     """The closing cycle handed back as the reinstated cycle is not
     longer; handed back as the lift, it lacks the surgery edge ay; a lift
-    that miscounts its edges makes the reinstatement add other than two."""
+    that miscounts its edges makes the reinstatement add other than two.
+    A lift with two vertices swapped keeps both surgery edges, but the
+    reinstated walk leaves the host, which the walk check before the
+    `Cycle` is built names under the case's stage."""
     p, exc = _corrupted_adjacent(monkeypatch, helper, corrupt)
     assert exc.step == "case-1"
     assert str(exc) == "case-1: " + message.format(a=p.vertices[1], y=p.y)
+
+
+def test_adjacent_lift_checks_its_walk(monkeypatch):
+    """A lift that repeats a vertex fails the case's stage before a
+    `Cycle` is built."""
+    real = extender._lift_runs
+
+    def repeating(*args):
+        verts, segs = real(*args)
+        return verts + [verts[1]], segs
+
+    monkeypatch.setattr(extender, "_lift_runs", repeating)
+    with pytest.raises(InvariantViolation) as exc:
+        extend_path_adjacent(*helpers.gen_adjacent_config(1))
+    assert str(exc.value) == "case-1: repeated vertex in cycle"
 
 
 def test_adjacent_instance_needs_one_arc_per_member(monkeypatch):
