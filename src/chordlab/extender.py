@@ -26,7 +26,7 @@ from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
 from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
-from .search import Cycle, Path, chords, cycle_problem, internal_bound_vertices, walk_problem
+from .search import Cycle, Path, chord_scan, cycle_problem, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
 
@@ -143,43 +143,34 @@ class ReducedGraph:
 # classification and direct splices
 
 
-# (graph, path, classification) of the last `precheck` that returned;
-# read and replaced whole, so every thread sees a matching triple
-_classified = (None, None, None)
-
-
 def precheck(g: Graph, p: Path) -> Classification:
     """Gate the hypotheses and classify the path: spanning, owning an
     internal bound vertex, or extendable.
 
-    It always computes, then stores its result in ``_classified`` in one
-    assignment (a raise stores nothing) for `extend_path` to reuse on the
-    same two objects: exact, as a `Graph` and a `Path` never change."""
-    global _classified
+    The result is kept on p (``Path._class_in``, set whole; a raise keeps
+    nothing), and a later call with the same `Graph` object returns it
+    after the two gates: exact, as a `Graph` and a `Path` never change."""
     if not is_cubic(g):
         raise ValueError("host graph is not cubic")
     if not connectivity_at_least(g, 2):
         raise ValueError("host graph is not 2-connected")
+    seen_in, cls = p._class_in
+    if seen_in is g:
+        return cls
     bound = internal_bound_vertices(g, p)  # validates p
     if len(p) == g.n:
         cls = Classification(SPANNING_PATH, bound)
     elif bound:
         cls = Classification(HAS_BOUND_VERTEX, bound)
     else:
-        # a chord joins u to a path vertex other than its two neighbours
-        # on the closing cycle, which at x and y include the other endpoint
-        vs, masks = p.vertices, g.masks
-        pm = vertex_mask(vs)
-        for i, u in enumerate(vs):
-            rest = masks[u] & pm & ~(1 << vs[i - 1] | 1 << vs[i + 1 - len(vs)])
-            if rest:
-                w = (rest & -rest).bit_length() - 1
-                raise InvariantViolation(
-                    "precheck",
-                    f"chord ({u},{w}) on a path without internal bound vertices",
-                )
+        # a chord of the closing cycle (the path plus xy) would make an
+        # internal vertex bound, so the scan finds none
+        for u, w in chord_scan(g.masks, p.vertices):
+            raise InvariantViolation(
+                "precheck", f"chord ({u},{w}) on a path without internal bound vertices"
+            )
         cls = Classification(EXTENDABLE, frozenset())
-    _classified = g, p, cls
+    object.__setattr__(p, "_class_in", (g, cls))
     return cls
 
 
@@ -686,18 +677,18 @@ def _finish(g, p, longer, trace, flipped=False):
     path of g with p's endpoints, undo the adjacent pipeline's flip and
     record it as the trace's final path.
 
-    It alone marks a path as walked in g (``Path._walked_in``), so the
-    next `precheck` of a fixpoint loop does not walk it again."""
-    problem = walk_problem(g.masks, longer.vertices)
-    if problem:
-        raise InvariantViolation("checker", problem)
+    Its walk is `precheck`'s, on ``longer`` before the flip is undone, so
+    the next `precheck` of a fixpoint loop only reads the result."""
+    try:
+        precheck(g, longer)
+    except ValueError as exc:
+        raise InvariantViolation("checker", str(exc)) from None
     if (longer.x, longer.y) != (p.x, p.y):
         raise InvariantViolation("checker", "endpoints moved")
     if longer.length <= p.length:
         raise InvariantViolation("checker", "replacement path is not longer")
     if flipped:
         longer = longer.reversed()
-    object.__setattr__(longer, "_walked_in", g)
     trace.final_path = longer.vertices
     return longer, trace
 
@@ -706,12 +697,10 @@ def extend_path(g: Graph, p: Path):
     """Strictly longer (x,y)-path for an extendable input, with the trace
     of every construction step.
 
-    Reuses the classification of the last `precheck` when that ran on
-    these very objects (by identity), and runs `precheck` otherwise."""
+    Its `precheck` only reads the result when the caller, or the step
+    that made p, has classified p in g already."""
     trace = ExtensionTrace()
-    last_g, last_p, cls = _classified
-    if last_g is not g or last_p is not p:
-        cls = precheck(g, p)
+    cls = precheck(g, p)
     if cls.kind != EXTENDABLE:
         raise ValueError(f"path is not extendable: {cls.kind} at {sorted(cls.bound)}")
     trace.add("precheck", classification=cls.kind, path=list(p.vertices))
@@ -789,7 +778,8 @@ def extend_path_adjacent(g: Graph, p: Path):
         raise ValueError("endpoints are not adjacent")
     flipped = False
     c_host = Cycle(p.vertices)
-    chord_set = sorted(chords(g, c_host))
+    # the path walk and the edge xy make the closing cycle a cycle of g
+    chord_set = sorted((u, v) for u, v in chord_scan(g.masks, c_host.vertices) if u < v)
     if len(chord_set) != 1:
         raise ValueError(
             f"closing cycle must have exactly one chord, found {len(chord_set)}"

@@ -38,14 +38,15 @@ def walk_problem(masks, vs, closed=False):
 class Path:
     """Simple path as an ordered vertex tuple.
 
-    ``_walked_in``, not a field (so ``==``, ``hash``, ``repr`` and
-    ``asdict`` ignore it), is the `Graph` object in which
-    `extender._finish`, its only setter, walked the path; `validate`
-    skips the walk in that object alone, exactly, as neither changes.
+    ``_class_in``, not a field (so ``==``, ``hash``, ``repr`` and
+    ``asdict`` ignore it), is (graph, classification) from the last
+    `extender.precheck` that classified the path, its only setter, which
+    replaces it whole and reads it back for the same `Graph` object
+    alone: exact, as neither changes.
     """
 
     vertices: tuple
-    _walked_in = None
+    _class_in = (None, None)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(map(int, self.vertices)))
@@ -69,10 +70,9 @@ class Path:
         return Path(tuple(reversed(self.vertices)))
 
     def validate(self, g: Graph) -> "Path":
-        if self._walked_in is not g:
-            problem = walk_problem(g.masks, self.vertices)
-            if problem:
-                raise ValueError(problem)
+        problem = walk_problem(g.masks, self.vertices)
+        if problem:
+            raise ValueError(problem)
         return self
 
     def __len__(self):
@@ -101,9 +101,6 @@ class Cycle:
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edge_pairs())
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def validate(self, g: Graph, extra_edges=()) -> "Cycle":
         """Check the cycle in g with the pairs ``extra_edges`` added."""
@@ -190,15 +187,18 @@ def hamilton_cycles(g: Graph):
     return [Cycle(row).validate(g) for row in kernels.hamilton_cycle_rows(adj, g.n)]
 
 
+def chord_scan(masks, vs):
+    """Each chord of the closed walk ``vs`` in the graph with adjacency
+    masks ``masks``, once from each end: u in walk order, then each
+    neighbour v of u on the walk but not next to it along it, ascending.
+    The walk is not checked."""
+    on, k = vertex_mask(vs), len(vs)
+    for i, u in enumerate(vs):
+        for v in vertex_bits(masks[u] & on & ~(1 << vs[i - 1] | 1 << vs[i + 1 - k])):
+            yield u, v
+
+
 def chords(g: Graph, c: Cycle) -> frozenset:
     """Edges of g joining two cycle vertices that are not cycle edges."""
     c.validate(g)
-    vs, masks = c.vertices, g.masks
-    on, k = vertex_mask(vs), len(vs)
-    # each u's neighbours on the cycle but not next to u along it
-    return frozenset(
-        (u, v)
-        for i, u in enumerate(vs)
-        for v in vertex_bits(masks[u] & on & ~(1 << vs[i - 1] | 1 << vs[i + 1 - k]))
-        if u < v
-    )
+    return frozenset((u, v) for u, v in chord_scan(g.masks, c.vertices) if u < v)

@@ -190,7 +190,7 @@ def precheck_chord_reference(g: Graph, p):
 def chords_reference(g: Graph, c) -> frozenset:
     """`search.chords` as a scan of every edge of g against the cycle's
     vertex set and edge set."""
-    on_cycle = c.vertex_set()
+    on_cycle = set(c.vertices)
     cycle_edges = c.edge_set()
     return frozenset(
         (u, v) for u, v in g.edges

@@ -73,65 +73,67 @@ def test_precheck_gates():
 
 
 def _spy_checks(monkeypatch):
-    """Count `extender.precheck` calls and record each path that
-    `walk_problem` walks, in `search` (`Path.validate`) and in
-    `extender` (`_finish`); cycle walks are left out."""
-    calls, walked = [], []
-    real_precheck, real_walk = extender.precheck, search.walk_problem
+    """Record each path that `precheck` scans for bound vertices
+    (`extender.internal_bound_vertices`) and each walk that
+    `walk_problem` makes, as (vertices, closed)."""
+    scanned, walked = [], []
+    real_scan, real_walk = extender.internal_bound_vertices, search.walk_problem
 
-    def precheck_spy(g, p):
-        calls.append(p.vertices)
-        return real_precheck(g, p)
+    def scan_spy(g, p):
+        scanned.append(p.vertices)
+        return real_scan(g, p)
 
     def walk_spy(masks, vs, closed=False):
-        if not closed:
-            walked.append(tuple(vs))
+        walked.append((tuple(vs), closed))
         return real_walk(masks, vs, closed)
 
-    monkeypatch.setattr(extender, "precheck", precheck_spy)
+    monkeypatch.setattr(extender, "internal_bound_vertices", scan_spy)
     monkeypatch.setattr(search, "walk_problem", walk_spy)
-    monkeypatch.setattr(extender, "walk_problem", walk_spy)
-    return calls, walked
+    return scanned, walked
 
 
 def test_fixpoint_steps_classify_and_walk_once(monkeypatch, corpus):
-    """Run every extendable path of the n <= 10 census to its fixpoint.
-    Each step is classified once: `extend_path` reuses the caller's
-    `precheck`.  Each path is walked once: a start path by its first
-    `precheck`, and a path made by `_finish` by `_finish` alone, since
-    the next `precheck` reads its mark."""
+    """Run every extendable path of the n <= 10 census to its fixpoint,
+    each from a path object that no `precheck` has seen.  Each path is
+    scanned and walked once: a start path by its first `precheck`, and a
+    path made by a step by `_finish`'s `precheck`, whose result the next
+    step's two `precheck` calls read."""
     starts = [
-        (g, p)
+        (g, p.vertices)
         for n in (4, 6, 8, 10)
         for g in corpus[n]
         if connectivity_at_least(g, 2)
         for p in map(Path, helpers.directed_paths(g))
         if precheck(g, p).kind == EXTENDABLE
     ]
-    calls, walked = _spy_checks(monkeypatch)
+    scanned, walked = _spy_checks(monkeypatch)
     steps = 0
-    for g, p in starts:
-        while extender.precheck(g, p).kind == EXTENDABLE:
+    for g, vs in starts:
+        p = Path(vs)
+        while precheck(g, p).kind == EXTENDABLE:
             p, _ = extend_path(g, p)
             steps += 1
     assert len(starts) == 9736 and steps > len(starts)
-    assert len(calls) == steps + len(starts)  # the last precheck of each run refuses
-    assert len(walked) == steps + len(starts)
+    assert len(scanned) == steps + len(starts)
+    assert len([vs for vs, closed in walked if not closed]) == steps + len(starts)
 
 
 def test_extend_path_reclassifies_other_objects(monkeypatch):
-    """The stored classification is reused only for the very graph and
-    path objects that `precheck` saw; equal copies are classified anew."""
+    """The stored classification is read only for the very path object
+    that `precheck` classified and the very graph object it was
+    classified in; equal copies of either are classified anew, and a
+    path holds the result of its last graph alone."""
     g, p = oracles.k33(), Path((0, 4, 1, 3))
-    calls, _ = _spy_checks(monkeypatch)
-    extender.precheck(g, p)
-    extend_path(g, p)
-    assert len(calls) == 1
+    scanned, _ = _spy_checks(monkeypatch)
+    precheck(g, p)
+    longer, _ = extend_path(g, p)
+    step = [p.vertices, longer.vertices]  # the second in `_finish`
+    assert scanned == step
     extend_path(g, Path(p.vertices))
-    assert len(calls) == 2
-    extender.precheck(g, p)
+    assert scanned == step * 2
     extend_path(Graph(g.n, g.edges), p)
-    assert len(calls) == 4
+    precheck(g, p)
+    assert scanned == step * 3 + [p.vertices]
 
 
 def test_a_refused_precheck_stores_nothing():
@@ -145,18 +147,18 @@ def test_a_refused_precheck_stores_nothing():
         assert str(exc.value) == "host graph is not cubic"
 
 
-def test_a_marked_path_is_walked_in_other_graphs(monkeypatch):
-    """`_finish` marks its path as walked in its own graph object only: an
+def test_a_classified_path_is_walked_in_other_graphs(monkeypatch):
+    """`_finish` classifies its path in its own graph object only: an
     equal copy of the graph walks it again, and a graph that lacks one of
     its edges refuses it."""
     g = oracles.k33()
     longer, _ = extend_path(g, Path((0, 4, 1, 3)))
-    assert longer._walked_in is g
+    assert longer._class_in[0] is g
     _, walked = _spy_checks(monkeypatch)
-    longer.validate(g)
+    precheck(g, longer)
     assert walked == []
-    longer.validate(Graph(g.n, g.edges))
-    assert walked == [longer.vertices]
+    precheck(Graph(g.n, g.edges), longer)
+    assert walked == [(longer.vertices, False)]
     a, b = sorted(longer.vertices[:2])
     other = Graph(g.n, [e for e in g.edges if e != (a, b)])
     with pytest.raises(ValueError) as exc:
@@ -164,16 +166,27 @@ def test_a_marked_path_is_walked_in_other_graphs(monkeypatch):
     assert str(exc.value) == f"({longer.x},{longer.vertices[1]}) is not an edge"
 
 
-def test_the_mark_is_not_a_field():
-    """A marked path compares, hashes, prints and converts as an unmarked
-    path with the same vertices."""
+def test_the_slot_is_not_a_field():
+    """A classified path compares, hashes, prints and converts as an
+    unclassified path with the same vertices."""
     g = oracles.k33()
     longer, _ = extend_path(g, Path((0, 4, 1, 3)))
     plain = Path(longer.vertices)
-    assert longer._walked_in is g and plain._walked_in is None
+    assert longer._class_in[0] is g and plain._class_in == (None, None)
     assert longer == plain and hash(longer) == hash(plain)
     assert repr(longer) == repr(plain) == f"Path(vertices={plain.vertices})"
     assert asdict(longer) == asdict(plain) == {"vertices": plain.vertices}
+
+
+def test_adjacent_walks_its_input_once(monkeypatch):
+    """`extend_path_adjacent` walks its input once, as a path: that walk
+    and the edge xy make the closing cycle a cycle of g, so its chord
+    scan walks nothing."""
+    g, p = helpers.gen_adjacent_config(1)
+    _, walked = _spy_checks(monkeypatch)
+    extend_path_adjacent(g, p)
+    assert [w for w in walked if sorted(w[0]) == sorted(p.vertices)] == [(p.vertices, False)]
+    assert len(walked) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +393,14 @@ def test_precheck_chord_check_fires():
     order."""
     g, p = oracles.prism(), Path((0, 1, 2, 5))
     assert precheck(g, p).kind == HAS_BOUND_VERTEX
+    fresh = Path(p.vertices)  # p holds its classification
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extender, "internal_bound_vertices", lambda g, p: frozenset())
         with pytest.raises(InvariantViolation) as info:
-            precheck(g, p)
+            precheck(g, fresh)
     assert info.value.step == "precheck"
     assert str(info.value) == "precheck: chord (0,2) on a path without internal bound vertices"
+    assert precheck(g, fresh).kind == HAS_BOUND_VERTEX  # the raise kept nothing
 
 
 def test_component_claim_check_fires():

@@ -163,18 +163,31 @@ def _reads(tree):
 
 
 def test_no_helper_only_tests_call():
-    """Every module-level function and class of chordlab is read by other
-    code of the package, exported in `chordlab.__all__`, or read by
-    perfbench (its TARGETS strings, its imports and its calls,
-    `kernels.warmup` among them): a function that only tests call, or a
-    class that only tests read, is dead code."""
+    """Every module-level function and class of chordlab, and every
+    method of such a class but the dunder ones, is read by other code of
+    the package, exported in `chordlab.__all__`, or read by perfbench
+    (its TARGETS strings, its imports and its calls, `kernels.warmup`
+    among them): a function or method that only tests call, or a class
+    that only tests read, is dead code.  A use inside itself is no use."""
     root = FsPath(__file__).resolve().parent.parent
     defined, used = [], set(chordlab.__all__)
     for path in sorted((root / "src" / "chordlab").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, node.name))
-                used |= _reads(node) - {node.name}  # a use inside itself is no use
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+                used |= _reads(node) - {node.name}
+            elif isinstance(node, ast.ClassDef):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                reads = set()
+                for m in methods:
+                    reads |= _reads(m) - {m.name}
+                    if not m.name.startswith("__"):
+                        defined.append((f"{path.stem}.{node.name}.{m.name}", m.name))
+                for part in ast.iter_child_nodes(node):
+                    if part not in methods:
+                        reads |= _reads(part)
+                used |= reads - {node.name}
             else:
                 used |= _reads(node)
     for path in sorted((root / "perfbench").glob("*.py")):
@@ -186,7 +199,7 @@ def test_no_helper_only_tests_call():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     used |= {"__getattr__", "__dir__"}  # PEP 562 hooks (the package's, cli's): Python calls them
-    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+    assert [label for label, name in defined if name not in used] == []
 
 
 if __name__ == "__main__":

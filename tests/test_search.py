@@ -153,7 +153,7 @@ def test_chords_disjoint_from_cycle():
     c = longest_cycles(g)[0]
     ch = chords(g, c)
     assert not (ch & c.edge_set())
-    assert all(u in c.vertex_set() and v in c.vertex_set() for u, v in ch)
+    assert all(u in set(c.vertices) and v in set(c.vertices) for u, v in ch)
 
 
 def test_spanning_cycle_chord_count_formula(corpus):
