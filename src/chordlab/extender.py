@@ -677,8 +677,9 @@ def _finish(g, p, longer, trace, flipped=False):
     path of g with p's endpoints, undo the adjacent pipeline's flip and
     record it as the trace's final path.
 
-    Its walk is `precheck`'s, on ``longer`` before the flip is undone, so
-    the next `precheck` of a fixpoint loop only reads the result."""
+    Its walk is `precheck`'s, on ``longer`` before the flip is undone,
+    and the reversed path keeps the result, so the next `precheck` of a
+    fixpoint loop only reads it."""
     try:
         precheck(g, longer)
     except ValueError as exc:
@@ -688,7 +689,10 @@ def _finish(g, p, longer, trace, flipped=False):
     if longer.length <= p.length:
         raise InvariantViolation("checker", "replacement path is not longer")
     if flipped:
+        # the kind and the bound set do not depend on the orientation
+        classified = longer._class_in
         longer = longer.reversed()
+        object.__setattr__(longer, "_class_in", classified)
     trace.final_path = longer.vertices
     return longer, trace
 

@@ -87,6 +87,31 @@ more fact.
    tests it once: that one call decides both the child and its only
    complete code.  A child with m = 2 to come is walked untested, and
    each of its children is judged by its forced completion.
+
+The canonicity test also prunes its own search by one more fact.
+
+8. Found automorphisms.  The search places one vertex per position, and
+   the subtree below a node depends only on the graph and the vertices
+   placed, so an automorphism g that fixes a node's placed vertices maps
+   the subtree below its child u onto the one below g(u), column for
+   column.  A leaf whose code equals ``cols`` is a relabeling with the
+   code of the identity, so the map v -> (the vertex at position v at
+   that leaf) is an automorphism.
+   (a) A tie ends a later sibling.  Let a child u be searched without a
+   beat, with a tie leaf A in its subtree.  If the subtree of a later
+   child u' of the same node (or of a later start) reaches a tie leaf B,
+   then B A^-1 fixes the shared prefix and maps u to u', so the subtree
+   of u' is the image of that of u and holds no beat: its search ends at
+   B.  A tie leaf anywhere below u' ends it, so the stop passes down into
+   the whole subtree of u', and a subtree ended so counts as searched
+   without a beat, with a tie leaf.
+   (b) Found orbits skip starts.  A union-find over the vertices merges
+   each v with its image at every tie leaf, so its classes are orbits of
+   the group that the found automorphisms generate.  A start in the
+   class of a start already searched without a beat heads the image of
+   that start's tree, and is skipped.
+   Both prune only images of subtrees searched without a beat, so the
+   test stays exact.
 """
 
 from __future__ import annotations
@@ -104,14 +129,42 @@ from .graphs import Graph
 def _is_max_code(masks, nbrs, n, cols) -> bool:
     """True iff no relabeling of the connected subcubic graph on n
     vertices with adjacency ``masks`` and neighbour lists ``nbrs`` yields
-    a strictly larger column code than ``cols``."""
+    a strictly larger column code than ``cols``.
+
+    The search places one vertex per position, from the starts of fact 3
+    and along the frontier of fact 2, and follows only the vertices whose
+    column ties ``cols``.  It prunes by the automorphisms its tie leaves
+    give (fact 8): a tie ends the subtree of a later sibling, and a start
+    in the orbit of a start already searched is skipped."""
     # acc[u]: the column u would get at position j, shifted up by n - j
     acc = [0] * n
     scaled = [0] + [c << (n - j) for j, c in enumerate(cols, 1)]
     last = n - 1
+    at = [0] * n  # at[j]: the vertex placed at position j
+    # orbit[v]: v's class of the orbits found so far (fact 8b), a vertex
+    # mask shared by its members
+    orbit = [1 << v for v in range(n)]
 
-    def beaten(j, placed, frontier):
+    def beaten(j, placed, frontier, stop):
+        """2 if a relabeling below this node has a larger code, else 1 if
+        one has an equal code, else 0; with ``stop`` the first equal code
+        ends the search (fact 8a)."""
         target = scaled[j]
+        if j == last:  # the frontier is the one vertex left: a tie is a leaf
+            u = frontier.bit_length() - 1
+            a = acc[u]
+            if a != target:
+                return 2 if a > target else 0
+            at[last] = u
+            for v, w in enumerate(at):  # fact 8b: merge v with its image
+                if not orbit[v] >> w & 1:
+                    merged = orbit[v] | orbit[w]
+                    m = merged
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        orbit[b.bit_length() - 1] = merged
+            return 1
         ties = []
         w = frontier
         while w:
@@ -121,21 +174,24 @@ def _is_max_code(masks, nbrs, n, cols) -> bool:
             a = acc[u]
             if a >= target:
                 if a > target:
-                    return True
+                    return 2
                 ties.append(u)
-        if j == last:  # a tie here completes an equal code
-            return False
         bit = 1 << (last - j)
+        tie = 0
+        down = stop  # the stop passed to the children: stop or tie
         for u in ties:
+            at[j] = u
             for v in nbrs[u]:
                 acc[v] += bit
             here = placed | 1 << u
-            found = beaten(j + 1, here, (frontier | masks[u]) & ~here)
+            found = beaten(j + 1, here, (frontier | masks[u]) & ~here, down)
             for v in nbrs[u]:
                 acc[v] -= bit
             if found:
-                return True
-        return False
+                if found == 2 or stop:
+                    return found
+                tie = down = 1
+        return tie
 
     # 8 * degree + twice the edges among the neighbours, per vertex: the
     # key of fact 3, as twice the edges is at most 6
@@ -148,16 +204,20 @@ def _is_max_code(masks, nbrs, n, cols) -> bool:
         keys.append(key)
     best = max(keys)
     top = 1 << last
+    searched = tie = 0
     for s in range(n):
-        if keys[s] != best:
+        if keys[s] != best or orbit[s] & searched:
             continue
+        searched |= 1 << s
+        at[0] = s
         for v in nbrs[s]:
             acc[v] += top
-        found = beaten(1, 1 << s, masks[s])
+        found = beaten(1, 1 << s, masks[s], tie)
         for v in nbrs[s]:
             acc[v] -= top
-        if found:
+        if found == 2:
             return False
+        tie |= found
     return True
 
 

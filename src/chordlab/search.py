@@ -40,9 +40,11 @@ class Path:
 
     ``_class_in``, not a field (so ``==``, ``hash``, ``repr`` and
     ``asdict`` ignore it), is (graph, classification) from the last
-    `extender.precheck` that classified the path, its only setter, which
-    replaces it whole and reads it back for the same `Graph` object
-    alone: exact, as neither changes.
+    `extender.precheck` that classified the path, which replaces it whole
+    and reads it back for the same `Graph` object alone: exact, as
+    neither changes.  Its one other setter, `extender._finish`, copies it
+    onto the reverse of a classified path, whose classification is the
+    same.
     """
 
     vertices: tuple

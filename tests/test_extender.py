@@ -189,6 +189,19 @@ def test_adjacent_walks_its_input_once(monkeypatch):
     assert len(walked) == 8
 
 
+def test_adjacent_flipped_output_keeps_its_classification(monkeypatch):
+    """With the chord at y, `extend_path_adjacent` flips its input and
+    `_finish` reverses the output back: the reversed path keeps the
+    classification `_finish` made, so a `precheck` of it walks nothing."""
+    g, p = helpers.gen_adjacent_config(1)
+    longer, _ = extend_path_adjacent(g, p.reversed())
+    assert longer.x == p.y and longer._class_in[0] is g
+    _, walked = _spy_checks(monkeypatch)
+    cls = precheck(g, longer)
+    assert walked == []
+    assert cls == precheck(g, Path(longer.vertices))
+
+
 # ---------------------------------------------------------------------------
 # direct extension
 

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import os
+import random
+import sys
 from math import factorial
 
 import pytest
@@ -17,7 +19,7 @@ from chordlab.generate import (
     random_simple_path,
 )
 from chordlab.graph6 import parse_graph6
-from chordlab.graphs import connectivity_at_least, is_cubic
+from chordlab.graphs import Graph, connectivity_at_least, is_cubic, reach_mask
 from helpers import gen_lemma_instance
 from oracles import automorphism_count, canonical_code
 
@@ -138,6 +140,89 @@ def test_max_code_matches_backtrack_n12(monkeypatch):
     for n in range(4, 13, 2):
         assert len(enumerate_cubic(n)) == EXPECTED_CLASS_COUNTS[n]
     assert judged > 5000
+
+
+def _relabelings(g, rng):
+    """g as it is, after two uniform relabelings, after two random
+    search orders (each vertex after one of its neighbours, so every
+    prefix is connected) and after one swap of two labels."""
+    n = g.n
+    perms = [list(range(n))]
+    for _ in range(2):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    for _ in range(2):
+        order, frontier = [], {rng.randrange(n)}
+        while frontier:
+            v = rng.choice(sorted(frontier))
+            order.append(v)
+            frontier = (frontier | set(g.neighbors(v))) - set(order)
+        perms.append([order.index(v) for v in range(n)])
+    perm = list(range(n))
+    a, b = rng.sample(range(n), 2)
+    perm[a], perm[b] = b, a
+    perms.append(perm)
+    return [Graph(n, [(p[u], p[v]) for u, v in g.edges]) for p in perms]
+
+
+def test_max_code_matches_backtrack_on_relabelings(corpus, corpus12):
+    """Fact 8 prunes where the search meets ties, so judge labelings rich
+    in them: every n <= 12 corpus graph and K4, K3,3, the prism and
+    Petersen, each as it is and relabeled (`_relabelings`), with every
+    prefix on 2..n vertices that is connected.  The pruned test agrees
+    with the plain relabeling backtrack on each."""
+    rng = random.Random(45)
+    graphs = [g for n in sorted(corpus) for g in corpus[n]] + corpus12
+    graphs += [oracles.k4(), oracles.k33(), oracles.prism(), oracles.petersen()]
+    judged = maximal = 0
+    for g in graphs:
+        for h in _relabelings(g, rng):
+            for k in range(2, h.n + 1):
+                full = (1 << k) - 1
+                masks = tuple(m & full for m in h.masks[:k])
+                if reach_mask(masks, 1, full) != full:
+                    continue
+                cols = _code(Graph(k, [(u, v) for u, v in h.edges if v < k]))
+                nbrs = tuple(tuple(w for w in range(k) if m >> w & 1) for m in masks)
+                want = oracles.is_max_code_backtrack(masks, k, cols)
+                assert _is_max_code(masks, nbrs, k, cols) == want, (h.edges, k)
+                judged += 1
+                maximal += want
+    assert (judged, maximal) == (5785, 2039)
+
+
+def _beaten_calls(monkeypatch, n):
+    """Calls of `_is_max_code`'s inner search while `enumerate_cubic(n)`
+    runs, as (on prefixes, on complete codes), counted by a profile hook."""
+    inner = next(c for c in _is_max_code.__code__.co_consts if getattr(c, "co_name", "") == "beaten")
+    calls, complete = [0, 0], [0]
+
+    def is_max_code(masks, nbrs, k, cols):
+        complete[0] = k == n
+        return _is_max_code(masks, nbrs, k, cols)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is inner:
+            calls[complete[0]] += 1
+
+    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
+    sys.setprofile(hook)
+    try:
+        graphs = enumerate_cubic(n)
+    finally:
+        sys.setprofile(None)
+    assert len(graphs) == EXPECTED_CLASS_COUNTS[n]
+    return tuple(calls)
+
+
+def test_max_code_nodes_pinned(monkeypatch):
+    """The canonicity search's nodes at n = 10 and 12, on prefixes and on
+    complete codes: a census that guards fact 8's prunes without timing
+    them.  Without them the search made (1,941, 3,515) and (14,407,
+    18,189) calls."""
+    nodes = {n: _beaten_calls(monkeypatch, n) for n in (10, 12)}
+    assert nodes == {10: (1361, 1316), 12: (10566, 10448)}
 
 
 def _code(g):
