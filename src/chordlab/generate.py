@@ -105,11 +105,11 @@ The canonicity test also prunes its own search by one more fact.
    B.  A tie leaf anywhere below u' ends it, so the stop passes down into
    the whole subtree of u', and a subtree ended so counts as searched
    without a beat, with a tie leaf.
-   (b) Found orbits skip starts.  A union-find over the vertices merges
-   each v with its image at every tie leaf, so its classes are orbits of
-   the group that the found automorphisms generate.  A start in the
-   class of a start already searched without a beat heads the image of
-   that start's tree, and is skipped.
+   (b) Found orbits skip starts.  A partition of the vertices merges the
+   class of each v with that of its image at every tie leaf, so its
+   classes are orbits of the group that the found automorphisms
+   generate.  A start in the class of a start already searched without a
+   beat heads the image of that start's tree, and is skipped.
    Both prune only images of subtrees searched without a beat, so the
    test stays exact.
 """
@@ -119,7 +119,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import Graph
+from .graphs import Graph, vertex_bits
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +159,8 @@ def _is_max_code(masks, nbrs, n, cols) -> bool:
             for v, w in enumerate(at):  # fact 8b: merge v with its image
                 if not orbit[v] >> w & 1:
                     merged = orbit[v] | orbit[w]
-                    m = merged
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        orbit[b.bit_length() - 1] = merged
+                    for u in vertex_bits(merged):
+                        orbit[u] = merged
             return 1
         ties = []
         w = frontier

@@ -207,11 +207,12 @@ def _beaten_calls(monkeypatch, n):
             calls[complete[0]] += 1
 
     monkeypatch.setattr(generate, "_is_max_code", is_max_code)
+    before = sys.getprofile()
     sys.setprofile(hook)
     try:
         graphs = enumerate_cubic(n)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(before)
     assert len(graphs) == EXPECTED_CLASS_COUNTS[n]
     return tuple(calls)
 
