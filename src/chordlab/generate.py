@@ -159,8 +159,8 @@ def _is_max_code(masks, nbrs, n, cols) -> bool:
             for v, w in enumerate(at):  # fact 8b: merge v with its image
                 if not orbit[v] >> w & 1:
                     merged = orbit[v] | orbit[w]
-                    for u in vertex_bits(merged):
-                        orbit[u] = merged
+                    for x in vertex_bits(merged):
+                        orbit[x] = merged
             return 1
         ties = []
         w = frontier
