@@ -11,8 +11,6 @@ fixed structure only.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -21,8 +19,9 @@ class Graph:
     stored adjacency: ``edges``, ``m``, `degree`, `neighbors` and
     `has_edge` read it.  ``_cubic`` is stored at construction, True iff
     every vertex has degree 3 (the empty graph included), and `is_cubic`
-    reads it.  ``_kappa`` is None until `connectivity_at_least` stores
-    min(vertex connectivity, 3) there.
+    reads it.  ``_kappa`` is None until `connectivity_at_least`, which
+    answers for cubic graphs only, stores min(vertex connectivity, 3)
+    there; on a graph that is not cubic it stays None.
     """
 
     __slots__ = ("n", "masks", "_cubic", "_kappa")
@@ -163,24 +162,16 @@ def _cubic_edge_connectivity(g: Graph) -> int:
     return kappa
 
 
-def _connectivity_by_deletion(g: Graph) -> int:
-    """min(vertex connectivity, 3) of any g, by the definition: the least
-    size s < 3 of a vertex set whose deletion does not leave exactly one
-    component, else 3, and at most n - 1 (0 for the empty graph)."""
-    for s in range(min(g.n, 3)):
-        for cut in combinations(range(g.n), s):
-            if len(components_after_deletion(g, cut)) != 1:
-                return s
-    return max(min(g.n - 1, 3), 0)
-
-
 def connectivity_at_least(g: Graph, k: int) -> bool:
-    """True iff g has more than k vertices, is connected, and stays
-    connected after deleting any fewer than k vertices.  Only k <= 3 is
-    supported.  The first question stores min(vertex connectivity, 3) on
-    g, which answers every k, so asking again costs an attribute read.
+    """True iff the cubic graph g has more than k vertices, is connected,
+    and stays connected after deleting any fewer than k vertices.  Only
+    k <= 3 is supported, and a g that is not cubic raises ValueError: the
+    paper's statements concern cubic graphs only.  The first question
+    stores min(vertex connectivity, 3) on g, which answers every k, so
+    asking again costs an attribute read.
 
-    A cubic g takes it from one search (`_cubic_edge_connectivity`, O(n)
+    The empty graph, cubic by the vacuous ``_cubic`` flag, has 0.  Any
+    other g takes it from one search (`_cubic_edge_connectivity`, O(n)
     steps on ints of m - n + 1 bits), since its vertex connectivity
     equals its edge connectivity.  Edge cuts are never smaller
     (Whitney), and K4, which has no vertex cut, has both equal to 3.
@@ -189,15 +180,14 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
     component.  Put into X the set C and every s with two neighbours in
     C.  Then each s in S has exactly one edge between X and the rest (its
     one edge into C, or its one edge out of C + s), and no other edge
-    leaves X, so |S| edges cut g.
-
-    Any other graph, the empty one included, is gated by the definition
-    (`_connectivity_by_deletion`), one BFS per vertex set of size < 3."""
+    leaves X, so |S| edges cut g."""
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     if g._kappa is None:
-        cubic = g.n and is_cubic(g)  # a cover search needs a vertex 0
-        g._kappa = (_cubic_edge_connectivity if cubic else _connectivity_by_deletion)(g)
+        if not is_cubic(g):
+            raise ValueError("graph is not cubic")
+        # the empty graph has no vertex 0 to start a cover search from
+        g._kappa = _cubic_edge_connectivity(g) if g.n else 0
     return g._kappa >= k
 
 

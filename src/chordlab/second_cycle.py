@@ -74,10 +74,10 @@ class SecondCycleCertificate:
     exchange_vertex: int    # one incident cycle edge kept, one swapped
 
 
-def build_support_graph(inst: LemmaInstance):
+def build_support_graph(inst: LemmaInstance) -> Graph:
     """Cycle plus one designated chord per endpoint of each non-final arc
     (lowest-id target in A); this is the graph the lemma machinery runs
-    on.  Returns it with the set of designated chords as (u, v), u < v."""
+    on."""
     g, cyc = inst.g, inst.cycle
     on, am = cycle_masks(cyc.vertices, g.n), vertex_mask(inst.a_set)
     designated = set()
@@ -87,8 +87,7 @@ def build_support_graph(inst: LemmaInstance):
             if not targets:
                 raise ValueError(f"arc endpoint {v} has no chord into A")
             designated.add((v, (targets & -targets).bit_length() - 1))
-    g1 = Graph(g.n, [*cyc.edge_pairs(), *designated])
-    return g1, frozenset((u, v) for u, v in g1.edges if not on[u] >> v & 1)
+    return Graph(g.n, [*cyc.edge_pairs(), *designated])
 
 
 def _satisfies_turning_condition(hm, on, a_set):
@@ -113,7 +112,7 @@ def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCer
     steps = list(zip(h_last, h_last[1:]))
     if (x, y) in steps or (y, x) in steps:
         raise ValueError(f"({x},{y}) lies inside the distinguished arc")
-    g1, _ = build_support_graph(inst)
+    g1 = build_support_graph(inst)
     cands = []  # (cycle, its neighbour masks), through xy
     for h in hamilton_cycles(g1):
         hm = cycle_masks(h.vertices, n)

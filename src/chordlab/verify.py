@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import InvariantViolation
-from .graphs import Graph, connectivity_at_least, is_cubic
+from .graphs import Graph, connectivity_at_least
 from .search import Cycle, chords, kernel_masks, walk_problem
 
 # the connectivity each verified statement assumes: verify_zhan's modes
@@ -217,8 +217,6 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     below M, it is not Hamiltonian, and it never settles."""
     if mode not in ("all-pairs", "adjacent-pairs"):
         raise ValueError(f"mode must be all-pairs or adjacent-pairs, got {mode!r}")
-    if not is_cubic(g):
-        raise ValueError("graph is not cubic")
     need_k = CONNECTIVITY[mode]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
@@ -283,8 +281,6 @@ def verify_chords(g: Graph) -> ChordReport:
     2L - 3n/2 + e(V - S) chords, by counting the degrees in S and in
     V - S: 3L = 2 e(S) + e(S, V - S) and 3(n - L) = 2 e(V - S) + e(S, V - S).
     With L = n this is n/2 again."""
-    if not is_cubic(g):
-        raise ValueError("graph is not cubic")
     need_k = CONNECTIVITY["chords"]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")

@@ -199,7 +199,7 @@ def test_criterion_5_parity_lemma():
     for seed in range(100):
         k = 2 + seed % 3
         inst = gen_lemma_instance(k, seed)
-        g1, _ = build_support_graph(inst)
+        g1 = build_support_graph(inst)
         rep = verify_parity_lemma(g1, inst.a_set)
         if not (rep.all_even and rep.preserved):
             failures += 1

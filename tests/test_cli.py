@@ -165,10 +165,10 @@ def test_verify_jobs_matches_serial(tmp_path, capsys, corpus):
 
 @pytest.mark.parametrize("jobs", ("1", "2"))
 def test_verify_connectivity_of_non_cubic_lines(tmp_path, capsys, jobs):
-    """The `connectivity` column of lines that no statement checks, the
-    gate's one reader outside the cubic path, against max-flow vertex
-    connectivity: a wheel (3), C6 (2), two triangles joined by a bridge
-    (1) and two disjoint triangles (0)."""
+    """Lines that are not cubic get a null `connectivity` and a null
+    value, whatever their vertex connectivity (max-flow): a wheel (3), C6
+    (2), two triangles joined by a bridge (1) and two disjoint triangles
+    (0).  The gate answers for cubic graphs only."""
     triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     graphs = [
         Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)]),
@@ -176,15 +176,41 @@ def test_verify_connectivity_of_non_cubic_lines(tmp_path, capsys, jobs):
         Graph(6, triangles + [(2, 3)]),
         Graph(6, triangles),
     ]
+    assert [min(oracles.vertex_connectivity_menger(g), 3) for g in graphs] == [3, 2, 1, 0]
     f = _write_corpus(tmp_path, graphs)
     code, out, err = run_cli(["verify", "--mode", "zhan2", "--in", str(f), "--jobs", jobs], capsys)
     assert (code, err) == (0, "")
     rows = json.loads(out)["rows"]
-    assert [r["connectivity"] for r in rows] == [3, 2, 1, 0]
-    assert [r["connectivity"] for r in rows] == [
-        min(oracles.vertex_connectivity_menger(g), 3) for g in graphs
-    ]
+    assert [r["connectivity"] for r in rows] == [None] * 4
     assert [r["value"] for r in rows] == [None] * 4
+
+
+def test_verify_edge_cases_in_every_mode(tmp_path, capsys):
+    """The empty graph, K4, C6, the wheel W5 and two disjoint triangles,
+    in every mode and format at --jobs 1 and 2: the same bytes, exit 0,
+    a null connectivity and value on the lines that are not cubic, 3 on
+    K4, and connectivity 0 with a null value on the empty graph, which
+    is cubic by the vacuous definition."""
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+    graphs = [Graph(0, []), oracles.k4(), oracles.cycle_graph(6), wheel, Graph(6, triangles)]
+    f = _write_corpus(tmp_path, graphs)
+    assert f.read_text().split("\n")[0] == "?"
+    # (n, connectivity, value) per row; K4's value is 2 in every mode
+    want = [(0, 0, None), (4, 3, 2)] + [(6, None, None)] * 3
+    for mode in ("zhan2", "zhan3adj", "chords"):
+        for fmt in ("json", "csv"):
+            argv = ["verify", "--mode", mode, "--in", str(f), "--format", fmt]
+            code, serial, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (mode, fmt)
+            if fmt == "json":
+                rep = json.loads(serial)
+                assert (rep["checked"], rep["minimum"], rep["violations"]) == (1, 2, 0)
+                assert [(r["n"], r["connectivity"], r["value"]) for r in rep["rows"]] == want
+            else:
+                cells = [(r["n"], r["connectivity"], r["value"]) for r in csv.DictReader(io.StringIO(serial))]
+                assert cells == [tuple("" if x is None else str(x) for x in row) for row in want], mode
 
 
 # sha256 of the JSON `chordlab verify --mode M` writes for the output of
@@ -561,10 +587,15 @@ def test_verify_jobs_2_forks_one_child(tmp_path, capsys, monkeypatch):
     """--jobs 2 forks once and writes the serial run's bytes.  On two
     graphs the child runs the first and the parent the second; on three
     the child is not handed the third, as no task would be left for the
-    parent, so the parent runs the second and the third."""
+    parent, so the parent runs the second and the third.
+
+    The child's task waits on a pipe, made before the fork, until the
+    parent has started its own.  Its first reply then cannot be waiting
+    at the parent's first `select`, where it would be recorded and the
+    third graph handed to the child, so the split holds under any load."""
     graphs = [oracles.k4(), oracles.petersen(), oracles.prism()]
     parent = os.getpid()
-    forks, here = [], []
+    forks, here, started = [], [], []
     real_fork, real_verify = os.fork, cli._verify_one
 
     def fork():
@@ -572,8 +603,12 @@ def test_verify_jobs_2_forks_one_child(tmp_path, capsys, monkeypatch):
         return real_fork()
 
     def verify_one(task):
+        read_end, write_end = started
         if os.getpid() == parent:
             here.append(task[0])
+            os.write(write_end, b".")
+        else:
+            select.select([read_end], [], [])  # the byte stays: later tasks pass
         return real_verify(task)
 
     with _no_hang():
@@ -585,10 +620,15 @@ def test_verify_jobs_2_forks_one_child(tmp_path, capsys, monkeypatch):
                 assert code == 0
                 forks.clear()
                 here.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(os, "fork", fork)
-                    m.setattr(cli, "_verify_one", verify_one)
-                    assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (count, mode)
+                started[:] = os.pipe()
+                try:
+                    with monkeypatch.context() as m:
+                        m.setattr(os, "fork", fork)
+                        m.setattr(cli, "_verify_one", verify_one)
+                        assert run_cli(argv + ["--jobs", "2"], capsys) == (0, serial, ""), (count, mode)
+                finally:
+                    for fd in started:
+                        os.close(fd)
                 assert len(forks) == 1
                 assert here == [write_graph6(g) for g in graphs[1:count]]
                 with pytest.raises(ChildProcessError):

@@ -942,7 +942,7 @@ def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
     graphs = [g for n in sorted(corpus) for g in corpus[n]]
     subcubic = [oracles.cycle_graph(n) for n in range(3, 10)]
     subcubic += [
-        build_support_graph(helpers.gen_lemma_instance(k, seed))[0]
+        build_support_graph(helpers.gen_lemma_instance(k, seed))
         for k in (2, 3, 4) for seed in range(5)
     ]
     matchings = random.Random(1)

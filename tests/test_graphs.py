@@ -94,8 +94,9 @@ def test_is_cubic():
 def test_connectivity_small_cases():
     assert connectivity_at_least(oracles.k4(), 3)
     c5 = oracles.cycle_graph(5)
-    assert connectivity_at_least(c5, 2)
-    assert not connectivity_at_least(c5, 3)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="^graph is not cubic$"):
+            connectivity_at_least(c5, k)
 
 
 def test_connectivity_bridge_host():
@@ -107,7 +108,7 @@ def test_connectivity_bridge_host():
 
 def test_connectivity_chain():
     for g in (oracles.k4(), oracles.prism(), oracles.petersen(),
-              oracles.two_k4_minus_edge_bridge(), oracles.cycle_graph(6)):
+              oracles.two_k4_minus_edge_bridge()):
         if connectivity_at_least(g, 3):
             assert connectivity_at_least(g, 2)
         if connectivity_at_least(g, 2):
@@ -116,21 +117,29 @@ def test_connectivity_chain():
 
 def test_connectivity_against_menger():
     """Against max-flow vertex connectivity, an oracle that shares no code
-    with the gate's definition: a cubic zoo, every graph of
-    `_random_simple_graphs` (many with a vertex of degree >= 4) and the
-    graphs with at most three vertices, where n - 1 caps the answer."""
-    tiny = [Graph(0, []), Graph(1, []), Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)])]
+    with the gate's definition: a cubic zoo, two disjoint K4s, the empty
+    graph (0) and the cubic graphs of `_random_simple_graphs`.  Its other
+    graphs (many with a vertex of degree >= 4), a cycle, a path and the
+    graphs on one to three vertices are refused: the gate answers for
+    cubic graphs only."""
+    k4 = oracles.k4().edges
+    tiny = [Graph(1, []), Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)])]
     zoo = [oracles.k4(), oracles.k33(), oracles.prism(), oracles.petersen(),
-           oracles.two_k4_minus_edge_bridge(), oracles.cycle_graph(7),
-           oracles.path_graph(5)]
-    high_degree = 0
+           oracles.two_k4_minus_edge_bridge(), Graph(8, [*k4, *((u + 4, v + 4) for u, v in k4)]),
+           Graph(0, []), oracles.cycle_graph(7), oracles.path_graph(5)]
+    answered = high_degree = 0
     for g in zoo + tiny + list(_random_simple_graphs()):
+        if not is_cubic(g):
+            with pytest.raises(ValueError, match="^graph is not cubic$"):
+                connectivity_at_least(g, 1)
+            high_degree += max(map(g.degree, range(g.n)), default=0) >= 4
+            continue
         kappa = oracles.vertex_connectivity_menger(g)
         for k in (1, 2, 3):
             assert connectivity_at_least(g, k) == (kappa >= k and g.n > k), (g.n, g.edges, k)
-        high_degree += max(map(g.degree, range(g.n)), default=0) >= 4
-    assert [sum(connectivity_at_least(g, k) for k in (1, 2, 3)) for g in tiny] == [0, 0, 1, 2]
-    assert high_degree > 100
+        answered += 1
+    assert [sum(connectivity_at_least(g, k) for k in (1, 2, 3)) for g in zoo[:7]] == [3, 3, 3, 3, 2, 0, 0]
+    assert answered > 7 and high_degree > 100  # the zoo's 7 cubic graphs, then random ones
 
 
 def test_connectivity_gate_is_memoized(monkeypatch):
@@ -139,46 +148,38 @@ def test_connectivity_gate_is_memoized(monkeypatch):
     import chordlab.graphs as graphs
 
     calls = []
-    for name in ("_cubic_edge_connectivity", "_connectivity_by_deletion"):
-        real = getattr(graphs, name)
-        monkeypatch.setattr(
-            graphs, name,
-            lambda *a, real=real, name=name: calls.append(name) or real(*a),
-        )
+    real = graphs._cubic_edge_connectivity
+    monkeypatch.setattr(graphs, "_cubic_edge_connectivity", lambda g: calls.append(g) or real(g))
     g = oracles.petersen()
     for k in (3, 2, 1):
         assert connectivity_at_least(g, k)
-    assert calls == ["_cubic_edge_connectivity"]
+    assert calls == [g]
     calls.clear()
-    wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
-    for k in (2, 3, 1):
-        assert connectivity_at_least(wheel, k)
-    assert calls == ["_connectivity_by_deletion"]
-    calls.clear()
-    for h in (g, wheel):
-        for k in (1, 2, 3):
-            assert connectivity_at_least(h, k)
+    for k in (1, 2, 3):
+        assert connectivity_at_least(g, k)
     assert calls == []
 
 
-def test_connectivity_memo_matches_fresh_answers():
+def test_connectivity_memo_matches_fresh_answers(corpus, corpus12):
+    """Stored answers, asked in a shuffled order of k, against fresh ones
+    on the relabeled n <= 12 corpus, which holds classes 1-3."""
     import random
 
     rng = random.Random(11)
-    for trial in range(300):
-        n = rng.choice((4, 6, 8, 10, 12, 16))
-        edges = list(random_cubic(n, trial).edges)
-        # drop a few edges so every connectivity class shows up
-        for _ in range(rng.randrange(4)):
-            edges.pop(rng.randrange(len(edges)))
-        g = Graph(n, edges)
+    classes = collections.Counter()
+    for g0 in [g for n in sorted(corpus) for g in corpus[n]] + list(corpus12):
+        label = rng.sample(range(g0.n), g0.n)
+        edges = [(label[u], label[v]) for u, v in g0.edges]
+        g = Graph(g0.n, edges)
         order = [1, 2, 3] * 2
         rng.shuffle(order)
         for k in order:
-            fresh = connectivity_at_least(Graph(n, edges), k)
-            assert connectivity_at_least(g, k) == fresh, (n, edges, k)
-            if n <= 8:
+            fresh = connectivity_at_least(Graph(g.n, edges), k)
+            assert connectivity_at_least(g, k) == fresh, (g.n, edges, k)
+            if g.n <= 8:
                 assert fresh == oracles.connectivity_at_least_naive(g, k)
+        classes[sum(connectivity_at_least(g, k) for k in (1, 2, 3))] += 1
+    assert sorted(classes) == [1, 2, 3], classes
 
 
 def test_components_spanning_deletion():
@@ -252,13 +253,22 @@ def _random_simple_graphs():
 
 
 def test_connectivity_against_cut_enumeration_small():
-    checked = {True: 0, False: 0}
+    """The gate answers for cubic graphs only: each graph of
+    `_random_simple_graphs` that is not cubic is refused at every k,
+    whatever its class by the gate's definition, and the refusal stores
+    nothing; the cubic ones agree with the definition."""
+    refused = collections.Counter()
     for g in _random_simple_graphs():
+        want = [oracles.connectivity_at_least_naive(g, k) for k in (1, 2, 3)]
+        if is_cubic(g):
+            assert [connectivity_at_least(g, k) for k in (1, 2, 3)] == want, g.edges
+            continue
         for k in (1, 2, 3):
-            want = oracles.connectivity_at_least_naive(g, k)
-            assert connectivity_at_least(g, k) == want, (g.edges, k)
-            checked[want] += 1
-    assert min(checked.values()) > 200
+            with pytest.raises(ValueError, match="^graph is not cubic$"):
+                connectivity_at_least(g, k)
+        assert g._kappa is None
+        refused[sum(want)] += 1
+    assert min(refused[k] for k in range(4)) > 20, refused
 
 
 def test_connectivity_against_cut_enumeration_cubic(corpus, corpus12):
@@ -289,4 +299,8 @@ def test_connectivity_against_cut_enumeration_cubic(corpus, corpus12):
 def test_connectivity_gate_errors():
     with pytest.raises(ValueError, match="k must be 1, 2 or 3, got 4"):
         connectivity_at_least(oracles.k4(), 4)
-    assert not connectivity_at_least(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="k must be 1, 2 or 3, got 0"):
+        connectivity_at_least(triangle, 0)
+    with pytest.raises(ValueError, match="^graph is not cubic$"):
+        connectivity_at_least(triangle, 3)

@@ -177,7 +177,7 @@ def test_hamilton_matches_naive():
     # they reach n = 14, past the permutation oracle, so the DFS one checks them
     for k in (2, 3, 4):
         for seed in range(6):
-            g = build_support_graph(gen_lemma_instance(k, seed))[0]
+            g = build_support_graph(gen_lemma_instance(k, seed))
             adj = {v: set(g.neighbors(v)) for v in range(g.n)}
             want = sorted(c for c in oracles.all_cycles_small(adj) if len(c) == g.n)
             assert [c.vertices for c in hamilton_cycles(g)] == want, (k, seed)
