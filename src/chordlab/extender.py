@@ -145,7 +145,10 @@ class ReducedGraph:
 
 def precheck(g: Graph, p: Path) -> Classification:
     """Gate the hypotheses and classify the path: spanning, owning an
-    internal bound vertex, or extendable.
+    internal bound vertex, or extendable.  ``bound`` is the set of
+    internal bound vertices whatever the kind; `extend_path_adjacent`
+    reads it, as with adjacent ends one bound vertex is one chord of the
+    closing cycle, at an endpoint.
 
     The result is kept on p (``Path._class_in``, set whole; a raise keeps
     nothing), and a later call with the same `Graph` object returns it
@@ -767,41 +770,45 @@ def extend_path(g: Graph, p: Path):
 
 
 def extend_path_adjacent(g: Graph, p: Path):
-    """Extension for the adjacent-endpoint configuration: the closing
-    cycle has exactly one chord and it sits at an endpoint.  Removes the
-    endpoint and its chord partner, reruns the second-cycle lemma on the
-    contracted remainder, lifts, and reinstates both vertices."""
+    """Extension for the adjacent-endpoint configuration: x and y are
+    adjacent and p has exactly one internal bound vertex w, so it is not
+    longest.  Removes the endpoint joined to w and w itself, reruns the
+    second-cycle lemma on the contracted remainder, lifts, and reinstates
+    both vertices.
+
+    The classification is `precheck`'s, kept on p as by every other
+    call.  One bound vertex is the same as one chord of the closing cycle
+    (p plus xy), at an endpoint.  In a cubic graph with x ~ y every chord
+    has an internal end, since xy is a cycle edge, and that end is bound;
+    an internal vertex has at most one chord, its one edge off its two
+    path edges, and is bound exactly when it has one.  So one bound
+    vertex w means one chord, joining w to x or to y, and such a chord
+    makes w the one bound vertex."""
     trace = ExtensionTrace()
     if not is_cubic(g):
         raise ValueError("host graph is not cubic")
     if not connectivity_at_least(g, 3):
         raise ValueError("host graph is not 3-connected")
-    p.validate(g)
+    bound = precheck(g, p).bound
     x, y = p.x, p.y
     if not g.has_edge(x, y):
         raise ValueError("endpoints are not adjacent")
-    flipped = False
-    c_host = Cycle(p.vertices)
-    # the path walk and the edge xy make the closing cycle a cycle of g
-    chord_set = sorted((u, v) for u, v in chord_scan(g.masks, c_host.vertices) if u < v)
-    if len(chord_set) != 1:
+    if len(bound) != 1:
         raise ValueError(
-            f"closing cycle must have exactly one chord, found {len(chord_set)}"
+            f"path must have exactly one internal bound vertex, found {len(bound)}"
         )
-    e = chord_set[0]
-    if y in e and x not in e:
+    (w,) = bound
+    # the chord is xw unless w is x's path neighbour, whose edge to x is
+    # no chord, or w misses x; then it is yw, and the flip puts it at x
+    flipped = w == p.vertices[1] or not g.has_edge(x, w)
+    if flipped:
         p = p.reversed()
         x, y = p.x, p.y
-        flipped = True
-    if x not in e:
-        raise ValueError("the chord is not incident to an endpoint")
-    w = e[0] if e[1] == x else e[1]
-    # unreachable on 3-connected hosts, as is the attachment count below:
-    # off x and w each cycle vertex has one edge off the cycle, so a and y
-    # of a 4-cycle x, a, w, y, or a component with fewer than three
-    # attachments, would be cut off by at most two edges
-    if c_host.length < 5:
-        raise ValueError("closing cycle shorter than 5")
+    # the closing cycle has at least 5 vertices, and every off-cycle
+    # component at least three attachments: off x and w each cycle vertex
+    # has one edge off the cycle, so a and y of a 4-cycle x, a, w, y, or a
+    # component with fewer attachments, would be cut off by at most two
+    # edges, which no 3-connected host allows
     vs = p.vertices  # x .. w .. y along the cycle
     a = vs[1]
     wi = vs.index(w)
@@ -830,11 +837,6 @@ def extend_path_adjacent(g: Graph, p: Path):
 
     cprime_vertices = vs[1:wi] + vs[wi + 1:]  # a .. b, c .. y
     new_edges = [(a, y), (b, c)]
-    for comp, attach in comps:
-        if len(attach) < 3:
-            raise ValueError(
-                f"component {vertex_bits(comp)} has fewer than three attachments"
-            )
     # x and w have every neighbor on the cycle, so the attachments lie on
     # the ring and the ring ends a, y are the reinstatement pair
     a_set, chosen, relabeled = _color_ring(cprime_vertices, comps)
@@ -859,7 +861,7 @@ def extend_path_adjacent(g: Graph, p: Path):
         g, cprime_vertices, new_edges, relabeled, c1_host_vertices, trace, case
     )
     reinstated = _reinstate(g, lifted, x, y, w, a, b, c, case)
-    if reinstated.length <= c_host.length:
+    if reinstated.length <= len(vs):
         raise InvariantViolation(case, "reinstated cycle is not longer")
     trace.add(case, cycle=list(reinstated.vertices), length=reinstated.length)
     longer = _path_from_cycle(reinstated, x, y)
@@ -898,13 +900,10 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
 
     start = next(i for i, v in enumerate(ring2) if v in a_dense)
     order = ring2[start:] + ring2[:start]
-    # the arcs are the runs of the ring outside A; two neighbouring
-    # members of A share a run, so a missing arc lowers the count
+    # the arcs are the runs of the ring outside A, one after each member:
+    # A is a colour class of the closed ring, so no two members neighbour
+    # (`LemmaInstance.check` refuses an A that has two, as not independent)
     arcs = [tuple(run) for inside, run in groupby(order, a_dense.__contains__) if not inside]
-    if len(arcs) != len(a_dense):
-        raise InvariantViolation(
-            "case-instance", "class removal does not leave one arc per member"
-        )
     bd, cd = pos[b], pos[c]
     if b in a_set or c in a_set:
         # designate the surgery edge itself so the lemma forces it onto

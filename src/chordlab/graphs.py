@@ -1,9 +1,9 @@
 """Core undirected graph representation and small-graph structure tools.
 
 Vertices are dense integer ids 0..n-1.  A graph is stored as its
-adjacency bit masks only; its edges, neighbours and degrees are views
-computed from them.  Graphs are simple: construction refuses a self-loop
-or a repeated pair, so no other module checks for either.  Instances are
+adjacency bit masks only; its edges and neighbours are views computed
+from them.  Graphs are simple: construction refuses a self-loop or a
+repeated pair, so no other module checks for either.  Instances are
 treated as immutable after construction and are safe to share between
 threads: the one lazily stored connectivity value is computed from that
 fixed structure only.
@@ -16,12 +16,12 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``masks[v]`` has bit w set iff vw is an edge, and it is the only
-    stored adjacency: ``edges``, ``m``, `degree`, `neighbors` and
-    `has_edge` read it.  ``_cubic`` is stored at construction, True iff
-    every vertex has degree 3 (the empty graph included), and `is_cubic`
-    reads it.  ``_kappa`` is None until `connectivity_at_least`, which
-    answers for cubic graphs only, stores min(vertex connectivity, 3)
-    there; on a graph that is not cubic it stays None.
+    stored adjacency: ``edges``, ``m``, `neighbors` and `has_edge` read
+    it.  ``_cubic`` is stored at construction, True iff every vertex has
+    degree 3 (the empty graph included), and `is_cubic` reads it.
+    ``_kappa`` is None until `connectivity_at_least`, which answers for
+    cubic graphs only, stores min(vertex connectivity, 3) there; on a
+    graph that is not cubic it stays None.
     """
 
     __slots__ = ("n", "masks", "_cubic", "_kappa")
@@ -52,9 +52,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
-
-    def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
 
     def neighbors(self, v: int) -> list:
         """The neighbours of v, in ascending order."""

@@ -104,9 +104,8 @@ class Cycle:
     def edge_set(self) -> frozenset:
         return frozenset(self.edge_pairs())
 
-    def validate(self, g: Graph, extra_edges=()) -> "Cycle":
-        """Check the cycle in g with the pairs ``extra_edges`` added."""
-        problem = cycle_problem(g, self.vertices, extra_edges)
+    def validate(self, g: Graph) -> "Cycle":
+        problem = cycle_problem(g, self.vertices)
         if problem:
             raise ValueError(problem)
         return self

@@ -77,15 +77,14 @@ class SecondCycleCertificate:
 def build_support_graph(inst: LemmaInstance) -> Graph:
     """Cycle plus one designated chord per endpoint of each non-final arc
     (lowest-id target in A); this is the graph the lemma machinery runs
-    on."""
+    on.  ``inst`` is checked: `LemmaInstance.check` refuses an endpoint
+    without a chord into A."""
     g, cyc = inst.g, inst.cycle
     on, am = cycle_masks(cyc.vertices, g.n), vertex_mask(inst.a_set)
     designated = set()
     for comp in inst.components[:-1]:
-        for v in dict.fromkeys((comp[0], comp[-1])):  # start, then end
+        for v in (comp[0], comp[-1]):
             targets = g.masks[v] & ~on[v] & am
-            if not targets:
-                raise ValueError(f"arc endpoint {v} has no chord into A")
             designated.add((v, (targets & -targets).bit_length() - 1))
     return Graph(g.n, [*cyc.edge_pairs(), *designated])
 

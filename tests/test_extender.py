@@ -1,4 +1,7 @@
+import hashlib
+import os
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -947,7 +950,7 @@ def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
     ]
     matchings = random.Random(1)
     subcubic += [_minus_a_matching(g, matchings) for g in graphs]
-    assert all(any(g.degree(v) == 2 for v in range(g.n)) for g in subcubic)
+    assert all(any(len(g.neighbors(v)) == 2 for v in range(g.n)) for g in subcubic)
     for g in graphs + subcubic:
         n = g.n
         labels = rng.sample(range(100), n)
@@ -1226,7 +1229,8 @@ def test_adjacent_lift_checks_its_walk(monkeypatch):
 
 def test_adjacent_instance_needs_one_arc_per_member(monkeypatch):
     """A class with two members side by side on the ring leaves an empty
-    arc between them: the lemma instance is refused."""
+    arc between them: the lemma instance's check refuses it, as a class
+    that is not independent on the cycle."""
     def corrupt(p, args, colored):
         ring = args[0]
         a_set, chosen, relabeled = colored
@@ -1234,8 +1238,8 @@ def test_adjacent_instance_needs_one_arc_per_member(monkeypatch):
         return a_set | {ring[ring.index(v) + 1]}, chosen, relabeled
 
     _, exc = _corrupted_adjacent(monkeypatch, "_color_ring", corrupt)
-    assert exc.step == "case-instance"
-    assert str(exc) == "case-instance: class removal does not leave one arc per member"
+    assert exc.step == "lemma-instance"
+    assert str(exc) == "lemma-instance: A is not independent on C"
 
 
 def test_adjacent_handles_reversed_orientation():
@@ -1262,13 +1266,7 @@ def test_adjacent_rejects_wrong_configuration():
     g = oracles.k4()
     with pytest.raises(ValueError) as exc:
         extend_path_adjacent(g, Path((0, 2, 3, 1)))
-    assert str(exc.value) == "closing cycle must have exactly one chord, found 2"
-
-
-def _k4_minus_edge(b):
-    """K4 on b .. b+3 without the edge (b, b+1), whose ends are left with
-    one free degree each."""
-    return [(b, b + 2), (b, b + 3), (b + 1, b + 2), (b + 1, b + 3), (b + 2, b + 3)]
+    assert str(exc.value) == "path must have exactly one internal bound vertex, found 2"
 
 
 @pytest.mark.parametrize("g, path, message", [
@@ -1277,7 +1275,7 @@ def _k4_minus_edge(b):
     (oracles.k33(), (0, 3, 1), "endpoints are not adjacent"),
     (Graph(10, [(i, (i + 1) % 8) for i in range(8)]
            + [(2, 5), (8, 0), (8, 3), (8, 6), (9, 1), (9, 4), (9, 7)]),
-     tuple(range(8)), "the chord is not incident to an endpoint"),
+     tuple(range(8)), "path must have exactly one internal bound vertex, found 2"),
 ], ids=("not-cubic", "not-3-connected", "endpoints-apart", "chord-inside"))
 def test_adjacent_refuses_inputs(g, path, message):
     with pytest.raises(ValueError) as exc:
@@ -1285,22 +1283,82 @@ def test_adjacent_refuses_inputs(g, path, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("g, path, message", [
-    (oracles.two_k4_minus_edge_bridge(), (2, 0, 3, 1), "closing cycle shorter than 5"),
-    (Graph(14, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
-           + _k4_minus_edge(6) + [(6, 1), (7, 4)] + _k4_minus_edge(10) + [(10, 2), (11, 5)]),
-     tuple(range(6)), "component [6, 7, 8, 9] has fewer than three attachments"),
-], ids=("short-cycle", "two-attachments"))
-def test_adjacent_refusals_past_the_gate(monkeypatch, g, path, message):
-    """Two refusals that no 3-connected cubic host reaches, shown on
-    2-connected hosts with the connectivity gate lifted.  Off x and w,
-    every cycle vertex has one edge off the cycle, so a component with
-    fewer than three attachments, or the two ends other than x and w of
-    a 4-cycle x, a, w, y, are cut off by at most two edges."""
-    monkeypatch.setattr(extender, "connectivity_at_least", lambda g, k: True)
-    with pytest.raises(ValueError) as exc:
-        extend_path_adjacent(g, Path(path))
-    assert str(exc.value) == message
+def _one_chord_at_an_endpoint(g, vs):
+    """`extend_path_adjacent`'s hypothesis in its closing-cycle form, over
+    sets: the closing cycle (vs plus its closing pair) has exactly one
+    chord, and the chord has an end in {x, y}."""
+    on = set(vs)
+    steps = {frozenset(e) for e in zip(vs, vs[1:] + vs[:1])}
+    found = {frozenset(e) for e in g.edges if on.issuperset(e)} - steps
+    return len(found) == 1 and bool(found.pop() & {vs[0], vs[-1]})
+
+
+def test_adjacent_accepts_exactly_one_chord_at_an_endpoint(corpus):
+    """Over every directed path with adjacent ends in every 3-connected
+    cubic graph with n <= 10, `extend_path_adjacent` accepts a path
+    exactly when its closing cycle has one chord, at an endpoint, and
+    refuses every other path with the count of its internal bound
+    vertices.  Accepted paths include ones whose bound vertex is the path
+    neighbour of x and ones where it is that of y."""
+    accepted, refused = 0, 0
+    w_next_to = {"x": 0, "y": 0}
+    for n in (4, 6, 8, 10):
+        for g in corpus[n]:
+            if not connectivity_at_least(g, 3):
+                continue
+            for vs in helpers.directed_paths(g):
+                if not g.has_edge(vs[0], vs[-1]):
+                    continue
+                p = Path(vs)
+                bound = [v for v in vs[1:-1] if set(g.neighbors(v)) <= set(vs)]
+                if not _one_chord_at_an_endpoint(g, vs):
+                    with pytest.raises(ValueError) as exc:
+                        extend_path_adjacent(g, p)
+                    assert str(exc.value) == (
+                        f"path must have exactly one internal bound vertex, found {len(bound)}"
+                    )
+                    refused += 1
+                    continue
+                longer, _ = extend_path_adjacent(g, p)
+                assert (longer.x, longer.y) == (p.x, p.y) and longer.length > p.length
+                assert len(bound) == 1
+                w_next_to["x"] += bound[0] == vs[1]
+                w_next_to["y"] += bound[0] == vs[-2]
+                accepted += 1
+    assert (accepted, refused) == (1600, 11282)
+    assert w_next_to["x"] > 0 and w_next_to["y"] > 0
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_adjacent_census_n12(corpus12):
+    """`test_golden_traces.test_adjacent_census_n10` one order up: every
+    directed path of every 3-connected cubic graph with n = 12 whose
+    endpoints are adjacent and which has exactly one internal bound
+    vertex goes through `extend_path_adjacent`; the exit each path takes
+    and the digest of every trace are pinned (9,376 paths)."""
+    exits = Counter()
+    digest = hashlib.sha256()
+    for g in corpus12:
+        if not connectivity_at_least(g, 3):
+            continue
+        for vs in helpers.directed_paths(g):
+            p = Path(vs)
+            if not g.has_edge(p.x, p.y) or len(internal_bound_vertices(g, p)) != 1:
+                continue
+            _, trace = extend_path_adjacent(g, p)
+            digest.update(trace.to_json().encode())
+            branch = trace.steps[1]["branch"]
+            exits[trace.steps[1]["name"] if branch == "coloring" else branch] += 1
+    assert exits == {
+        "single-component": 6216, "adjacent-attachment": 2928, "case-1": 160,
+        "case-2": 62, "ay-component-splice": 10,
+    }
+    assert digest.hexdigest() == (
+        "0396c3e71ae84006f48fd18244a4a06ca727d1418212861c7f0c79a6fe011e23"
+    )
 
 
 # ---------------------------------------------------------------------------

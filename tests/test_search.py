@@ -10,6 +10,7 @@ from chordlab.search import (
     Cycle,
     Path,
     chords,
+    cycle_problem,
     hamilton_cycles,
     internal_bound_vertices,
     longest_cycles,
@@ -223,8 +224,9 @@ def test_chords_match_edge_scan(corpus):
     assert {0, 1, 2, 3} <= sizes
 
 
-# vertex sequence, extra_edges, then the messages of Path.validate and of
-# Cycle.validate on oracles.k33(), whose sides are 0,1,2 and 3,4,5
+# vertex sequence, the pairs a cycle check adds, then the messages of
+# Path.validate and of Cycle.validate (of cycle_problem, with added pairs)
+# on oracles.k33(), whose sides are 0,1,2 and 3,4,5
 WALKS = {
     "valid": ((0, 3, 1, 4), (), None, None),
     "non-edge": ((0, 2, 3, 4), (), "(0,2) is not an edge", "(0,2) is not an edge"),
@@ -248,14 +250,18 @@ WALKS = {
 @pytest.mark.parametrize("closed", (False, True), ids=("path", "cycle"))
 @pytest.mark.parametrize("vs, extra, path_msg, cycle_msg", WALKS.values(), ids=WALKS)
 def test_validate_matches_naive_check(vs, extra, path_msg, cycle_msg, closed):
-    """Path.validate and Cycle.validate name a bad walk as the set- and
-    has_edge-based oracle does, out-of-range cycle vertices included; a
-    cycle that repeats a vertex is refused when it is built, with the
-    same message."""
+    """Path.validate, Cycle.validate and cycle_problem name a bad walk as
+    the set- and has_edge-based oracle does, out-of-range cycle vertices
+    included; a cycle that repeats a vertex is refused when it is built,
+    with the same message."""
     g = oracles.k33()
     try:
-        Cycle(vs).validate(g, extra) if closed else Path(vs).validate(g)
-        got = None
+        if extra and closed:
+            # only the extender's checks add pairs, through cycle_problem
+            got = cycle_problem(g, vs, extra)
+        else:
+            Cycle(vs).validate(g) if closed else Path(vs).validate(g)
+            got = None
     except ValueError as exc:
         got = str(exc)
     if closed and len(vs) >= 3 and len(set(vs)) == len(vs):

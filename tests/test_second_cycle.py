@@ -34,22 +34,6 @@ def test_support_graph_designations():
     assert g1.m == 8
 
 
-def test_support_graph_names_the_arc_start_first():
-    """An arc whose ends both lack a chord into A is reported by its
-    first vertex: here the arc (4, 3), listed against the cycle's
-    direction, on a chordless cycle.  The instance is unchecked, as
-    `LemmaInstance.check` would refuse it."""
-    inst = LemmaInstance(
-        g=Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
-        cycle=Cycle(tuple(range(6))),
-        a_set=frozenset({2, 5}),
-        components=((4, 3), (1, 0)),
-    )
-    with pytest.raises(ValueError) as info:
-        build_support_graph(inst)
-    assert str(info.value) == "arc endpoint 4 has no chord into A"
-
-
 def test_parity_spec_instance():
     inst = spec_instance()
     g1 = build_support_graph(inst)
