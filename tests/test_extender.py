@@ -1361,6 +1361,44 @@ def test_adjacent_census_n12(corpus12):
     )
 
 
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_extension_census_n12(corpus12):
+    """`test_golden_traces.test_extension_census_n10` one order up: every
+    directed simple path of every 2-connected cubic graph with n = 12 goes
+    through `precheck` and, when extendable, `extend_path`; the
+    classification counts, the branch taken and the digest of every trace
+    are pinned (69,760 extendable paths)."""
+    kinds, branches = Counter(), Counter()
+    digest = hashlib.sha256()
+    for g in corpus12:
+        if not connectivity_at_least(g, 2):
+            continue
+        for vs in helpers.directed_paths(g):
+            p = Path(vs)
+            kind = precheck(g, p).kind
+            kinds[kind] += 1
+            if kind != EXTENDABLE:
+                continue
+            _, trace = extend_path(g, p)
+            digest.update(trace.to_json().encode())
+            for s in trace.steps:
+                if s["name"] == "component-claim":
+                    branches[s["branch"]] += 1
+                elif s["name"] in ("lift", "matching-step"):
+                    branches[s["name"]] += 1
+    assert kinds == {"has-bound-vertex": 403436, "spanning-path": 33968, "extendable": 69760}
+    assert branches == {
+        "direct": 59826, "short-path": 2916, "certificate": 7018,
+        "adjacent-attachment": 6632, "lift": 386,
+    }
+    assert digest.hexdigest() == (
+        "45f773cec4d2135771e88a5f96e31154654f6265946e2e7f59f09924aea58e98"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
