@@ -24,7 +24,7 @@ from itertools import groupby
 from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
-from .graphs import Graph, components_after_deletion, connectivity_at_least, is_cubic
+from .graphs import Graph, connectivity_at_least, is_cubic
 from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
 from .search import Cycle, Path, chord_scan, cycle_problem, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
@@ -180,14 +180,16 @@ def precheck(g: Graph, p: Path) -> Classification:
 def _attached_components(g: Graph, on):
     """The components of g minus ``on`` (vertex masks), each with its
     sorted attachment vertices on ``on``, in ``components_after_deletion``
-    order (ascending least member)."""
+    order (ascending least member).  The `reach_mask` flood fill that
+    finds a component also gives the union of its members' neighbour
+    masks, and the attachments are the vertices of ``on`` in it."""
     masks, om = g.masks, vertex_mask(on)
+    unseen = (1 << g.n) - 1 & ~om
     out = []
-    for comp in components_after_deletion(g, on):
-        seen = 0
-        for v in vertex_bits(comp):
-            seen |= masks[v]
-        out.append((comp, vertex_bits(seen & om)))
+    while unseen:
+        comp, around = reach_mask(masks, unseen & -unseen, unseen)
+        unseen ^= comp
+        out.append((comp, vertex_bits(around & om)))
     return out
 
 
@@ -196,30 +198,30 @@ def _through_component(g: Graph, a: int, b: int, comp: int, min_len: int):
     vertex mask comp; ties broken by vertex sequence, None when there is
     none.
 
-    Length-ordered search: BFS distances to b through comp bound the
-    edges still needed, and for each length L from the lower bound up a
-    DFS in ascending neighbor order enters w only if it can still reach b
-    in the edges left; the first path of exactly L edges is the least.
-    ``near[d]`` is the mask of b and the comp vertices within d edges of
-    b through comp."""
+    Length-ordered search: for each length L from min_len up, a DFS in
+    ascending neighbor order enters w only if BFS distances to b through
+    comp let it still reach b in the edges left; the first path of exactly
+    L edges is the least.  ``near[d]`` is the mask of b and the comp
+    vertices within d edges of b through comp.  The DFS for L reads
+    near[L - 1] down to near[0], so the BFS from b grows one layer per
+    length tried and no further.  Below the distance from a to b the DFS
+    stops at its first step; once the layers stop growing without
+    reaching a neighbour of a, there is no path."""
     masks = g.masks
     inner = comp & ~(1 << a | 1 << b)
-    size = inner.bit_count()
     near = [1 << b]
     frontier = near[0]
-    while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & inner & ~near[-1]
-        near.append(near[-1] | frontier)
-    if not masks[a] & near[-1]:
-        return None
-    least = next(d for d, m in enumerate(near) if masks[a] & m)
-    near += [near[-1]] * (size - len(near) + 1)  # a DFS has at most size edges left
-    for L in range(max(min_len, 1 + least), size + 2):
+    for L in range(max(min_len, 1), inner.bit_count() + 2):
+        while len(near) < L:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & inner & ~near[-1]
+            near.append(near[-1] | frontier)
+        if not frontier and not masks[a] & near[-1]:
+            return None
         seq, on = [a], 1 << a | 1 << b  # b ends a path and is never entered
         stack = [masks[a]]  # per depth: the neighbours not yet tried
         while stack:
@@ -404,7 +406,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
                         cand = frozenset(eids + (eid,))
                         if cand != base:
                             return MultiCycle(vseq, eids + (eid,))
-        reach = reach_mask(near, 1 << cur, ~visited)
+        reach, _ = reach_mask(near, 1 << cur, ~visited)
         if odd & ~visited & ~reach or not near[x] & reach:
             return None
         for eid, w in nbrs[cur]:

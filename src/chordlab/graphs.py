@@ -102,18 +102,26 @@ def cycle_masks(vertices, n: int) -> list:
     return masks
 
 
-def reach_mask(masks, start: int, allowed: int) -> int:
-    """The vertices of the mask ``start`` and every vertex joined to one of
-    them by a walk whose later vertices lie in the mask ``allowed``, as a
-    vertex mask; ``masks[v]`` is v's neighbour mask."""
+def reach_mask(masks, start: int, allowed: int) -> tuple:
+    """(reach, around) from one flood fill, where ``masks[v]`` is v's
+    neighbour mask.  ``reach`` is the mask of the vertices of ``start``
+    and every vertex joined to one of them by a walk whose later vertices
+    lie in the mask ``allowed``; ``around`` is the union of the neighbour
+    masks of reach's vertices.  A start vertex outside ``allowed`` is
+    walked like the others, and an empty ``allowed`` gives reach = start.
+    The walk is breadth first, one layer per pass: each vertex of the
+    layer adds its neighbour mask to around, and the vertices of
+    ``allowed`` in around but not yet in reach make the next layer."""
     reach = frontier = start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = masks[low.bit_length() - 1] & allowed & ~reach
-        reach |= new
-        frontier |= new
-    return reach
+    around = 0
+    while frontier:  # one breadth-first layer per pass
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            around |= masks[low.bit_length() - 1]
+        frontier = around & allowed & ~reach
+        reach |= frontier
+    return reach, around
 
 
 def _cubic_edge_connectivity(g: Graph) -> int:
@@ -191,7 +199,9 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
 def components_after_deletion(g: Graph, removed) -> tuple:
     """Connected components of the subgraph induced on V(g) minus
     ``removed``, as vertex bit masks in ascending order of their least
-    member."""
+    member: one `reach_mask` flood fill each, from the least vertex not
+    yet seen.  `extender._attached_components` makes the same walks and
+    also reads their neighbourhoods."""
     n, masks = g.n, g.masks
     unseen = (1 << n) - 1
     for v in removed:
@@ -200,7 +210,7 @@ def components_after_deletion(g: Graph, removed) -> tuple:
         unseen &= ~(1 << v)
     comps = []
     while unseen:
-        comp = reach_mask(masks, unseen & -unseen, unseen)
+        comp, _ = reach_mask(masks, unseen & -unseen, unseen)
         unseen ^= comp
         comps.append(comp)
     return tuple(comps)

@@ -181,7 +181,7 @@ def test_max_code_matches_backtrack_on_relabelings(corpus, corpus12):
             for k in range(2, h.n + 1):
                 full = (1 << k) - 1
                 masks = tuple(m & full for m in h.masks[:k])
-                if reach_mask(masks, 1, full) != full:
+                if reach_mask(masks, 1, full)[0] != full:
                     continue
                 cols = _code(Graph(k, [(u, v) for u, v in h.edges if v < k]))
                 nbrs = tuple(tuple(w for w in range(k) if m >> w & 1) for m in masks)
