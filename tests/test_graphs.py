@@ -11,7 +11,9 @@ from chordlab.graphs import (
     components_after_deletion,
     connectivity_at_least,
     is_cubic,
+    reach_mask,
     vertex_bits,
+    vertex_mask,
 )
 from chordlab.generate import random_cubic
 from chordlab.search import longest_cycles
@@ -236,6 +238,45 @@ def test_components_partition_random(n, seed):
     assert sum(c.bit_count() for c in comps) == len(union)
     least = [vertex_bits(c)[0] for c in comps]
     assert least == sorted(least)  # ascending order of the least member
+
+
+def _reach_reference(g: Graph, start, allowed):
+    """`reach_mask` with sets: the start vertices and every vertex of
+    ``allowed`` reached from them through ``allowed``, and the vertices
+    next to one of those."""
+    reach = list(start)
+    for u in reach:
+        reach += [w for w in g.neighbors(u) if w in allowed and w not in reach]
+    return set(reach), {w for u in reach for w in g.neighbors(u)}
+
+
+def test_reach_mask_matches_set_walk():
+    """Both results of the flood fill against a set-based walk, on the
+    graphs of `_random_simple_graphs`: one and two start vertices, starts
+    in and outside ``allowed``, an empty ``allowed``, and the complement
+    of a visited set as `extender.find_odd_cover_cycle` passes it (a
+    negative int, its start inside the visited set)."""
+    import random
+
+    rng = random.Random(48)
+    shapes = collections.Counter()
+    for g in _random_simple_graphs():
+        for _ in range(4):
+            start = set(rng.sample(range(g.n), min(g.n, rng.choice((1, 2)))))
+            allowed = {v for v in range(g.n) if rng.random() < 0.6}
+            cases = [(allowed, vertex_mask(allowed)), (set(), 0)]
+            visited = allowed | start  # find_odd_cover_cycle: reach the unvisited
+            cases.append((set(range(g.n)) - visited, ~vertex_mask(visited)))
+            for allowed_set, allowed_mask in cases:
+                got = reach_mask(g.masks, vertex_mask(start), allowed_mask)
+                want = _reach_reference(g, start, allowed_set)
+                assert tuple(map(vertex_bits, got)) == tuple(map(sorted, want)), (
+                    g.edges, start, allowed_set,
+                )
+                shapes["start outside allowed"] += bool(start - allowed_set)
+                shapes["empty allowed"] += not allowed_set
+                shapes["grew past start"] += got[0] != vertex_mask(start)
+    assert min(shapes.values()) > 500, shapes
 
 
 def _random_simple_graphs():
