@@ -114,7 +114,7 @@ def reach_mask(masks, start: int, allowed: int) -> tuple:
     ``allowed`` in around but not yet in reach make the next layer."""
     reach = frontier = start
     around = 0
-    while frontier:  # one breadth-first layer per pass
+    while frontier:
         while frontier:
             low = frontier & -frontier
             frontier ^= low
