@@ -98,22 +98,19 @@ class MultiCycle:
     vertices: tuple
     eids: tuple
 
-    def eid_set(self) -> frozenset:
-        return frozenset(self.eids)
-
 
 class ReducedGraph:
     """Edge-tagged multigraph on the vertices of an (x,y)-path, plus the
     contraction bookkeeping needed to lift cycles back to the host graph.
     It starts as the base cycle: the path edges and then the closing edge
-    xy, all black, with edge ids 0..len(path)-1 in that order."""
+    xy, all black, with edge ids 0..len(path)-1 in that order.  A blue
+    edge runs from its representative, its first end."""
 
     def __init__(self, path):
         self.edges = []        # (u, v) per edge id
         self.tags = []         # BLACK / RED / BLUE per edge id
+        self.comps = []        # per edge id: the component behind it, 0 if black
         self.adjmap = {v: [] for v in path}  # v -> list of (eid, other)
-        self.red_comp = {}     # eid -> component behind a red edge
-        self.blue_info = {}    # eid -> (rep, component)
         for a, b in zip(path, path[1:]):
             self.add_edge(a, b, BLACK)
         self.xy = (path[0], path[-1])
@@ -121,19 +118,17 @@ class ReducedGraph:
         self.cycle_vertices = tuple(path)
         self.cycle_eids = frozenset(range(len(path)))
 
-    def add_edge(self, u, v, tag) -> int:
+    def add_edge(self, u, v, tag, comp=0) -> int:
         eid = len(self.edges)
         self.edges.append((u, v))
         self.tags.append(tag)
+        self.comps.append(comp)
         self.adjmap[u].append((eid, v))
         self.adjmap[v].append((eid, u))
         return eid
 
     def degree(self, v) -> int:
         return len(self.adjmap[v])
-
-    def odd_vertices(self) -> frozenset:
-        return frozenset(v for v in self.adjmap if self.degree(v) % 2 == 1)
 
     def edge_rows(self):
         return [[u, v, tag] for (u, v), tag in zip(self.edges, self.tags)]
@@ -302,22 +297,6 @@ def _adjacent_attachment_splice(g: Graph, p: Path, comps):
 # the reduction
 
 
-def _component_split(comps, x, y):
-    """Partition the off-path components ``comps`` (with attachments) of an
-    (x,y)-path by role: two-neighbor ones (red), interior-attached larger
-    ones (triple/contract), endpoint-touching larger ones (absorb into x
-    or y)."""
-    red, triple, endpoint = [], [], []
-    for comp, attach in comps:
-        if len(attach) == 2:
-            red.append((comp, attach))
-        elif x in attach or y in attach:
-            endpoint.append((comp, attach))
-        else:
-            triple.append((comp, attach))
-    return red, triple, endpoint
-
-
 def _color_ring(ring, comps):
     """Close ``ring`` into a cycle, add one triangle on the first three
     attachments (in ring order) of each component in ``comps``, 3-color
@@ -341,27 +320,32 @@ def _color_ring(ring, comps):
     return a_set, chosen, [(comp, t) for (comp, _), t in zip(comps, relabeled)]
 
 
-def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
+def build_reduced_G2(g: Graph, p: Path, comps):
     """Reduce the host along the path: path and closing edges black, each
-    two-neighbor component a red edge, each triple component contracted
-    onto its designated vertex, endpoint components absorbed into y
-    (preferred) or x, with all contraction edges blue.  ``comps`` is
-    ``_attached_components(g, p.vertices)``."""
+    two-neighbor component a red edge, each larger component attached to
+    the interior only (a triple) contracted onto its designated vertex,
+    the other larger ones absorbed into y (preferred) or x, with all
+    contraction edges blue.  ``comps`` is ``_attached_components(g,
+    p.vertices)``.  The triples are coloured on the interior ring by
+    `_color_ring`; returns (reduced graph, class, [(component, relabeled
+    triple)])."""
     x, y = p.x, p.y
     on_path = vertex_mask(p.vertices)
-    red, triple_comps, endpoint = _component_split(comps, x, y)
-    if {comp for comp, _ in triples} != {comp for comp, _ in triple_comps}:
-        raise ValueError("triples do not match the interior components")
     rg = ReducedGraph(p.vertices)
-    for comp, attach in red:
-        eid = rg.add_edge(attach[0], attach[1], RED)
-        rg.red_comp[eid] = comp
-    contracted = [(comp, t[2]) for comp, t in triples]
-    contracted += [(comp, y if y in attach else x) for comp, attach in endpoint]
-    for comp, rep in contracted:
+    triple_comps, endpoint = [], []
+    for comp, attach in comps:
+        if len(attach) == 2:
+            rg.add_edge(attach[0], attach[1], RED, comp)
+        elif x in attach or y in attach:
+            endpoint.append((comp, y if y in attach else x))
+        else:
+            triple_comps.append((comp, attach))
+    a_set, triples = frozenset(), []
+    if triple_comps:
+        a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
+    for comp, rep in [(comp, t[2]) for comp, t in triples] + endpoint:
         for w in _contraction_edges(g, comp, rep, on_path):
-            eid = rg.add_edge(rep, w, BLUE)
-            rg.blue_info[eid] = (rep, comp)
+            rg.add_edge(rep, w, BLUE, comp)
     for v in p.vertices[1:-1]:
         if rg.degree(v) < 3:
             raise InvariantViolation(
@@ -372,7 +356,7 @@ def build_reduced_G2(g: Graph, p: Path, comps, a_set, triples) -> ReducedGraph:
         raise InvariantViolation(
             "reduced-graph", "selected class not independent on the cycle"
         )
-    return rg
+    return rg, a_set, triples
 
 
 def _contraction_edges(g: Graph, comp: int, rep: int, on: int):
@@ -392,7 +376,7 @@ def find_odd_cover_cycle(rg: ReducedGraph) -> MultiCycle:
     DFS from y cuts a branch once the vertices it can still reach miss
     an uncovered odd vertex or every neighbour of x."""
     x, y = rg.xy
-    odd = vertex_mask(rg.odd_vertices())
+    odd = vertex_mask(v for v, adj in rg.adjmap.items() if len(adj) % 2)
     base = rg.cycle_eids
     # (edge id, neighbour) per vertex, by neighbour and then edge id
     nbrs = {v: sorted(adj, key=lambda t: (t[1], t[0])) for v, adj in rg.adjmap.items()}
@@ -447,8 +431,7 @@ def compute_stats(rg: ReducedGraph, cp: MultiCycle):
     """All counting quantities of the comparison argument, with their
     internal identities asserted; also returns the maximal blue runs as
     (start index, length) pairs."""
-    cp_eids = cp.eid_set()
-    missing = len(rg.cycle_eids - cp_eids)
+    missing = len(rg.cycle_eids - frozenset(cp.eids))
     dropped = len(set(rg.cycle_vertices) - set(cp.vertices))
     blue_on = sum(1 for e in cp.eids if rg.tags[e] == BLUE)
     red_on = sum(1 for e in cp.eids if rg.tags[e] == RED)
@@ -458,9 +441,9 @@ def compute_stats(rg: ReducedGraph, cp: MultiCycle):
     for start, length in runs:
         if length == 2:
             mid = cp.vertices[start + 1]
-            info1 = rg.blue_info[cp.eids[start]]
-            info2 = rg.blue_info[cp.eids[start + 1]]
-            if info1[0] != mid or info2[0] != mid or info1[1] != info2[1]:
+            e1, e2 = cp.eids[start], cp.eids[start + 1]
+            reps = (rg.edges[e1][0], rg.edges[e2][0])
+            if reps != (mid, mid) or rg.comps[e1] != rg.comps[e2]:
                 raise InvariantViolation(
                     "stats", "length-2 blue run not centered on one representative"
                 )
@@ -515,9 +498,9 @@ def lift_to_host(g: Graph, rg: ReducedGraph, cp: MultiCycle, runs, stats):
     routes = {}
     for i, eid in enumerate(cp.eids):
         if rg.tags[eid] == RED:
-            routes[i] = (1, rg.red_comp[eid], 3)
+            routes[i] = (1, rg.comps[eid], 3)
         elif i in blue_at:
-            routes[i] = (blue_at[i], rg.blue_info[eid][1], 2)
+            routes[i] = (blue_at[i], rg.comps[eid], 2)
     verts, segs = _lift_runs(g, cp.vertices, routes, "lift")
     attachments = [
         (cp.vertices[i + 1], seg.vertices[1], routes[i][1])
@@ -657,15 +640,22 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
 # the extension pipelines
 
 
-def _path_from_cycle(c: Cycle, x: int, y: int) -> Path:
-    vs = list(c.vertices)
+def _past_edge(vs, u, v, stage: str, problem: str) -> int:
+    """The index just past the edge uv of the closed walk ``vs``, len(vs)
+    when uv closes it; a walk without uv fails ``stage`` with
+    ``problem``."""
     n = len(vs)
     for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        if {a, b} == {x, y}:
-            rot = vs[(i + 1) % n:] + vs[: (i + 1) % n]
-            return Path(tuple(rot if rot[0] == x else tuple(reversed(rot))))
-    raise InvariantViolation("checker", "cycle does not contain the xy edge")
+        if {vs[i], vs[(i + 1) % n]} == {u, v}:
+            return i + 1
+    raise InvariantViolation(stage, problem)
+
+
+def _path_from_cycle(c: Cycle, x: int, y: int) -> Path:
+    vs = c.vertices
+    i = _past_edge(vs, x, y, "checker", "cycle does not contain the xy edge")
+    rot = vs[i:] + vs[:i]
+    return Path(rot if rot[0] == x else tuple(reversed(rot)))
 
 
 def _checked_cycle(g: Graph, verts, extra, stage: str) -> Cycle:
@@ -735,12 +725,8 @@ def extend_path(g: Graph, p: Path):
             "component-claim", branch="adjacent-attachment", path=list(spliced.vertices)
         )
         return _finish(g, p, spliced, trace)
-    _, triple_comps, _ = _component_split(comps, p.x, p.y)
-    a_set, triples = frozenset(), []
-    if triple_comps:
-        a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
+    rg, a_set, triples = build_reduced_G2(g, p, comps)
     trace.add("coloring", class_a=sorted(a_set), triples=[list(t) for _, t in triples])
-    rg = build_reduced_G2(g, p, comps, a_set, triples)
     trace.add("reduced-graph", edges=rg.edge_rows())
     cp = find_odd_cover_cycle(rg)
     trace.add("odd-cover-cycle", cycle=list(cp.vertices))
@@ -832,7 +818,7 @@ def extend_path_adjacent(g: Graph, p: Path):
     # mirrored one) or nothing
     case = "case-2" if c == y or b == a else "case-1"
     if c == y:
-        splice = _ay_component_splice(g, p, comps, a, y, w)
+        splice = _ay_component_splice(g, p, comps, a, y, wi)
         if splice is not None:
             trace.add(case, branch="ay-component-splice", path=list(splice.vertices))
             return _finish(g, p, splice, trace, flipped)
@@ -870,16 +856,15 @@ def extend_path_adjacent(g: Graph, p: Path):
     return _finish(g, p, longer, trace, flipped)
 
 
-def _ay_component_splice(g, p, comps, a, y, w):
+def _ay_component_splice(g, p, comps, a, y, wi):
     """Component seeing both a and y: route x,w,b back along the cycle to
-    a and through the component to y."""
+    a and through the component to y; w is ``p.vertices[wi]``."""
     vs = p.vertices
     for comp, attach in comps:
         if a in attach and y in attach:
             seg = _through_component(g, a, y, comp, 2)
-            wi = vs.index(w)
             back = tuple(reversed(vs[1:wi]))  # b .. a
-            return Path((vs[0], w) + back + seg.vertices[1:])
+            return Path((vs[0], vs[wi]) + back + seg.vertices[1:])
     return None
 
 
@@ -890,14 +875,13 @@ def _adjacent_lemma_instance(g, cprime_vertices, relabeled, a_set, b, c):
     host_of = dict(enumerate(sorted(cprime_vertices)))
     pos = {h: i for i, h in host_of.items()}  # keeps the order of ids
     on_cycle = vertex_mask(cprime_vertices)
-    m = len(cprime_vertices)
-    edges = {(pos[a2], pos[b2]) for a2, b2 in Cycle(cprime_vertices).edge_pairs()}
+    ring2 = [pos[h] for h in cprime_vertices]
+    cyc = Cycle(tuple(ring2))
+    edges = set(cyc.edge_pairs())
     for comp, (_, _, w2) in relabeled:
         for z in _contraction_edges(g, comp, w2, on_cycle):
             edges.add((pos[min(w2, z)], pos[max(w2, z)]))
-    gd = Graph(m, edges)
-    ring2 = [pos[h] for h in cprime_vertices]
-    cyc = Cycle(tuple(ring2))
+    gd = Graph(len(ring2), edges)
     a_dense = frozenset(pos[h] for h in a_set)
 
     start = next(i for i, v in enumerate(ring2) if v in a_dense)
@@ -967,18 +951,10 @@ def _reinstate(g, lifted, x, y, w, a, b, c, case):
     """Swap the two surgery edges for the four host edges through x and w:
     x goes between a and y, w between b and c.  A vertex the two edges
     share is c = y or b = a, so one rule covers every shape."""
-    vs = list(lifted.vertices)
-
-    def insert_between(seq, p2, q2, mid):
-        n2 = len(seq)
-        for i in range(n2):
-            a2, b2 = seq[i], seq[(i + 1) % n2]
-            if {a2, b2} == {p2, q2}:
-                return seq[: i + 1] + [mid] + seq[i + 1:]
-        raise InvariantViolation(case, f"surgery edge ({p2},{q2}) missing from lift")
-
-    vs = insert_between(vs, a, y, x)
-    vs = insert_between(vs, b, c, w)
+    vs = lifted.vertices
+    for p2, q2, mid in ((a, y, x), (b, c, w)):
+        i = _past_edge(vs, p2, q2, case, f"surgery edge ({p2},{q2}) missing from lift")
+        vs = vs[:i] + (mid,) + vs[i:]
     cyc = _checked_cycle(g, vs, (), case)
     if cyc.length != lifted.length + 2:
         raise InvariantViolation(case, "reinstatement did not add exactly two edges")

@@ -333,11 +333,19 @@ def random_cubic(n: int, seed: int) -> Graph:
 
 def random_simple_path(g: Graph, seed: int):
     """Seeded self-avoiding walk used to sample candidate (x,y)-paths;
-    may stop early so short non-maximal paths occur too."""
+    may stop early so short non-maximal paths occur too.  A start at an
+    isolated vertex is drawn again with the seed 10007 higher, so g must
+    have an edge; from any other start the walk takes at least one."""
     from .search import Path  # here, so that enumeration never loads search
 
-    rng = random.Random(seed)
-    x = rng.randrange(g.n)
+    if not any(g.masks):
+        raise ValueError("random simple path needs a graph with an edge")
+    while True:
+        rng = random.Random(seed)
+        x = rng.randrange(g.n)
+        if g.masks[x]:
+            break
+        seed += 10007
     path = [x]
     seen = {x}
     while True:
@@ -349,6 +357,4 @@ def random_simple_path(g: Graph, seed: int):
         nxt = rng.choice(nbrs)
         path.append(nxt)
         seen.add(nxt)
-    if len(path) < 2:
-        return random_simple_path(g, seed + 10007)
     return Path(tuple(path))

@@ -449,21 +449,29 @@ def test_direct_extension_needs_an_interior():
 
 
 def test_reduction_matches_figure():
+    """The figure's one triple component {18, 19, 20, 21} attaches at 2,
+    3, 6 and 9.  Its triangle on the first three, 2, 3, 6, is coloured
+    with the interior ring 1..9, and the class {2, 4, 8} avoids both
+    ring ends; the component is contracted onto 2, the class member,
+    which the relabeled triple names last."""
     g, p = helpers.figure_host()
     comp3 = vertex_mask({18, 19, 20, 21})
     comps = _attached_components(g, p.vertices)
-    rg = build_reduced_G2(g, p, comps, frozenset({6}), [(comp3, (2, 3, 6))])
+    rg, a_set, triples = build_reduced_G2(g, p, comps)
+    assert a_set == frozenset({2, 4, 8})
+    assert triples == [(comp3, (3, 6, 2))]
     tagged = sorted(
-        (tuple(e), t) for e, t in zip(rg.edges, rg.tags) if t != "black"
+        (tuple(e), t, rg.comps[eid])
+        for eid, (e, t) in enumerate(zip(rg.edges, rg.tags)) if t != "black"
     )
     assert tagged == [
-        ((0, 5), "red"),
-        ((1, 8), "red"),
-        ((6, 2), "blue"),
-        ((6, 3), "blue"),
-        ((6, 9), "blue"),
-        ((10, 4), "blue"),
-        ((10, 7), "blue"),
+        ((0, 5), "red", vertex_mask({11, 12, 13})),
+        ((1, 8), "red", vertex_mask({14, 15, 16, 17})),
+        ((2, 3), "blue", comp3),
+        ((2, 6), "blue", comp3),
+        ((2, 9), "blue", comp3),
+        ((10, 4), "blue", vertex_mask({22, 23, 24, 25})),
+        ((10, 7), "blue", vertex_mask({22, 23, 24, 25})),
     ]
     assert rg.xy == (0, 10) and not g.has_edge(0, 10)
     # the closing cycle is a Hamilton cycle of the reduced graph
@@ -473,38 +481,33 @@ def test_reduction_matches_figure():
     assert len(verts) == 11 and len(rg.cycle_eids) == 11
 
 
-def test_reduction_refuses_triples_of_other_components():
-    """The figure's one triple component {18, 19, 20, 21}, left out of
-    the triples, is refused before any edge is built."""
-    g, p = helpers.figure_host()
-    comps = _attached_components(g, p.vertices)
-    with pytest.raises(ValueError) as info:
-        build_reduced_G2(g, p, comps, frozenset({6}), [])
-    assert str(info.value) == "triples do not match the interior components"
-
-
 def test_reduction_degree_check_fires():
     """On K3,3 with the path 0,4,1,3, built without its one component,
     the reduced graph is the bare closing cycle, and the interior vertex
     4, which has the off-path neighbour 2, is left with degree 2."""
     g, p = oracles.k33(), Path((0, 4, 1, 3))
     with pytest.raises(InvariantViolation) as info:
-        build_reduced_G2(g, p, [], frozenset(), [])
+        build_reduced_G2(g, p, [])
     assert info.value.step == "reduced-graph"
     assert str(info.value) == "reduced-graph: interior vertex 4 has degree 2"
 
 
-def test_reduction_independence_check_fires():
-    """The same path with its component {2, 5}, which touches both ends
-    and is contracted onto y: every interior vertex reaches degree 3, no
-    component is a triple, and a class holding the path edge 4-1 is not
-    independent on the closing cycle."""
-    g, p = oracles.k33(), Path((0, 4, 1, 3))
+def test_reduction_independence_check_fires(monkeypatch):
+    """On the figure host, whose triple component is coloured, a class
+    that also holds 3, the ring neighbour of its member 2, is not
+    independent on the closing cycle; the triples stay valid, so every
+    interior vertex still reaches degree 3."""
+    g, p = helpers.figure_host()
     comps = _attached_components(g, p.vertices)
-    assert comps == [(vertex_mask({2, 5}), [0, 1, 3, 4])]
-    assert build_reduced_G2(g, p, comps, frozenset({4}), []).degree(4) == 3
+    real = extender._color_ring
+
+    def widened(*args):
+        a_set, chosen, triples = real(*args)
+        return a_set | {3}, chosen, triples
+
+    monkeypatch.setattr(extender, "_color_ring", widened)
     with pytest.raises(InvariantViolation) as info:
-        build_reduced_G2(g, p, comps, frozenset({4, 1}), [])
+        build_reduced_G2(g, p, comps)
     assert info.value.step == "reduced-graph"
     assert str(info.value) == "reduced-graph: selected class not independent on the cycle"
 
@@ -515,11 +518,7 @@ def test_reduction_hamilton_cycle_property():
         if r is None:
             continue
         g, p = r
-        from chordlab.extender import (
-            _adjacent_attachment_splice,
-            _color_ring,
-            _component_split,
-        )
+        from chordlab.extender import _adjacent_attachment_splice
 
         # mirror the pipeline: the reduction only runs once the splice
         # branches have passed
@@ -527,14 +526,9 @@ def test_reduction_hamilton_cycle_property():
         direct, cert = find_direct_extension(g, p, comps)
         if direct is not None or _adjacent_attachment_splice(g, p, comps) is not None:
             continue
-        red, triple_comps, endpoint = _component_split(comps, p.x, p.y)
-        if triple_comps:
-            a_set, _, triples = _color_ring(p.vertices[1:-1], triple_comps)
-        else:
-            a_set, triples = frozenset(), []
-        rg = build_reduced_G2(g, p, comps, a_set, triples)
+        rg, _, _ = build_reduced_G2(g, p, comps)
         assert set(rg.cycle_vertices) == set(rg.adjmap)
-        reps = {info[0] for info in rg.blue_info.values()}
+        reps = {rg.edges[eid][0] for eid, tag in enumerate(rg.tags) if tag == BLUE}
         for v in p.vertices[1:-1]:
             if v in reps:
                 assert rg.degree(v) >= 4
@@ -558,8 +552,7 @@ def _toy_reduced():
     from chordlab.extender import ReducedGraph, RED
 
     rg = ReducedGraph(tuple(range(6)))
-    red = rg.add_edge(1, 4, RED)
-    rg.red_comp[red] = 1 << 99
+    rg.add_edge(1, 4, RED, 1 << 99)
     return rg
 
 
@@ -568,9 +561,9 @@ def test_odd_cover_on_cycle_plus_red_chord():
     cp = find_odd_cover_cycle(rg)
     # the shorter cycle through the red chord covering both odd vertices
     assert cp.vertices == (0, 5, 4, 1)
-    assert set(cp.vertices) >= rg.odd_vertices()
-    assert cp.eid_set() != rg.cycle_eids
-    assert rg.xy_eid in cp.eid_set()
+    assert set(cp.vertices) >= {v for v in rg.adjmap if rg.degree(v) % 2}
+    assert frozenset(cp.eids) != rg.cycle_eids
+    assert rg.xy_eid in cp.eids
 
 
 def test_odd_cover_check_fires_without_a_second_cycle():
@@ -616,8 +609,7 @@ def test_stats_red_detour_case():
     from chordlab.extender import ReducedGraph, RED
 
     rg = ReducedGraph(tuple(range(6)))
-    red = rg.add_edge(1, 3, RED)
-    rg.red_comp[red] = 1 << 99
+    red = rg.add_edge(1, 3, RED, 1 << 99)
     # edge ids 0..4 are the path edges and 5 is xy
     cp = MultiCycle((0, 5, 4, 3, 1), (rg.xy_eid, 4, 3, red, 0))
     stats, _ = compute_stats(rg, cp)
@@ -675,8 +667,7 @@ def test_stats_cycle_must_start_on_xy():
     """A cover cycle listed from a blue edge, not from the closing edge
     xy, fails the stats stage."""
     rg = ReducedGraph((0, 1, 2, 3))
-    blue = rg.add_edge(0, 2, BLUE)
-    rg.blue_info[blue] = (2, 1 << 9)
+    blue = rg.add_edge(2, 0, BLUE, 1 << 9)
     assert _stats_error(rg, MultiCycle((0, 2, 3), (blue, 2, rg.xy_eid))) == (
         "stats: cycle does not start on the xy edge"
     )
@@ -686,8 +677,7 @@ def test_stats_long_run_needs_one_representative():
     """A length-2 blue run 0-2-4 whose two edges come from different
     components contracted onto 2 fails the stats stage."""
     rg = ReducedGraph((0, 1, 2, 3, 4))
-    first, second = rg.add_edge(2, 0, BLUE), rg.add_edge(2, 4, BLUE)
-    rg.blue_info[first], rg.blue_info[second] = (2, 1 << 9), (2, 1 << 10)
+    first, second = rg.add_edge(2, 0, BLUE, 1 << 9), rg.add_edge(2, 4, BLUE, 1 << 10)
     cp = MultiCycle((4, 0, 2), (rg.xy_eid, first, second))
     assert _stats_error(rg, cp) == "stats: length-2 blue run not centered on one representative"
 
@@ -696,7 +686,7 @@ def test_stats_blue_run_longer_than_two():
     """Three blue edges in a row on the cover cycle fail the stats stage
     before any run is read."""
     rg = ReducedGraph(tuple(range(6)))
-    blues = [rg.add_edge(a, b, BLUE) for a, b in ((0, 2), (2, 4), (4, 5))]
+    blues = [rg.add_edge(a, b, BLUE, 1 << 9) for a, b in ((0, 2), (2, 4), (4, 5))]
     cp = MultiCycle((5, 0, 2, 4), (rg.xy_eid, *blues))
     assert _stats_error(rg, cp) == "stats: maximal blue run of length 3 > 2"
 
@@ -705,8 +695,7 @@ def test_lift_needs_a_host_path_through_the_component():
     """On K3,3 a red edge 0-1 whose component is the one vertex 3 stands
     for a host path of length >= 3, but 0-3-1 has length 2."""
     rg = ReducedGraph((0, 4, 1))
-    red = rg.add_edge(0, 1, RED)
-    rg.red_comp[red] = 1 << 3
+    red = rg.add_edge(0, 1, RED, 1 << 3)
     stats = BlueSubpathStats(1, 2, 0, 0, 1, 0, 0).check()
     with pytest.raises(InvariantViolation) as exc:
         lift_to_host(oracles.k33(), rg, MultiCycle((1, 0), (rg.xy_eid, red)), [], stats)
@@ -766,10 +755,13 @@ def _tight_cover(rg):
 
 
 def _tight_reduction():
+    """The tight host reduced along its path: the triple components 10
+    and 11 are contracted onto the class members 2 and 7."""
     g, p = _tight_host()
-    comps = _attached_components(g, p.vertices)
-    triples = [(1 << 10, (6, 8, 2)), (1 << 11, (1, 3, 7))]
-    return g, p, build_reduced_G2(g, p, comps, frozenset({2, 7}), triples)
+    rg, a_set, triples = build_reduced_G2(g, p, _attached_components(g, p.vertices))
+    assert a_set == frozenset({2, 5, 7})
+    assert triples == [(1 << 10, (6, 8, 2)), (1 << 11, (1, 3, 7))]
+    return g, p, rg
 
 
 def test_tight_pipeline_end_to_end():

@@ -390,6 +390,32 @@ def test_random_simple_path_is_valid():
         assert p.length >= 1
 
 
+@pytest.mark.parametrize("g, seed, vertices", [
+    (oracles.petersen(), 1, (2, 7, 5, 8, 6, 1)),
+    (oracles.petersen(), 42, (1, 0, 4, 3, 2, 7)),
+    (oracles.k4(), 0, (3, 1)),
+    (oracles.k33(), 1, (1, 5, 0, 4, 2, 3)),
+    # seeds 1 and 3 first draw the isolated vertex 0, then seed + 10007
+    (Graph(3, [(1, 2)]), 1, (1, 2)),
+    (Graph(3, [(1, 2)]), 3, (2, 1)),
+    (Graph(3, [(1, 2)]), 7, (1, 2)),
+])
+def test_random_simple_path_keeps_its_draws(g, seed, vertices):
+    """Pairs recorded from the recursive version, which drew again with
+    the seed 10007 higher after a start at an isolated vertex: the loop
+    draws the same seed sequence, so every seed gives the same path."""
+    assert random_simple_path(g, seed).vertices == vertices
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_random_simple_path_refuses_a_graph_without_edges(n):
+    """No start can take a step: the empty graph and two isolated
+    vertices are refused before any draw."""
+    with pytest.raises(ValueError) as info:
+        random_simple_path(Graph(n, []), 0)
+    assert str(info.value) == "random simple path needs a graph with an edge"
+
+
 def test_counts_against_pairing_oracle_n8():
     mine = enumerate_cubic(8)
     reps = oracles.connected_cubic_classes_by_pairing(8)
