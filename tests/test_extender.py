@@ -674,12 +674,20 @@ def test_stats_cycle_must_start_on_xy():
 
 
 def test_stats_long_run_needs_one_representative():
-    """A length-2 blue run 0-2-4 whose two edges come from different
-    components contracted onto 2 fails the stats stage."""
-    rg = ReducedGraph((0, 1, 2, 3, 4))
-    first, second = rg.add_edge(2, 0, BLUE, 1 << 9), rg.add_edge(2, 4, BLUE, 1 << 10)
-    cp = MultiCycle((4, 0, 2), (rg.xy_eid, first, second))
-    assert _stats_error(rg, cp) == "stats: length-2 blue run not centered on one representative"
+    """A length-2 blue run 0-2-4 fails the stats stage when its two edges
+    come from different components contracted onto 2, and when they come
+    from one component but start at 0 and 4, so that 2 is not their
+    representative."""
+    for (e1, c1), (e2, c2) in [
+        (((2, 0), 1 << 9), ((2, 4), 1 << 10)),
+        (((0, 2), 1 << 9), ((4, 2), 1 << 9)),
+    ]:
+        rg = ReducedGraph((0, 1, 2, 3, 4))
+        first, second = rg.add_edge(*e1, BLUE, c1), rg.add_edge(*e2, BLUE, c2)
+        cp = MultiCycle((4, 0, 2), (rg.xy_eid, first, second))
+        assert _stats_error(rg, cp) == (
+            "stats: length-2 blue run not centered on one representative"
+        )
 
 
 def test_stats_blue_run_longer_than_two():
