@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import importlib
 import io
 import os
@@ -395,7 +396,12 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The command line's parser, built from `_MODES` on the first call
+    and kept for the life of the process, so the `--mode` choices are
+    fixed per process.  It binds no command: `main` reads the command
+    from this module's bindings on every call."""
     parser = argparse.ArgumentParser(
         prog="chordlab",
         description="exact longest-path/cycle verification on small cubic graphs",
@@ -405,7 +411,6 @@ def main(argv=None) -> int:
     g = sub.add_parser("generate", help="emit all connected cubic graphs for an order")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--out")
-    g.set_defaults(fn=cmd_generate)
 
     v = sub.add_parser("verify", help="run a verifier over a graph6 corpus")
     v.add_argument("--mode", choices=sorted(_MODES), required=True)
@@ -414,15 +419,16 @@ def main(argv=None) -> int:
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--timings", action="store_true")
     v.add_argument("--out")
-    v.set_defaults(fn=cmd_verify)
 
     e = sub.add_parser("extend", help="extend an (x,y)-path without bound vertices")
     e.add_argument("--graph", required=True)
     e.add_argument("--path", required=True, help='comma-separated ids, e.g. "0,4,1,3"')
     e.add_argument("--trace")
-    e.set_defaults(fn=cmd_extend)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     out = getattr(args, "out", None) or getattr(args, "trace", None)
     folder = os.path.dirname(os.path.abspath(out)) if out else None
     # fail before the work, not after it; the final write still maps an
@@ -434,7 +440,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write {out}: {folder} is not a writable directory", file=sys.stderr)
         return EXIT_IO
     try:
-        return args.fn(args)
+        # read on every call: a binding set on this module (a tracer's
+        # wrapper, a test's spy) runs in place of the command
+        return {"generate": cmd_generate, "verify": cmd_verify, "extend": cmd_extend}[args.cmd](args)
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)  # "<step>: <detail>"
         return EXIT_INTERNAL

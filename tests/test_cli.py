@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -1054,6 +1056,102 @@ def test_binding_on_cli_takes_precedence(tmp_path, capsys, monkeypatch, corpus):
     f = _write_corpus(tmp_path, corpus[6])
     code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
     assert code == 1 and json.loads(out)["violations"] == 2
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """Two commands in one process share one parser tree: the root and
+    its three subparsers are built at most once, not once per call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    f = tmp_path / "k4.g6"
+    f.write_text(write_graph6(oracles.k4()) + "\n")
+    assert run_cli(["generate", "--n", "4"], capsys)[0] == 0
+    assert run_cli(["verify", "--mode", "chords", "--in", str(f)], capsys)[0] == 0
+    assert len(built) <= 4, built
+
+
+@pytest.mark.parametrize("cmd", ("generate", "verify", "extend"))
+def test_main_runs_the_command_bound_on_cli(tmp_path, capsys, monkeypatch, cmd):
+    """The parser binds no command: after a first `main` call, a command
+    set on `cli` (a test's spy, perfbench's tracer) is the one the next
+    call runs."""
+    f = tmp_path / "k4.g6"
+    f.write_text(write_graph6(oracles.k4()) + "\n")
+    argv = {
+        "generate": ["generate", "--n", "4"],
+        "verify": ["verify", "--mode", "zhan2", "--in", str(f)],
+        "extend": ["extend", "--graph", str(f), "--path", "0,1"],
+    }[cmd]
+    run_cli(argv, capsys)
+    seen = []
+
+    def spy(args):
+        seen.append(args.cmd)
+        return 7
+
+    monkeypatch.setattr(cli, f"cmd_{cmd}", spy)
+    assert run_cli(argv, capsys) == (7, "", "")
+    assert seen == [cmd]
+
+
+def test_usage_error_leaves_the_parser_as_it_was(tmp_path, capsys, corpus):
+    """A usage error exits 2 with the text a lone run prints, and the next
+    `verify` in the same process writes the bytes of a lone run."""
+    f = _write_corpus(tmp_path, corpus[6])
+    bad = ["verify", "--mode", "bogus", "--in", str(f)]
+    good = ["verify", "--mode", "zhan3adj", "--in", str(f)]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lone = run_python(["-m", "chordlab.cli", *bad])
+    assert (lone.returncode, lone.stderr) == (2, err)
+    code, out, _ = run_cli(good, capsys)
+    lone = run_python(["-m", "chordlab.cli", *good])
+    assert (code, out) == (lone.returncode, lone.stdout) == (0, out)
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"]))
+def test_help_matches_a_fresh_interpreter(tmp_path, capsys, monkeypatch, argv):
+    """`--help` after another command in the same process prints the text
+    of a fresh `python -m chordlab.cli`."""
+    monkeypatch.setenv("COLUMNS", "80")  # one width on both sides
+    assert run_cli(["generate", "--n", "4"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    lone = run_python(["-m", "chordlab.cli", *argv])
+    assert (lone.returncode, lone.stdout) == (0, out)
+    assert out.startswith("usage: chordlab")
+
+
+def test_tracer_installed_after_a_call_records_the_commands(tmp_path, capsys):
+    """perfbench's tracer rebinds `cli.cmd_generate` and `cli.cmd_verify`
+    after its untraced warm-up has called `main`; the traced calls that
+    follow still record their spans."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    g6 = str(tmp_path / "c6.g6")
+    assert main(["generate", "--n", "6", "--out", g6]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["generate", "--n", "6", "--out", g6]) == 0
+        assert main(["verify", "--mode", "chords", "--in", g6]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.generate") == 1 and names.count("cli.verify") == 1
 
 
 def test_extend_malformed_path(tmp_path, capsys):
