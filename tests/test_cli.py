@@ -1114,11 +1114,11 @@ def test_usage_error_leaves_the_parser_as_it_was(tmp_path, capsys, corpus):
     assert (lone.returncode, lone.stderr) == (2, err)
     code, out, _ = run_cli(good, capsys)
     lone = run_python(["-m", "chordlab.cli", *good])
-    assert (code, out) == (lone.returncode, lone.stdout) == (0, out)
+    assert (code, out) == (0, lone.stdout) and lone.returncode == 0
 
 
 @pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"]))
-def test_help_matches_a_fresh_interpreter(tmp_path, capsys, monkeypatch, argv):
+def test_help_matches_a_fresh_interpreter(capsys, monkeypatch, argv):
     """`--help` after another command in the same process prints the text
     of a fresh `python -m chordlab.cli`."""
     monkeypatch.setenv("COLUMNS", "80")  # one width on both sides
