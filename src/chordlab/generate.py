@@ -16,10 +16,10 @@ pass the canonicity test or, by fact 7 below, skip it.  Siblings share
 their prefix, and every code of order n has n - 1 columns compared
 column by column, so the walk meets the complete codes in decreasing
 code order: it keeps one prefix per level and sorts nothing.
-`_completable` judges a child by its columns and degrees before its
-masks are built, and each child's masks and neighbour lists are its
-parent's with the new vertex added, so the canonicity test reads them as
-they are.
+The walk judges a child from its parent's running totals before its
+masks are built (see "Judging a child" below), and each child's masks
+and neighbour lists are its parent's with the new vertex added, so the
+canonicity test reads them as they are.
 
 The canonicity test `_is_max_code` is exact: it looks for a relabeling
 with a strictly larger code.  The search prunes by four facts about
@@ -47,14 +47,16 @@ connected graphs of maximum degree at most 3.
    d(v) and larger at d(v)+1; if v lies in a triangle vab, then d(v) = 2,
    D = 3, and by connectivity a or b has degree 3 and starts with (1, 3,
    >= 4) against v's (1, 3, < 4).
-4. Unfilled positions (`_completable`).  If the first position i below
-   degree 3 is followed by placed positions, a vertex t added later joins
-   i, and moving t to any placed position j > i gives column j a bit at
+4. Unfilled positions.  If the first position i below degree 3 is
+   followed by placed positions, a vertex t added later joins i, and
+   moving t to any placed position j > i gives column j a bit at
    position i, at least 2**(j-1-i).  So a prefix of a maximal code has a
    bit at a position <= i in each column j > i.
 
-`_completable` also drops, before the canonicity test runs, children
-with no maximal code below them by two more facts.
+The walk also drops, before the canonicity test runs, children with no
+maximal code below them by the degree counting checks (the m vertices
+still to come take a total deficit between 1 and 3m of the same parity
+as 3m, and none more than m each) and by two more facts.
 
 5. Edges among the vertices to come.  Let a prefix have degree deficit
    D, the sum of 3 - d over its vertices, with m vertices still to come.
@@ -78,15 +80,51 @@ more fact.
    still emits exactly the maximal complete codes, in the same order, as
    long as it tests every complete code.  The walk skips it on children
    with one or two vertices to come, whose subtrees are too small to pay
-   for it.  With m = 1 to come, a child that `_completable` passes has
-   total deficit D >= 3 by fact 5, and the counting checks give
-   D <= 3m = 3 and each deficit at most m = 1, so exactly three vertices
-   have deficit 1 and the last vertex joins all three.  The walk
-   generates only that forced completion, runs `_completable` on it
-   (fact 6 and every degree 3, the degrees computed from its column) and
-   tests it once: that one call decides both the child and its only
+   for it.  With m = 1 to come, a child that the walk passes has total
+   deficit D >= 3 by fact 5, and the counting checks give D <= 3m = 3
+   and each deficit at most m = 1, so exactly three vertices have
+   deficit 1 and the last vertex joins all three.  The walk generates
+   only that forced completion, judges it (fact 6 and every degree 3)
+   and tests it once: that one call decides both the child and its only
    complete code.  A child with m = 2 to come is walked untested, and
    each of its children is judged by its forced completion.
+
+Judging a child.  Let a prefix on k vertices have total deficit D and
+first position i below degree 3, and let a child join the new vertex k
+to a set S of s vertices below degree 3, with m = n - k - 1 to come
+below it.  The walk reaches only prefixes that passed fact 4 (the root
+on one vertex has no column), and it carries D and i down as it goes.
+
+(a) Per size.  Each vertex of S loses one deficit and the new vertex has
+    3 - s, so the child's total is D - 2s + 3.  The counting checks,
+    fact 5 and the new vertex's own deficit 3 - s <= m read only that
+    total, s and m, so they are decided once per size, before any
+    combination of that size is built.  The parity check needs no test:
+    a prefix on k vertices with e edges has total 3k - 2e, so 3m minus
+    the child's total is 3(n - k - 1) - 3(k + 1) + 2e', which is even
+    as n is even.  With m = 0 the one child joins
+    every vertex below degree 3, and it is complete exactly when there
+    are three of them, each of deficit 1, that is when D = 3.
+(b) Largest deficit.  Each column is nonzero and vertex 1 joins vertex
+    0, so below the root every vertex has degree at least 1 and deficit
+    at most 2, and the root's deficit 3 comes with m = n - 2 >= 2.  So
+    with m >= 3 no deficit exceeds m, and with m = 1 or 2 a vertex whose
+    deficit exceeds m passes exactly when it is in S (with m = 0, (a)
+    decides).
+(c) Fact 4 on the new column.  Degrees only grow down the walk, so the
+    child's first position i' below degree 3 is at least i: i never
+    moves left.  Each old column j > i' is also > i, so by the parent's
+    fact 4 it has a bit at a position <= i <= i'.  Only the new column k can
+    fail, and its bits sit at positions below degree 3, all >= i.  If
+    it holds bit i it passes, as i <= i'.  If it does not, i keeps its
+    degree, so i' = i < k and the column has no bit at a position <= i'.
+    So fact 4 is the test that S holds i, and with (b) the walk asks
+    one thing of each column: that it holds every bit of one mask.
+(d) Fact 6 compares the new column with the last one: col >> 1 >
+    cols[-1].
+
+A child that passes hands down D - 2s + 3 and i', found from i by
+stepping over the positions at degree 3.
 
 The canonicity test also prunes its own search by one more fact.
 
@@ -232,47 +270,37 @@ def _graph_from_cols(n, cols) -> Graph:
     return Graph(n, edges)
 
 
-def _completable(cols, degs, n) -> bool:
-    """Can the remaining n - len(degs) vertices, each joined back, fill
-    every degree to 3 with ``cols`` staying a prefix of a maximal code?
-    False only when no complete code below ``cols`` is maximal: ``cols``
-    fails fact 6, its degrees fail the counting checks or fact 5, or it
-    fails fact 4."""
-    # fact 6: swapping the last two labels would give a larger column
-    if len(cols) > 1 and cols[-1] >> 1 > cols[-2]:
-        return False
-    m = n - len(degs)
-    if m == 0:
-        return min(degs) == 3
-    deficits = [3 - d for d in degs]
-    total = sum(deficits)
-    # fact 5: total >= 3m - m(m - 1) = m(4 - m); for m >= 4 that is no
-    # bound, and total == 0 would leave the prefix a component of its own
-    if (
-        total == 0
-        or total < m * (4 - m)
-        or total > 3 * m
-        or max(deficits) > m
-        or (3 * m - total) % 2
-    ):
-        return False
-    # fact 4: a later vertex joins i, the first position below degree 3
-    i = next(v for v, d in enumerate(degs) if d < 3)
-    return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
-
-
-def _walk(cols, degs, masks, nbrs, n, out):
+def _walk(cols, degs, masks, nbrs, n, out, deficit, first):
     """Walk the children of the prefix ``cols`` on k vertices (a new
     vertex k joined to one to three earlier vertices of degree below 3)
     in decreasing last-column order, and append each maximal complete
-    code below it to ``out``.  By fact 7 the canonicity test runs on
-    complete codes and on children with at least three vertices to come,
-    and the last vertex is generated only as the forced completion."""
+    code below it to ``out``.  ``deficit`` is the prefix's total degree
+    deficit and ``first`` its first position below degree 3.  Each child
+    is judged from them before its masks are built; by fact 7 the
+    canonicity test runs on complete codes and on children with at least
+    three vertices to come, and the last vertex is generated only as the
+    forced completion."""
     k = len(degs)
-    left = n - k - 1  # vertices to come below each child
+    m = n - k - 1  # vertices to come below each child
     eligible = [i for i in range(k) if degs[i] < 3]
-    # fact 7: a complete child joins every vertex below degree 3
-    sizes = (1, 2, 3) if left else (len(eligible),)
+    # (b), (c): the bits every child's column must hold, fact 4's position
+    # and, with m <= 2, each vertex whose deficit exceeds m
+    need = 1 << (k - 1 - first)
+    if m <= 2:
+        for i in eligible:
+            if degs[i] < 3 - m:
+                need |= 1 << (k - 1 - i)
+    # (a): the sizes s whose child total D - 2s + 3 passes the counting
+    # checks and fact 5; by fact 7 a complete child joins every vertex
+    # below degree 3
+    if m:
+        sizes = []
+        for s in (1, 2, 3):
+            total = deficit - 2 * s + 3
+            if 0 < total <= 3 * m and total >= m * (4 - m) and 3 - s <= m:
+                sizes.append(s)
+    else:
+        sizes = (3,) if deficit == len(eligible) == 3 else ()
     kids = sorted(
         (
             (sum(1 << (k - 1 - i) for i in subset), subset)
@@ -281,22 +309,26 @@ def _walk(cols, degs, masks, nbrs, n, out):
         ),
         reverse=True,
     )
+    last = cols[-1] if cols else 0  # the root's one child, column 1, passes fact 6
     for col, subset in kids:
+        # (b), (c) and fact 6 (d)
+        if col & need != need or col >> 1 > last:
+            continue
         ncols = cols + (col,)
         ndegs = degs + [len(subset)]
-        for i in subset:
-            ndegs[i] += 1
-        if not _completable(ncols, ndegs, n):
-            continue
         nmasks = masks + [0]
         nnbrs = nbrs + [subset]
         for i in subset:
+            ndegs[i] += 1
             nmasks[i] |= 1 << k
             nmasks[k] |= 1 << i
             nnbrs[i] += (k,)
-        if 0 < left < 3 or _is_max_code(nmasks, nnbrs, k + 1, ncols):
-            if left:
-                _walk(ncols, ndegs, nmasks, nnbrs, n, out)
+        if 0 < m < 3 or _is_max_code(nmasks, nnbrs, k + 1, ncols):
+            if m:  # i' from i: degrees only grow down the walk
+                nfirst = first
+                while ndegs[nfirst] == 3:
+                    nfirst += 1
+                _walk(ncols, ndegs, nmasks, nnbrs, n, out, deficit - 2 * len(subset) + 3, nfirst)
             else:
                 out.append(ncols)
 
@@ -307,7 +339,7 @@ def enumerate_cubic(n: int):
     if n % 2 or not 4 <= n <= 16:
         raise ValueError(f"n must be even with 4 <= n <= 16, got {n}")
     codes = []
-    _walk((), [0], [0], [()], n, codes)  # from the prefix on 1 vertex
+    _walk((), [0], [0], [()], n, codes, 3, 0)  # from the prefix on 1 vertex
     return [_graph_from_cols(n, cols) for cols in codes]
 
 

@@ -20,6 +20,9 @@ body, the reference for its depth-first walk.  It keeps its own copy of
 the earlier completability prune, ``completable_reference`` (the
 counting checks and fact 4, without facts 5 and 6), and shares the
 walk's canonicity test, which the relabeling backtrack checks on its own.
+``completable`` is the walk's earlier judge of a child, read from the
+child's columns and degrees, the reference for the judge that reads its
+parent's running totals.
 ``walk_problem_reference`` and ``check_sweep_entry_reference`` are the
 library's earlier path check and `verify_zhan`'s earlier witness
 re-check, written out with a set and `Graph.has_edge`, so they share no
@@ -508,6 +511,34 @@ def _children(level, k):
                 yield cols + (col,), ndegs, nmasks
 
 
+def completable(cols, degs, n) -> bool:
+    """The enumeration's earlier judge of a child, from its columns and
+    degrees alone: facts 4, 5 and 6 of `chordlab.generate` and the
+    counting checks, parity included.  The reference for the walk, which
+    judges each child from its parent's totals."""
+    # fact 6: swapping the last two labels would give a larger column
+    if len(cols) > 1 and cols[-1] >> 1 > cols[-2]:
+        return False
+    m = n - len(degs)
+    if m == 0:
+        return min(degs) == 3
+    deficits = [3 - d for d in degs]
+    total = sum(deficits)
+    # fact 5: total >= 3m - m(m - 1) = m(4 - m); for m >= 4 that is no
+    # bound, and total == 0 would leave the prefix a component of its own
+    if (
+        total == 0
+        or total < m * (4 - m)
+        or total > 3 * m
+        or max(deficits) > m
+        or (3 * m - total) % 2
+    ):
+        return False
+    # fact 4: a later vertex joins i, the first position below degree 3
+    i = next(v for v, d in enumerate(degs) if d < 3)
+    return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
+
+
 def completable_reference(cols, degs, n) -> bool:
     """The enumeration's earlier completability prune: the degree
     counting checks and fact 4 of `chordlab.generate`, without facts 5
@@ -523,12 +554,13 @@ def completable_reference(cols, degs, n) -> bool:
     return all(cols[j - 1] >> (j - 1 - i) for j in range(i + 1, len(degs)))
 
 
-def cubic_prefixes_by_level(n: int) -> list:
+def cubic_prefixes_by_level(n: int, prefix=((), (0,), (0,))) -> list:
     """The canonical prefixes that the enumeration's earlier body kept
-    under `completable_reference`: entry k - 1 lists those on k vertices
-    as (cols, degs, masks), for k = 1..n."""
-    levels = [[((), (0,), (0,))]]  # (cols, degs, masks) on 1 vertex
-    for k in range(1, n):
+    under `completable_reference`, below ``prefix`` on k0 vertices, given
+    as (cols, degs, masks) (by default the one on 1 vertex): entry j
+    lists those on k0 + j vertices as (cols, degs, masks), up to n."""
+    levels = [[prefix]]
+    for k in range(len(prefix[1]), n):
         levels.append(
             [
                 (cols, degs, masks)

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import sys
+import threading
 from math import factorial
 
 import pytest
@@ -11,9 +12,9 @@ import oracles
 from chordlab import generate
 from chordlab.cli import main
 from chordlab.generate import (
-    _completable,
     _graph_from_cols,
     _is_max_code,
+    _walk,
     enumerate_cubic,
     random_cubic,
     random_simple_path,
@@ -113,21 +114,35 @@ def test_deterministic_order():
     assert [g.edges for g in enumerate_cubic(8)] == [g.edges for g in enumerate_cubic(8)]
 
 
+def _nbrs(masks):
+    return [tuple(w for w in range(len(masks)) if m >> w & 1) for m in masks]
+
+
+def _totals(degs):
+    """A prefix's running totals as the walk carries them: the total
+    degree deficit and the first position below degree 3."""
+    return 3 * len(degs) - sum(degs), next(v for v, d in enumerate(degs) if d < 3)
+
+
 def test_max_code_matches_backtrack_n12(monkeypatch):
-    """Judge every child the walk generates for n <= 12 by the plain
-    relabeling backtrack too, whether or not it passes `_completable`:
-    the fast test agrees on every one.  The masks and neighbour lists the
-    walk carries to `_is_max_code` are those of the child's columns."""
+    """Judge every child (`oracles._children`) of every prefix the walk
+    visits for n <= 12 by the plain relabeling backtrack too, whether or
+    not the walk's judge passes it: the fast test agrees on every one.
+    The masks and neighbour lists the walk carries to `_is_max_code` are
+    those of the child's columns, and the totals it carries to each
+    prefix are those of the prefix's degrees."""
     judged = 0
 
-    def completable(cols, degs, n):
+    def walk(cols, degs, masks, nbrs, n, out, deficit, first):
         nonlocal judged
-        g = _graph_from_cols(len(degs), cols)
-        old = oracles.is_max_code_backtrack(g.masks, g.n, cols)
-        nbrs = tuple(tuple(g.neighbors(v)) for v in range(g.n))
-        assert _is_max_code(g.masks, nbrs, g.n, cols) == old, cols
-        judged += 1
-        return _completable(cols, degs, n)
+        k = len(degs)
+        assert (deficit, first) == _totals(degs), cols
+        assert (masks, list(nbrs)) == (list(_graph_from_cols(k, cols).masks), _nbrs(masks)), cols
+        for ccols, _, cmasks in oracles._children([(cols, degs, masks)], k):
+            old = oracles.is_max_code_backtrack(cmasks, k + 1, ccols)
+            assert _is_max_code(cmasks, _nbrs(cmasks), k + 1, ccols) == old, ccols
+            judged += 1
+        _walk(cols, degs, masks, nbrs, n, out, deficit, first)
 
     def is_max_code(masks, nbrs, n, cols):
         g = _graph_from_cols(n, cols)
@@ -135,7 +150,7 @@ def test_max_code_matches_backtrack_n12(monkeypatch):
         assert (tuple(masks), tuple(nbrs)) == (g.masks, want), cols
         return _is_max_code(masks, nbrs, n, cols)
 
-    monkeypatch.setattr(generate, "_completable", completable)
+    monkeypatch.setattr(generate, "_walk", walk)
     monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     for n in range(4, 13, 2):
         assert len(enumerate_cubic(n)) == EXPECTED_CLASS_COUNTS[n]
@@ -194,9 +209,12 @@ def test_max_code_matches_backtrack_on_relabelings(corpus, corpus12):
 
 def _beaten_calls(monkeypatch, n):
     """Calls of `_is_max_code`'s inner search while `enumerate_cubic(n)`
-    runs, as (on prefixes, on complete codes), counted by a profile hook."""
+    runs, as (on prefixes, on complete codes), counted by a profile hook.
+    The count runs in a worker thread that sets its own hook and clears
+    it, so a profiler on the calling thread (cProfile hooks only the
+    thread that enabled it) stays as it was."""
     inner = next(c for c in _is_max_code.__code__.co_consts if getattr(c, "co_name", "") == "beaten")
-    calls, complete = [0, 0], [0]
+    calls, complete, graphs = [0, 0], [0], []
 
     def is_max_code(masks, nbrs, k, cols):
         complete[0] = k == n
@@ -206,14 +224,21 @@ def _beaten_calls(monkeypatch, n):
         if event == "call" and frame.f_code is inner:
             calls[complete[0]] += 1
 
+    def count():
+        sys.setprofile(hook)
+        try:
+            graphs.append(enumerate_cubic(n))
+        finally:
+            sys.setprofile(None)
+
     monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     before = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        graphs = enumerate_cubic(n)
-    finally:
-        sys.setprofile(before)
-    assert len(graphs) == EXPECTED_CLASS_COUNTS[n]
+    worker = threading.Thread(target=count)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert sys.getprofile() is before
+    assert len(graphs[0]) == EXPECTED_CLASS_COUNTS[n]
     return tuple(calls)
 
 
@@ -242,29 +267,99 @@ def test_walk_matches_level_reference(corpus, corpus12):
         assert [_code(g) for g in graphs] == oracles.cubic_codes_by_level(n), n
 
 
+def _judged_by_walk(monkeypatch, n, level):
+    """The walk's judge on every child of each prefix in ``level`` (all
+    on k vertices, as (cols, degs, masks)): for each prefix, the columns
+    of the children that pass, in the order the walk takes them.  The
+    walk runs one level deep: a spy on the canonicity test passes each
+    child with vertices to come to a spy on `_walk`, which records it and
+    checks the totals handed down, and records each complete child."""
+    passed = []
+
+    def walk(cols, degs, masks, nbrs, n, out, deficit, first):
+        assert (deficit, first) == _totals(degs), cols
+        passed.append(cols)
+
+    def is_max_code(masks, nbrs, k, cols):
+        if k == n:
+            passed.append(cols)
+        return k < n
+
+    monkeypatch.setattr(generate, "_walk", walk)
+    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
+    verdicts = []
+    for cols, degs, masks in level:
+        passed.clear()
+        _walk(cols, list(degs), list(masks), _nbrs(masks), n, [], *_totals(degs))
+        verdicts.append(list(passed))
+    monkeypatch.undo()
+    return verdicts
+
+
+def _check_judge(monkeypatch, n):
+    """Every child (`oracles._children`) of every level of
+    `oracles.cubic_prefixes_by_level(n)` gets the same verdict from the
+    walk's judge as from the earlier one, `oracles.completable`, and the
+    children that pass come in decreasing column order.  Returns the
+    children judged and passed."""
+    levels = oracles.cubic_prefixes_by_level(n)
+    judged = passed = 0
+    for k in range(1, n):
+        verdicts = _judged_by_walk(monkeypatch, n, levels[k - 1])
+        for parent, got in zip(levels[k - 1], verdicts):
+            children = list(oracles._children([parent], k))
+            want = sorted(
+                (cols for cols, degs, _ in children if oracles.completable(cols, degs, n)),
+                reverse=True,
+            )
+            assert got == want, parent[0]
+            judged += len(children)
+            passed += len(want)
+    return judged, passed
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_walk_judge_matches_reference(monkeypatch, n):
+    """The judge that reads its parent's running totals passes exactly
+    the children that the earlier judge, reading the child's columns and
+    degrees, passes: per size for the counting checks and fact 5, on the
+    new column for fact 4.  The children judged and passed per n were
+    recorded when the judge moved into the walk."""
+    counts = {4: (11, 3), 6: (50, 10), 8: (196, 41), 10: (912, 187), 12: (4359, 869)}
+    assert _check_judge(monkeypatch, n) == counts[n]
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHORDLAB_ACCEPT_N16") != "1",
+    reason="extended tier: set CHORDLAB_ACCEPT_N16=1",
+)
+def test_walk_judge_matches_reference_n14(monkeypatch):
+    assert _check_judge(monkeypatch, 14) == (27110, 5061)
+
+
 def test_pruned_children_head_dead_subtrees(monkeypatch):
     """Every child of a canonical prefix that the earlier prune passes
     and facts 5 and 6 reject, for n <= 10, has no maximal code below it:
-    a complete one is not maximal, and the walk under the earlier prune
-    emits nothing from an incomplete one."""
-    # `_walk` now prunes as before; the name imported here is the new prune
-    monkeypatch.setattr(generate, "_completable", oracles.completable_reference)
-    rejected = 0
+    a complete one is not maximal, and the level-by-level enumeration
+    under the earlier prune keeps nothing below an incomplete one."""
+    rejected = swapped = 0
     for n in range(4, 11, 2):
         levels = oracles.cubic_prefixes_by_level(n)
         for k in range(1, n):
-            for cols, degs, masks in oracles._children(levels[k - 1], k):
-                if _completable(cols, degs, n) or not oracles.completable_reference(cols, degs, n):
-                    continue
-                rejected += 1
-                nbrs = [tuple(w for w in range(k + 1) if m >> w & 1) for m in masks]
-                if k + 1 == n:
-                    assert not _is_max_code(masks, nbrs, n, cols), cols
-                else:
-                    out = []
-                    generate._walk(cols, degs, masks, nbrs, n, out)
-                    assert out == [], cols
+            verdicts = _judged_by_walk(monkeypatch, n, levels[k - 1])
+            for parent, passed in zip(levels[k - 1], verdicts):
+                for cols, degs, masks in oracles._children([parent], k):
+                    if cols in passed or not oracles.completable_reference(cols, degs, n):
+                        continue
+                    rejected += 1
+                    swapped += len(cols) > 1 and cols[-1] >> 1 > cols[-2]
+                    if k + 1 == n:
+                        assert not _is_max_code(masks, _nbrs(masks), n, cols), cols
+                    else:
+                        below = oracles.cubic_prefixes_by_level(n, (cols, degs, masks))
+                        assert below[-1] == [], cols
     assert rejected == 147  # 49 fail fact 6, the other 98 fact 5
+    assert swapped == 49
 
 
 def test_max_code_calls_pinned_n12(monkeypatch):
@@ -285,34 +380,41 @@ def test_max_code_calls_pinned_n12(monkeypatch):
 
 
 def test_forced_completion_joins_three_deficit_one_vertices(monkeypatch):
-    """Fact 7, for n <= 12: every child with one vertex to come that
-    `_completable` passes has exactly three vertices of degree 2 and the
-    rest of degree 3, and the next code the walk judges is the child's
-    completion, whose last vertex joins exactly those three.  Every
-    complete code the walk judges is such a completion."""
+    """Fact 7, for n <= 12: every child with one vertex to come that the
+    walk passes has exactly three vertices of degree 2 and the rest of
+    degree 3.  Its completion, whose last vertex joins exactly those
+    three, is cubic, and the next canonicity test the walk runs is on it
+    exactly when the earlier judge passes it.  Every complete code the
+    walk tests is such a completion."""
     seen = []
 
-    def completable(cols, degs, n):
-        ok = _completable(cols, degs, n)
-        seen.append((cols, list(degs), ok))
-        return ok
+    def walk(cols, degs, masks, nbrs, n, out, deficit, first):
+        seen.append((cols, list(degs)))
+        _walk(cols, degs, masks, nbrs, n, out, deficit, first)
 
-    monkeypatch.setattr(generate, "_completable", completable)
+    def is_max_code(masks, nbrs, k, cols):
+        seen.append((cols, None))
+        return _is_max_code(masks, nbrs, k, cols)
+
+    monkeypatch.setattr(generate, "_walk", walk)
+    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     forced = 0
     for n in range(4, 13, 2):
         seen.clear()
         assert len(enumerate_cubic(n)) == EXPECTED_CLASS_COUNTS[n]
-        for at, (cols, degs, ok) in enumerate(seen):
-            if len(degs) == n:
-                before, bdegs, bok = seen[at - 1]
-                assert bok and len(bdegs) == n - 1 and cols[:-1] == before, cols
-            if len(degs) != n - 1 or not ok:
+        seen.append(((), None))  # the end of the walk
+        for at, (cols, degs) in enumerate(seen):
+            if degs is None and len(cols) == n - 1:
+                before, bdegs = seen[at - 1]
+                assert bdegs is not None and len(bdegs) == n - 1 and cols[:-1] == before, cols
+            if degs is None or len(degs) != n - 1:
                 continue
             short = [i for i, d in enumerate(degs) if d != 3]
             assert len(short) == 3 and all(degs[i] == 2 for i in short), cols
-            full, fdegs, _ = seen[at + 1]
-            assert full == cols + (sum(1 << (n - 2 - i) for i in short),), cols
-            assert fdegs == [3] * n, cols
+            full = cols + (sum(1 << (n - 2 - i) for i in short),)
+            assert is_cubic(_graph_from_cols(n, full)), cols
+            tested = seen[at + 1] == (full, None)
+            assert tested == oracles.completable(full, [3] * n, n), cols
             forced += 1
     assert forced == 440
 
