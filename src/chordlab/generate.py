@@ -339,7 +339,7 @@ def enumerate_cubic(n: int):
     if n % 2 or not 4 <= n <= 16:
         raise ValueError(f"n must be even with 4 <= n <= 16, got {n}")
     codes = []
-    _walk((), [0], [0], [()], n, codes, 3, 0)  # from the prefix on 1 vertex
+    _walk((), [0], [0], [()], n, codes, 3, 0)  # from the prefix on 1 vertex, deficit 3
     return [_graph_from_cols(n, cols) for cols in codes]
 
 

@@ -285,14 +285,14 @@ def _judged_by_walk(monkeypatch, n, level):
             passed.append(cols)
         return k < n
 
-    monkeypatch.setattr(generate, "_walk", walk)
-    monkeypatch.setattr(generate, "_is_max_code", is_max_code)
     verdicts = []
-    for cols, degs, masks in level:
-        passed.clear()
-        _walk(cols, list(degs), list(masks), _nbrs(masks), n, [], *_totals(degs))
-        verdicts.append(list(passed))
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_walk", walk)
+        patch.setattr(generate, "_is_max_code", is_max_code)
+        for cols, degs, masks in level:
+            passed.clear()
+            _walk(cols, list(degs), list(masks), _nbrs(masks), n, [], *_totals(degs))
+            verdicts.append(list(passed))
     return verdicts
 
 
