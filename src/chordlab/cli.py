@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
-import importlib
 import io
 import os
 import sys
@@ -26,34 +25,21 @@ from .errors import InvariantViolation
 from .graph6 import Graph6Error, load_graph_text, stream_corpus, write_graph6
 from .graphs import connectivity_at_least, is_cubic
 
-# name -> the module that defines it.  The commands read these names as
-# attributes of this module (`_this.verify_zhan`), which `__getattr__`
-# resolves (PEP 562) from the defining module when a command runs: each
-# command loads only its own modules, and a binding set on this module
-# (perfbench/selftest.py plants its faults as `cli.verify_zhan` and
-# `cli.enumerate_cubic`) takes precedence over the defining module's.
-_HOME = {
-    "enumerate_cubic": "generate",
-    "CONNECTIVITY": "verify",
-    "verify_chords": "verify",
-    "verify_zhan": "verify",
-    "EXTENDABLE": "extender",
-    "extend_path": "extender",
-    "precheck": "extender",
-    "Path": "search",
-}
+# The commands call the library's public names through this module
+# (`_this.verify_zhan`), which reads them from the package (PEP 562): each
+# command loads only its own modules, and a binding set here (a test's
+# spy, perfbench/selftest.py's planted faults) runs in place of the library's.
+_package = sys.modules[__package__]
+_this = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _HOME:
+    # public names only: the package's `__path__` or `__all__` would make
+    # this module pass for a package, and `import *` load every module
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"chordlab.{_HOME[name]}"
-    # sys.modules first, a third of import_module's cost: `_verify_one`
-    # reads two of these names per graph
-    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
+    return getattr(_package, name)
 
-
-_this = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -90,7 +76,9 @@ def _verify_one(args):
         "value": None,
         "witness": None,
     }
-    if kappa is not None and kappa >= _this.CONNECTIVITY[statement]:
+    from .verify import CONNECTIVITY
+
+    if kappa is not None and kappa >= CONNECTIVITY[statement]:
         if statement == "chords":
             rep = _this.verify_chords(g)
             row["value"] = rep.min_chords
@@ -381,8 +369,10 @@ def cmd_extend(args) -> int:
     except ValueError as exc:
         print(f"error: bad path spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    from .extender import EXTENDABLE
+
     cls = _this.precheck(g, p)
-    if cls.kind != _this.EXTENDABLE:
+    if cls.kind != EXTENDABLE:
         # a refused path always has an internal bound vertex: in a cubic
         # host every internal vertex of a spanning path is bound
         where = ", ".join(f"v={v}" for v in sorted(cls.bound))

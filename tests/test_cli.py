@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -16,6 +15,7 @@ import time
 
 import pytest
 
+import chordlab
 import oracles
 from chordlab import cli, extender, generate, kernels, verify
 from chordlab.cli import main
@@ -1036,26 +1036,51 @@ def test_output_that_is_a_directory_exits_3(tmp_path, capsys, monkeypatch):
         assert err == f"error: cannot write {target}: it is a directory\n", cmd
 
 
-def test_binding_on_cli_takes_precedence(tmp_path, capsys, monkeypatch, corpus):
-    """The commands read `enumerate_cubic` and the verifiers through the
-    `cli` module, so a binding set there wins over the defining module's:
-    perfbench/selftest.py plants its faults as `cli.enumerate_cubic` and
-    `cli.verify_zhan`.  Without one, `cli` holds no copy of either."""
-    assert "enumerate_cubic" not in vars(cli) and "verify_zhan" not in vars(cli)
-    real_enumerate, real_verify = cli.enumerate_cubic, cli.verify_zhan
-    # setitem, not setattr: undoing it deletes the binding, leaving no copy
-    monkeypatch.setitem(vars(cli), "enumerate_cubic", lambda n: real_enumerate(n)[:1])
-    code, out, _ = run_cli(["generate", "--n", "8"], capsys)
-    assert (code, out.count("\n")) == (0, 1)
-
-    def lowered(g, mode):
-        rep = real_verify(g, mode)
-        return dataclasses.replace(rep, minimum=rep.minimum - 5)
-
-    monkeypatch.setitem(vars(cli), "verify_zhan", lowered)
+def test_binding_on_cli_takes_precedence(tmp_path, capsys, corpus):
+    """The commands call the library names they use through the `cli`
+    module, so a binding set there runs in place of the defining
+    module's: perfbench/selftest.py plants its faults as
+    `cli.enumerate_cubic` and `cli.verify_zhan`.  Without one, `cli`
+    holds no copy and reads the defining module's function.  The spy is
+    removed with `delattr`: monkeypatch's undo would bind the library
+    function on `cli`, which would then shadow a later patch of the
+    defining module."""
     f = _write_corpus(tmp_path, corpus[6])
-    code, out, _ = run_cli(["verify", "--mode", "zhan2", "--in", str(f)], capsys)
-    assert code == 1 and json.loads(out)["violations"] == 2
+    k33 = tmp_path / "k33.txt"
+    k33.write_text(oracles.edge_list_text(oracles.k33()))
+    extend = ["extend", "--graph", str(k33), "--path", "0,4,1,3"]
+    runs = {
+        "enumerate_cubic": (generate, ["generate", "--n", "6"]),
+        "verify_zhan": (verify, ["verify", "--mode", "zhan2", "--in", str(f)]),
+        "verify_chords": (verify, ["verify", "--mode", "chords", "--in", str(f)]),
+        "precheck": (extender, extend),
+        "extend_path": (extender, extend),
+    }
+    for name, (home, argv) in runs.items():
+        assert name not in vars(cli), name
+        real, calls = getattr(home, name), []
+
+        def spy(*args, real=real, calls=calls):
+            calls.append(args)
+            return real(*args)
+
+        setattr(cli, name, spy)
+        try:
+            code, _, _ = run_cli(argv, capsys)
+        finally:
+            delattr(cli, name)
+        assert code == 0 and calls, name
+        assert name not in vars(cli) and getattr(cli, name) is real, name
+
+
+def test_cli_answers_only_the_public_names():
+    """`cli` reads exactly the package's public names from the package:
+    not the package's own attributes, which would make `cli` pass for a
+    package, nor its private table, nor a library constant."""
+    for name in chordlab.__all__:
+        assert getattr(cli, name) is getattr(chordlab, name), name
+    for name in ("__path__", "__all__", "_HOME", "CONNECTIVITY"):
+        assert not hasattr(cli, name), name
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
