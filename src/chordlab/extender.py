@@ -25,7 +25,7 @@ from . import kernels
 from .coloring import pick_color_class, three_color_cycle_plus
 from .errors import InvariantViolation
 from .graphs import Graph, connectivity_at_least, is_cubic
-from .graphs import cycle_masks, reach_mask, vertex_bits, vertex_mask
+from .graphs import component_walk, cycle_masks, reach_mask, vertex_bits, vertex_mask
 from .search import Cycle, Path, chord_scan, cycle_problem, internal_bound_vertices
 from .second_cycle import LemmaInstance, second_hamilton_cycle
 from .verify import verify_chords, verify_zhan  # noqa: F401  (perfbench traces them here)
@@ -174,18 +174,12 @@ def precheck(g: Graph, p: Path) -> Classification:
 
 def _attached_components(g: Graph, on):
     """The components of g minus ``on`` (vertex masks), each with its
-    sorted attachment vertices on ``on``, in ``components_after_deletion``
-    order (ascending least member).  The `reach_mask` flood fill that
-    finds a component also gives the union of its members' neighbour
-    masks, and the attachments are the vertices of ``on`` in it."""
-    masks, om = g.masks, vertex_mask(on)
-    unseen = (1 << g.n) - 1 & ~om
-    out = []
-    while unseen:
-        comp, around = reach_mask(masks, unseen & -unseen, unseen)
-        unseen ^= comp
-        out.append((comp, vertex_bits(around & om)))
-    return out
+    sorted attachment vertices on ``on``, in `component_walk` order
+    (ascending least member): the vertices of ``on`` among its members'
+    neighbours."""
+    om = vertex_mask(on)
+    walk = component_walk(g.masks, (1 << g.n) - 1 & ~om)
+    return [(comp, vertex_bits(around & om)) for comp, around in walk]
 
 
 def _through_component(g: Graph, a: int, b: int, comp: int, min_len: int):
@@ -605,7 +599,7 @@ def matching_step(g: Graph, c_star: Cycle, c_host: Cycle, attachments):
     rows = (
         tuple(order[i] for i in row)
         for length in range(3 * p_count + 1, len(order) + 1)
-        for row in kernels.cycles_of_length(g4_masks, len(order), length)
+        for row in kernels.cycles_of_length(g4_masks, length)
     )
     seq = next(filter(through_matching, rows), None)
     if seq is None:
@@ -673,7 +667,7 @@ def _finish(g, p, longer, trace, flipped=False):
     record it as the trace's final path.
 
     Its walk is `precheck`'s, on ``longer`` before the flip is undone,
-    and the reversed path keeps the result, so the next `precheck` of a
+    and `Path.reversed` keeps the result, so the next `precheck` of a
     fixpoint loop only reads it."""
     try:
         precheck(g, longer)
@@ -684,10 +678,7 @@ def _finish(g, p, longer, trace, flipped=False):
     if longer.length <= p.length:
         raise InvariantViolation("checker", "replacement path is not longer")
     if flipped:
-        # the kind and the bound set do not depend on the orientation
-        classified = longer._class_in
         longer = longer.reversed()
-        object.__setattr__(longer, "_class_in", classified)
     trace.final_path = longer.vertices
     return longer, trace
 

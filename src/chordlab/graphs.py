@@ -196,21 +196,26 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
     return g._kappa >= k
 
 
+def component_walk(masks, unseen: int):
+    """The components of the subgraph induced on the vertex mask
+    ``unseen``, where ``masks[v]`` is v's neighbour mask: one `reach_mask`
+    flood fill each, from the least vertex not yet seen, so they come in
+    ascending order of their least member.  Yields (component, around)
+    per component: its vertex mask and the union of its members'
+    neighbour masks."""
+    while unseen:
+        comp, around = reach_mask(masks, unseen & -unseen, unseen)
+        unseen ^= comp
+        yield comp, around
+
+
 def components_after_deletion(g: Graph, removed) -> tuple:
     """Connected components of the subgraph induced on V(g) minus
-    ``removed``, as vertex bit masks in ascending order of their least
-    member: one `reach_mask` flood fill each, from the least vertex not
-    yet seen.  `extender._attached_components` makes the same walks and
-    also reads their neighbourhoods."""
-    n, masks = g.n, g.masks
+    ``removed``, as vertex bit masks in `component_walk` order."""
+    n = g.n
     unseen = (1 << n) - 1
     for v in removed:
         if not 0 <= v < n:
             raise ValueError("removed set contains out-of-range ids")
         unseen &= ~(1 << v)
-    comps = []
-    while unseen:
-        comp, _ = reach_mask(masks, unseen & -unseen, unseen)
-        unseen ^= comp
-        comps.append(comp)
-    return tuple(comps)
+    return tuple(comp for comp, _ in component_walk(g.masks, unseen))

@@ -4,8 +4,10 @@ All exact search funnels through the kernels below: longest (x,y)-path
 length/enumeration, longest-cycle length/enumeration (Hamilton cycles
 are the cycles of length n), and the per-source sweep whose tables
 ``verify_zhan`` reads for all pairs and for adjacent pairs alike.  Each
-takes the ``Graph.masks`` tuple (bit w of ``adj[v]`` set iff vw is an
-edge) and returns Python ints, a list of vertex tuples or a table.
+takes the ``Graph.masks`` tuple (bit w of ``masks[v]`` set iff vw is an
+edge), whose length is the vertex count, and returns Python ints, a list
+of vertex tuples or a table.  Masks are Python ints, so no vertex
+count is refused.
 Children are always tried in ascending vertex id, so every enumeration
 is deterministic and the row order is part of the output.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def _xy_rows(masks, n, x, y, length):
+def _xy_rows(masks, x, y, length):
     """The (x,y)-paths of ``length`` edges as tuples in walk order; with
     length None, those of the greatest length (none when y is unreachable).
 
@@ -63,7 +65,7 @@ def _xy_rows(masks, n, x, y, length):
     return rows
 
 
-def _cycle_rows(masks, n, length, stop=False):
+def _cycle_rows(masks, length, stop=False):
     """The cycles of ``length`` vertices as tuples in ascending order; with
     length None, those of the greatest length (none when acyclic).  With
     length None and ``stop``, the walk ends at the first Hamilton cycle,
@@ -83,6 +85,7 @@ def _cycle_rows(masks, n, length, stop=False):
       walk stops at the first s with n - s below the wanted length.  The
       Hamilton cycles are walked from vertex 0 alone.
     """
+    n = len(masks)
     rows = []
     want = 3 if length is None else length
     path = []
@@ -126,31 +129,31 @@ def _cycle_rows(masks, n, length, stop=False):
     return rows
 
 
-def longest_xy_length(adj, n, x, y) -> int:
-    rows = _xy_rows(adj, n, x, y, None)
+def longest_xy_length(masks, x, y) -> int:
+    rows = _xy_rows(masks, x, y, None)
     return len(rows[0]) - 1 if rows else 0
 
 
-def xy_paths_of_length(adj, n, x, y, length) -> list:
-    return _xy_rows(adj, n, x, y, length)
+def xy_paths_of_length(masks, x, y, length) -> list:
+    return _xy_rows(masks, x, y, length)
 
 
-def longest_cycle_length(adj, n) -> int:
-    rows = _cycle_rows(adj, n, None)
+def longest_cycle_length(masks) -> int:
+    rows = _cycle_rows(masks, None)
     return len(rows[0]) if rows else 0
 
 
-def cycles_of_length(adj, n, length, stop=False) -> list:
+def cycles_of_length(masks, length, stop=False) -> list:
     """`_cycle_rows`: canonical tuples in ascending order."""
-    return _cycle_rows(adj, n, length, stop)
+    return _cycle_rows(masks, length, stop)
 
 
-def hamilton_cycle_rows(adj, n) -> list:
+def hamilton_cycle_rows(masks) -> list:
     """The Hamilton cycles as canonical tuples in ascending order."""
-    return _cycle_rows(adj, n, n)
+    return _cycle_rows(masks, len(masks))
 
 
-def xy_sweep(masks, n, x, targets, floor):
+def xy_sweep(masks, x, targets, floor):
     """Every simple path from ``x`` that can still change an entry, walked
     by DFS with children in ascending id order (the order ``_xy_rows``
     returns rows in).
@@ -192,6 +195,7 @@ def xy_sweep(masks, n, x, targets, floor):
     """
     if any(m.bit_count() > 3 for m in masks):
         raise ValueError("xy_sweep needs maximum degree at most 3")
+    n = len(masks)
     bx = 1 << x
     # an entry is ranked by one int, (length << shift) - count: longer
     # first, then fewer bound vertices, as a count is at most n - 2

@@ -42,9 +42,9 @@ class Path:
     ``asdict`` ignore it), is (graph, classification) from the last
     `extender.precheck` that classified the path, which replaces it whole
     and reads it back for the same `Graph` object alone: exact, as
-    neither changes.  Its one other setter, `extender._finish`, copies it
-    onto the reverse of a classified path, whose classification is the
-    same.
+    neither changes.  Its one other setter, `reversed`, copies it onto
+    the reverse, as the kind and the bound set do not depend on the
+    orientation.
     """
 
     vertices: tuple
@@ -69,7 +69,9 @@ class Path:
         return self.vertices[1:-1]
 
     def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
+        rev = Path(self.vertices[::-1])
+        object.__setattr__(rev, "_class_in", self._class_in)
+        return rev
 
     def validate(self, g: Graph) -> "Path":
         problem = walk_problem(g.masks, self.vertices)
@@ -145,13 +147,6 @@ class PathReport:
     bound_sets: tuple
 
 
-def kernel_masks(g: Graph) -> tuple:
-    """``g.masks`` after the limits every search kernel shares."""
-    if g.n >= 63:
-        raise ValueError("search kernels support n < 63")
-    return g.masks
-
-
 def internal_bound_vertices(g: Graph, p: Path) -> frozenset:
     """Internal vertices of p whose whole host neighborhood lies on p."""
     p.validate(g)
@@ -164,8 +159,7 @@ def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
         raise ValueError(f"endpoint out of range: {x},{y}")
     if x == y:
         raise ValueError("endpoints must differ")
-    adj = kernel_masks(g)
-    rows = kernels.xy_paths_of_length(adj, g.n, x, y, None)
+    rows = kernels.xy_paths_of_length(g.masks, x, y, None)
     if not rows:
         raise ValueError(f"no ({x},{y})-path exists")
     witnesses = tuple(Path(row) for row in rows)
@@ -175,8 +169,7 @@ def longest_xy_paths(g: Graph, x: int, y: int) -> PathReport:
 
 def longest_cycles(g: Graph):
     """The longest cycles as validated `Cycle`s, in ascending order."""
-    adj = kernel_masks(g)
-    rows = kernels.cycles_of_length(adj, g.n, None)
+    rows = kernels.cycles_of_length(g.masks, None)
     if not rows:
         raise ValueError("graph is acyclic")
     return [Cycle(row).validate(g) for row in rows]
@@ -184,8 +177,7 @@ def longest_cycles(g: Graph):
 
 def hamilton_cycles(g: Graph):
     """The Hamilton cycles as validated `Cycle`s, in ascending order."""
-    adj = kernel_masks(g)
-    return [Cycle(row).validate(g) for row in kernels.hamilton_cycle_rows(adj, g.n)]
+    return [Cycle(row).validate(g) for row in kernels.hamilton_cycle_rows(g.masks)]
 
 
 def chord_scan(masks, vs):

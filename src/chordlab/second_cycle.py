@@ -112,11 +112,9 @@ def second_hamilton_cycle(inst: LemmaInstance, x: int, y: int) -> SecondCycleCer
     if (x, y) in steps or (y, x) in steps:
         raise ValueError(f"({x},{y}) lies inside the distinguished arc")
     g1 = build_support_graph(inst)
-    cands = []  # (cycle, its neighbour masks), through xy
-    for h in hamilton_cycles(g1):
-        hm = cycle_masks(h.vertices, n)
-        if hm[x] >> y & 1 and h != base:
-            cands.append((h, hm))
+    # x ends the distinguished arc, which gets no designated chord, so x
+    # has degree 2 in g1 and every Hamilton cycle of g1 uses xy
+    cands = [(h, cycle_masks(h.vertices, n)) for h in hamilton_cycles(g1) if h != base]
     if not cands:
         raise InvariantViolation(
             "second-cycle", f"no second Hamilton cycle through ({x},{y})"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import InvariantViolation
 from .graphs import Graph, connectivity_at_least
-from .search import Cycle, chords, kernel_masks, walk_problem
+from .search import Cycle, chords, walk_problem
 
 # the connectivity each verified statement assumes: verify_zhan's modes
 # and verify_chords ("chords")
@@ -220,8 +220,7 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
     need_k = CONNECTIVITY[mode]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
-    masks = kernel_masks(g)
-    n = g.n
+    masks, n = g.masks, g.n
     # open_[x]: source x's targets that no rotation has settled, y > x
     # only, so each pair once
     open_ = [(masks[x] if mode == "adjacent-pairs" else (1 << n) - 1) & (-2 << x) for x in range(n)]
@@ -234,7 +233,7 @@ def verify_zhan(g: Graph, mode: str = "all-pairs") -> ZhanReport:
             continue  # no table would be read
         left -= targets.bit_count()
         floor = (least + 3 * n + 1) // 4  # ceil((least + 3n - 2) / 4)
-        table = kernels.xy_sweep(masks, n, x, targets, floor)
+        table = kernels.xy_sweep(masks, x, targets, floor)
         seeds = []
         for y in range(x + 1, n):
             if (targets >> y) & 1:
@@ -284,10 +283,10 @@ def verify_chords(g: Graph) -> ChordReport:
     need_k = CONNECTIVITY["chords"]
     if not connectivity_at_least(g, need_k):
         raise ValueError(f"graph is not {need_k}-connected")
-    masks = kernel_masks(g)
+    masks = g.masks
     best, witness = g.n, ()
     # ascending; stop=True: end at the first Hamilton cycle
-    for row in kernels.cycles_of_length(masks, g.n, None, True):
+    for row in kernels.cycles_of_length(masks, None, True):
         inside = 0
         for v in row:
             inside |= 1 << v

@@ -179,6 +179,20 @@ def gen_lemma_instance(k: int, seed: int) -> LemmaInstance:
     return inst.check()
 
 
+def long_lemma_instance() -> LemmaInstance:
+    """A lemma instance on 70 vertices, above graph6's short form: the
+    cycle 0..69, A = {0, 30}, chords 1-30 and 29-0, arcs 1..29 then the
+    distinguished 31..69, whose end 69 has the cycle edge (69, 0)."""
+    n = 70
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (1, 30), (0, 29)])
+    return LemmaInstance(
+        g=g,
+        cycle=Cycle(tuple(range(n))),
+        a_set=frozenset({0, 30}),
+        components=(tuple(range(1, 30)), tuple(range(31, n))),
+    ).check()
+
+
 def gen_cycle_plus_instance(n: int, seed: int):
     """Seeded Hamilton cycle plus vertex-disjoint triangles / order-3
     paths packed on it; returns (graph, hamilton cycle)."""

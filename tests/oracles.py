@@ -346,7 +346,7 @@ def zhan_table(g: Graph, mode: str) -> dict:
     for x in range(g.n):
         ends = masks[x] if mode == "adjacent-pairs" else (1 << g.n) - 1
         targets = ends & (-2 << x)
-        table = kernels.xy_sweep(masks, g.n, x, targets, g.n - 1)
+        table = kernels.xy_sweep(masks, x, targets, g.n - 1)
         for y in range(x + 1, g.n):
             if (targets >> y) & 1:
                 verify._check_sweep_entry(g, x, y, table[y])

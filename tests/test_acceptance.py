@@ -177,7 +177,7 @@ def _longest_cycle_chords(g):
         s = sum(1 << v for v in cyc)
         return sum(bin(g.masks[v] & s).count("1") for v in cyc) // 2 - len(cyc)
 
-    return min(map(count, kernels.cycles_of_length(g.masks, g.n, None)))
+    return min(map(count, kernels.cycles_of_length(g.masks, None)))
 
 
 def test_zhan2_bound_by_longest_cycle_chords(corpus, corpus12):

@@ -263,14 +263,14 @@ def _recheck_witness(g, mode, witness):
     bound count (zhan modes) or chord count (chords)."""
     if mode == "chords":
         cyc = Cycle(tuple(witness["cycle"])).validate(g)
-        assert cyc.length == kernels.longest_cycle_length(g.masks, g.n)
+        assert cyc.length == kernels.longest_cycle_length(g.masks)
         return len(chords(g, cyc))
     x, y = witness["pair"]
     p = Path(tuple(witness["path"]))
     assert (p.x, p.y) == (x, y) and x < y
     if mode == "zhan3adj":
         assert g.has_edge(x, y)
-    assert p.length == kernels.longest_xy_length(g.masks, g.n, x, y)
+    assert p.length == kernels.longest_xy_length(g.masks, x, y)
     return len(internal_bound_vertices(g, p))  # validates the path
 
 
@@ -351,8 +351,8 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     with the failing step named."""
     real = kernels.xy_sweep
 
-    def lowered(masks, n, x, targets, floor):
-        table = real(masks, n, x, targets, floor)
+    def lowered(masks, x, targets, floor):
+        table = real(masks, x, targets, floor)
         best, mb, wit = table[1]  # (0,1) is the first pair verify reads
         table[1] = (best, mb - 1, wit)
         return table
@@ -371,8 +371,8 @@ def test_verify_internal_error_names_the_graph(tmp_path, capsys, monkeypatch, co
     input line, serially and from a forked worker alike."""
     real = kernels.xy_sweep
 
-    def bumped(masks, n, x, targets, floor):
-        table = real(masks, n, x, targets, floor)
+    def bumped(masks, x, targets, floor):
+        table = real(masks, x, targets, floor)
         y = next(y for y, entry in enumerate(table) if entry)  # source 0 fails first
         best, mb, wit = table[y]
         table[y] = (best, mb + 1, wit)

@@ -192,6 +192,20 @@ def test_adjacent_walks_its_input_once(monkeypatch):
     assert len(walked) == 8
 
 
+def test_a_reversed_path_keeps_its_classification(monkeypatch):
+    """`Path.reversed` copies the classification, as the kind and the
+    bound set do not depend on the orientation: a `precheck` of the
+    reverse walks nothing and answers as a fresh walk of it does."""
+    g, p = helpers.gen_adjacent_config(1)
+    precheck(g, p)
+    rev = p.reversed()
+    _, walked = _spy_checks(monkeypatch)
+    cls = precheck(g, rev)
+    assert walked == []
+    assert len(cls.bound) == 1 and cls == precheck(g, Path(rev.vertices))
+    assert walked == [(rev.vertices, False)]
+
+
 def test_adjacent_flipped_output_keeps_its_classification(monkeypatch):
     """With the chord at y, `extend_path_adjacent` flips its input and
     `_finish` reverses the output back: the reversed path keeps the
@@ -887,7 +901,7 @@ def test_matching_step_runs_stay_on_the_base_cycle():
 def test_matching_step_needs_a_longer_cycle(monkeypatch):
     """A cycle kernel that finds nothing leaves no cycle through the
     matching."""
-    monkeypatch.setattr(kernels, "cycles_of_length", lambda masks, n, length: [])
+    monkeypatch.setattr(kernels, "cycles_of_length", lambda masks, length: [])
     with pytest.raises(InvariantViolation) as exc:
         matching_step(*_tight_lift())
     assert exc.value.step == "matching-step"
@@ -959,15 +973,15 @@ def test_dense_cycle_kernel_matches_small_cycle_enumerator(corpus):
         dense = {v: i for i, v in enumerate(order)}
         masks = [sum(1 << dense[w] for w in adj[v]) for v in order]
         by_length = {
-            length: [tuple(order[i] for i in row) for row in kernels.cycles_of_length(masks, n, length)]
+            length: [tuple(order[i] for i in row) for row in kernels.cycles_of_length(masks, length)]
             for length in range(3, n + 1)
         }
         got = [row for length in range(3, n + 1) for row in by_length[length]]
         want = sorted(oracles.all_cycles_small(adj), key=lambda s: (len(s), s))
         assert got == want, (g.edges, labels)
         longest = max(length for length in by_length if by_length[length])
-        for rows, length in ((kernels.cycles_of_length(masks, n, None), longest),
-                             (kernels.hamilton_cycle_rows(masks, n), n)):
+        for rows, length in ((kernels.cycles_of_length(masks, None), longest),
+                             (kernels.hamilton_cycle_rows(masks), n)):
             assert [tuple(order[i] for i in row) for row in rows] == by_length[length], (g.edges, labels)
 
 

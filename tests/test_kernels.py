@@ -35,6 +35,9 @@ import chordlab
 import oracles
 from chordlab import kernels
 from chordlab.generate import enumerate_cubic, random_cubic
+from chordlab.search import hamilton_cycles
+from chordlab.second_cycle import build_support_graph
+from helpers import long_lemma_instance
 
 GOLDEN = FsPath(__file__).parent / "golden" / "kernel_rows.json"
 
@@ -60,15 +63,15 @@ def _kernel_digests(g) -> dict:
     xy = []
     for x in range(n):
         for y in range(x + 1, n):
-            best = kernels.longest_xy_length(adj, n, x, y)
+            best = kernels.longest_xy_length(adj, x, y)
             xy.append([x, y, best])
-            rows = kernels.xy_paths_of_length(adj, n, x, y, best) if best else []
-            assert kernels.xy_paths_of_length(adj, n, x, y, None) == rows
+            rows = kernels.xy_paths_of_length(adj, x, y, best) if best else []
+            assert kernels.xy_paths_of_length(adj, x, y, None) == rows
             xy.extend(rows)
-    circumference = kernels.longest_cycle_length(adj, n)
-    cycles = kernels.cycles_of_length(adj, n, circumference) if circumference else []
-    assert kernels.cycles_of_length(adj, n, None) == cycles
-    ham = kernels.hamilton_cycle_rows(adj, n)
+    circumference = kernels.longest_cycle_length(adj)
+    cycles = kernels.cycles_of_length(adj, circumference) if circumference else []
+    assert kernels.cycles_of_length(adj, None) == cycles
+    ham = kernels.hamilton_cycle_rows(adj)
     # the order contract: cycle rows ascend by vertex sequence
     assert cycles == sorted(cycles) and ham == sorted(ham)
     return {
@@ -98,7 +101,7 @@ def test_kernel_rows_match_golden(golden):
 
 def test_kernel_rows_are_tuples():
     g = random_cubic(12, 0)
-    rows = kernels.cycles_of_length(g.masks, g.n, kernels.longest_cycle_length(g.masks, g.n))
+    rows = kernels.cycles_of_length(g.masks, kernels.longest_cycle_length(g.masks))
     assert rows and all(type(r) is tuple and len(r) == len(rows[0]) for r in rows)
 
 
@@ -110,12 +113,35 @@ def test_cycle_rows_match_oracle_n12(corpus12):
     for i, g in enumerate(corpus12):
         every = oracles.all_cycles_small({v: set(g.neighbors(v)) for v in range(g.n)})
         best = max(map(len, every))
-        longest = kernels.cycles_of_length(g.masks, g.n, None)
-        ham = kernels.hamilton_cycle_rows(g.masks, g.n)
+        longest = kernels.cycles_of_length(g.masks, None)
+        ham = kernels.hamilton_cycle_rows(g.masks)
         assert longest == [c for c in every if len(c) == best], i
         assert ham == [c for c in every if len(c) == g.n], i
         assert longest == sorted(longest) and ham == sorted(ham), i
-        assert kernels.cycles_of_length(g.masks, g.n, best) == longest, i
+        assert kernels.cycles_of_length(g.masks, best) == longest, i
+
+
+def test_cycle_rows_above_graph6_short_form():
+    """The 70-vertex support graph of `helpers.long_lemma_instance` has a
+    cycle space of dimension 3 (72 edges), and each of its 7 nonzero
+    elements is one cycle: the Hamilton cycle 0..69, the two chords'
+    30-cycles along the first arc, the sum of each with 0..69 (42
+    vertices), the sum of the two (the 4-cycle 0, 1, 30, 29) and the sum
+    of all three (the second Hamilton cycle).  The kernel rows are those
+    of the naive walk, length by length, and the sweep matches its
+    reference."""
+    g = build_support_graph(long_lemma_instance())
+    every = oracles.all_cycles_small({v: set(g.neighbors(v)) for v in range(g.n)})
+    assert sorted(map(len, every)) == [4, 30, 30, 42, 42, 70, 70]
+    for length in (4, 30, 42, 70):
+        assert kernels.cycles_of_length(g.masks, length) == [c for c in every if len(c) == length]
+    ham = kernels.hamilton_cycle_rows(g.masks)
+    assert len(ham) == 2 and ham == kernels.cycles_of_length(g.masks, None)
+    assert [c.vertices for c in hamilton_cycles(g)] == ham
+    assert kernels.longest_cycle_length(g.masks) == 70
+    assert kernels.longest_xy_length(g.masks, 69, 0) == 69
+    targets = (1 << g.n) - 1 & ~(1 << 69)
+    assert kernels.xy_sweep(g.masks, 69, targets, g.n - 1) == oracles.xy_sweep_reference(g.masks, g.n, 69)
 
 
 def test_active_backend_is_exposed():
@@ -200,6 +226,28 @@ def test_no_helper_only_tests_call():
                 used.add(node.value)
     used |= {"__getattr__", "__dir__"}  # PEP 562 hooks (the package's, cli's): Python calls them
     assert [label for label, name in defined if name not in used] == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function, method, nested function and
+    lambda of chordlab is read by its body, closures included: a
+    parameter nothing reads is an argument every caller passes for
+    nothing."""
+    root = FsPath(__file__).resolve().parent.parent
+    unread = []
+    for path in sorted((root / "src" / "chordlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                reads = {
+                    part.id for part in ast.walk(ast.Module(body, []))
+                    if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load)
+                }
+                name = getattr(node, "name", "<lambda>")
+                unread += [f"{path.stem}.{name}: {p.arg}" for p in params if p and p.arg not in reads]
+    assert unread == []
 
 
 if __name__ == "__main__":

@@ -54,8 +54,8 @@ def test_longest_xy_matches_naive_oracle_on_zoo():
                 best, wits = oracles.longest_xy_naive(g, x, y)
                 if best == 0:
                     unreachable += 1
-                    assert kernels.longest_xy_length(adj, g.n, x, y) == 0
-                    assert kernels.xy_paths_of_length(adj, g.n, x, y, None) == []
+                    assert kernels.longest_xy_length(adj, x, y) == 0
+                    assert kernels.xy_paths_of_length(adj, x, y, None) == []
                     with pytest.raises(ValueError, match="path exists"):
                         longest_xy_paths(g, x, y)
                     continue

@@ -7,7 +7,7 @@ from chordlab.errors import InvariantViolation
 from chordlab.graphs import Graph
 from chordlab.search import Cycle, hamilton_cycles
 from chordlab.second_cycle import LemmaInstance, build_support_graph, second_hamilton_cycle
-from helpers import gen_lemma_instance
+from helpers import gen_lemma_instance, long_lemma_instance
 from oracles import verify_parity_lemma
 
 
@@ -81,6 +81,16 @@ def test_second_cycle_spec_instance():
     cert = second_hamilton_cycle(inst, x=5, y=4)
     assert cert.c_prime.vertices == (0, 1, 3, 2, 4, 5)
     assert cert.exchange_vertex == 1
+
+
+def test_second_cycle_above_graph6_short_form():
+    """The search kernels take any vertex count: on the 70-vertex
+    instance the certificate is the support graph's one other Hamilton
+    cycle, through both chords, turning at 0."""
+    inst = long_lemma_instance()
+    cert = second_hamilton_cycle(inst, x=69, y=0)
+    assert cert.c_prime.vertices == (0, *range(29, 0, -1), *range(30, 70))
+    assert cert.exchange_vertex == 0
 
 
 def test_second_cycle_differs_from_base():

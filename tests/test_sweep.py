@@ -103,7 +103,7 @@ def test_sweep_table_every_end_vertex():
               oracles.two_k4_minus_edge_bridge(), random_cubic(10, 3)]
     for g in graphs:
         for x in range(g.n):
-            table = kernels.xy_sweep(g.masks, g.n, x, ((1 << g.n) - 1) & ~(1 << x), g.n - 1)
+            table = kernels.xy_sweep(g.masks, x, ((1 << g.n) - 1) & ~(1 << x), g.n - 1)
             assert table[x] is None
             for y in range(g.n):
                 if y != x:
@@ -115,7 +115,7 @@ def _check_sweep_against_reference(g):
     earlier body."""
     for x in range(g.n):
         targets = ((1 << g.n) - 1) & ~(1 << x)
-        assert kernels.xy_sweep(g.masks, g.n, x, targets, g.n - 1) == oracles.xy_sweep_reference(g.masks, g.n, x), x
+        assert kernels.xy_sweep(g.masks, x, targets, g.n - 1) == oracles.xy_sweep_reference(g.masks, g.n, x), x
 
 
 def test_sweep_matches_reference_on_corpus(corpus, corpus12):
@@ -162,10 +162,10 @@ def _check_targets_against_reference(g, seed=0):
         above = everyone & (-2 << x)
         masks = [above, g.masks[x] & above, rng.getrandbits(g.n) & ~(1 << x)]
         masks += [1 << y for y in range(g.n) if y != x]
-        assert kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x), g.n - 1) == full, x
+        assert kernels.xy_sweep(g.masks, x, everyone & ~(1 << x), g.n - 1) == full, x
         for targets in masks:
             want = [e if (targets >> y) & 1 else None for y, e in enumerate(full)]
-            assert kernels.xy_sweep(g.masks, g.n, x, targets, g.n - 1) == want, (x, targets)
+            assert kernels.xy_sweep(g.masks, x, targets, g.n - 1) == want, (x, targets)
 
 
 def test_targeted_sweep_matches_reference_on_corpus(corpus, corpus12):
@@ -252,7 +252,7 @@ def _check_floors_against_reference(g):
     for x in range(g.n):
         full = oracles.xy_sweep_reference(g.masks, g.n, x)
         for floor in range(1, g.n):
-            table = kernels.xy_sweep(g.masks, g.n, x, everyone & ~(1 << x), floor)
+            table = kernels.xy_sweep(g.masks, x, everyone & ~(1 << x), floor)
             for y, want in enumerate(full):
                 if want is None or want[0] < floor:
                     assert table[y] == want, (x, y, floor)
@@ -400,9 +400,9 @@ def _check_chords_against_reference(g):
     branch where the walk stops early."""
     rep = verify_chords(g)
     assert (rep.cycle_length, rep.min_chords, rep.witness) == _chords_reference(g), write_graph6(g)
-    full = kernels.cycles_of_length(g.masks, g.n, None)
+    full = kernels.cycles_of_length(g.masks, None)
     hamiltonian = len(full[0]) == g.n
-    assert kernels.cycles_of_length(g.masks, g.n, None, True) == (full[:1] if hamiltonian else full)
+    assert kernels.cycles_of_length(g.masks, None, True) == (full[:1] if hamiltonian else full)
     return hamiltonian
 
 
@@ -474,12 +474,7 @@ def test_sweep_rejects_degree_above_three():
     host is refused, not miscounted."""
     g = Graph(5, [(v, (v + 1) % 4) for v in range(4)] + [(4, v) for v in range(4)])  # wheel W4
     with pytest.raises(ValueError, match="degree"):
-        kernels.xy_sweep(g.masks, g.n, 0, ((1 << g.n) - 1) & ~1, g.n - 1)
-
-
-def test_verify_zhan_keeps_kernel_limits():
-    with pytest.raises(ValueError, match="n < 63"):
-        verify_zhan(random_cubic(64, 0))
+        kernels.xy_sweep(g.masks, 0, ((1 << g.n) - 1) & ~1, g.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +562,8 @@ def _patch_first_table(monkeypatch, mutate):
     real = kernels.xy_sweep
     calls = []
 
-    def mutated(masks, n, x, targets, floor):
-        table = real(masks, n, x, targets, floor)
+    def mutated(masks, x, targets, floor):
+        table = real(masks, x, targets, floor)
         if not calls:
             table[1] = mutate(*table[1])
         calls.append(x)
@@ -717,9 +712,9 @@ def _spy_closures(monkeypatch):
 
         return settle
 
-    def sweep(masks, n, x, targets, floor):
+    def sweep(masks, x, targets, floor):
         sweeps.append(targets)
-        return real_sweep(masks, n, x, targets, floor)
+        return real_sweep(masks, x, targets, floor)
 
     monkeypatch.setattr(verify, "_rotate", rotate)
     monkeypatch.setattr(verify, "_settle_by_cycle", spy("cycle", verify._settle_by_cycle))
@@ -770,7 +765,7 @@ def test_cycle_settle_checks_its_seed(short):
     name the seed and what is wrong with it, and settle nothing."""
     g = oracles.petersen()
     if short:
-        seed = kernels.cycles_of_length(g.masks, g.n, g.n - 1)[0]
+        seed = kernels.cycles_of_length(g.masks, g.n - 1)[0]
         problem = f"{g.n - 1} of {g.n} vertices"
     else:
         seed = next(r.witness for r in oracles.zhan_table(g, "all-pairs").values() if r.max_length == g.n - 1)
