@@ -65,7 +65,16 @@ class BlueSubpathStats:
     dropped_vertices / missing_edges are |V(C)-V(C')| and |E(C)-E(C')|,
     surplus = missing_edges - 2*dropped_vertices, blue/red edge counts on
     the new cycle, and the maximal blue runs with the number of length-2
-    ones."""
+    ones.
+
+    Two identities hold without a check.  The runs have length 1 or 2
+    (`_maximal_runs` refuses longer ones) and hold every blue edge, so
+    blue_on_cycle = blue_runs + long_blue_runs.  And the new cycle C' is
+    a simple cycle of the reduced graph on the path's vertices (a repeat
+    fails `lift_to_host`'s `_checked_cycle` in the same step): it has
+    |V(C)| - dropped vertices and as many edges, of which |E(C)| -
+    missing are black, so with |V(C)| = |E(C)| its red and blue edges
+    number missing - dropped = dropped_vertices + surplus."""
 
     dropped_vertices: int
     missing_edges: int
@@ -79,10 +88,6 @@ class BlueSubpathStats:
         s = self
         if s.surplus < 0:
             raise InvariantViolation("stats", "surplus is negative")
-        if s.blue_on_cycle != s.blue_runs + s.long_blue_runs:
-            raise InvariantViolation("stats", "blue runs do not add up")
-        if s.dropped_vertices + s.surplus != s.blue_on_cycle + s.red_on_cycle:
-            raise InvariantViolation("stats", "component count identity fails")
         if s.surplus < 2 * s.long_blue_runs:
             raise InvariantViolation("stats", "surplus below twice the long runs")
         if s.blue_runs >= s.long_blue_runs + 1 and s.surplus < 2 * s.long_blue_runs + 1:
@@ -235,24 +240,21 @@ def find_direct_extension(g: Graph, p: Path, comps):
     splice a longer path through one or two of them; otherwise certify a
     component attached only to the interior.  ``comps`` is
     ``_attached_components(g, p.vertices)``.  Returns (path, component)
-    with exactly one of the two set; `_finish` checks the path."""
+    with exactly one of the two set; `_finish` checks the path.
+
+    p is extendable and has length at least 2, as its one caller
+    `extend_path` has checked: so p has an interior, no interior vertex
+    is bound, and each has a neighbour off the path."""
     pm = vertex_mask(p.vertices)
     x, y = p.x, p.y
     nbrs = dict(comps)
     interior_only = [c for c, at in nbrs.items() if x not in at and y not in at]
     if interior_only:
         return None, interior_only[0]  # the least, in components order
-    if p.length < 2:
-        raise ValueError("direct extension needs a path with an interior")
     u, v = p.vertices[1], p.vertices[-2]
 
     def comp_of(vertex):
-        off = g.masks[vertex] & ~pm
-        if not off:
-            raise InvariantViolation(
-                "component-claim", f"interior vertex {vertex} has no off-path edge"
-            )
-        return next(c for c in nbrs if off & c)
+        return next(c for c in nbrs if g.masks[vertex] & ~pm & c)
 
     h_i = comp_of(u)
     if x in nbrs[h_i]:
@@ -840,8 +842,7 @@ def extend_path_adjacent(g: Graph, p: Path):
         g, cprime_vertices, new_edges, relabeled, c1_host_vertices, trace, case
     )
     reinstated = _reinstate(g, lifted, x, y, w, a, b, c, case)
-    if reinstated.length <= len(vs):
-        raise InvariantViolation(case, "reinstated cycle is not longer")
+    # _finish checks that the path cut from it is longer than p
     trace.add(case, cycle=list(reinstated.vertices), length=reinstated.length)
     longer = _path_from_cycle(reinstated, x, y)
     return _finish(g, p, longer, trace, flipped)
@@ -913,10 +914,10 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
         not ring[a2] >> b2 & 1
         for a2, b2 in zip(c1_vertices, c1_vertices[1:] + c1_vertices[:1])
     ]
-    start = next((i for i, ch in enumerate(is_chord) if not ch), None)
-    if start is None:
-        raise InvariantViolation(case, "found cycle uses no ring edge")
-    # start on a ring edge, so that no run of chords wraps around
+    # start on a ring edge, so that no run of chords wraps around; there is
+    # one: the lemma edge's end in the last arc has no designated chord, so
+    # the found cycle holds both of its ring edges
+    start = is_chord.index(False)
     vs = c1_vertices[start:] + c1_vertices[:start]
     is_chord = is_chord[start:] + is_chord[:start]
     runs = {}
@@ -941,12 +942,11 @@ def _lift_adjacent(g, cprime_vertices, new_edges, relabeled, c1_vertices, trace,
 def _reinstate(g, lifted, x, y, w, a, b, c, case):
     """Swap the two surgery edges for the four host edges through x and w:
     x goes between a and y, w between b and c.  A vertex the two edges
-    share is c = y or b = a, so one rule covers every shape."""
+    share is c = y or b = a, so one rule covers every shape.  The walk
+    gains two vertices, and `_checked_cycle` accepts it as a cycle, so
+    the cycle gains exactly two edges."""
     vs = lifted.vertices
     for p2, q2, mid in ((a, y, x), (b, c, w)):
         i = _past_edge(vs, p2, q2, case, f"surgery edge ({p2},{q2}) missing from lift")
         vs = vs[:i] + (mid,) + vs[i:]
-    cyc = _checked_cycle(g, vs, (), case)
-    if cyc.length != lifted.length + 2:
-        raise InvariantViolation(case, "reinstatement did not add exactly two edges")
-    return cyc
+    return _checked_cycle(g, vs, (), case)

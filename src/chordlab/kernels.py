@@ -13,8 +13,10 @@ is deterministic and the row order is part of the output.
 
 Every cycle query reads one walk over the cycles in canonical form
 (``_cycle_rows``), which skips each subtree where no cycle of the wanted
-length can close.  The per-pair (x,y) search is an unpruned walk over
-every path from x (``_xy_rows``).  The sweep walks the paths from x too,
+length can close.  For Hamilton rows it also ends a path that leaves an
+unvisited vertex with fewer than two possible cycle neighbours.  The
+per-pair (x,y) search is an unpruned walk over every path from x
+(``_xy_rows``).  The sweep walks the paths from x too,
 but skips a subtree once every target it could still change is settled:
 reached by a path of at least the caller's length ``floor``.  With floor
 n - 1 that is a Hamiltonian path and the table is exact on every target;
@@ -75,7 +77,7 @@ def _cycle_rows(masks, length, stop=False):
     Every cycle is walked once in canonical form: least vertex s first,
     second vertex t below the last.  The walk is a preorder with ascending
     children, started from each s in ascending order, so the cycles of
-    one length come out in ascending vertex-sequence order.  Two exact
+    one length come out in ascending vertex-sequence order.  Three exact
     prunes skip only subtrees that hold no row:
 
     - a path s, t, ..., v closes in canonical form only at a neighbour of
@@ -83,7 +85,14 @@ def _cycle_rows(masks, length, stop=False):
       neighbour is still off the path (one AND per node);
     - a cycle whose least vertex is s has at most n - s vertices, so the
       walk stops at the first s with n - s below the wanted length.  The
-      Hamilton cycles are walked from vertex 0 alone.
+      Hamilton cycles are walked from vertex 0 alone;
+    - while the wanted length is n, every vertex off the path still needs
+      two cycle neighbours among the vertices off the path and s.  Once v
+      is interior, an unvisited neighbour u of v keeps only those, so a u
+      left with fewer than two must be v's next vertex: with two such u
+      the node ends, with one it is the only child tried.  A vertex's
+      options shrink only when one of its neighbours becomes interior, so
+      this cuts only subtrees that hold no Hamilton cycle.
     """
     n = len(masks)
     rows = []
@@ -94,6 +103,16 @@ def _cycle_rows(masks, length, stop=False):
         # pm: the path and every vertex below s; ends: s's neighbours above t
         nonlocal want
         free = masks[v] & ~pm
+        if want == n:
+            live, dead, left = ~pm | 1 << path[0], 0, free
+            while left:
+                b = left & -left
+                left ^= b
+                if (masks[b.bit_length() - 1] & live).bit_count() < 2:
+                    if dead:
+                        return
+                    dead = b
+            free = dead or free
         while free:
             b = free & -free
             free ^= b

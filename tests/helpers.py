@@ -81,14 +81,17 @@ def gen_extendable_host(seed: int):
     return None
 
 
-def gen_adjacent_config(seed: int, case: str | None = None):
+def gen_adjacent_config(seed: int, case: str | None = None, cycle_length: int | None = None):
     """3-connected cubic host whose closing cycle has exactly one chord,
     at the first endpoint: cycle 0..s-1 with chord (0, j) and singleton
     components soaking up the remaining degree slots.  ``case`` forces
-    the disjoint ('case-1') or shared ('case-2') endpoint shape."""
+    the disjoint ('case-1') or shared ('case-2') endpoint shape.
+    ``cycle_length`` fixes s in place of the draw from 8, 11 and 14; the
+    draw is still made, so the seed's other draws do not move."""
     rng = random.Random(seed)
     for _ in range(400):
         sc = rng.choice([8, 11, 14])
+        sc = cycle_length or sc
         if case == "case-2" or (case is None and rng.random() < 0.4):
             j = sc - 2
         elif case == "case-2-mirror":

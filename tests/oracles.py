@@ -38,7 +38,9 @@ keep frozensets, and the tests compare them through
 ``sorted``, in which `extender._contraction_edges` numbers the blue
 edges.  ``chords_reference`` is the earlier body of `search.chords`, a
 scan of ``g.edges`` against the cycle's vertex and edge sets, the
-reference for its mask form.
+reference for its mask form.  ``cycle_rows_reference`` is the cycle
+walk's body before its Hamilton rule, the reference for the rows and
+their order.
 """
 
 from __future__ import annotations
@@ -296,6 +298,53 @@ def longest_cycles_naive(g: Graph):
 
 def hamilton_cycles_naive(g: Graph):
     return [c for c in all_cycles_naive(g) if len(c) == g.n]
+
+
+def cycle_rows_reference(masks, length, stop=False):
+    """``kernels._cycle_rows`` before its Hamilton rule: the same walk in
+    canonical form, with the closing-neighbour prune and the least-vertex
+    bound only, so the same rows in the same order."""
+    n = len(masks)
+    rows = []
+    want = 3 if length is None else length
+    path = []
+
+    def visit(v, pm, ends):
+        nonlocal want
+        free = masks[v] & ~pm
+        while free:
+            b = free & -free
+            free ^= b
+            path.append(b.bit_length() - 1)
+            pm2 = pm | b
+            if ends & b:
+                if len(path) == want:
+                    rows.append(tuple(path))
+                elif length is None and len(path) > want:
+                    want = len(path)
+                    rows[:] = [tuple(path)]
+                    if stop and want == n:
+                        raise StopIteration
+            if ends & ~pm2:
+                visit(path[-1], pm2, ends)
+            path.pop()
+
+    try:
+        for s in range(n):
+            if n - s < want:
+                break
+            below = (2 << s) - 1
+            free = masks[s] & ~below
+            while free:
+                b = free & -free
+                free ^= b
+                ends = masks[s] & -(b << 1)
+                if ends:
+                    path[:] = [s, b.bit_length() - 1]
+                    visit(path[1], below | b, ends)
+    except StopIteration:
+        pass
+    return rows
 
 
 def xy_sweep_reference(masks, n, x):

@@ -26,6 +26,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import random
 import sys
 from pathlib import Path as FsPath
 
@@ -35,9 +36,10 @@ import chordlab
 import oracles
 from chordlab import kernels
 from chordlab.generate import enumerate_cubic, random_cubic
+from chordlab.graphs import Graph
 from chordlab.search import hamilton_cycles
 from chordlab.second_cycle import build_support_graph
-from helpers import long_lemma_instance
+from helpers import gen_lemma_instance, long_lemma_instance
 
 GOLDEN = FsPath(__file__).parent / "golden" / "kernel_rows.json"
 
@@ -119,6 +121,38 @@ def test_cycle_rows_match_oracle_n12(corpus12):
         assert ham == [c for c in every if len(c) == g.n], i
         assert longest == sorted(longest) and ham == sorted(ham), i
         assert kernels.cycles_of_length(g.masks, best) == longest, i
+
+
+def _random_graph(n, rng):
+    """A random simple graph on n vertices, each pair an edge with a
+    probability drawn from 0.3..0.8: any degree, connected or not."""
+    p = rng.uniform(0.3, 0.8)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_hamilton_rule_matches_reference(corpus, corpus12):
+    """The Hamilton rule cuts only subtrees without a Hamilton cycle: the
+    Hamilton rows, and the longest rows (which walk on under the rule once
+    a Hamilton cycle is found), are those of the walk without it, in its
+    order.  Over the cubic corpus with n <= 12, `random_cubic` with n =
+    14..20, the support graphs of the 1,500 seeded lemma instances and
+    the 70-vertex one, and random graphs of any degree with n = 5..10."""
+    graphs = [g for n in sorted(corpus) for g in corpus[n]] + list(corpus12)
+    graphs += [random_cubic(n, seed) for n in (14, 16, 18, 20) for seed in range(3)]
+    graphs += [
+        build_support_graph(gen_lemma_instance(k, seed))
+        for k in range(2, 7) for seed in range(300)
+    ]
+    graphs.append(build_support_graph(long_lemma_instance()))
+    rng = random.Random(0)
+    graphs += [_random_graph(n, rng) for n in range(5, 11) for _ in range(40)]
+    hamiltonian = 0
+    for i, g in enumerate(graphs):
+        ham = kernels.hamilton_cycle_rows(g.masks)
+        assert ham == oracles.cycle_rows_reference(g.masks, g.n), i
+        assert kernels._cycle_rows(g.masks, None) == oracles.cycle_rows_reference(g.masks, None), i
+        hamiltonian += bool(ham)
+    assert (len(graphs), hamiltonian) == (1865, 1760)
 
 
 def test_cycle_rows_above_graph6_short_form():
