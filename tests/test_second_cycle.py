@@ -147,10 +147,10 @@ def _support_cycles_agree_off_a(inst):
     n = inst.g.n
     on, am = cycle_masks(inst.cycle.vertices, n), vertex_mask(inst.a_set)
     hams = hamilton_cycles(build_support_graph(inst))
+    last = inst.components[-1]
     for h in hams:
         hm = cycle_masks(h.vertices, n)
         assert all(hm[v] & ~am == on[v] & ~am for v in range(n) if not am >> v & 1), h
-        last = inst.components[-1]
         assert hm[last[0]] == on[last[0]] and hm[last[-1]] == on[last[-1]], h
     return len(hams)
 
